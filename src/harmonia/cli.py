@@ -4,11 +4,12 @@ Wires the searches, the classifier, the bound checks, the lemma grids, and
 the induction traces to reproducible file outputs.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 checkpoint
-mismatch.  Result data goes to --out when given (stdout otherwise); the
-fixed one-line summary is always the last line on stdout; progress goes to
-stderr only.  Alongside every --out file a <out>.manifest.json records the
-command line, config digest, version, wall time, counts, and the output's
-sha256, so reruns can be audited without rereading the data.
+mismatch, 4 I/O error (such as an unwritable --out or a full disk).  Result
+data goes to --out when given (stdout otherwise); the fixed one-line summary
+is always the last line on stdout; progress goes to stderr only.  Alongside
+every --out file a <out>.manifest.json records the command line, config
+digest, version, wall time, counts, and the output's sha256, so reruns can be
+audited without rereading the data.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_CHECKPOINT = 3
+EXIT_IO = 4
 
 CSV_HEADER = "M,N,factor_M,factor_N,gcd_M_sigmaN,gcd_sigmaM_N"
 
@@ -394,7 +396,11 @@ def _add_search_parser(sub) -> None:
         choices=["harmonious", "unitary", "amicable", "anarchy"],
         help="class to search; 'anarchy' sweeps M <= --m-bound, N <= --n-bound",
     )
-    p.add_argument("--bound", type=int, help="largest member (kinds other than anarchy)")
+    p.add_argument(
+        "--bound",
+        type=int,
+        help="largest member (kinds other than anarchy); pair search needs bound < 2^30",
+    )
     p.add_argument("--k", type=int, choices=[2, 3], default=2, help="tuple size")
     p.add_argument("--coprime", action="store_true", help="keep pairwise coprime tuples only")
     p.add_argument("--anarchy", action="store_true", help="keep anarchy tuples only")
@@ -493,6 +499,9 @@ def main(argv: list | None = None) -> int:
     except CheckpointMismatch as exc:
         print(f"checkpoint mismatch: {exc}", file=sys.stderr)
         return EXIT_CHECKPOINT
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,13 +1,23 @@
 """Bounded searches for harmonious, unitary harmonious, and amicable tuples.
 
-Pair strategy: every n <= bound is keyed by its reduced ratio n/sigma(n).
-A pair (M, N) has ratio sum exactly 1 precisely when the reduced complement
-(sigma(M) - M)/sigma(M) equals N's key, so one sieve pass plus a key join
-replaces the quadratic double loop.  Reduced fractions are packed into
-int64 codes (numerator shifted past the denominator width, validated to
-fit) and joined either fully in memory (sorted array plus binary search)
-or, above the in-memory limit, through code-sorted run files merged range
-bucket by range bucket.
+Pair strategy: a pair (M, N) has M/sigma(M) + N/sigma(N) = 1 exactly when
+the reduced complement (sigma(M) - M)/sigma(M) equals N's reduced ratio
+N/sigma(N).  Two ratios that sum to 1 straddle 1/2, so one member has
+sigma >= 2n and the other sigma <= 2n; perfect numbers lie on both sides.
+This half-plane split sizes the join: only the abundant-or-perfect n (about
+a quarter of all integers) are keyed by their ratio, and only the
+deficient-or-perfect n probe with their complement.  The unitary kind
+splits the same way on sigma*.
+
+One segment pipeline serves both ratio kinds in both memory regimes.
+Pass 1 sieves each segment once and emits a code-sorted key run and a
+code-sorted query run.  Reduced fractions are packed into int64 codes: the
+numerator is shifted past the denominator width, and every segment checks
+that its sigma fits that width.  The join merges the runs code-range
+bucket by bucket and probes the sorted queries into the sorted keys.  Below
+the in-memory limit the runs are arrays; above it, or whenever a checkpoint
+is configured, they are .npy files.  Pair search needs bound < 2^30: from
+there on, a numerator and a denominator no longer fit in 63 bits together.
 
 Amicable pairs use the aliquot shortcut instead: the only possible partner
 of M is s(M) = sigma(M) - M, so a pair exists exactly when
@@ -21,6 +31,7 @@ being dropped.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -29,7 +40,7 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import isqrt
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,8 +53,12 @@ _FILTER_FLAG = {"coprime": "pairwise_coprime", "anarchy": "anarchy"}
 
 DEFAULT_IN_MEMORY_LIMIT = 10**7
 TRIPLE_BOUND_CAP = 10**5
-# per-bucket working-set target for the file-backed merge join
+# key bytes per bucket of the merge join; a bucket's queries take about
+# three times as much
 _BUCKET_TARGET_BYTES = 64 << 20
+# layout of the run files; it enters the config digest, so a checkpoint
+# written under an older layout is refused instead of resumed
+_RUN_LAYOUT = 2
 
 Progress = Callable[[str], None]
 
@@ -70,7 +85,6 @@ class SearchConfig:
     segment_length: int = DEFAULT_SEGMENT_LENGTH
     in_memory_limit: int = DEFAULT_IN_MEMORY_LIMIT
     checkpoint_path: str | None = None
-    workdir: str | None = None
     threads: int = 0
 
     def __post_init__(self):
@@ -109,6 +123,7 @@ class SearchConfig:
             "allow_equal": self.equal_allowed,
             "segment_length": self.segment_length,
             "in_memory_limit": self.in_memory_limit,
+            "run_layout": _RUN_LAYOUT,
         }
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
@@ -209,6 +224,17 @@ def _code_shift(bound: int, sigma_max: int) -> int:
     return shift
 
 
+def _check_packing(sigma: np.ndarray, shift: int) -> None:
+    """Refuse a segment whose sigma overflows the denominator width: its
+    codes would collide with other fractions' and pairs would go missing."""
+    top = int(sigma.max())
+    if top >= 1 << shift:
+        raise ArithmeticError(
+            f"sigma value {top} does not fit the {shift}-bit key packing; "
+            "the sigma cap estimate is too low"
+        )
+
+
 def _segments(bound: int, segment_length: int) -> list[tuple[int, int]]:
     """Inclusive segments covering [1, bound]."""
     return [
@@ -219,6 +245,14 @@ def _segments(bound: int, segment_length: int) -> list[tuple[int, int]]:
 
 def _threads(requested: int) -> int:
     return requested if requested > 0 else (os.cpu_count() or 1)
+
+
+def _ordered_map(fn: Callable, items: Iterable, threads: int) -> Iterator:
+    """fn(item) for every item on a thread pool, yielded in item order."""
+    with ThreadPoolExecutor(max_workers=_threads(threads)) as pool:
+        futures = [pool.submit(fn, item) for item in items]
+        for fut in futures:
+            yield fut.result()
 
 
 def _segment_sigma(lo: int, hi: int, primes: np.ndarray, star: bool) -> np.ndarray:
@@ -232,32 +266,14 @@ def _sigma_full(
     """sigma (or sigma*) of every n in [1, bound] as one array."""
     segs = _segments(bound, segment_length)
     primes = primes_upto(isqrt(bound))
-    if len(segs) == 1:
-        return _segment_sigma(1, bound, primes, star)
     parts: list[np.ndarray] = []
-    with ThreadPoolExecutor(max_workers=_threads(threads)) as pool:
-        futures = [pool.submit(_segment_sigma, lo, hi, primes, star) for lo, hi in segs]
-        for i, fut in enumerate(futures):
-            parts.append(fut.result())
-            if progress:
-                progress(f"sieved segment {i + 1}/{len(segs)}")
+    for i, part in enumerate(
+        _ordered_map(lambda seg: _segment_sigma(*seg, primes, star), segs, threads)
+    ):
+        parts.append(part)
+        if progress:
+            progress(f"sieved segment {i + 1}/{len(segs)}")
     return np.concatenate(parts)
-
-
-def _expand_matches(
-    hay_values: np.ndarray, lo: np.ndarray, hi: np.ndarray, owners: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One (owner, hay_value) row per hit between searchsorted bounds."""
-    counts = hi - lo
-    src = np.nonzero(counts)[0]
-    if not src.size:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    lens = counts[src]
-    total = int(lens.sum())
-    offsets = np.repeat(np.cumsum(lens) - lens, lens)
-    pos = np.arange(total, dtype=np.int64) - offsets + np.repeat(lo[src], lens)
-    return np.repeat(owners[src], lens), hay_values[pos]
 
 
 def _ratio_keys(n: np.ndarray, s: np.ndarray, shift: int) -> np.ndarray:
@@ -280,24 +296,234 @@ def _complement_keys(
     return (qn[keep] << shift) | qd[keep], n[keep]
 
 
-# --- in-memory candidate generation ----------------------------------------
+def _sorted_run(*rows: np.ndarray) -> np.ndarray:
+    """The rows stacked into one array, columns sorted by the first row."""
+    order = np.argsort(rows[0])
+    return np.stack([row[order] for row in rows])
 
 
-def _ratio_candidates_memory(
-    bound: int, sigma: np.ndarray, equal_allowed: bool
+def _key_index(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(distinct codes, first row, end row) of each run of equal sorted codes."""
+    if not codes.size:
+        return codes, codes, codes
+    cut = np.flatnonzero(codes[1:] != codes[:-1]) + 1
+    starts = np.concatenate(([0], cut))
+    stops = np.concatenate((cut, [codes.size]))
+    return codes[starts], starts, stops
+
+
+def _probe(
+    index: tuple[np.ndarray, np.ndarray, np.ndarray],
+    values: np.ndarray,
+    queries: np.ndarray,
+    owners: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    n = np.arange(1, bound + 1, dtype=np.int64)
-    shift = _code_shift(bound, int(sigma.max()))
-    code = _ratio_keys(n, sigma, shift)
-    order = np.argsort(code, kind="stable")
-    sorted_code = code[order]
-    sorted_n = n[order]
-    ccode, owners = _complement_keys(n, sigma, shift, bound)
-    lo = np.searchsorted(sorted_code, ccode, side="left")
-    hi = np.searchsorted(sorted_code, ccode, side="right")
-    m_col, n_col = _expand_matches(sorted_n, lo, hi, owners)
-    keep = (n_col >= m_col) if equal_allowed else (n_col > m_col)
-    return m_col[keep], n_col[keep]
+    """One (owner, value) row per query code equal to an indexed key code.
+
+    One binary search per query over the distinct keys; sorted queries walk
+    the keys in order, which keeps the search in cache."""
+    distinct, starts, stops = index
+    if not distinct.size:
+        return owners[:0], values[:0]
+    pos = np.searchsorted(distinct, queries)
+    np.minimum(pos, distinct.size - 1, out=pos)
+    hit = np.flatnonzero(distinct[pos] == queries)
+    lo = starts[pos[hit]]
+    lens = stops[pos[hit]] - lo
+    offsets = np.repeat(np.cumsum(lens) - lens, lens)
+    rows = np.arange(int(lens.sum()), dtype=np.int64) - offsets + np.repeat(lo, lens)
+    return np.repeat(owners[hit], lens), values[rows]
+
+
+# --- run stores ---------------------------------------------------------------
+#
+# Pass 1 puts each segment's runs into a store under (segment, name): the
+# ratio kinds write a "keys" and a "comps" run of (code, n) rows, amicable
+# writes a "queries" run of (partner, sigma_m, m) rows.  Every run is one
+# int64 array sorted by its first row.
+
+
+class _MemoryRuns(dict):
+    """Run store of the in-memory regime."""
+
+    def put(self, index: int, name: str, run: np.ndarray) -> str:
+        self[index, name] = run
+        return ""
+
+    def load(self, index: int, name: str) -> np.ndarray:
+        return self[index, name]
+
+
+class _FileRuns:
+    """Run store of the file-backed regime: <name>-<segment>.npy files whose
+    sha256 goes into the checkpoint."""
+
+    def __init__(self, rundir: str) -> None:
+        self.rundir = rundir
+
+    def path(self, index: int, name: str) -> str:
+        return os.path.join(self.rundir, f"{name}-{index:06d}.npy")
+
+    def put(self, index: int, name: str, run: np.ndarray) -> str:
+        np.save(self.path(index, name), run)
+        return _sha256_file(self.path(index, name))
+
+    def load(self, index: int, name: str) -> np.ndarray:
+        return np.load(self.path(index, name), mmap_mode="r")
+
+
+@contextlib.contextmanager
+def _run_store(config: SearchConfig, in_memory: bool) -> Iterator:
+    """The regime's run store; a temporary run directory is removed on exit."""
+    if in_memory:
+        yield _MemoryRuns()
+    elif config.checkpoint_path:
+        rundir = config.checkpoint_path + ".runs"
+        os.makedirs(rundir, exist_ok=True)
+        yield _FileRuns(rundir)
+    else:
+        with tempfile.TemporaryDirectory(prefix="harmonia-runs-") as tmp:
+            yield _FileRuns(tmp)
+
+
+# --- pass 1: segment runs -----------------------------------------------------
+
+
+def _ratio_segment_runs(
+    lo: int, hi: int, bound: int, shift: int, primes: np.ndarray, star: bool
+) -> dict[str, np.ndarray]:
+    """Ratio codes of the segment's n with sigma >= 2n as keys, complement
+    codes of its n with sigma <= 2n as queries."""
+    sigma = _segment_sigma(lo, hi, primes, star)
+    _check_packing(sigma, shift)
+    n = np.arange(lo, hi + 1, dtype=np.int64)
+    key = sigma >= 2 * n
+    query = sigma <= 2 * n
+    return {
+        "keys": _sorted_run(_ratio_keys(n[key], sigma[key], shift), n[key]),
+        "comps": _sorted_run(*_complement_keys(n[query], sigma[query], shift, bound)),
+    }
+
+
+def _amicable_segment_runs(
+    lo: int, hi: int, bound: int, equal_allowed: bool, primes: np.ndarray
+) -> dict[str, np.ndarray]:
+    sigma = _segment_sigma(lo, hi, primes, star=False)
+    n = np.arange(lo, hi + 1, dtype=np.int64)
+    partner = sigma - n
+    floor = n if equal_allowed else n + 1
+    ok = (partner >= floor) & (partner <= bound)
+    return {"queries": _sorted_run(partner[ok], sigma[ok], n[ok])}
+
+
+def _resume(path: str, digest: str, nsegs: int, store: _FileRuns, names) -> list:
+    """Digest rows of the segments a checkpoint completed, after re-hashing
+    their run files."""
+    loaded = load_checkpoint(path)
+    if loaded is None:
+        return []
+    ck, rows = loaded
+    if ck.config_digest != digest:
+        raise CheckpointMismatch(
+            f"checkpoint {path} belongs to config {ck.config_digest[:12]}, not {digest[:12]}"
+        )
+    if len(rows) > nsegs:
+        raise CheckpointMismatch(f"checkpoint {path} records more segments than the run has")
+    for i, row in enumerate(rows):
+        for name in names:
+            run = store.path(i, name)
+            if name not in row or not os.path.exists(run):
+                raise CheckpointMismatch(f"run file {run} from checkpoint is missing")
+            if _sha256_file(run) != row[name]:
+                raise CheckpointMismatch(f"run file {run} does not match its checkpoint digest")
+    return rows
+
+
+def _pass1(
+    config: SearchConfig,
+    segs: list[tuple[int, int]],
+    shift: int,
+    store,
+    progress: Progress | None,
+) -> None:
+    """Put every segment's runs into the store, resuming from the checkpoint
+    when one is configured."""
+    digest = config.digest()
+    names = ("queries",) if config.kind == "amicable" else ("keys", "comps")
+    primes = primes_upto(isqrt(config.bound))
+    star = config.kind == "unitary_harmonious"
+    rows: list[dict] = []
+    if config.checkpoint_path:
+        rows = _resume(config.checkpoint_path, digest, len(segs), store, names)
+        if progress and rows:
+            progress(f"resumed after segment {len(rows)}/{len(segs)}")
+
+    def work(i: int) -> dict:
+        lo, hi = segs[i]
+        if config.kind == "amicable":
+            runs = _amicable_segment_runs(lo, hi, config.bound, config.equal_allowed, primes)
+        else:
+            runs = _ratio_segment_runs(lo, hi, config.bound, shift, primes, star)
+        return {name: store.put(i, name, run) for name, run in runs.items()}
+
+    for row in _ordered_map(work, range(len(rows), len(segs)), config.threads):
+        rows.append(row)
+        if config.checkpoint_path:
+            _save_checkpoint(config.checkpoint_path, digest, rows)
+        if progress:
+            progress(f"segment {len(rows)}/{len(segs)} written")
+
+
+# --- pass 2: join -------------------------------------------------------------
+
+
+def _bucket_edges(bound: int, shift: int, total_keys: int) -> list[int]:
+    """Code-range boundaries splitting the join into flat-memory buckets."""
+    want = max(1, (total_keys * 16) // _BUCKET_TARGET_BYTES)
+    buckets = 1 << min(12, max(0, want - 1).bit_length())
+    return [((i * (bound + 1)) // buckets) << shift for i in range(buckets + 1)]
+
+
+def _bucket_rows(
+    store, nsegs: int, name: str, lo_edge: int, hi_edge: int | None
+) -> np.ndarray:
+    """Every segment's `name` rows with codes in [lo_edge, hi_edge), code-sorted."""
+    parts = []
+    for i in range(nsegs):
+        run = store.load(i, name)
+        a = int(np.searchsorted(run[0], lo_edge)) if lo_edge else 0
+        b = int(np.searchsorted(run[0], hi_edge)) if hi_edge is not None else run.shape[1]
+        parts.append(run[:, a:b])
+    rows = np.concatenate(parts, axis=1)
+    # the parts are sorted runs, which a stable (merging) sort exploits
+    return rows[:, np.argsort(rows[0], kind="stable")] if nsegs > 1 else rows
+
+
+def _join(
+    store,
+    nsegs: int,
+    bound: int,
+    shift: int,
+    equal_allowed: bool,
+    progress: Progress | None,
+) -> np.ndarray:
+    """Candidate pairs (M <= N) of the ratio runs, bucket by bucket, as the
+    rows of one array."""
+    total = sum(store.load(i, "keys").shape[1] for i in range(nsegs))
+    edges = _bucket_edges(bound, shift, total)
+    parts = []
+    for b in range(len(edges) - 1):
+        hi_edge = edges[b + 1] if b + 2 < len(edges) else None
+        keys = _bucket_rows(store, nsegs, "keys", edges[b], hi_edge)
+        comps = _bucket_rows(store, nsegs, "comps", edges[b], hi_edge)
+        # two distinct perfect numbers match from both sides; the caller's
+        # candidate set folds that duplicate
+        found = _probe(_key_index(keys[0]), keys[1], comps[0], comps[1])
+        parts.append(np.sort(found, axis=0))
+        if progress:
+            progress(f"joined bucket {b + 1}/{len(edges) - 1}")
+    pairs = np.concatenate(parts, axis=1)
+    return pairs if equal_allowed else pairs[:, pairs[0] < pairs[1]]
 
 
 def _amicable_candidates_memory(
@@ -313,228 +539,35 @@ def _amicable_candidates_memory(
     return m_side[match], p_side[match]
 
 
-# --- file-backed candidate generation ---------------------------------------
-#
-# Pass 1 writes one or two run files per segment (int64 rows, sorted by the
-# leading row), pass 2 merges them.  Ratio kinds write (code, n) key runs
-# and (code, m) complement runs; the merge walks code-range buckets sized
-# to _BUCKET_TARGET_BYTES so memory stays flat.  Amicable writes
-# (partner, sigma_m, m) query runs and resolves them by re-sieving each
-# segment and comparing sigma at the partner.
-
-
-def _write_run(path: str, rows: tuple[np.ndarray, ...], sort_row: int = 0) -> str:
-    arr = np.stack(rows)
-    order = np.argsort(arr[sort_row], kind="stable")
-    np.save(path, arr[:, order])
-    return _sha256_file(path)
-
-
-def _ratio_segment_runs(
-    lo: int,
-    hi: int,
-    bound: int,
-    shift: int,
-    primes: np.ndarray,
-    star: bool,
-    keys_path: str,
-    comps_path: str,
-) -> dict:
-    sigma = _segment_sigma(lo, hi, primes, star)
-    n = np.arange(lo, hi + 1, dtype=np.int64)
-    code = _ratio_keys(n, sigma, shift)
-    keys_sha = _write_run(keys_path, (code, n))
-    ccode, owners = _complement_keys(n, sigma, shift, bound)
-    comps_sha = _write_run(comps_path, (ccode, owners))
-    return {"keys": keys_sha, "comps": comps_sha}
-
-
-def _amicable_segment_run(
-    lo: int,
-    hi: int,
-    bound: int,
-    equal_allowed: bool,
-    primes: np.ndarray,
-    queries_path: str,
-) -> dict:
-    sigma = _segment_sigma(lo, hi, primes, star=False)
-    n = np.arange(lo, hi + 1, dtype=np.int64)
-    partner = sigma - n
-    floor = n if equal_allowed else n + 1
-    ok = (partner >= floor) & (partner <= bound)
-    sha = _write_run(queries_path, (partner[ok], sigma[ok], n[ok]))
-    return {"queries": sha}
-
-
-def _run_paths(rundir: str, index: int, names: Sequence[str]) -> dict[str, str]:
-    return {name: os.path.join(rundir, f"{name}-{index:06d}.npy") for name in names}
-
-
-def _pass1(
-    config: SearchConfig,
-    segs: list[tuple[int, int]],
-    rundir: str,
-    checkpoint_path: str | None,
-    progress: Progress | None,
-) -> list[dict[str, str]]:
-    """Produce every segment's run files, resuming from a checkpoint when one
-    is present; returns per-segment {name: path} maps."""
-    digest = config.digest()
-    star = config.kind == "unitary_harmonious"
-    names = ("queries",) if config.kind == "amicable" else ("keys", "comps")
-    primes = primes_upto(isqrt(config.bound))
-    if config.kind == "amicable":
-        shift = 0
-    else:
-        shift = _code_shift(config.bound, _sigma_cap(config.bound))
-
-    rows: list[dict] = []
-    if checkpoint_path:
-        loaded = load_checkpoint(checkpoint_path)
-        if loaded is not None:
-            ck, rows = loaded
-            if ck.config_digest != digest:
-                raise CheckpointMismatch(
-                    f"checkpoint {checkpoint_path} belongs to config "
-                    f"{ck.config_digest[:12]}, not {digest[:12]}"
-                )
-            if len(rows) > len(segs):
-                raise CheckpointMismatch(
-                    f"checkpoint {checkpoint_path} records more segments than the run has"
-                )
-            for i, row in enumerate(rows):
-                paths = _run_paths(rundir, i, names)
-                for name in names:
-                    if name not in row or not os.path.exists(paths[name]):
-                        raise CheckpointMismatch(
-                            f"run file {paths[name]} from checkpoint is missing"
-                        )
-                    if _sha256_file(paths[name]) != row[name]:
-                        raise CheckpointMismatch(
-                            f"run file {paths[name]} does not match its checkpoint digest"
-                        )
-            if progress and rows:
-                progress(f"resumed after segment {len(rows)}/{len(segs)}")
-
-    def work(i: int) -> dict:
-        lo, hi = segs[i]
-        paths = _run_paths(rundir, i, names)
-        if config.kind == "amicable":
-            return _amicable_segment_run(
-                lo, hi, config.bound, config.equal_allowed, primes, paths["queries"]
-            )
-        return _ratio_segment_runs(
-            lo, hi, config.bound, shift, primes, star, paths["keys"], paths["comps"]
-        )
-
-    with ThreadPoolExecutor(max_workers=_threads(config.threads)) as pool:
-        futures = {i: pool.submit(work, i) for i in range(len(rows), len(segs))}
-        for i in sorted(futures):
-            rows.append(futures[i].result())
-            if checkpoint_path:
-                _save_checkpoint(checkpoint_path, digest, rows)
-            if progress:
-                progress(f"segment {i + 1}/{len(segs)} written")
-    return [_run_paths(rundir, i, names) for i in range(len(segs))]
-
-
-def _bucket_edges(bound: int, shift: int, total_keys: int) -> list[int]:
-    """Code-range boundaries splitting the join into flat-memory buckets."""
-    want = max(1, (total_keys * 16) // _BUCKET_TARGET_BYTES)
-    buckets = 1 << min(12, max(0, want - 1).bit_length())
-    return [((i * (bound + 1)) // buckets) << shift for i in range(buckets + 1)]
-
-
-def _bucket_slice(path: str, lo_edge: int, hi_edge: int | None) -> np.ndarray:
-    arr = np.load(path, mmap_mode="r")
-    codes = arr[0]
-    a = int(np.searchsorted(codes, lo_edge, side="left")) if lo_edge else 0
-    b = (
-        int(np.searchsorted(codes, hi_edge, side="left"))
-        if hi_edge is not None
-        else arr.shape[1]
-    )
-    return np.asarray(arr[:, a:b])
-
-
-def _merge_join(
-    run_paths: list[dict[str, str]],
-    bound: int,
-    shift: int,
-    equal_allowed: bool,
-    progress: Progress | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    total = sum(np.load(p["keys"], mmap_mode="r").shape[1] for p in run_paths)
-    edges = _bucket_edges(bound, shift, total)
-    m_parts: list[np.ndarray] = []
-    n_parts: list[np.ndarray] = []
-    for b in range(len(edges) - 1):
-        lo_edge = edges[b]
-        hi_edge = edges[b + 1] if b + 1 < len(edges) - 1 else None
-        keys = [_bucket_slice(p["keys"], lo_edge, hi_edge) for p in run_paths]
-        karr = np.concatenate(keys, axis=1)
-        if karr.shape[1]:
-            order = np.argsort(karr[0], kind="stable")
-            karr = karr[:, order]
-        comps = [_bucket_slice(p["comps"], lo_edge, hi_edge) for p in run_paths]
-        carr = np.concatenate(comps, axis=1)
-        if not karr.shape[1] or not carr.shape[1]:
-            continue
-        lo = np.searchsorted(karr[0], carr[0], side="left")
-        hi = np.searchsorted(karr[0], carr[0], side="right")
-        m_col, n_col = _expand_matches(karr[1], lo, hi, carr[1])
-        keep = (n_col >= m_col) if equal_allowed else (n_col > m_col)
-        m_parts.append(m_col[keep])
-        n_parts.append(n_col[keep])
-        if progress:
-            progress(f"joined bucket {b + 1}/{len(edges) - 1}")
-    if not m_parts:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    return np.concatenate(m_parts), np.concatenate(n_parts)
-
-
 def _resolve_amicable_queries(
-    run_paths: list[dict[str, str]],
+    store: _FileRuns,
     segs: list[tuple[int, int]],
     bound: int,
     threads: int,
     progress: Progress | None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
+    """Re-sieve each segment and keep the queries whose partner lies in it
+    and has the same sigma; (M, partner) pairs as the rows of one array."""
     primes = primes_upto(isqrt(bound))
 
-    def work(seg: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    def work(seg: tuple[int, int]) -> np.ndarray:
         lo, hi = seg
         sigma = _segment_sigma(lo, hi, primes, star=False)
-        m_hits: list[np.ndarray] = []
-        n_hits: list[np.ndarray] = []
-        for paths in run_paths:
-            arr = np.load(paths["queries"], mmap_mode="r")
-            partners = arr[0]
-            a = int(np.searchsorted(partners, lo, side="left"))
-            b = int(np.searchsorted(partners, hi, side="right"))
-            if a == b:
-                continue
+        hits = []
+        for i in range(len(segs)):
+            arr = store.load(i, "queries")
+            a = int(np.searchsorted(arr[0], lo, side="left"))
+            b = int(np.searchsorted(arr[0], hi, side="right"))
             sl = np.asarray(arr[:, a:b])
-            hit = sigma[sl[0] - lo] == sl[1]
-            m_hits.append(sl[2][hit])
-            n_hits.append(sl[0][hit])
-        if not m_hits:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        return np.concatenate(m_hits), np.concatenate(n_hits)
+            hits.append(sl[[2, 0]][:, sigma[sl[0] - lo] == sl[1]])
+        return np.concatenate(hits, axis=1)
 
-    m_parts: list[np.ndarray] = []
-    n_parts: list[np.ndarray] = []
-    with ThreadPoolExecutor(max_workers=_threads(threads)) as pool:
-        futures = [pool.submit(work, seg) for seg in segs]
-        for i, fut in enumerate(futures):
-            m_col, n_col = fut.result()
-            m_parts.append(m_col)
-            n_parts.append(n_col)
-            if progress:
-                progress(f"resolved segment {i + 1}/{len(segs)}")
-    return np.concatenate(m_parts), np.concatenate(n_parts)
+    parts = []
+    for i, part in enumerate(_ordered_map(work, segs, threads)):
+        parts.append(part)
+        if progress:
+            progress(f"resolved segment {i + 1}/{len(segs)}")
+    return np.concatenate(parts, axis=1)
 
 
 # --- record emission ---------------------------------------------------------
@@ -571,56 +604,36 @@ def search_pairs(
 ) -> list[TupleRecord]:
     """All pairs (M <= N <= bound) of the configured kind, sorted ascending.
 
-    Runs in memory up to config.in_memory_limit keys; above that, or whenever
-    a checkpoint_path is set (partial work can only be resumed from disk),
-    switches to sorted run files plus a bucketed merge join.  Results are
-    identical across segment lengths, thread counts, and the two regimes.
+    Runs in memory up to config.in_memory_limit; above that, or whenever a
+    checkpoint_path is set (partial work can only be resumed from disk), the
+    same runs go to files.  Results are identical across segment lengths,
+    thread counts, and the two regimes.
     """
     if config.k != 2:
         raise ValueError(f"search_pairs needs k=2, got k={config.k}")
-    file_backed = config.bound > config.in_memory_limit or config.checkpoint_path
-    if not file_backed:
+    in_memory = config.bound <= config.in_memory_limit and not config.checkpoint_path
+    if config.kind == "amicable" and in_memory:
         sigma = _sigma_full(
-            config.bound,
-            config.segment_length,
-            config.kind == "unitary_harmonious",
-            config.threads,
-            progress,
+            config.bound, config.segment_length, False, config.threads, progress
         )
-        if config.kind == "amicable":
-            m_col, n_col = _amicable_candidates_memory(
-                config.bound, sigma, config.equal_allowed
-            )
-        else:
-            m_col, n_col = _ratio_candidates_memory(
-                config.bound, sigma, config.equal_allowed
-            )
+        m_col, n_col = _amicable_candidates_memory(
+            config.bound, sigma, config.equal_allowed
+        )
     else:
+        shift = 0
+        if config.kind != "amicable":
+            shift = _code_shift(config.bound, _sigma_cap(config.bound))
         segs = _segments(config.bound, config.segment_length)
-        tmp = None
-        if config.workdir:
-            rundir = config.workdir
-            os.makedirs(rundir, exist_ok=True)
-        elif config.checkpoint_path:
-            rundir = config.checkpoint_path + ".runs"
-            os.makedirs(rundir, exist_ok=True)
-        else:
-            tmp = tempfile.TemporaryDirectory(prefix="harmonia-runs-")
-            rundir = tmp.name
-        try:
-            run_paths = _pass1(config, segs, rundir, config.checkpoint_path, progress)
+        with _run_store(config, in_memory) as store:
+            _pass1(config, segs, shift, store, progress)
             if config.kind == "amicable":
                 m_col, n_col = _resolve_amicable_queries(
-                    run_paths, segs, config.bound, config.threads, progress
+                    store, segs, config.bound, config.threads, progress
                 )
             else:
-                shift = _code_shift(config.bound, _sigma_cap(config.bound))
-                m_col, n_col = _merge_join(
-                    run_paths, config.bound, shift, config.equal_allowed, progress
+                m_col, n_col = _join(
+                    store, len(segs), config.bound, shift, config.equal_allowed, progress
                 )
-        finally:
-            if tmp is not None:
-                tmp.cleanup()
     return _emit_records(_candidate_pairs(m_col, n_col), config.kind, config.filters)
 
 
@@ -643,37 +656,29 @@ def search_anarchy_pairs(
         raise ValueError(f"need 2 <= m_bound <= n_bound, got ({m_bound}, {n_bound})")
     shift = _code_shift(n_bound, _sigma_cap(n_bound))
     small_sigma = _sigma_full(m_bound, segment_length, False, threads, None)
+    _check_packing(small_sigma, shift)
     small_n = np.arange(1, m_bound + 1, dtype=np.int64)
-    ccode, owners = _complement_keys(small_n, small_sigma, shift, n_bound)
-    corder = np.argsort(ccode, kind="stable")
-    ccode = ccode[corder]
-    owners = owners[corder]
+    comps = _sorted_run(*_complement_keys(small_n, small_sigma, shift, n_bound))
+    index = _key_index(comps[0])
 
     segs = _segments(n_bound, segment_length)
     primes = primes_upto(isqrt(n_bound))
 
-    def work(seg: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    def work(seg: tuple[int, int]) -> np.ndarray:
         lo_n, hi_n = seg
         sigma = _segment_sigma(lo_n, hi_n, primes, star=False)
+        _check_packing(sigma, shift)
         n = np.arange(lo_n, hi_n + 1, dtype=np.int64)
-        code = _ratio_keys(n, sigma, shift)
-        lo = np.searchsorted(ccode, code, side="left")
-        hi = np.searchsorted(ccode, code, side="right")
-        n_col, m_col = _expand_matches(owners, lo, hi, n)
+        n_col, m_col = _probe(index, comps[1], _ratio_keys(n, sigma, shift), n)
         keep = n_col >= m_col
-        return m_col[keep], n_col[keep]
+        return np.stack((m_col[keep], n_col[keep]))
 
-    m_parts: list[np.ndarray] = []
-    n_parts: list[np.ndarray] = []
-    with ThreadPoolExecutor(max_workers=_threads(threads)) as pool:
-        futures = [pool.submit(work, seg) for seg in segs]
-        for i, fut in enumerate(futures):
-            m_col, n_col = fut.result()
-            m_parts.append(m_col)
-            n_parts.append(n_col)
-            if progress:
-                progress(f"swept segment {i + 1}/{len(segs)}")
-    pairs = _candidate_pairs(np.concatenate(m_parts), np.concatenate(n_parts))
+    parts = []
+    for i, part in enumerate(_ordered_map(work, segs, threads)):
+        parts.append(part)
+        if progress:
+            progress(f"swept segment {i + 1}/{len(segs)}")
+    pairs = _candidate_pairs(*np.concatenate(parts, axis=1))
     return _emit_records(pairs, "harmonious", frozenset({"anarchy"}))
 
 
@@ -692,10 +697,8 @@ def _ratio_triples(config: SearchConfig, progress: Progress | None) -> list[tupl
     if sigma_max * sigma_max >= 1 << 62:
         raise ValueError(f"sigma values up to {sigma_max} overflow the triple search")
     shift = _code_shift(bound, sigma_max)
-    code = (rn << shift) | rd
-    order = np.argsort(code, kind="stable")
-    sorted_code = code[order]
-    sorted_n = n[order]
+    keys = _sorted_run((rn << shift) | rd, n)
+    index = _key_index(keys[0])
     equal = config.equal_allowed
 
     found: list[tuple[int, int, int]] = []
@@ -725,9 +728,7 @@ def _ratio_triples(config: SearchConfig, progress: Progress | None) -> list[tupl
             continue
         target = (tn[fit] << shift) | td[fit]
         m2 = m2[fit]
-        lo = np.searchsorted(sorted_code, target, side="left")
-        hi = np.searchsorted(sorted_code, target, side="right")
-        m2_col, m3_col = _expand_matches(sorted_n, lo, hi, m2)
+        m2_col, m3_col = _probe(index, keys[1], target, m2)
         keep = (m3_col >= m2_col) if equal else (m3_col > m2_col)
         for b, c in zip(m2_col[keep].tolist(), m3_col[keep].tolist()):
             found.append((m1, b, c))
@@ -740,17 +741,12 @@ def _amicable_triples(config: SearchConfig) -> list[tuple]:
     bound = config.bound
     sigma = _sigma_full(bound, config.segment_length, False, config.threads, None)
     order = np.argsort(sigma, kind="stable")
-    values = sigma[order]
-    cuts = np.nonzero(np.diff(values))[0] + 1
-    starts = np.concatenate(([0], cuts))
-    stops = np.concatenate((cuts, [len(values)]))
     equal = config.equal_allowed
 
     found: list[tuple[int, int, int]] = []
-    for a, b in zip(starts.tolist(), stops.tolist()):
+    for total, a, b in zip(*(col.tolist() for col in _key_index(sigma[order]))):
         if b - a < (1 if equal else 3):
             continue
-        total = int(values[a])
         # stable argsort keeps index order, so members are already ascending
         members = (order[a:b] + 1).tolist()
         present = set(members)

@@ -169,6 +169,14 @@ def test_search_checkpoint_mismatch_exit_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_search_io_error_exit_4(tmp_path, capsys):
+    out = str(tmp_path / "missing" / "x.jsonl")
+    assert run_cli("search", "harmonious", "--bound", "100", "--out", out) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "x.jsonl" in err
+    assert err.count("\n") == 1
+
+
 def test_search_outputs_deterministic(tmp_path, capsys):
     files = []
     for name, threads in (("a", "1"), ("b", "2"), ("c", "8")):

@@ -6,6 +6,7 @@ sigma-class closure for amicable tuples.  None of them share code with the
 join under test.
 """
 
+import hashlib
 import json
 import os
 from collections import defaultdict
@@ -14,8 +15,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import harmonia.search
 from harmonia.arith import ArithmeticProfile, sieve_tables
 from harmonia.search import (
+    DEFAULT_IN_MEMORY_LIMIT,
     CheckpointMismatch,
     CountRow,
     SearchConfig,
@@ -191,6 +194,51 @@ def test_table1_rows():
     assert all(r.flags["harmonious"] for r in records)
 
 
+def full_join_pairs(bound, star):
+    """Every (M <= N) pair from an unsplit join: all n keyed by n/sigma(n),
+    all n probing with (sigma(n) - n)/sigma(n)."""
+    tables = sieve_tables(1, bound, star=star)
+    s = tables.sigma_star if star else tables.sigma
+    n = np.arange(1, bound + 1, dtype=np.int64)
+    g = np.gcd(n, s)
+    num, den = n // g, s // g
+    shift = int(s.max()).bit_length()
+    keys = (num << shift) | den
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    # (s - n)/s shares the reduction of n/s
+    comps = ((den - num) << shift) | den
+    lo = np.searchsorted(sorted_keys, comps, side="left")
+    hi = np.searchsorted(sorted_keys, comps, side="right")
+    pairs = set()
+    for i in np.flatnonzero(hi > lo).tolist():
+        for j in order[lo[i] : hi[i]].tolist():
+            pairs.add((min(i, j) + 1, max(i, j) + 1))
+    return sorted(pairs)
+
+
+@pytest.mark.parametrize(
+    "kind, perfect_pair", [("harmonious", (6, 28)), ("unitary_harmonious", (6, 60))]
+)
+def test_half_plane_join_matches_full_join_1e6(kind, perfect_pair):
+    bound = 10**6
+    want = full_join_pairs(bound, star=kind == "unitary_harmonious")
+    file_backed = {"in_memory_limit": 10**5, "segment_length": 1 << 16}
+    for regime in ({}, file_backed):
+        got = members_of(search_pairs(SearchConfig(bound=bound, kind=kind, **regime)))
+        assert got == want
+        # two perfect numbers are found from both sides of the split
+        assert got.count(perfect_pair) == 1
+        assert got.count((6, 6)) == 1
+    distinct = members_of(
+        search_pairs(
+            SearchConfig(bound=bound, kind=kind, allow_equal_members=False, **file_backed)
+        )
+    )
+    assert distinct == [p for p in want if p[0] != p[1]]
+    assert (6, 6) not in distinct and perfect_pair in distinct
+
+
 def test_complement_key_invariant():
     for record in search_pairs(SearchConfig(bound=10**4)):
         m, n = record.members
@@ -297,6 +345,31 @@ def test_checkpoint_resume_and_refusal(tmp_path):
     with open(ck, "w") as fh:
         fh.write("{not json")
     with pytest.raises(CheckpointMismatch, match="unreadable"):
+        search_pairs(config)
+
+
+def test_checkpoint_of_older_run_layout_is_refused(tmp_path):
+    ck = str(tmp_path / "run.ck")
+    config = SearchConfig(bound=4096, segment_length=1024, checkpoint_path=ck)
+    search_pairs(config)
+    # the digest payload from before the run layout entered it
+    old_payload = {
+        "bound": 4096,
+        "kind": "harmonious",
+        "k": 2,
+        "filters": [],
+        "allow_equal": True,
+        "segment_length": 1024,
+        "in_memory_limit": DEFAULT_IN_MEMORY_LIMIT,
+    }
+    with open(ck) as fh:
+        raw = json.load(fh)
+    raw["config_digest"] = hashlib.sha256(
+        json.dumps(old_payload, sort_keys=True).encode()
+    ).hexdigest()
+    with open(ck, "w") as fh:
+        json.dump(raw, fh)
+    with pytest.raises(CheckpointMismatch, match="belongs to config"):
         search_pairs(config)
 
 
@@ -420,6 +493,16 @@ def test_sigma_cap_dominates_true_maximum():
 def test_code_shift_overflow_refusal():
     with pytest.raises(ValueError, match="int64"):
         _code_shift(1 << 40, _sigma_cap(1 << 40))
+
+
+def test_key_packing_guard_refuses_low_sigma_cap(monkeypatch):
+    # a cap below the true sigma maximum would let packed codes collide
+    monkeypatch.setattr(harmonia.search, "_sigma_cap", lambda bound: bound)
+    for regime in ({}, {"in_memory_limit": 500, "segment_length": 1024}):
+        with pytest.raises(ArithmeticError, match="key packing"):
+            search_pairs(SearchConfig(bound=3000, **regime))
+    with pytest.raises(ArithmeticError, match="key packing"):
+        search_anarchy_pairs(10, 3000)
 
 
 def test_emit_revalidation_raises_on_bogus_candidate():
