@@ -5,11 +5,9 @@ end to end."""
 from harmonia.arith import (
     ArithmeticProfile,
     Factorization,
-    SegmentationRequired,
     abundancy_ratio,
     factorize,
     ratio_sum,
-    sieve_range,
     sigma_of,
     sigma_star_of,
 )
@@ -33,7 +31,6 @@ __all__ = [
     "CheckpointMismatch",
     "Factorization",
     "SearchConfig",
-    "SegmentationRequired",
     "TupleRecord",
     "abundancy_ratio",
     "classify",
@@ -45,7 +42,6 @@ __all__ = [
     "search_anarchy_pairs",
     "search_pairs",
     "search_triples",
-    "sieve_range",
     "sigma_of",
     "sigma_star_of",
     "theorem_trace",

@@ -3,12 +3,14 @@
 Divisor sums (classical and unitary), segmented multiplicative sieves,
 factorizations, abundancy ratios.  Everything that decides anything is exact:
 Python ints and fractions.Fraction.  numpy int64 is used only inside sieve
-segments, with overflow bounds stated where it matters.
+segments, with overflow bounds stated where it matters.  The sieve works on
+in-place strided views of its segment arrays, one view per prime power, so
+it builds no index arrays and tests no remainders; every int64 it holds is
+at most max(hi, sigma(n)), which MAX_SIEVE_BOUND keeps far below 2^63.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -21,15 +23,8 @@ import numpy as np
 Factorization = tuple[tuple[int, int], ...]
 
 DEFAULT_SEGMENT_LENGTH = 1 << 22
-# sieve_range materializes one profile object per integer, so it gets a
-# budget; callers wanting more retry with smaller segments
-DEFAULT_PROFILE_BUDGET = 1 << 22
-# keeps every int64 intermediate in the sieve below 2^63 (term <= hi^1.5)
+# keeps every int64 intermediate in the sieve far below 2^63 (see sieve_tables)
 MAX_SIEVE_BOUND = 1 << 40
-
-
-class SegmentationRequired(ValueError):
-    """Requested range exceeds the profile memory budget; retry in segments."""
 
 
 def factorize(n: int) -> Factorization:
@@ -166,8 +161,6 @@ class SieveTables:
     hi: int
     sigma: np.ndarray
     sigma_star: np.ndarray | None = None
-    omega: np.ndarray | None = None
-    big_omega: np.ndarray | None = None
 
     def index(self, n: int) -> int:
         if not self.lo <= n <= self.hi:
@@ -180,17 +173,21 @@ def sieve_tables(
     hi: int,
     *,
     star: bool = False,
-    counts: bool = False,
     primes: np.ndarray | None = None,
 ) -> SieveTables:
-    """Multiplicative sieve of sigma (and optionally sigma*, omega, Omega)
-    over [lo, hi].
+    """Multiplicative sieve of sigma (and optionally sigma*) over [lo, hi].
 
-    For each prime p <= sqrt(hi) the exact p-power part of every multiple in
-    the segment is stripped vectorized; whatever remains above 1 afterwards is
-    a single prime factor with exponent 1.  int64 stays safe: every partial
-    product is bounded by the final sigma(n) < 6n, and the per-prime term
-    pe * p - 1 is bounded by hi^1.5 <= 2^60 for hi <= MAX_SIEVE_BOUND.
+    Each prime p <= sqrt(hi) is stripped through in-place strided views,
+    with no index arrays and no remainder tests.  The multiples of p^k in
+    the segment are the view rem[s::p^k] with s = -lo mod p^k: every
+    p^(k-1)-th entry of the p-view, starting at its first multiple of p^k.
+    Step k divides p out of that view once more and swaps its entries'
+    factor sigma(p^(k-1)) for sigma(p^k) (1 + p^(k-1) for 1 + p^k in
+    sigma*); the division is exact because step k-1 multiplied that factor
+    in.  Whatever remains above 1 afterwards is a single prime factor with
+    exponent 1.  int64 stays safe: every intermediate is a remainder <= hi
+    or a partial product of sigma(n)'s factors, so at most sigma(n) < 6n
+    for hi <= MAX_SIEVE_BOUND.
     """
     if not 1 <= lo <= hi:
         raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
@@ -200,135 +197,33 @@ def sieve_tables(
     rem = np.arange(lo, hi + 1, dtype=np.int64)
     sigma = np.ones(length, dtype=np.int64)
     sstar = np.ones(length, dtype=np.int64) if star else None
-    om = np.zeros(length, dtype=np.int64) if counts else None
-    bo = np.zeros(length, dtype=np.int64) if counts else None
     if primes is None:
         primes = primes_upto(isqrt(hi))
     for p in primes.tolist():
         if p * p > hi:
             break
-        start = -(-lo // p) * p
-        if start > hi:
-            continue
-        idx = np.arange(start - lo, length, p)
-        r = rem[idx] // p
-        pe = np.full(idx.shape, p, dtype=np.int64)
-        e = np.ones(idx.shape, dtype=np.int64) if counts else None
-        sub = np.nonzero(r % p == 0)[0]
-        while sub.size:
-            r[sub] //= p
-            pe[sub] *= p
-            if counts:
-                e[sub] += 1
-            sub = sub[r[sub] % p == 0]
-        rem[idx] = r
-        sigma[idx] *= (pe * p - 1) // (p - 1)
-        if star:
-            sstar[idx] *= pe + 1
-        if counts:
-            om[idx] += 1
-            bo[idx] += e
-    left = rem > 1
-    tail = rem[left] + 1
-    sigma[left] *= tail
+        # q = p^k, and the multiples of q carry the factors f = sigma(p^(k-1))
+        # and f_star = sigma*(p^(k-1)) so far
+        q, f, f_star = p, 1, 1
+        s = -lo % q
+        while s < length:
+            rem[s::q] //= p
+            view = sigma[s::q]
+            if f > 1:
+                view //= f
+            f = f * p + 1
+            view *= f
+            if star:
+                view = sstar[s::q]
+                if f_star > 1:
+                    view //= f_star
+                f_star = q + 1
+                view *= f_star
+            q *= p
+            s = -lo % q
+    # a leftover prime r > 1 contributes 1 + r, a leftover 1 contributes 1
+    tail = rem + (rem > 1)
+    sigma *= tail
     if star:
-        sstar[left] *= tail
-    if counts:
-        om[left] += 1
-        bo[left] += 1
-    return SieveTables(lo=lo, hi=hi, sigma=sigma, sigma_star=sstar, omega=om, big_omega=bo)
-
-
-def sieve_range(
-    lo: int, hi: int, *, budget: int = DEFAULT_PROFILE_BUDGET
-) -> list[ArithmeticProfile]:
-    """ArithmeticProfile for every n in [lo, hi].
-
-    Raises SegmentationRequired when the range would materialize more than
-    `budget` profile objects; callers retry with smaller segments.
-    """
-    if not 1 <= lo <= hi:
-        raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
-    length = hi - lo + 1
-    if length > budget:
-        raise SegmentationRequired(
-            f"range of {length} exceeds profile budget {budget}; sieve in segments"
-        )
-    t = sieve_tables(lo, hi, star=True, counts=True)
-    return [
-        ArithmeticProfile(n, s, ss, o, b)
-        for n, s, ss, o, b in zip(
-            range(lo, hi + 1),
-            t.sigma.tolist(),
-            t.sigma_star.tolist(),
-            t.omega.tolist(),
-            t.big_omega.tolist(),
-        )
-    ]
-
-
-# --- binary profile cache -------------------------------------------------
-#
-# Layout (little endian throughout):
-#   header, 16 bytes: magic "HARM" | u16 version | u16 reserved=0 | u32 lo | u32 hi
-#   then one 40-byte record per n in [lo, hi], in order:
-#   u64 n | u64 sigma | u64 sigma_star | u64 omega | u64 big_omega
-# The u32 bounds restrict cache files to hi < 2^32, which covers the 10^9
-# range this package operates in.
-
-CACHE_MAGIC = b"HARM"
-CACHE_VERSION = 1
-_CACHE_HEADER = struct.Struct("<4sHHII")
-_CACHE_RECORD = np.dtype(
-    [
-        ("n", "<u8"),
-        ("sigma", "<u8"),
-        ("sigma_star", "<u8"),
-        ("omega", "<u8"),
-        ("big_omega", "<u8"),
-    ]
-)
-
-
-def write_profile_cache(path: str, tables: SieveTables) -> None:
-    """Write a sieved segment to the binary cache format."""
-    if tables.sigma_star is None or tables.omega is None or tables.big_omega is None:
-        raise ValueError("profile cache needs star and count tables")
-    if tables.hi >= 1 << 32:
-        raise ValueError("profile cache limited to hi < 2^32")
-    n = tables.hi - tables.lo + 1
-    rec = np.empty(n, dtype=_CACHE_RECORD)
-    rec["n"] = np.arange(tables.lo, tables.hi + 1, dtype=np.uint64)
-    rec["sigma"] = tables.sigma
-    rec["sigma_star"] = tables.sigma_star
-    rec["omega"] = tables.omega
-    rec["big_omega"] = tables.big_omega
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_HEADER.pack(CACHE_MAGIC, CACHE_VERSION, 0, tables.lo, tables.hi))
-        rec.tofile(fh)
-
-
-def read_profile_cache(path: str) -> SieveTables:
-    """Read a cache segment back; validates magic, version and record count."""
-    with open(path, "rb") as fh:
-        head = fh.read(_CACHE_HEADER.size)
-        if len(head) != _CACHE_HEADER.size:
-            raise ValueError(f"{path}: truncated header")
-        magic, version, _, lo, hi = _CACHE_HEADER.unpack(head)
-        if magic != CACHE_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        if version != CACHE_VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
-        rec = np.fromfile(fh, dtype=_CACHE_RECORD)
-    if len(rec) != hi - lo + 1:
-        raise ValueError(f"{path}: expected {hi - lo + 1} records, found {len(rec)}")
-    if int(rec["n"][0]) != lo or int(rec["n"][-1]) != hi:
-        raise ValueError(f"{path}: record range disagrees with header")
-    return SieveTables(
-        lo=lo,
-        hi=hi,
-        sigma=rec["sigma"].astype(np.int64),
-        sigma_star=rec["sigma_star"].astype(np.int64),
-        omega=rec["omega"].astype(np.int64),
-        big_omega=rec["big_omega"].astype(np.int64),
-    )
+        sstar *= tail
+    return SieveTables(lo=lo, hi=hi, sigma=sigma, sigma_star=sstar)

@@ -19,6 +19,14 @@ the in-memory limit the runs are arrays; above it, or whenever a checkpoint
 is configured, they are .npy files.  Pair search needs bound < 2^30: from
 there on, a numerator and a denominator no longer fit in 63 bits together.
 
+The anarchy sweep pairs a small side M <= m_bound with every N up to a much
+larger n_bound, streaming N through the same complement match.  Before it
+builds exact codes it compares float64s: N/sigma(N) against the small
+side's (sigma(M) - M)/sigma(M), hashed on their low mantissa bits.  Equal
+rationals whose parts are below 2^53 round to the same double, and
+bound < 2^30 guarantees that, so the prefilter drops no match; the few N
+that pass go through the exact codes.
+
 Amicable pairs use the aliquot shortcut instead: the only possible partner
 of M is s(M) = sigma(M) - M, so a pair exists exactly when
 sigma(s(M)) == sigma(M).
@@ -59,6 +67,8 @@ _BUCKET_TARGET_BYTES = 64 << 20
 # layout of the run files; it enters the config digest, so a checkpoint
 # written under an older layout is refused instead of resumed
 _RUN_LAYOUT = 2
+# slots of the anarchy sweep's float64 prefilter table (1 MB of bool)
+_MARK_SLOTS = 1 << 20
 
 Progress = Callable[[str], None]
 
@@ -649,8 +659,16 @@ def search_anarchy_pairs(
     anarchy test.
 
     The small side's complement keys form the haystack; one streaming sweep
-    over [1, n_bound] probes every n's ratio key against it, so the large
-    bound never needs an index of its own.
+    over [1, n_bound] probes the large side against it, so the large bound
+    never needs an index of its own.  Before any exact key is built, each
+    swept n's ratio n/sigma(n) is taken as a float64, and only the n whose
+    double equals one of the small side's complement doubles go on to
+    _ratio_keys and _probe.  That drops no match: integers below 2^53
+    convert to float64 exactly and their quotient is correctly rounded, so
+    equal rationals give the same double, and bound < 2^30 (enforced by
+    _code_shift) keeps n and sigma(n) far below 2^53.  Equal doubles of
+    unequal ratios fail the exact probe, and every record is re-validated
+    by classify.
     """
     if not 2 <= m_bound <= n_bound:
         raise ValueError(f"need 2 <= m_bound <= n_bound, got ({m_bound}, {n_bound})")
@@ -660,6 +678,11 @@ def search_anarchy_pairs(
     small_n = np.arange(1, m_bound + 1, dtype=np.int64)
     comps = _sorted_run(*_complement_keys(small_n, small_sigma, shift, n_bound))
     index = _key_index(comps[0])
+    doubles = (small_sigma - small_n) / small_sigma
+    # equal doubles have equal bits, so a table over the low mantissa bits
+    # passes every n whose double is among them (and about 0.1% of the rest)
+    marks = np.zeros(_MARK_SLOTS, dtype=bool)
+    marks[doubles.view(np.int64) & (_MARK_SLOTS - 1)] = True
 
     segs = _segments(n_bound, segment_length)
     primes = primes_upto(isqrt(n_bound))
@@ -669,7 +692,10 @@ def search_anarchy_pairs(
         sigma = _segment_sigma(lo_n, hi_n, primes, star=False)
         _check_packing(sigma, shift)
         n = np.arange(lo_n, hi_n + 1, dtype=np.int64)
-        n_col, m_col = _probe(index, comps[1], _ratio_keys(n, sigma, shift), n)
+        ratio = n / sigma
+        hit = np.flatnonzero(marks[ratio.view(np.int64) & (_MARK_SLOTS - 1)])
+        hit = hit[np.isin(ratio[hit], doubles)]
+        n_col, m_col = _probe(index, comps[1], _ratio_keys(n[hit], sigma[hit], shift), n[hit])
         keep = n_col >= m_col
         return np.stack((m_col[keep], n_col[keep]))
 

@@ -8,22 +8,21 @@ from math import gcd, isqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmonia.arith import (
+    MAX_SIEVE_BOUND,
     ArithmeticProfile,
-    SegmentationRequired,
     abundancy_ratio,
     factorize,
     merge_factorizations,
     primes_upto,
     product_of,
     ratio_sum,
-    read_profile_cache,
-    sieve_range,
     sieve_tables,
     sigma_of,
     sigma_star_of,
-    write_profile_cache,
 )
 
 ORACLE_LIMIT = 10**6
@@ -71,7 +70,7 @@ def oracle_table() -> np.ndarray:
 
 @pytest.fixture(scope="module")
 def sieved():
-    return sieve_tables(1, ORACLE_LIMIT, star=True, counts=True)
+    return sieve_tables(1, ORACLE_LIMIT, star=True)
 
 
 def test_sigma_frozen_values() -> None:
@@ -131,9 +130,6 @@ def test_sieve_against_single_n_oracles(sieved) -> None:
         i = sieved.index(n)
         assert int(sieved.sigma[i]) == oracle_sigma_single(n)
         assert int(sieved.sigma_star[i]) == oracle_sigma_star_single(n)
-        f = factorize(n)
-        assert int(sieved.omega[i]) == len(f)
-        assert int(sieved.big_omega[i]) == sum(e for _, e in f)
 
 
 def test_sigma_multiplicative_on_coprime_pairs(sieved) -> None:
@@ -161,33 +157,89 @@ def test_sigma_star_le_sigma_equality_iff_squarefree(sieved) -> None:
 
 
 def test_segmented_sieve_matches_whole_range() -> None:
-    whole = sieve_tables(1, 30000, star=True, counts=True)
+    whole = sieve_tables(1, 30000, star=True)
     cuts = [1, 7, 4096, 9999, 10000, 25007, 30000]
     ps = primes_upto(isqrt(30000))
     for lo, hi in zip(cuts, cuts[1:]):
-        seg = sieve_tables(lo, hi, star=True, counts=True, primes=ps)
+        seg = sieve_tables(lo, hi, star=True, primes=ps)
         sl = slice(lo - 1, hi)
         assert np.array_equal(seg.sigma, whole.sigma[sl])
         assert np.array_equal(seg.sigma_star, whole.sigma_star[sl])
-        assert np.array_equal(seg.omega, whole.omega[sl])
-        assert np.array_equal(seg.big_omega, whole.big_omega[sl])
 
 
-def test_sieve_range_profiles() -> None:
-    profiles = sieve_range(60, 70)
-    by_n = {p.n: p for p in profiles}
-    assert by_n[64] == ArithmeticProfile(64, 127, 65, 1, 6)
-    assert by_n[64].factorization == ((2, 6),)
-    assert by_n[60].sigma == 168
-    assert len(profiles) == 11
-    one = sieve_range(1, 1)[0]
+# prime powers up to the sieve envelope, small primes and large
+_PRIME_POWERS = [
+    p**k
+    for p in (2, 3, 5, 7, 11, 13, 1009, 65537, 1048573)
+    for k in range(1, 41)
+    if p**k <= MAX_SIEVE_BOUND
+]
+_WIDTH = 4096
+
+
+def _near_multiple(q: int, c: int, d: int) -> int:
+    """c*q + d clipped to the window starts the property test may use."""
+    return min(max(c * q + d, 1), MAX_SIEVE_BOUND - _WIDTH)
+
+
+_WINDOW_STARTS = st.one_of(
+    st.integers(1, MAX_SIEVE_BOUND - _WIDTH),
+    # on a prime-power multiple, or just off it, where a start index slips
+    st.builds(
+        _near_multiple,
+        st.sampled_from(_PRIME_POWERS),
+        st.integers(1, 1 << 12),
+        st.integers(-2, 2),
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lo=_WINDOW_STARTS, width=st.integers(0, _WIDTH), data=st.data())
+def test_sieve_window_property(lo, width, data) -> None:
+    # random windows anywhere up to the int64 envelope against factorize;
+    # a segment cut, often on a prime-power multiple, must not change a value
+    hi = lo + width
+    whole = sieve_tables(lo, hi, star=True)
+    q = data.draw(st.sampled_from(_PRIME_POWERS), label="q")
+    first = -(-lo // q) * q
+    cut = data.draw(
+        st.one_of(
+            st.integers(lo, hi),
+            st.builds(lambda d: min(max(first + d, lo), hi), st.integers(-1, 1)),
+        ),
+        label="cut",
+    )
+    ps = primes_upto(isqrt(hi))
+    parts = [sieve_tables(lo, cut, star=True, primes=ps)]
+    if cut < hi:
+        parts.append(sieve_tables(cut + 1, hi, star=True, primes=ps))
+    assert np.array_equal(np.concatenate([t.sigma for t in parts]), whole.sigma)
+    assert np.array_equal(np.concatenate([t.sigma_star for t in parts]), whole.sigma_star)
+    # the ends, both sides of the cut, the first multiple of q, the member
+    # with the most factors 2, and a few random members
+    deep = max(range(lo, hi + 1), key=lambda n: n & -n)
+    sample = {lo, hi, cut, min(cut + 1, hi), min(first, hi), deep}
+    sample |= set(data.draw(st.lists(st.integers(lo, hi), max_size=2), label="more"))
+    for n in sorted(sample):
+        f = factorize(n)
+        i = whole.index(n)
+        assert int(whole.sigma[i]) == sigma_of(f), n
+        assert int(whole.sigma_star[i]) == sigma_star_of(f), n
+
+
+def test_profile_of_counts_prime_factors() -> None:
+    # omega feeds classify's L_star; both counts against factorize
+    assert ArithmeticProfile.of(64) == ArithmeticProfile(64, 127, 65, 1, 6)
+    assert ArithmeticProfile.of(64).factorization == ((2, 6),)
+    assert ArithmeticProfile.of(60).sigma == 168
+    one = ArithmeticProfile.of(1)
     assert (one.sigma, one.sigma_star, one.omega, one.big_omega) == (1, 1, 0, 0)
     assert one.factorization == ()
-
-
-def test_sieve_range_budget() -> None:
-    with pytest.raises(SegmentationRequired):
-        sieve_range(1, 10**6, budget=1 << 10)
+    for n in list(range(1, 500)) + [3472, 173369889, 2**40 - 1]:
+        p = ArithmeticProfile.of(n)
+        f = factorize(n)
+        assert (p.omega, p.big_omega) == (len(f), sum(e for _, e in f))
 
 
 def test_profile_of_matches_sieve(sieved) -> None:
@@ -226,35 +278,3 @@ def test_primes_upto() -> None:
     assert primes_upto(2).tolist() == [2]
     assert primes_upto(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert len(primes_upto(10**6)) == 78498
-
-
-def test_profile_cache_round_trip(tmp_path) -> None:
-    t = sieve_tables(100, 4000, star=True, counts=True)
-    path = str(tmp_path / "seg.harm")
-    write_profile_cache(path, t)
-    back = read_profile_cache(path)
-    assert (back.lo, back.hi) == (100, 4000)
-    assert np.array_equal(back.sigma, t.sigma)
-    assert np.array_equal(back.sigma_star, t.sigma_star)
-    assert np.array_equal(back.omega, t.omega)
-    assert np.array_equal(back.big_omega, t.big_omega)
-    # header is 16 bytes, records 40 bytes each
-    import os
-
-    assert os.path.getsize(path) == 16 + 40 * (4000 - 100 + 1)
-
-
-def test_profile_cache_rejects_corruption(tmp_path) -> None:
-    t = sieve_tables(1, 50, star=True, counts=True)
-    path = str(tmp_path / "seg.harm")
-    write_profile_cache(path, t)
-    raw = bytearray(open(path, "rb").read())
-    raw[0] = ord("X")
-    bad = str(tmp_path / "bad.harm")
-    open(bad, "wb").write(bytes(raw))
-    with pytest.raises(ValueError):
-        read_profile_cache(bad)
-    trunc = str(tmp_path / "trunc.harm")
-    open(trunc, "wb").write(bytes(open(path, "rb").read()[:-40]))
-    with pytest.raises(ValueError):
-        read_profile_cache(trunc)

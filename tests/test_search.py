@@ -26,9 +26,12 @@ from harmonia.search import (
     _code_shift,
     _complement_keys,
     _emit_records,
+    _key_index,
     _partial_digest,
+    _probe,
     _ratio_keys,
     _sigma_cap,
+    _sorted_run,
     count_table,
     load_checkpoint,
     search_anarchy_pairs,
@@ -405,6 +408,33 @@ def test_anarchy_key_match_for_known_pair():
     )
     assert owners.tolist() == [64]
     assert ccode.tolist() == code.tolist()
+
+
+def test_anarchy_prefilter_drops_no_candidate(monkeypatch):
+    # the unfiltered exact path: every n's ratio key probed into the small
+    # side's complement keys
+    m_bound, n_bound = 1000, 2 * 10**6
+    shift = _code_shift(n_bound, _sigma_cap(n_bound))
+    sigma = sieve_tables(1, n_bound).sigma
+    n = np.arange(1, n_bound + 1, dtype=np.int64)
+    comps = _sorted_run(*_complement_keys(n[:m_bound], sigma[:m_bound], shift, n_bound))
+    n_col, m_col = _probe(_key_index(comps[0]), comps[1], _ratio_keys(n, sigma, shift), n)
+    keep = n_col >= m_col
+    exact = sorted(set(zip(m_col[keep].tolist(), n_col[keep].tolist())))
+    assert len(exact) > 100
+
+    sent = []
+    emit = harmonia.search._emit_records
+
+    def spy(pairs, kind_flag, filters):
+        sent.append(list(pairs))
+        return emit(pairs, kind_flag, filters)
+
+    monkeypatch.setattr(harmonia.search, "_emit_records", spy)
+    for segment_length in (1024, 1 << 17):
+        sent.clear()
+        search_anarchy_pairs(m_bound, n_bound, segment_length=segment_length, threads=2)
+        assert sent == [exact]
 
 
 # --- triples ---------------------------------------------------------------------
