@@ -5,9 +5,7 @@ end to end."""
 from harmonia.arith import (
     ArithmeticProfile,
     Factorization,
-    abundancy_ratio,
     factorize,
-    ratio_sum,
     sigma_of,
     sigma_star_of,
 )
@@ -32,11 +30,9 @@ __all__ = [
     "Factorization",
     "SearchConfig",
     "TupleRecord",
-    "abundancy_ratio",
     "classify",
     "count_table",
     "factorize",
-    "ratio_sum",
     "record_from_members",
     "run_induction",
     "search_anarchy_pairs",

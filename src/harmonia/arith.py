@@ -1,21 +1,19 @@
 """Exact arithmetic over factored integers.
 
-Divisor sums (classical and unitary), segmented multiplicative sieves,
-factorizations, abundancy ratios.  Everything that decides anything is exact:
-Python ints and fractions.Fraction.  numpy int64 is used only inside sieve
-segments, with overflow bounds stated where it matters.  The sieve works on
-in-place strided views of its segment arrays, one view per prime power, so
-it builds no index arrays and tests no remainders; every int64 it holds is
-at most max(hi, sigma(n)), which MAX_SIEVE_BOUND keeps far below 2^63.
+Divisor sums (classical and unitary), segmented multiplicative sieves and
+factorizations.  Everything that decides anything is exact Python int
+arithmetic.  numpy int64 is used only inside sieve segments, with overflow
+bounds stated where it matters.  The sieve works on in-place strided views
+of its segment arrays, one view per prime power, so it builds no index
+arrays and tests no remainders; every int64 it holds is at most
+max(hi, sigma(n)), which MAX_SIEVE_BOUND keeps far below 2^63.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from typing import Iterable
 
 import numpy as np
 
@@ -94,18 +92,6 @@ def sigma_star_of(factorization: Factorization) -> int:
     return out
 
 
-def abundancy_ratio(n: int, s: int) -> Fraction:
-    """n/s in lowest terms; s is the (already computed) divisor sum of n."""
-    if n < 1 or s < 1:
-        raise ValueError("abundancy_ratio requires positive n and s")
-    return Fraction(n, s)
-
-
-def ratio_sum(ratios: Iterable[Fraction]) -> Fraction:
-    """Exact sum of reduced ratios."""
-    return sum(ratios, start=Fraction(0))
-
-
 @dataclass(frozen=True)
 class ArithmeticProfile:
     """The divisor-sum facts about one integer."""
@@ -120,14 +106,6 @@ class ArithmeticProfile:
     def factorization(self) -> Factorization:
         # recovered lazily; factorize() caches, so repeated access is cheap
         return factorize(self.n)
-
-    @property
-    def ratio(self) -> Fraction:
-        return abundancy_ratio(self.n, self.sigma)
-
-    @property
-    def unitary_ratio(self) -> Fraction:
-        return abundancy_ratio(self.n, self.sigma_star)
 
     @classmethod
     def of(cls, n: int) -> "ArithmeticProfile":

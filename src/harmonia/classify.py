@@ -13,18 +13,12 @@ All verdicts use exact integer and rational arithmetic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-from harmonia.arith import (
-    ArithmeticProfile,
-    Factorization,
-    abundancy_ratio,
-    merge_factorizations,
-    ratio_sum,
-)
+from harmonia.arith import ArithmeticProfile, Factorization, merge_factorizations
 
 FLAG_NAMES = (
     "harmonious",
@@ -52,14 +46,14 @@ def _profiles_for(members: Sequence[int]) -> tuple[ArithmeticProfile, ...]:
 def is_harmonious(members: Sequence[int]) -> tuple[bool, Fraction]:
     """Whether the ratio sum over sigma is exactly 1; returns the exact sum too."""
     profiles = _profiles_for(members)
-    total = ratio_sum(abundancy_ratio(p.n, p.sigma) for p in profiles)
+    total = sum((Fraction(p.n, p.sigma) for p in profiles), Fraction(0))
     return total == 1, total
 
 
 def is_unitary_harmonious(members: Sequence[int]) -> tuple[bool, Fraction]:
     """Same as is_harmonious but with the unitary divisor sum."""
     profiles = _profiles_for(members)
-    total = ratio_sum(abundancy_ratio(p.n, p.sigma_star) for p in profiles)
+    total = sum((Fraction(p.n, p.sigma_star) for p in profiles), Fraction(0))
     return total == 1, total
 
 
@@ -104,7 +98,6 @@ class TupleRecord:
     K: int
     L_omega: int
     L_star: int
-    gcd_matrix: tuple[tuple[int, ...], ...] | None = field(default=None)
 
     @property
     def product(self) -> int:
@@ -112,10 +105,6 @@ class TupleRecord:
         for m in self.members:
             out *= m
         return out
-
-    @property
-    def product_factorization(self) -> Factorization:
-        return merge_factorizations(*(p.factorization for p in self.profiles))
 
     def to_json_dict(self) -> dict:
         # fixed field order so that output files diff cleanly
@@ -134,11 +123,7 @@ class TupleRecord:
         return json.dumps(self.to_json_dict(), separators=(",", ":"))
 
 
-def classify(
-    members: Iterable[int],
-    *,
-    full_matrix: bool = False,
-) -> TupleRecord:
+def classify(members: Iterable[int]) -> TupleRecord:
     """Full classification of a tuple.  Invariant under member permutation.
 
     Unlike is_anarchy, repeated members are not an error here: the anarchy
@@ -148,8 +133,8 @@ def classify(
     profiles = _profiles_for(ordered)
     k = len(ordered)
 
-    hsum = ratio_sum(abundancy_ratio(p.n, p.sigma) for p in profiles)
-    usum = ratio_sum(abundancy_ratio(p.n, p.sigma_star) for p in profiles)
+    hsum = sum((Fraction(p.n, p.sigma) for p in profiles), Fraction(0))
+    usum = sum((Fraction(p.n, p.sigma_star) for p in profiles), Fraction(0))
     total = sum(ordered)
     product = 1
     for m in ordered:
@@ -172,16 +157,6 @@ def classify(
     if k == 2:
         g1, g2 = pair_diagnostics(ordered[0], ordered[1])
 
-    matrix = None
-    if full_matrix:
-        matrix = tuple(
-            tuple(
-                0 if i == j else gcd(profiles[i].n, profiles[j].n * profiles[j].sigma)
-                for j in range(k)
-            )
-            for i in range(k)
-        )
-
     merged = merge_factorizations(*(p.factorization for p in profiles))
     return TupleRecord(
         members=ordered,
@@ -192,7 +167,6 @@ def classify(
         K=len(merged),
         L_omega=sum(e for _, e in merged),
         L_star=sum(p.omega for p in profiles),
-        gcd_matrix=matrix,
     )
 
 

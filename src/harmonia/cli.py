@@ -143,12 +143,16 @@ def _digest_of(payload: dict) -> str:
 def cmd_search(args, parser: argparse.ArgumentParser, argv: list) -> int:
     started = time.perf_counter()
     progress = _progress if args.progress else None
+    if args.fmt == "csv" and args.k == 3:
+        parser.error("--format csv is defined for pairs only; use jsonl for k=3")
 
     if args.kind == "anarchy":
         if args.m_bound is None or args.n_bound is None:
             parser.error("search anarchy needs --m-bound and --n-bound")
         if args.bound is not None:
             parser.error("search anarchy takes --m-bound/--n-bound, not --bound")
+        if args.checkpoint is not None or args.k == 3 or args.allow_equal is not None:
+            parser.error("search anarchy takes no --checkpoint, --k 3 or --allow-equal")
         records = search_anarchy_pairs(
             args.m_bound,
             args.n_bound,
@@ -192,13 +196,7 @@ def cmd_search(args, parser: argparse.ArgumentParser, argv: list) -> int:
         bound = args.bound
         kind_label = config.kind
 
-    if args.fmt == "csv":
-        if args.kind == "anarchy" or args.k == 2:
-            lines = _csv_lines(records)
-        else:
-            parser.error("--format csv is defined for pairs only; use jsonl for k=3")
-    else:
-        lines = _jsonl_lines(records)
+    lines = _csv_lines(records) if args.fmt == "csv" else _jsonl_lines(records)
 
     _deliver(lines, args.out, argv, digest, {"found": len(records)}, started)
     print(f"kind={kind_label} bound={bound} found={len(records)}")

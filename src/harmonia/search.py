@@ -9,15 +9,17 @@ a quarter of all integers) are keyed by their ratio, and only the
 deficient-or-perfect n probe with their complement.  The unitary kind
 splits the same way on sigma*.
 
-One segment pipeline serves both ratio kinds in both memory regimes.
-Pass 1 sieves each segment once and emits a code-sorted key run and a
-code-sorted query run.  Reduced fractions are packed into int64 codes: the
-numerator is shifted past the denominator width, and every segment checks
-that its sigma fits that width.  The join merges the runs code-range
-bucket by bucket and probes the sorted queries into the sorted keys.  Below
-the in-memory limit the runs are arrays; above it, or whenever a checkpoint
-is configured, they are .npy files.  Pair search needs bound < 2^30: from
-there on, a numerator and a denominator no longer fit in 63 bits together.
+One segment pipeline serves every pair kind in both memory regimes.  For
+the ratio kinds, pass 1 sieves each segment once and emits a code-sorted
+key run and a code-sorted query run.  Reduced fractions are packed into
+int64 codes: the numerator is shifted past the denominator width, and every
+segment checks that its sigma fits that width.  The join merges the runs
+code-range bucket by bucket and probes the sorted queries into the sorted
+keys.  Below the in-memory limit the runs are arrays; above it, or whenever
+a checkpoint is configured, they are .npy files.  Pair search needs
+bound < 2^30: from there on, a numerator and a denominator no longer fit in
+63 bits together.  Every segment loop, the anarchy sweep's too, runs on one
+thread-pool driver, _each_segment.
 
 The anarchy sweep pairs a small side M <= m_bound with every N up to a much
 larger n_bound, streaming N through the same complement match.  Before it
@@ -29,7 +31,9 @@ that pass go through the exact codes.
 
 Amicable pairs use the aliquot shortcut instead: the only possible partner
 of M is s(M) = sigma(M) - M, so a pair exists exactly when
-sigma(s(M)) == sigma(M).
+sigma(s(M)) == sigma(M).  Pass 1 puts each M's (s(M), sigma(M)) query into
+the same run stores, and a resolve pass re-sieves each segment to check the
+queries whose partner lies in it.
 
 Every candidate a join produces is re-validated through classify, which
 rebuilds sigma from a fresh factorization, so sieve or join defects cannot
@@ -48,7 +52,7 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import isqrt
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -181,7 +185,9 @@ def load_checkpoint(path: str) -> tuple[Checkpoint, list] | None:
             partial_digest=raw["partial_digest"],
         )
         rows = raw["runs"]
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+        if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+            raise ValueError("runs must be a list of objects")
+    except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointMismatch(f"unreadable checkpoint {path}: {exc}") from exc
     if _partial_digest(rows) != ck.partial_digest or len(rows) != ck.last_segment + 1:
         raise CheckpointMismatch(f"checkpoint {path} is internally inconsistent")
@@ -257,12 +263,29 @@ def _threads(requested: int) -> int:
     return requested if requested > 0 else (os.cpu_count() or 1)
 
 
-def _ordered_map(fn: Callable, items: Iterable, threads: int) -> Iterator:
-    """fn(item) for every item on a thread pool, yielded in item order."""
-    with ThreadPoolExecutor(max_workers=_threads(threads)) as pool:
-        futures = [pool.submit(fn, item) for item in items]
-        for fut in futures:
-            yield fut.result()
+def _each_segment(
+    fn: Callable,
+    items: Sequence,
+    threads: int,
+    progress: Progress | None = None,
+    phase: str = "",
+    start: int = 0,
+) -> Iterator:
+    """fn(item) for items[start:] on a thread pool, yielded in item order.
+
+    Each result is reported as "<phase> segment <i>/<len(items)>", counted
+    from `start`.  When fn raises, the items not yet started are cancelled
+    instead of run, and the error propagates."""
+    pool = ThreadPoolExecutor(max_workers=_threads(threads))
+    try:
+        futures = [pool.submit(fn, item) for item in items[start:]]
+        for i, fut in enumerate(futures, start + 1):
+            result = fut.result()
+            if progress:
+                progress(f"{phase} segment {i}/{len(items)}")
+            yield result
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _segment_sigma(lo: int, hi: int, primes: np.ndarray, star: bool) -> np.ndarray:
@@ -270,20 +293,13 @@ def _segment_sigma(lo: int, hi: int, primes: np.ndarray, star: bool) -> np.ndarr
     return t.sigma_star if star else t.sigma
 
 
-def _sigma_full(
-    bound: int, segment_length: int, star: bool, threads: int, progress: Progress | None
-) -> np.ndarray:
+def _sigma_full(bound: int, segment_length: int, star: bool, threads: int) -> np.ndarray:
     """sigma (or sigma*) of every n in [1, bound] as one array."""
     segs = _segments(bound, segment_length)
     primes = primes_upto(isqrt(bound))
-    parts: list[np.ndarray] = []
-    for i, part in enumerate(
-        _ordered_map(lambda seg: _segment_sigma(*seg, primes, star), segs, threads)
-    ):
-        parts.append(part)
-        if progress:
-            progress(f"sieved segment {i + 1}/{len(segs)}")
-    return np.concatenate(parts)
+    return np.concatenate(
+        list(_each_segment(lambda seg: _segment_sigma(*seg, primes, star), segs, threads))
+    )
 
 
 def _ratio_keys(n: np.ndarray, s: np.ndarray, shift: int) -> np.ndarray:
@@ -476,12 +492,11 @@ def _pass1(
             runs = _ratio_segment_runs(lo, hi, config.bound, shift, primes, star)
         return {name: store.put(i, name, run) for name, run in runs.items()}
 
-    for row in _ordered_map(work, range(len(rows), len(segs)), config.threads):
+    segments = range(len(segs))
+    for row in _each_segment(work, segments, config.threads, progress, "wrote", len(rows)):
         rows.append(row)
         if config.checkpoint_path:
             _save_checkpoint(config.checkpoint_path, digest, rows)
-        if progress:
-            progress(f"segment {len(rows)}/{len(segs)} written")
 
 
 # --- pass 2: join -------------------------------------------------------------
@@ -536,21 +551,8 @@ def _join(
     return pairs if equal_allowed else pairs[:, pairs[0] < pairs[1]]
 
 
-def _amicable_candidates_memory(
-    bound: int, sigma: np.ndarray, equal_allowed: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    n = np.arange(1, bound + 1, dtype=np.int64)
-    partner = sigma - n
-    floor = n if equal_allowed else n + 1
-    ok = (partner >= floor) & (partner <= bound)
-    m_side = n[ok]
-    p_side = partner[ok]
-    match = sigma[p_side - 1] == sigma[ok]
-    return m_side[match], p_side[match]
-
-
 def _resolve_amicable_queries(
-    store: _FileRuns,
+    store,
     segs: list[tuple[int, int]],
     bound: int,
     threads: int,
@@ -572,12 +574,7 @@ def _resolve_amicable_queries(
             hits.append(sl[[2, 0]][:, sigma[sl[0] - lo] == sl[1]])
         return np.concatenate(hits, axis=1)
 
-    parts = []
-    for i, part in enumerate(_ordered_map(work, segs, threads)):
-        parts.append(part)
-        if progress:
-            progress(f"resolved segment {i + 1}/{len(segs)}")
-    return np.concatenate(parts, axis=1)
+    return np.concatenate(list(_each_segment(work, segs, threads, progress, "resolved")), axis=1)
 
 
 # --- record emission ---------------------------------------------------------
@@ -614,36 +611,28 @@ def search_pairs(
 ) -> list[TupleRecord]:
     """All pairs (M <= N <= bound) of the configured kind, sorted ascending.
 
-    Runs in memory up to config.in_memory_limit; above that, or whenever a
-    checkpoint_path is set (partial work can only be resumed from disk), the
-    same runs go to files.  Results are identical across segment lengths,
-    thread counts, and the two regimes.
+    Every kind runs the same path: pass 1 puts each segment's runs into a
+    run store, then the ratio kinds join the runs and amicable resolves its
+    partner queries.  The store holds arrays up to config.in_memory_limit;
+    above that, or whenever a checkpoint_path is set (partial work can only
+    be resumed from disk), it holds files.  Results are identical across
+    segment lengths, thread counts, and the two regimes.
     """
     if config.k != 2:
         raise ValueError(f"search_pairs needs k=2, got k={config.k}")
     in_memory = config.bound <= config.in_memory_limit and not config.checkpoint_path
-    if config.kind == "amicable" and in_memory:
-        sigma = _sigma_full(
-            config.bound, config.segment_length, False, config.threads, progress
-        )
-        m_col, n_col = _amicable_candidates_memory(
-            config.bound, sigma, config.equal_allowed
-        )
-    else:
-        shift = 0
-        if config.kind != "amicable":
-            shift = _code_shift(config.bound, _sigma_cap(config.bound))
-        segs = _segments(config.bound, config.segment_length)
-        with _run_store(config, in_memory) as store:
-            _pass1(config, segs, shift, store, progress)
-            if config.kind == "amicable":
-                m_col, n_col = _resolve_amicable_queries(
-                    store, segs, config.bound, config.threads, progress
-                )
-            else:
-                m_col, n_col = _join(
-                    store, len(segs), config.bound, shift, config.equal_allowed, progress
-                )
+    shift = 0 if config.kind == "amicable" else _code_shift(config.bound, _sigma_cap(config.bound))
+    segs = _segments(config.bound, config.segment_length)
+    with _run_store(config, in_memory) as store:
+        _pass1(config, segs, shift, store, progress)
+        if config.kind == "amicable":
+            m_col, n_col = _resolve_amicable_queries(
+                store, segs, config.bound, config.threads, progress
+            )
+        else:
+            m_col, n_col = _join(
+                store, len(segs), config.bound, shift, config.equal_allowed, progress
+            )
     return _emit_records(_candidate_pairs(m_col, n_col), config.kind, config.filters)
 
 
@@ -673,7 +662,7 @@ def search_anarchy_pairs(
     if not 2 <= m_bound <= n_bound:
         raise ValueError(f"need 2 <= m_bound <= n_bound, got ({m_bound}, {n_bound})")
     shift = _code_shift(n_bound, _sigma_cap(n_bound))
-    small_sigma = _sigma_full(m_bound, segment_length, False, threads, None)
+    small_sigma = _sigma_full(m_bound, segment_length, False, threads)
     _check_packing(small_sigma, shift)
     small_n = np.arange(1, m_bound + 1, dtype=np.int64)
     comps = _sorted_run(*_complement_keys(small_n, small_sigma, shift, n_bound))
@@ -699,11 +688,7 @@ def search_anarchy_pairs(
         keep = n_col >= m_col
         return np.stack((m_col[keep], n_col[keep]))
 
-    parts = []
-    for i, part in enumerate(_ordered_map(work, segs, threads)):
-        parts.append(part)
-        if progress:
-            progress(f"swept segment {i + 1}/{len(segs)}")
+    parts = list(_each_segment(work, segs, threads, progress, "swept"))
     pairs = _candidate_pairs(*np.concatenate(parts, axis=1))
     return _emit_records(pairs, "harmonious", frozenset({"anarchy"}))
 
@@ -714,7 +699,7 @@ def search_anarchy_pairs(
 def _ratio_triples(config: SearchConfig, progress: Progress | None) -> list[tuple]:
     bound = config.bound
     star = config.kind == "unitary_harmonious"
-    sigma = _sigma_full(bound, config.segment_length, star, config.threads, None)
+    sigma = _sigma_full(bound, config.segment_length, star, config.threads)
     n = np.arange(1, bound + 1, dtype=np.int64)
     g = np.gcd(n, sigma)
     rn = n // g
@@ -765,7 +750,7 @@ def _ratio_triples(config: SearchConfig, progress: Progress | None) -> list[tupl
 
 def _amicable_triples(config: SearchConfig) -> list[tuple]:
     bound = config.bound
-    sigma = _sigma_full(bound, config.segment_length, False, config.threads, None)
+    sigma = _sigma_full(bound, config.segment_length, False, config.threads)
     order = np.argsort(sigma, kind="stable")
     equal = config.equal_allowed
 

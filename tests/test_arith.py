@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from math import gcd, isqrt
 
 import numpy as np
@@ -14,12 +13,10 @@ from hypothesis import strategies as st
 from harmonia.arith import (
     MAX_SIEVE_BOUND,
     ArithmeticProfile,
-    abundancy_ratio,
     factorize,
     merge_factorizations,
     primes_upto,
     product_of,
-    ratio_sum,
     sieve_tables,
     sigma_of,
     sigma_star_of,
@@ -247,30 +244,6 @@ def test_profile_of_matches_sieve(sieved) -> None:
         p = ArithmeticProfile.of(n)
         i = sieved.index(n)
         assert (p.sigma, p.sigma_star) == (int(sieved.sigma[i]), int(sieved.sigma_star[i]))
-
-
-def test_abundancy_ratio_reduction_and_identity() -> None:
-    assert abundancy_ratio(135, 240) == Fraction(9, 16)
-    assert abundancy_ratio(1, 1) == Fraction(1)
-    r = abundancy_ratio(6, 12)
-    assert (r.numerator, r.denominator) == (1, 2)
-    # hashable and orderable
-    assert len({abundancy_ratio(2, 3), abundancy_ratio(4, 6)}) == 1
-    assert abundancy_ratio(1, 3) < abundancy_ratio(1, 2)
-    with pytest.raises(ValueError):
-        abundancy_ratio(0, 5)
-
-
-def test_ratio_sum_exact_and_order_free() -> None:
-    rs = [Fraction(2, 3), Fraction(3, 4)]
-    assert ratio_sum(rs) == Fraction(17, 12)
-    assert ratio_sum(reversed(rs)) == Fraction(17, 12)
-    assert ratio_sum([]) == 0
-    many = [Fraction(1, d) for d in range(2, 40)]
-    rng = random.Random(5)
-    shuffled = many[:]
-    rng.shuffle(shuffled)
-    assert ratio_sum(many) == ratio_sum(shuffled)
 
 
 def test_primes_upto() -> None:

@@ -117,13 +117,6 @@ def test_classify_triple_and_single() -> None:
     assert single.K == 0
 
 
-def test_classify_full_matrix() -> None:
-    rec = classify((64, 173369889), full_matrix=True)
-    assert rec.gcd_matrix == ((0, 1), (1, 0))
-    rec2 = classify((135, 3472), full_matrix=True)
-    assert rec2.gcd_matrix[0][1] == gcd(135, 3472 * 7936)
-
-
 def test_json_shape_and_field_order() -> None:
     rec = classify((135, 3472))
     txt = rec.to_json()

@@ -5,9 +5,10 @@ import os
 
 import pytest
 
+import harmonia.cli
 from harmonia.cli import CSV_HEADER, main
 from harmonia.classify import record_from_members
-from harmonia.search import SearchConfig, search_pairs
+from harmonia.search import SearchConfig, _partial_digest, search_pairs
 
 
 def run_cli(*argv):
@@ -124,6 +125,15 @@ def test_search_csv_rejected_for_triples(capsys):
     capsys.readouterr()
 
 
+def test_search_csv_for_triples_refused_before_searching(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(harmonia.cli, "search_triples", lambda *a, **k: calls.append(a))
+    argv = ("search", "harmonious", "--bound", "20000", "--k", "3", "--format", "csv")
+    assert run_cli(*argv) == 2
+    assert calls == []
+    capsys.readouterr()
+
+
 def test_search_triples_via_cli(capsys):
     assert run_cli("search", "harmonious", "--bound", "130", "--k", "3") == 0
     lines = capsys.readouterr().out.strip().split("\n")
@@ -141,6 +151,16 @@ def test_search_anarchy_flag_validation(capsys):
     assert run_cli("search", "anarchy", "--bound", "100") == 2
     assert run_cli("search", "harmonious", "--m-bound", "100", "--bound", "50") == 2
     assert run_cli("search", "harmonious") == 2
+    capsys.readouterr()
+
+
+def test_search_anarchy_rejects_pair_search_flags(tmp_path, capsys):
+    ck = tmp_path / "run.ck"
+    anarchy = ("search", "anarchy", "--m-bound", "100", "--n-bound", "10000")
+    assert run_cli(*anarchy, "--checkpoint", str(ck)) == 2
+    assert not ck.exists()
+    assert run_cli(*anarchy, "--k", "3") == 2
+    assert run_cli(*anarchy, "--allow-equal", "true") == 2
     capsys.readouterr()
 
 
@@ -167,6 +187,22 @@ def test_search_checkpoint_mismatch_exit_3(tmp_path, capsys):
         == 3
     )
     capsys.readouterr()
+
+
+def test_search_malformed_checkpoint_exit_3(tmp_path, capsys):
+    ck = tmp_path / "run.ck"
+    argv = ("search", "harmonious", "--bound", "4096", "--segment-length", "1024")
+    # consistent in itself, but its one run row is not an object
+    bad_row = {
+        "config_digest": SearchConfig(bound=4096, segment_length=1024).digest(),
+        "last_segment": 0,
+        "partial_digest": _partial_digest([1]),
+        "runs": [1],
+    }
+    for payload in ([], "x", bad_row):
+        ck.write_text(json.dumps(payload))
+        assert run_cli(*argv, "--checkpoint", str(ck)) == 3
+        assert capsys.readouterr().err.startswith("checkpoint mismatch: ")
 
 
 def test_search_io_error_exit_4(tmp_path, capsys):

@@ -9,6 +9,7 @@ join under test.
 import hashlib
 import json
 import os
+import time
 from collections import defaultdict
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from harmonia.search import (
     TRIPLE_BOUND_CAP,
     _code_shift,
     _complement_keys,
+    _each_segment,
     _emit_records,
     _key_index,
     _partial_digest,
@@ -287,11 +289,15 @@ def test_count_table_matches_search_cardinalities():
 
 
 def test_partition_independence():
-    reference = None
-    for seg in (1024, 4096, 1 << 22):
-        got = jsonl_of(search_pairs(SearchConfig(bound=5000, segment_length=seg)))
-        reference = reference if reference is not None else got
-        assert got == reference
+    # at segment length 1024 the amicable pair (5020, 5564) straddles the
+    # segment edge at 5120, so its partner query resolves in another segment
+    for kind, bound in (("harmonious", 5000), ("amicable", 10**4)):
+        reference = None
+        for seg in (1024, 4096, 1 << 22):
+            config = SearchConfig(bound=bound, kind=kind, segment_length=seg)
+            got = jsonl_of(search_pairs(config))
+            reference = reference if reference is not None else got
+            assert got == reference
 
 
 def test_thread_independence():
@@ -300,6 +306,21 @@ def test_thread_independence():
         got = jsonl_of(search_pairs(SearchConfig(bound=10**4, threads=threads)))
         reference = reference if reference is not None else got
         assert got == reference
+
+
+def test_failing_segment_cancels_the_rest():
+    ran = []
+
+    def work(i):
+        ran.append(i)
+        if i == 0:
+            raise OSError("disk full")
+        time.sleep(0.01)
+        return i
+
+    with pytest.raises(OSError, match="disk full"):
+        list(_each_segment(work, range(100), threads=1))
+    assert len(ran) <= 5
 
 
 def test_external_regime_matches_memory():
