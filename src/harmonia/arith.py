@@ -20,7 +20,6 @@ import numpy as np
 # ((prime, exponent), ...) sorted by prime; empty tuple represents n = 1
 Factorization = tuple[tuple[int, int], ...]
 
-DEFAULT_SEGMENT_LENGTH = 1 << 22
 # keeps every int64 intermediate in the sieve far below 2^63 (see sieve_tables)
 MAX_SIEVE_BOUND = 1 << 40
 

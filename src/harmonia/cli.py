@@ -22,7 +22,6 @@ import time
 from dataclasses import dataclass
 
 from . import __version__
-from .arith import DEFAULT_SEGMENT_LENGTH
 from .bounds import render_big, verify_bounds
 from .classify import CLASS_FLAG_NAMES, classify, format_factorization, record_from_members
 from .induction import run_induction, theorem_trace
@@ -33,7 +32,6 @@ from .lemmas import (
     scan_pre_cook_grid,
 )
 from .search import (
-    DEFAULT_IN_MEMORY_LIMIT,
     CheckpointMismatch,
     SearchConfig,
     count_table,
@@ -151,14 +149,14 @@ def cmd_search(args, parser: argparse.ArgumentParser, argv: list) -> int:
             parser.error("search anarchy needs --m-bound and --n-bound")
         if args.bound is not None:
             parser.error("search anarchy takes --m-bound/--n-bound, not --bound")
-        if args.checkpoint is not None or args.k == 3 or args.allow_equal is not None:
-            parser.error("search anarchy takes no --checkpoint, --k 3 or --allow-equal")
+        pair_flags = (args.checkpoint is not None, args.k == 3, args.allow_equal is not None)
+        if any(pair_flags) or args.coprime or args.anarchy:
+            parser.error(
+                "search anarchy takes no --checkpoint, --k 3, --allow-equal, "
+                "--coprime or --anarchy"
+            )
         records = search_anarchy_pairs(
-            args.m_bound,
-            args.n_bound,
-            segment_length=args.segment_length,
-            threads=args.threads,
-            progress=progress,
+            args.m_bound, args.n_bound, threads=args.threads, progress=progress
         )
         digest = _digest_of(
             {"op": "anarchy", "m_bound": args.m_bound, "n_bound": args.n_bound}
@@ -183,8 +181,6 @@ def cmd_search(args, parser: argparse.ArgumentParser, argv: list) -> int:
             allow_equal_members=(
                 None if args.allow_equal is None else args.allow_equal == "true"
             ),
-            segment_length=args.segment_length,
-            in_memory_limit=args.in_memory_limit,
             checkpoint_path=args.checkpoint,
             threads=args.threads,
         )
@@ -226,11 +222,7 @@ def cmd_table2(args, parser: argparse.ArgumentParser, argv: list) -> int:
     if any(b >= c for b, c in zip(bounds, bounds[1:])):
         parser.error(f"--bounds must be strictly ascending, got {args.bounds}")
     rows = count_table(
-        bounds,
-        segment_length=args.segment_length,
-        in_memory_limit=args.in_memory_limit,
-        threads=args.threads,
-        progress=_progress if args.progress else None,
+        bounds, threads=args.threads, progress=_progress if args.progress else None
     )
     lines = ["bound,harmonious_count,coprime_count"]
     lines += [f"{r.bound},{r.harmonious},{r.coprime_harmonious}" for r in rows]
@@ -410,10 +402,8 @@ def _add_search_parser(sub) -> None:
     )
     p.add_argument("--format", dest="fmt", choices=["csv", "jsonl"], default="jsonl")
     p.add_argument("--out", help="output file; stdout when omitted")
-    p.add_argument("--checkpoint", help="checkpoint file (forces the file-backed regime)")
+    p.add_argument("--checkpoint", help="checkpoint file; run files go beside it at any bound")
     p.add_argument("--threads", type=int, default=0, help="worker threads (0 = auto)")
-    p.add_argument("--segment-length", type=int, default=DEFAULT_SEGMENT_LENGTH)
-    p.add_argument("--in-memory-limit", type=int, default=DEFAULT_IN_MEMORY_LIMIT)
     p.add_argument("--m-bound", type=int, help="anarchy only: bound for the smaller member")
     p.add_argument("--n-bound", type=int, help="anarchy only: bound for the larger member")
     p.add_argument("--progress", action="store_true", help="report progress on stderr")
@@ -440,8 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     t2.add_argument("--bounds", required=True, help="comma-separated ascending bounds")
     t2.add_argument("--out", help="output file; stdout when omitted")
     t2.add_argument("--threads", type=int, default=0)
-    t2.add_argument("--segment-length", type=int, default=DEFAULT_SEGMENT_LENGTH)
-    t2.add_argument("--in-memory-limit", type=int, default=DEFAULT_IN_MEMORY_LIMIT)
     t2.add_argument("--progress", action="store_true")
     t2.set_defaults(handler=cmd_table2)
 

@@ -15,8 +15,10 @@ key run and a code-sorted query run.  Reduced fractions are packed into
 int64 codes: the numerator is shifted past the denominator width, and every
 segment checks that its sigma fits that width.  The join merges the runs
 code-range bucket by bucket and probes the sorted queries into the sorted
-keys.  Below the in-memory limit the runs are arrays; above it, or whenever
-a checkpoint is configured, they are .npy files.  Pair search needs
+keys.  Up to IN_MEMORY_LIMIT the runs are arrays; above it, or whenever a
+checkpoint is configured, they are .npy files.  Segment lengths follow from
+the bound alone (_segment_length), so no search has a tuning knob and a
+checkpoint resumes under any thread count.  Pair search needs
 bound < 2^30: from there on, a numerator and a denominator no longer fit in
 63 bits together.  Every segment loop, the anarchy sweep's too, runs on one
 thread-pool driver, _each_segment.
@@ -56,14 +58,16 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .arith import DEFAULT_SEGMENT_LENGTH, primes_upto, sieve_tables
+from .arith import primes_upto, sieve_tables
 from .classify import TupleRecord, classify
 
 KINDS = ("harmonious", "unitary_harmonious", "amicable")
 FILTER_NAMES = ("coprime", "anarchy")
 _FILTER_FLAG = {"coprime": "pairwise_coprime", "anarchy": "anarchy"}
 
-DEFAULT_IN_MEMORY_LIMIT = 10**7
+# pair searches up to this bound keep their runs in memory unless a
+# checkpoint is configured
+IN_MEMORY_LIMIT = 10**7
 TRIPLE_BOUND_CAP = 10**5
 # key bytes per bucket of the merge join; a bucket's queries take about
 # three times as much
@@ -96,8 +100,6 @@ class SearchConfig:
     k: int = 2
     filters: frozenset = frozenset()
     allow_equal_members: bool | None = None
-    segment_length: int = DEFAULT_SEGMENT_LENGTH
-    in_memory_limit: int = DEFAULT_IN_MEMORY_LIMIT
     checkpoint_path: str | None = None
     threads: int = 0
 
@@ -112,10 +114,6 @@ class SearchConfig:
         bad = self.filters - set(FILTER_NAMES)
         if bad:
             raise ValueError(f"unknown filters {sorted(bad)}; known: {FILTER_NAMES}")
-        if self.segment_length < 1 << 10:
-            raise ValueError(f"segment_length must be >= 1024, got {self.segment_length}")
-        if self.in_memory_limit < 1:
-            raise ValueError("in_memory_limit must be positive")
         if self.threads < 0:
             raise ValueError("threads must be >= 0 (0 = auto)")
 
@@ -127,16 +125,16 @@ class SearchConfig:
 
     def digest(self) -> str:
         """Hex digest over every field that influences the result set or the
-        layout of persisted run files.  Thread count and paths are excluded:
-        they must never change results."""
+        layout of persisted run files, the derived segment length included,
+        so a checkpoint cut under another segmentation is refused.  Thread
+        count and paths are excluded: they must never change results."""
         payload = {
             "bound": self.bound,
             "kind": self.kind,
             "k": self.k,
             "filters": sorted(self.filters),
             "allow_equal": self.equal_allowed,
-            "segment_length": self.segment_length,
-            "in_memory_limit": self.in_memory_limit,
+            "segment_length": _segment_length(self.bound),
             "run_layout": _RUN_LAYOUT,
         }
         blob = json.dumps(payload, sort_keys=True).encode()
@@ -251,12 +249,18 @@ def _check_packing(sigma: np.ndarray, shift: int) -> None:
         )
 
 
-def _segments(bound: int, segment_length: int) -> list[tuple[int, int]]:
+def _segment_length(bound: int) -> int:
+    """Sieve segment length for [1, bound]: at least 8 segments, so two or
+    more threads stay busy, but no longer than 2^22 and no shorter than
+    1024.  It follows from the bound alone, never from the thread count,
+    so a checkpoint resumes under any thread count."""
+    return min(1 << 22, max(1 << 10, -(-bound // 8)))
+
+
+def _segments(bound: int) -> list[tuple[int, int]]:
     """Inclusive segments covering [1, bound]."""
-    return [
-        (lo, min(lo + segment_length - 1, bound))
-        for lo in range(1, bound + 1, segment_length)
-    ]
+    length = _segment_length(bound)
+    return [(lo, min(lo + length - 1, bound)) for lo in range(1, bound + 1, length)]
 
 
 def _threads(requested: int) -> int:
@@ -293,9 +297,9 @@ def _segment_sigma(lo: int, hi: int, primes: np.ndarray, star: bool) -> np.ndarr
     return t.sigma_star if star else t.sigma
 
 
-def _sigma_full(bound: int, segment_length: int, star: bool, threads: int) -> np.ndarray:
+def _sigma_full(bound: int, star: bool, threads: int) -> np.ndarray:
     """sigma (or sigma*) of every n in [1, bound] as one array."""
-    segs = _segments(bound, segment_length)
+    segs = _segments(bound)
     primes = primes_upto(isqrt(bound))
     return np.concatenate(
         list(_each_segment(lambda seg: _segment_sigma(*seg, primes, star), segs, threads))
@@ -372,17 +376,15 @@ def _probe(
 class _MemoryRuns(dict):
     """Run store of the in-memory regime."""
 
-    def put(self, index: int, name: str, run: np.ndarray) -> str:
+    def put(self, index: int, name: str, run: np.ndarray) -> None:
         self[index, name] = run
-        return ""
 
     def load(self, index: int, name: str) -> np.ndarray:
         return self[index, name]
 
 
 class _FileRuns:
-    """Run store of the file-backed regime: <name>-<segment>.npy files whose
-    sha256 goes into the checkpoint."""
+    """Run store of the file-backed regime: <name>-<segment>.npy files."""
 
     def __init__(self, rundir: str) -> None:
         self.rundir = rundir
@@ -390,9 +392,8 @@ class _FileRuns:
     def path(self, index: int, name: str) -> str:
         return os.path.join(self.rundir, f"{name}-{index:06d}.npy")
 
-    def put(self, index: int, name: str, run: np.ndarray) -> str:
+    def put(self, index: int, name: str, run: np.ndarray) -> None:
         np.save(self.path(index, name), run)
-        return _sha256_file(self.path(index, name))
 
     def load(self, index: int, name: str) -> np.ndarray:
         return np.load(self.path(index, name), mmap_mode="r")
@@ -472,8 +473,8 @@ def _pass1(
     store,
     progress: Progress | None,
 ) -> None:
-    """Put every segment's runs into the store, resuming from the checkpoint
-    when one is configured."""
+    """Put every segment's runs into the store.  With a checkpoint, resume
+    from it and record each segment's run-file digests in it."""
     digest = config.digest()
     names = ("queries",) if config.kind == "amicable" else ("keys", "comps")
     primes = primes_upto(isqrt(config.bound))
@@ -490,7 +491,12 @@ def _pass1(
             runs = _amicable_segment_runs(lo, hi, config.bound, config.equal_allowed, primes)
         else:
             runs = _ratio_segment_runs(lo, hi, config.bound, shift, primes, star)
-        return {name: store.put(i, name, run) for name, run in runs.items()}
+        for name, run in runs.items():
+            store.put(i, name, run)
+        # only a checkpoint records the run files' digests
+        if not config.checkpoint_path:
+            return {}
+        return {name: _sha256_file(store.path(i, name)) for name in runs}
 
     segments = range(len(segs))
     for row in _each_segment(work, segments, config.threads, progress, "wrote", len(rows)):
@@ -613,16 +619,17 @@ def search_pairs(
 
     Every kind runs the same path: pass 1 puts each segment's runs into a
     run store, then the ratio kinds join the runs and amicable resolves its
-    partner queries.  The store holds arrays up to config.in_memory_limit;
+    partner queries.  The store holds arrays up to IN_MEMORY_LIMIT (10^7);
     above that, or whenever a checkpoint_path is set (partial work can only
-    be resumed from disk), it holds files.  Results are identical across
-    segment lengths, thread counts, and the two regimes.
+    be resumed from disk), it holds files.  The segment length follows from
+    the bound (_segment_length).  Results are identical across segment
+    lengths, thread counts, and the two regimes.
     """
     if config.k != 2:
         raise ValueError(f"search_pairs needs k=2, got k={config.k}")
-    in_memory = config.bound <= config.in_memory_limit and not config.checkpoint_path
+    in_memory = config.bound <= IN_MEMORY_LIMIT and not config.checkpoint_path
     shift = 0 if config.kind == "amicable" else _code_shift(config.bound, _sigma_cap(config.bound))
-    segs = _segments(config.bound, config.segment_length)
+    segs = _segments(config.bound)
     with _run_store(config, in_memory) as store:
         _pass1(config, segs, shift, store, progress)
         if config.kind == "amicable":
@@ -640,7 +647,6 @@ def search_anarchy_pairs(
     m_bound: int,
     n_bound: int,
     *,
-    segment_length: int = DEFAULT_SEGMENT_LENGTH,
     threads: int = 0,
     progress: Progress | None = None,
 ) -> list[TupleRecord]:
@@ -661,8 +667,10 @@ def search_anarchy_pairs(
     """
     if not 2 <= m_bound <= n_bound:
         raise ValueError(f"need 2 <= m_bound <= n_bound, got ({m_bound}, {n_bound})")
+    if threads < 0:
+        raise ValueError("threads must be >= 0 (0 = auto)")
     shift = _code_shift(n_bound, _sigma_cap(n_bound))
-    small_sigma = _sigma_full(m_bound, segment_length, False, threads)
+    small_sigma = _sigma_full(m_bound, False, threads)
     _check_packing(small_sigma, shift)
     small_n = np.arange(1, m_bound + 1, dtype=np.int64)
     comps = _sorted_run(*_complement_keys(small_n, small_sigma, shift, n_bound))
@@ -673,7 +681,7 @@ def search_anarchy_pairs(
     marks = np.zeros(_MARK_SLOTS, dtype=bool)
     marks[doubles.view(np.int64) & (_MARK_SLOTS - 1)] = True
 
-    segs = _segments(n_bound, segment_length)
+    segs = _segments(n_bound)
     primes = primes_upto(isqrt(n_bound))
 
     def work(seg: tuple[int, int]) -> np.ndarray:
@@ -699,7 +707,7 @@ def search_anarchy_pairs(
 def _ratio_triples(config: SearchConfig, progress: Progress | None) -> list[tuple]:
     bound = config.bound
     star = config.kind == "unitary_harmonious"
-    sigma = _sigma_full(bound, config.segment_length, star, config.threads)
+    sigma = _sigma_full(bound, star, config.threads)
     n = np.arange(1, bound + 1, dtype=np.int64)
     g = np.gcd(n, sigma)
     rn = n // g
@@ -750,7 +758,7 @@ def _ratio_triples(config: SearchConfig, progress: Progress | None) -> list[tupl
 
 def _amicable_triples(config: SearchConfig) -> list[tuple]:
     bound = config.bound
-    sigma = _sigma_full(bound, config.segment_length, False, config.threads)
+    sigma = _sigma_full(bound, False, config.threads)
     order = np.argsort(sigma, kind="stable")
     equal = config.equal_allowed
 
@@ -810,8 +818,6 @@ class CountRow:
 def count_table(
     bounds: Sequence[int],
     *,
-    segment_length: int = DEFAULT_SEGMENT_LENGTH,
-    in_memory_limit: int = DEFAULT_IN_MEMORY_LIMIT,
     threads: int = 0,
     progress: Progress | None = None,
 ) -> tuple[CountRow, ...]:
@@ -827,13 +833,7 @@ def count_table(
         raise ValueError(f"bounds must be >= 2, got {ladder[0]}")
     if any(b >= c for b, c in zip(ladder, ladder[1:])):
         raise ValueError(f"bounds must be strictly ascending, got {ladder}")
-    config = SearchConfig(
-        bound=ladder[-1],
-        kind="harmonious",
-        segment_length=segment_length,
-        in_memory_limit=in_memory_limit,
-        threads=threads,
-    )
+    config = SearchConfig(bound=ladder[-1], kind="harmonious", threads=threads)
     records = search_pairs(config, progress=progress)
     rows = []
     for b in ladder:

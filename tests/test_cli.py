@@ -152,6 +152,10 @@ def test_search_anarchy_flag_validation(capsys):
     assert run_cli("search", "harmonious", "--m-bound", "100", "--bound", "50") == 2
     assert run_cli("search", "harmonious") == 2
     capsys.readouterr()
+    # the anarchy sweep refuses a negative thread count like the pair search
+    anarchy = ("search", "anarchy", "--m-bound", "100", "--n-bound", "10000")
+    assert run_cli(*anarchy, "--threads", "-3") == 2
+    assert "threads must be >= 0" in capsys.readouterr().err
 
 
 def test_search_anarchy_rejects_pair_search_flags(tmp_path, capsys):
@@ -161,7 +165,20 @@ def test_search_anarchy_rejects_pair_search_flags(tmp_path, capsys):
     assert not ck.exists()
     assert run_cli(*anarchy, "--k", "3") == 2
     assert run_cli(*anarchy, "--allow-equal", "true") == 2
+    assert run_cli(*anarchy, "--coprime") == 2
+    assert run_cli(*anarchy, "--anarchy") == 2
     capsys.readouterr()
+
+
+def test_no_segment_length_or_memory_limit_flags(capsys):
+    for flag in ("--segment-length", "--in-memory-limit"):
+        assert run_cli("search", "harmonious", "--bound", "100", flag, "1024") == 2
+        assert run_cli("report", "table2", "--bounds", "10,100", flag, "1024") == 2
+    for command in (("search",), ("report", "table2")):
+        capsys.readouterr()
+        assert run_cli(*command, "--help") == 0
+        help_text = capsys.readouterr().out
+        assert "--segment-length" not in help_text and "--in-memory-limit" not in help_text
 
 
 def test_search_anarchy_filter_flag(capsys):
@@ -175,14 +192,14 @@ def test_search_checkpoint_mismatch_exit_3(tmp_path, capsys):
     assert (
         run_cli(
             "search", "harmonious", "--bound", "4096",
-            "--segment-length", "1024", "--checkpoint", ck, "--out", str(tmp_path / "a"),
+            "--checkpoint", ck, "--out", str(tmp_path / "a"),
         )
         == 0
     )
     assert (
         run_cli(
             "search", "harmonious", "--bound", "8192",
-            "--segment-length", "1024", "--checkpoint", ck, "--out", str(tmp_path / "b"),
+            "--checkpoint", ck, "--out", str(tmp_path / "b"),
         )
         == 3
     )
@@ -191,10 +208,10 @@ def test_search_checkpoint_mismatch_exit_3(tmp_path, capsys):
 
 def test_search_malformed_checkpoint_exit_3(tmp_path, capsys):
     ck = tmp_path / "run.ck"
-    argv = ("search", "harmonious", "--bound", "4096", "--segment-length", "1024")
+    argv = ("search", "harmonious", "--bound", "4096")
     # consistent in itself, but its one run row is not an object
     bad_row = {
-        "config_digest": SearchConfig(bound=4096, segment_length=1024).digest(),
+        "config_digest": SearchConfig(bound=4096).digest(),
         "last_segment": 0,
         "partial_digest": _partial_digest([1]),
         "runs": [1],

@@ -19,7 +19,6 @@ import pytest
 import harmonia.search
 from harmonia.arith import ArithmeticProfile, sieve_tables
 from harmonia.search import (
-    DEFAULT_IN_MEMORY_LIMIT,
     CheckpointMismatch,
     CountRow,
     SearchConfig,
@@ -32,6 +31,8 @@ from harmonia.search import (
     _partial_digest,
     _probe,
     _ratio_keys,
+    _segment_length,
+    _segments,
     _sigma_cap,
     _sorted_run,
     count_table,
@@ -82,10 +83,6 @@ def test_config_validation():
         SearchConfig(bound=10, k=4)
     with pytest.raises(ValueError, match="filters"):
         SearchConfig(bound=10, filters={"odd"})
-    with pytest.raises(ValueError, match="segment_length"):
-        SearchConfig(bound=10, segment_length=512)
-    with pytest.raises(ValueError, match="in_memory_limit"):
-        SearchConfig(bound=10, in_memory_limit=0)
     with pytest.raises(ValueError, match="threads"):
         SearchConfig(bound=10, threads=-1)
 
@@ -98,13 +95,15 @@ def test_equal_member_conventions():
     assert not SearchConfig(bound=10, allow_equal_members=False).equal_allowed
 
 
-def test_config_digest_tracks_results_only():
+def test_config_digest_tracks_results_only(monkeypatch):
     base = SearchConfig(bound=100)
     assert base.digest() == SearchConfig(bound=100, threads=8).digest()
     assert base.digest() == SearchConfig(bound=100, checkpoint_path="x").digest()
     assert base.digest() != SearchConfig(bound=101).digest()
     assert base.digest() != SearchConfig(bound=100, filters={"coprime"}).digest()
-    assert base.digest() != SearchConfig(bound=100, segment_length=2048).digest()
+    before = base.digest()
+    monkeypatch.setattr(harmonia.search, "_segment_length", lambda bound: 2048)
+    assert before != base.digest()
 
 
 # --- pair oracles ------------------------------------------------------------
@@ -225,20 +224,20 @@ def full_join_pairs(bound, star):
 @pytest.mark.parametrize(
     "kind, perfect_pair", [("harmonious", (6, 28)), ("unitary_harmonious", (6, 60))]
 )
-def test_half_plane_join_matches_full_join_1e6(kind, perfect_pair):
+def test_half_plane_join_matches_full_join_1e6(kind, perfect_pair, monkeypatch):
     bound = 10**6
     want = full_join_pairs(bound, star=kind == "unitary_harmonious")
-    file_backed = {"in_memory_limit": 10**5, "segment_length": 1 << 16}
-    for regime in ({}, file_backed):
-        got = members_of(search_pairs(SearchConfig(bound=bound, kind=kind, **regime)))
+    for file_backed in (False, True):
+        if file_backed:
+            monkeypatch.setattr(harmonia.search, "IN_MEMORY_LIMIT", 10**5)
+            monkeypatch.setattr(harmonia.search, "_segment_length", lambda bound: 1 << 16)
+        got = members_of(search_pairs(SearchConfig(bound=bound, kind=kind)))
         assert got == want
         # two perfect numbers are found from both sides of the split
         assert got.count(perfect_pair) == 1
         assert got.count((6, 6)) == 1
     distinct = members_of(
-        search_pairs(
-            SearchConfig(bound=bound, kind=kind, allow_equal_members=False, **file_backed)
-        )
+        search_pairs(SearchConfig(bound=bound, kind=kind, allow_equal_members=False))
     )
     assert distinct == [p for p in want if p[0] != p[1]]
     assert (6, 6) not in distinct and perfect_pair in distinct
@@ -288,16 +287,32 @@ def test_count_table_matches_search_cardinalities():
 # --- determinism and regimes ---------------------------------------------------
 
 
-def test_partition_independence():
+def test_partition_independence(monkeypatch):
     # at segment length 1024 the amicable pair (5020, 5564) straddles the
     # segment edge at 5120, so its partner query resolves in another segment
     for kind, bound in (("harmonious", 5000), ("amicable", 10**4)):
         reference = None
         for seg in (1024, 4096, 1 << 22):
-            config = SearchConfig(bound=bound, kind=kind, segment_length=seg)
+            monkeypatch.setattr(harmonia.search, "_segment_length", lambda bound: seg)
+            config = SearchConfig(bound=bound, kind=kind)
             got = jsonl_of(search_pairs(config))
             reference = reference if reference is not None else got
             assert got == reference
+
+
+def test_segment_length_follows_the_bound():
+    want = {
+        2: 1024,
+        4096: 1024,
+        10**6: 125000,
+        10**7: 1250000,
+        8 << 22: 1 << 22,
+        2 * 10**8: 1 << 22,
+    }
+    assert {bound: _segment_length(bound) for bound in want} == want
+    segs = _segments(10**7)
+    assert [hi - lo + 1 for lo, hi in segs] == [1250000] * 8
+    assert segs[0][0] == 1 and segs[-1][1] == 10**7
 
 
 def test_thread_independence():
@@ -323,18 +338,47 @@ def test_failing_segment_cancels_the_rest():
     assert len(ran) <= 5
 
 
-def test_external_regime_matches_memory():
+def test_external_regime_matches_memory(monkeypatch):
     for kind in ("harmonious", "unitary_harmonious", "amicable"):
         mem = search_pairs(SearchConfig(bound=3000, kind=kind))
-        ext = search_pairs(
-            SearchConfig(bound=3000, kind=kind, in_memory_limit=500, segment_length=1024)
-        )
+        with monkeypatch.context() as m:
+            m.setattr(harmonia.search, "IN_MEMORY_LIMIT", 500)
+            m.setattr(harmonia.search, "_segment_length", lambda bound: 1024)
+            ext = search_pairs(SearchConfig(bound=3000, kind=kind))
         assert jsonl_of(ext) == jsonl_of(mem)
+
+
+def test_run_files_are_hashed_only_for_a_checkpoint(tmp_path, monkeypatch):
+    hashed, written = [], []
+    sha256_file = harmonia.search._sha256_file
+    put = harmonia.search._FileRuns.put
+
+    def hash_spy(path):
+        hashed.append(os.path.basename(path))
+        return sha256_file(path)
+
+    def put_spy(store, index, name, run):
+        written.append((index, name))
+        put(store, index, name, run)
+
+    monkeypatch.setattr(harmonia.search, "_sha256_file", hash_spy)
+    monkeypatch.setattr(harmonia.search._FileRuns, "put", put_spy)
+    # the file regime without a checkpoint: 4 segments, a keys and a comps
+    # run each, and no digest anywhere
+    monkeypatch.setattr(harmonia.search, "IN_MEMORY_LIMIT", 500)
+    search_pairs(SearchConfig(bound=4096))
+    assert len(written) == 8 and hashed == []
+
+    ck = tmp_path / "run.ck"
+    search_pairs(SearchConfig(bound=4096, checkpoint_path=str(ck)))
+    assert len(written) == 16
+    assert sorted(hashed) == sorted(os.listdir(str(ck) + ".runs"))
+    assert len(hashed) == 8
 
 
 def test_checkpoint_resume_and_refusal(tmp_path):
     ck = str(tmp_path / "run.ck")
-    config = SearchConfig(bound=4096, segment_length=1024, checkpoint_path=ck)
+    config = SearchConfig(bound=4096, checkpoint_path=ck)
     first = jsonl_of(search_pairs(config))
 
     # completed checkpoint: rerun resumes past every segment, same result
@@ -355,7 +399,7 @@ def test_checkpoint_resume_and_refusal(tmp_path):
 
     # foreign config refuses
     with pytest.raises(CheckpointMismatch, match="belongs to config"):
-        search_pairs(SearchConfig(bound=5000, segment_length=1024, checkpoint_path=ck))
+        search_pairs(SearchConfig(bound=5000, checkpoint_path=ck))
 
     # tampered run file refuses
     victim = str(tmp_path / "run.ck.runs" / "keys-000000.npy")
@@ -374,7 +418,7 @@ def test_checkpoint_resume_and_refusal(tmp_path):
 
 def test_checkpoint_of_older_run_layout_is_refused(tmp_path):
     ck = str(tmp_path / "run.ck")
-    config = SearchConfig(bound=4096, segment_length=1024, checkpoint_path=ck)
+    config = SearchConfig(bound=4096, checkpoint_path=ck)
     search_pairs(config)
     # the digest payload from before the run layout entered it
     old_payload = {
@@ -384,7 +428,7 @@ def test_checkpoint_of_older_run_layout_is_refused(tmp_path):
         "filters": [],
         "allow_equal": True,
         "segment_length": 1024,
-        "in_memory_limit": DEFAULT_IN_MEMORY_LIMIT,
+        "in_memory_limit": 10**7,
     }
     with open(ck) as fh:
         raw = json.load(fh)
@@ -414,6 +458,8 @@ def test_anarchy_validation():
         search_anarchy_pairs(100, 10)
     with pytest.raises(ValueError, match="2 <= m_bound"):
         search_anarchy_pairs(1, 10)
+    with pytest.raises(ValueError, match="threads must be >= 0"):
+        search_anarchy_pairs(100, 10**4, threads=-3)
 
 
 def test_anarchy_key_match_for_known_pair():
@@ -454,7 +500,8 @@ def test_anarchy_prefilter_drops_no_candidate(monkeypatch):
     monkeypatch.setattr(harmonia.search, "_emit_records", spy)
     for segment_length in (1024, 1 << 17):
         sent.clear()
-        search_anarchy_pairs(m_bound, n_bound, segment_length=segment_length, threads=2)
+        monkeypatch.setattr(harmonia.search, "_segment_length", lambda bound: segment_length)
+        search_anarchy_pairs(m_bound, n_bound, threads=2)
         assert sent == [exact]
 
 
@@ -549,11 +596,14 @@ def test_code_shift_overflow_refusal():
 def test_key_packing_guard_refuses_low_sigma_cap(monkeypatch):
     # a cap below the true sigma maximum would let packed codes collide
     monkeypatch.setattr(harmonia.search, "_sigma_cap", lambda bound: bound)
-    for regime in ({}, {"in_memory_limit": 500, "segment_length": 1024}):
-        with pytest.raises(ArithmeticError, match="key packing"):
-            search_pairs(SearchConfig(bound=3000, **regime))
+    with pytest.raises(ArithmeticError, match="key packing"):
+        search_pairs(SearchConfig(bound=3000))
     with pytest.raises(ArithmeticError, match="key packing"):
         search_anarchy_pairs(10, 3000)
+    monkeypatch.setattr(harmonia.search, "IN_MEMORY_LIMIT", 500)
+    monkeypatch.setattr(harmonia.search, "_segment_length", lambda bound: 1024)
+    with pytest.raises(ArithmeticError, match="key packing"):
+        search_pairs(SearchConfig(bound=3000))
 
 
 def test_emit_revalidation_raises_on_bogus_candidate():
