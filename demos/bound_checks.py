@@ -15,7 +15,7 @@ CLI equivalent:
 import json
 
 from harmonia.bounds import tower, verify_bounds
-from harmonia.classify import record_from_members
+from harmonia.classify import classify
 
 # the tower function that powers every bound
 for r in range(0, 7):
@@ -23,7 +23,7 @@ for r in range(0, 7):
 
 print()
 for members in [(6, 6), (220, 284), (135, 3472), (64, 173369889)]:
-    record = record_from_members(members)
+    record = classify(members)
     report = verify_bounds(record)
     print(f"{members}: K={report.K} product={report.product}")
     print("  " + json.dumps(report.to_json_dict()))

@@ -10,7 +10,7 @@ from harmonia.arith import (
     sigma_star_of,
 )
 from harmonia.bounds import BoundReport, tower, verify_bounds
-from harmonia.classify import TupleRecord, classify, record_from_members
+from harmonia.classify import TupleRecord, classify
 from harmonia.induction import run_induction, theorem_trace
 from harmonia.search import (
     CheckpointMismatch,
@@ -33,7 +33,6 @@ __all__ = [
     "classify",
     "count_table",
     "factorize",
-    "record_from_members",
     "run_induction",
     "search_anarchy_pairs",
     "search_pairs",

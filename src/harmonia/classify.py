@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import Iterable, Sequence
 
 from harmonia.arith import ArithmeticProfile, Factorization, merge_factorizations
@@ -70,6 +70,13 @@ def is_anarchy(members: Sequence[int]) -> bool:
     if len(set(members)) != len(members):
         raise ValueError("anarchy is defined for distinct members only")
     return _anarchy_of(profiles)
+
+
+def _sums_to_one(nums: Sequence[int], dens: Sequence[int]) -> bool:
+    """Whether sum(n_i / d_i) is exactly 1, in integers: with P the product
+    of the d_i, sum(n_i * (P / d_i)) == P."""
+    p = prod(dens)
+    return sum(n * (p // d) for n, d in zip(nums, dens)) == p
 
 
 def _anarchy_of(profiles: Sequence[ArithmeticProfile]) -> bool:
@@ -133,20 +140,16 @@ def classify(members: Iterable[int]) -> TupleRecord:
     profiles = _profiles_for(ordered)
     k = len(ordered)
 
-    hsum = sum((Fraction(p.n, p.sigma) for p in profiles), Fraction(0))
-    usum = sum((Fraction(p.n, p.sigma_star) for p in profiles), Fraction(0))
     total = sum(ordered)
-    product = 1
-    for m in ordered:
-        product *= m
+    product = prod(ordered)
 
     distinct = len(set(ordered)) == k
     pairwise_coprime = all(
         gcd(ordered[i], ordered[j]) == 1 for i in range(k) for j in range(i + 1, k)
     )
     flags = {
-        "harmonious": hsum == 1,
-        "unitary_harmonious": usum == 1,
+        "harmonious": _sums_to_one(ordered, [p.sigma for p in profiles]),
+        "unitary_harmonious": _sums_to_one(ordered, [p.sigma_star for p in profiles]),
         "amicable": all(p.sigma == total for p in profiles),
         "pairwise_coprime": pairwise_coprime,
         "anarchy": distinct and _anarchy_of(profiles),
@@ -176,7 +179,3 @@ def format_factorization(f: Factorization) -> str:
         return "1"
     return "*".join(f"{p}^{e}" if e > 1 else str(p) for p, e in f)
 
-
-def record_from_members(members: Sequence[int]) -> TupleRecord:
-    """Rebuild a full record from member values alone (JSONL/CSV ingestion)."""
-    return classify(members)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .bounds import render_big, verify_bounds
-from .classify import CLASS_FLAG_NAMES, classify, format_factorization, record_from_members
+from .classify import CLASS_FLAG_NAMES, classify, format_factorization
 from .induction import run_induction, theorem_trace
 from .lemmas import (
     scan_cook_grid,
@@ -187,7 +187,7 @@ def cmd_search(args, parser: argparse.ArgumentParser, argv: list) -> int:
         if args.k == 2:
             records = search_pairs(config, progress=progress)
         else:
-            records = search_triples(config, progress=progress)
+            records = search_triples(config)
         digest = config.digest()
         bound = args.bound
         kind_label = config.kind
@@ -261,7 +261,7 @@ def cmd_bounds_verify(args, parser: argparse.ArgumentParser, argv: list) -> int:
         parser.error(f"--input is not JSONL: {exc}")
     violations = 0
     for payload in payloads:
-        record = record_from_members(payload["members"])
+        record = classify(payload["members"])
         report = verify_bounds(record)
         print(_bound_summary(report))
         if not report.all_applicable_hold:

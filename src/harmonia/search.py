@@ -704,56 +704,54 @@ def search_anarchy_pairs(
 # --- triples -------------------------------------------------------------------
 
 
-def _ratio_triples(config: SearchConfig, progress: Progress | None) -> list[tuple]:
+def _ratio_triples(config: SearchConfig) -> set[tuple]:
+    """Member tuples, each sorted, of the ratio-kind triples.
+
+    With a triple's ratios r = n/sigma(n) sorted as r_a <= r_b <= r_c and
+    summing to 1, r_a <= 1/3, so sigma(a) >= 3a, and r_a <= r_b <=
+    (1 - r_a)/2, so sigma(b) >= 2b.  Each such anchor a takes the b of that
+    window from the ratio-sorted n with sigma >= 2n and probes the exact
+    residual 1 - r_a - r_b into the codes of every n.  The float64 window
+    is widened by a relative slack; the probe alone decides."""
     bound = config.bound
-    star = config.kind == "unitary_harmonious"
-    sigma = _sigma_full(bound, star, config.threads)
+    sigma = _sigma_full(bound, config.kind == "unitary_harmonious", config.threads)
     n = np.arange(1, bound + 1, dtype=np.int64)
     g = np.gcd(n, sigma)
     rn = n // g
     rd = sigma // g
+    # every product below, such as (rd_a - rn_a) * rd_b, is under sigma_max^2
     sigma_max = int(sigma.max())
     if sigma_max * sigma_max >= 1 << 62:
         raise ValueError(f"sigma values up to {sigma_max} overflow the triple search")
     shift = _code_shift(bound, sigma_max)
     keys = _sorted_run((rn << shift) | rd, n)
     index = _key_index(keys[0])
-    equal = config.equal_allowed
+    mid = np.flatnonzero(sigma >= 2 * n)
+    mid = mid[np.argsort(n[mid] / sigma[mid])]
+    mid_ratio = n[mid] / sigma[mid]
+    # far wider than the few ulps by which the computed (1 - r)/2 can fall
+    # below the double of an exactly equal ratio
+    slack = 1e-9
 
-    found: list[tuple[int, int, int]] = []
-    for m1 in range(1, bound + 1):
-        i1 = m1 - 1
-        # residual 1 - r1 = (rd - rn)/rd shares rd's reduction, so it is
-        # already in lowest terms
-        res_num = int(rd[i1]) - int(rn[i1])
-        res_den = int(rd[i1])
-        if res_num <= 0:
-            continue
-        start = i1 if equal else i1 + 1
-        if start >= bound:
-            continue
-        tn = res_num * rd[start:] - res_den * rn[start:]
-        live = np.nonzero(tn > 0)[0]
-        if not live.size:
-            continue
-        tn = tn[live]
-        td = res_den * rd[start:][live]
-        m2 = n[start:][live]
+    parts = [np.empty((3, 0), dtype=np.int64)]
+    for a in np.flatnonzero(sigma >= 3 * n).tolist():
+        r = (a + 1) / int(sigma[a])
+        lo = np.searchsorted(mid_ratio, r * (1 - slack))
+        hi = np.searchsorted(mid_ratio, (1 - r) / 2 * (1 + slack), side="right")
+        b = mid[lo:hi]
+        # 1 - r_a - r_b over the product of the reduced denominators
+        tn = (rd[a] - rn[a]) * rd[b] - rn[b] * rd[a]
+        td = rd[a] * rd[b]
         gg = np.gcd(tn, td)
         tn //= gg
         td //= gg
-        fit = (tn <= bound) & (td <= sigma_max)
-        if not fit.any():
-            continue
-        target = (tn[fit] << shift) | td[fit]
-        m2 = m2[fit]
-        m2_col, m3_col = _probe(index, keys[1], target, m2)
-        keep = (m3_col >= m2_col) if equal else (m3_col > m2_col)
-        for b, c in zip(m2_col[keep].tolist(), m3_col[keep].tolist()):
-            found.append((m1, b, c))
-        if progress and m1 % 8192 == 0:
-            progress(f"first member {m1}/{bound}")
-    return found
+        fit = (tn >= 1) & (tn <= bound) & (td <= sigma_max)
+        b_col, c_col = _probe(index, keys[1], (tn[fit] << shift) | td[fit], n[b[fit]])
+        parts.append(np.stack((np.full_like(b_col, a + 1), b_col, c_col)))
+    found = np.sort(np.concatenate(parts, axis=1), axis=0)
+    if not config.equal_allowed:
+        found = found[:, (found[0] < found[1]) & (found[1] < found[2])]
+    return set(zip(*found.tolist()))
 
 
 def _amicable_triples(config: SearchConfig) -> list[tuple]:
@@ -780,28 +778,26 @@ def _amicable_triples(config: SearchConfig) -> list[tuple]:
     return found
 
 
-def search_triples(
-    config: SearchConfig, *, progress: Progress | None = None
-) -> list[TupleRecord]:
+def search_triples(config: SearchConfig) -> list[TupleRecord]:
     """All sorted triples (M1 <= M2 <= M3 <= bound) of the configured kind.
 
-    Ratio kinds run meet-in-the-middle: with all reduced ratios code-sorted,
-    each (M1, M2) prefix binary-searches the exact residual 1 - r1 - r2.
-    That is quadratic, so the bound is capped at TRIPLE_BOUND_CAP.  Amicable
-    triples instead group members by sigma and close each pair inside its
-    class with a membership probe.
+    Ratio kinds anchor the member of smallest ratio, which has sigma >= 3n,
+    take the middle member from a ratio window of the n with sigma >= 2n,
+    and probe the exact residual 1 - r1 - r2 into the codes of every n
+    (_ratio_triples).  Amicable triples instead group members by sigma and
+    close each pair inside its class with a membership probe.  The bound is
+    capped at TRIPLE_BOUND_CAP.
     """
     if config.k != 3:
         raise ValueError(f"search_triples needs k=3, got k={config.k}")
     if config.bound > TRIPLE_BOUND_CAP:
         raise ValueError(
-            f"triple search is quadratic and capped at bound {TRIPLE_BOUND_CAP}; "
-            f"got {config.bound}"
+            f"triple search is capped at bound {TRIPLE_BOUND_CAP}; got {config.bound}"
         )
     if config.kind == "amicable":
         found = _amicable_triples(config)
     else:
-        found = _ratio_triples(config, progress)
+        found = _ratio_triples(config)
     return _emit_records(sorted(found), config.kind, config.filters)
 
 

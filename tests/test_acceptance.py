@@ -14,7 +14,7 @@ import pytest
 
 from harmonia.arith import factorize
 from harmonia.bounds import tower, verify_bounds
-from harmonia.classify import record_from_members
+from harmonia.classify import classify
 from harmonia.cli import main
 from harmonia.induction import run_induction, theorem_trace
 from harmonia.lemmas import (
@@ -93,7 +93,7 @@ def test_criterion_3_coprime_pair_listing(tmp_path, capsys) -> None:
     # factorization and gcd columns round-trip through exact classification
     for line in lines[1:]:
         m, n, _, _, g1, g2 = line.split(",")
-        record = record_from_members((int(m), int(n)))
+        record = classify((int(m), int(n)))
         assert record.flags["harmonious"] and record.flags["pairwise_coprime"]
         assert (record.g1, record.g2) == (int(g1), int(g2))
     done()

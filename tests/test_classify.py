@@ -16,7 +16,6 @@ from harmonia.classify import (
     is_harmonious,
     is_unitary_harmonious,
     pair_diagnostics,
-    record_from_members,
 )
 
 
@@ -134,7 +133,7 @@ def test_json_shape_and_field_order() -> None:
     assert obj["sigma"] == [240, 7936]
     assert obj["g1"] == 1 and obj["g2"] == 16
     # round trip through members only
-    back = record_from_members(obj["members"])
+    back = classify(obj["members"])
     assert back == rec
 
 

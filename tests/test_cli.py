@@ -7,7 +7,7 @@ import pytest
 
 import harmonia.cli
 from harmonia.cli import CSV_HEADER, main
-from harmonia.classify import record_from_members
+from harmonia.classify import classify
 from harmonia.search import SearchConfig, _partial_digest, search_pairs
 
 
@@ -112,7 +112,7 @@ def test_search_csv_round_trips_through_record(tmp_path, capsys):
     assert lines[1] == "135,3472,3^3*5,2^4*7*31,1,16"
     for line in lines[1:]:
         m, n, factor_m, factor_n, g1, g2 = line.split(",")
-        record = record_from_members((int(m), int(n)))
+        record = classify((int(m), int(n)))
         assert record.g1 == int(g1) and record.g2 == int(g2)
         from harmonia.classify import format_factorization
 

@@ -546,6 +546,48 @@ def test_unitary_triples_match_oracle_at_90():
     assert got == oracle
 
 
+# (count, sha256 of the JSON list of member lists) of the harmonious triples,
+# frozen from the earlier per-first-member scan, which probed every
+# (M1, M2) prefix and shares no window or anchor logic with the current search
+HARMONIOUS_TRIPLES = {
+    (10**4, True): (2074, "288c3abd1e4d0b4aabded51395e1b4fdd164d8f6ff856091b243343bad8dee73"),
+    (10**4, False): (1914, "08155411162e7f74304e841f97e7fb9580839a59801b7d127a09de45b97b3d2e"),
+    (3 * 10**4, True): (11605, "005bdf0ebf7092a6e33200cdc8b5bb46c524c3aa8a01f04ea1923f32ddc42302"),
+    (3 * 10**4, False): (11203, "f7e421851b4be6b04e48b729d5cb6710c84fac83455a4c12e264150ae4913f82"),
+}
+
+# every unitary harmonious triple up to 10^5, frozen from the same scan; none
+# lies below 3*10^4
+UNITARY_TRIPLES_1E5 = (
+    (2310, 2730, 79170),
+    (8610, 43890, 99330),
+    (13110, 30030, 30030),
+    (18690, 46410, 46410),
+    (30030, 35070, 79170),
+    (30030, 37590, 67830),
+    (30030, 50190, 99330),
+)
+
+
+@pytest.mark.parametrize("bound, equal", sorted(HARMONIOUS_TRIPLES))
+def test_harmonious_triples_match_frozen_listing(bound, equal):
+    config = SearchConfig(bound=bound, k=3, allow_equal_members=equal)
+    got = [list(m) for m in members_of(search_triples(config))]
+    count, digest = HARMONIOUS_TRIPLES[bound, equal]
+    assert len(got) == count
+    assert hashlib.sha256(json.dumps(got).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("equal", (True, False))
+def test_unitary_triples_match_frozen_listing_1e5(equal):
+    config = SearchConfig(
+        bound=10**5, k=3, kind="unitary_harmonious", allow_equal_members=equal
+    )
+    got = members_of(search_triples(config))
+    assert got == [t for t in UNITARY_TRIPLES_1E5 if equal or len(set(t)) == 3]
+    assert len(got) == (7 if equal else 5)
+
+
 def test_amicable_triples_match_class_oracle_1e4():
     bound = 10**4
     sigma = sieve_tables(1, bound).sigma.tolist()
