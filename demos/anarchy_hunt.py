@@ -4,8 +4,8 @@ Hunting the anarchy pair
 
 An anarchy pair is harmonious with gcd(M, N*sigma(N)) = gcd(N, M*sigma(M)) = 1.
 The smallest one has M = 64 and a nine-digit partner.  The asymmetric sweep
-below keeps M small and pushes N to 2*10^8; expect roughly a minute of
-sieving.
+below keeps M small and pushes N to 2*10^8; expect 15-20 seconds of
+sieving on two cores.
 
 CLI equivalent:
     harmonia search anarchy --m-bound 1000 --n-bound 200000000

@@ -2,10 +2,18 @@
 Explicit product bounds on classified tuples
 ============================================
 
-Every harmonious tuple with K distinct primes across its members satisfies
-M_1*...*M_k < F_{2K}(2) where F_r(x) = x^(2^r) - x^(2^(r-1)), and amicable
-pairs satisfy the sharper (k*L)^(2^L) style bounds.  The checks run on exact
-integers; numbers past 256 bits are reported by bit length only.
+verify_bounds checks two bounds on the product M_1*...*M_k, each only where
+its hypothesis holds.  With F_r(x) = x^(2^r) - x^(2^(r-1)):
+
+  main bound   an anarchy harmonious tuple whose product has K distinct
+               primes satisfies M_1*...*M_k < (pi^2/6) * 2^(4^K - 2*2^K);
+  k^-k bound   a harmonious tuple satisfies M_1*...*M_k <= F_L(2) / k^k with
+               L the prime factors of the product counted with multiplicity,
+               and a unitary harmonious one the same with L_star, the sum of
+               the members' distinct-prime counts.
+
+Every verdict is decided in exact integers; numbers past 256 bits are
+reported by bit length only.
 
 CLI equivalent:
     harmonia search harmonious --bound 1000 --out pairs.jsonl

@@ -9,9 +9,11 @@ Two bound families are checked against found tuples:
                multiplicity count of the product for harmonious tuples and
                the sum of distinct-prime counts for unitary harmonious ones.
 
-Comparisons stay in exact integer arithmetic; when an exponent is too large
-to materialize, a bit-length argument decides the inequality and the rare
-indeterminate boundary is reported as unverifiable instead of guessed.
+Every verdict is exact and always decided.  The bit length of the product
+settles the main bound outside the single octave that holds the bound; inside
+it the bound is at most twice the product and is built and compared.  The
+k^-k bound is tested by tower_holds on product * k^k, which never builds an
+integer much larger than the square of that value.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ ZETA2_SHIFT = 64
 TOWER_CAP = 64
 MAIN_CAP = 16
 BORHO_CAP = 32
-# exact boundary comparisons are attempted only below this many bits
-_EXACT_BITS = 1 << 25
+# bounds are materialized for display only up to this many bits
+MATERIALIZE_BITS = 1 << 25
 
 
 def tower(r: int, x: int | Fraction) -> int | Fraction:
@@ -79,41 +81,35 @@ def borho_bound(k: int, L: int) -> Fraction:
     return Fraction(tower(L, 2), k**k)
 
 
-def _decide_main(product: int, K: int) -> tuple[bool | None, bool]:
-    """Is product < main_bound(K)?  Returns (verdict, hit_cap).
+def tower_holds(value: int, r: int, x: int) -> bool:
+    """Exact test value <= tower(r, x) for integer x >= 1; builds no integer
+    larger than value squared."""
+    if value < 0:
+        raise ValueError("value must be nonnegative")
+    if r == 0:
+        return value <= x - 1
+    if x == 1:
+        return value <= 0
+    h = x
+    for _ in range(r - 1):
+        if h > value:
+            # h only grows from here, and tower = h'(h'-1) >= h' >= h
+            return True
+        h = h * h
+    return value <= h * h - h
 
-    Works for any K >= 1 without materializing the bound: a product below
-    2^E is under the bound and one at or above 2^(E+1) is over it; only the
-    single boundary octave needs the exact dyadic comparison.
+
+def _main_holds(product: int, K: int) -> bool:
+    """Is product < main_bound(K)?
+
+    The bound lies in [2^E, 2^(E+1)] with E = main_bound_log2(K), so the bit
+    length decides outside that octave; inside it the bound is at most
+    2 * product and cheap to build.
     """
     exponent = main_bound_log2(K)
-    if exponent <= 64:
-        return product < main_bound(K), False
-    bl = product.bit_length()
-    if bl <= exponent:
-        return True, False
-    if bl > exponent + 1:
-        return False, False
-    if exponent <= _EXACT_BITS:
-        # exponent > 64 here, so the bound is the exact integer ZETA2_NUM << (exponent - 64)
-        return product < (ZETA2_NUM << (exponent - ZETA2_SHIFT)), False
-    return None, True
-
-
-def _decide_borho(product: int, k: int, L: int) -> tuple[bool | None, bool]:
-    """Is product <= tower(L, 2) / k^k?  Returns (verdict, hit_cap)."""
-    scaled = product * k**k
-    if L == 0:
-        return scaled <= 1, False
-    bits = 1 << L  # bit length of tower(L, 2)
-    bl = scaled.bit_length()
-    if bl < bits:
-        return True, False
-    if bl > bits:
-        return False, False
-    if bits <= _EXACT_BITS:
-        return scaled <= tower(L, 2), False
-    return None, True
+    if product.bit_length() != exponent + 1:
+        return product.bit_length() <= exponent
+    return product < main_bound(K)
 
 
 @dataclass
@@ -131,13 +127,10 @@ class BoundReport:
     main_bound: int | None
     borho_holds: bool | None
     borho_star_holds: bool | None
-    unverifiable_cap: bool
 
     @property
     def all_applicable_hold(self) -> bool:
-        checks = [self.main_holds if self.main_applies else None,
-                  self.borho_holds, self.borho_star_holds]
-        return all(c is not False for c in checks)
+        return False not in (self.main_holds, self.borho_holds, self.borho_star_holds)
 
     def to_json_dict(self) -> dict:
         return {
@@ -152,7 +145,6 @@ class BoundReport:
             "main_bound": render_big(self.main_bound),
             "borho_holds": self.borho_holds,
             "borho_star_holds": self.borho_star_holds,
-            "unverifiable_cap": self.unverifiable_cap,
         }
 
 
@@ -176,7 +168,6 @@ def verify_bounds(record: TupleRecord) -> BoundReport:
     """
     k = len(record.members)
     product = record.product
-    cap_hit = False
 
     main_applies = bool(
         record.flags["anarchy"] and record.flags["harmonious"] and record.K >= 1
@@ -186,20 +177,17 @@ def verify_bounds(record: TupleRecord) -> BoundReport:
     bound_value = None
     if main_applies:
         log2 = main_bound_log2(record.K)
-        main_holds, hit = _decide_main(product, record.K)
-        cap_hit |= hit
-        if record.K <= MAIN_CAP and log2 <= _EXACT_BITS:
+        main_holds = _main_holds(product, record.K)
+        if log2 <= MATERIALIZE_BITS:
             bound_value = main_bound(record.K)
 
     borho_holds = None
     if record.flags["harmonious"]:
-        borho_holds, hit = _decide_borho(product, k, record.L_omega)
-        cap_hit |= hit
+        borho_holds = tower_holds(product * k**k, record.L_omega, 2)
 
     borho_star_holds = None
     if record.flags["unitary_harmonious"]:
-        borho_star_holds, hit = _decide_borho(product, k, record.L_star)
-        cap_hit |= hit
+        borho_star_holds = tower_holds(product * k**k, record.L_star, 2)
 
     return BoundReport(
         members=record.members,
@@ -213,5 +201,4 @@ def verify_bounds(record: TupleRecord) -> BoundReport:
         main_bound=bound_value,
         borho_holds=borho_holds,
         borho_star_holds=borho_star_holds,
-        unverifiable_cap=cap_hit,
     )

@@ -87,12 +87,6 @@ def _anarchy_of(profiles: Sequence[ArithmeticProfile]) -> bool:
     return True
 
 
-def pair_diagnostics(m: int, n: int) -> tuple[int, int]:
-    """(gcd(M, sigma(N)), gcd(sigma(M), N)) for a pair."""
-    pm, pn = _profiles_for((m, n))
-    return gcd(pm.n, pn.sigma), gcd(pm.sigma, pn.n)
-
-
 @dataclass(frozen=True)
 class TupleRecord:
     """Classification result for one tuple, members sorted ascending."""
@@ -158,7 +152,8 @@ def classify(members: Iterable[int]) -> TupleRecord:
 
     g1 = g2 = None
     if k == 2:
-        g1, g2 = pair_diagnostics(ordered[0], ordered[1])
+        pm, pn = profiles
+        g1, g2 = gcd(pm.n, pn.sigma), gcd(pm.sigma, pn.n)
 
     merged = merge_factorizations(*(p.factorization for p in profiles))
     return TupleRecord(

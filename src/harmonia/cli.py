@@ -168,6 +168,8 @@ def cmd_search(args, parser: argparse.ArgumentParser, argv: list) -> int:
             parser.error(f"search {args.kind} needs --bound")
         if args.m_bound is not None or args.n_bound is not None:
             parser.error("--m-bound/--n-bound only apply to search anarchy")
+        if args.k == 3 and args.checkpoint is not None:
+            parser.error("--checkpoint applies to pair search only, not --k 3")
         filters = set()
         if args.coprime:
             filters.add("coprime")
@@ -236,47 +238,50 @@ def cmd_table2(args, parser: argparse.ArgumentParser, argv: list) -> int:
 # --- bounds verify -----------------------------------------------------------------
 
 
-def _bound_summary(report) -> str:
-    def word(applies, holds):
-        if not applies or holds is None:
-            return "skip"
-        return "pass" if holds else "FAIL"
+def _render_holds(value: bool | None) -> str:
+    if value is None:
+        return "skip"
+    return "pass" if value else "FAIL"
 
-    cap = " cap" if report.unverifiable_cap else ""
+
+def _bound_summary(report) -> str:
     return (
         f"members={list(report.members)} K={report.K} "
-        f"main={word(report.main_applies, report.main_holds)} "
-        f"borho={word(True, report.borho_holds)} "
-        f"borho_star={word(True, report.borho_star_holds)}{cap}"
+        f"main={_render_holds(report.main_holds)} "
+        f"borho={_render_holds(report.borho_holds)} "
+        f"borho_star={_render_holds(report.borho_star_holds)}"
     )
 
 
 def cmd_bounds_verify(args, parser: argparse.ArgumentParser, argv: list) -> int:
     try:
         with open(args.input) as fh:
-            payloads = [json.loads(line) for line in fh if line.strip()]
+            payloads = [(n, json.loads(line)) for n, line in enumerate(fh, 1) if line.strip()]
     except OSError as exc:
         parser.error(f"cannot read --input: {exc}")
     except json.JSONDecodeError as exc:
         parser.error(f"--input is not JSONL: {exc}")
+    reports = []
+    for lineno, payload in payloads:
+        members = payload.get("members") if isinstance(payload, dict) else None
+        try:
+            if not isinstance(members, list) or not all(type(m) is int for m in members):
+                raise ValueError(
+                    f'expected {{"members": [integers, ...]}}, got {json.dumps(payload)[:80]}'
+                )
+            reports.append(verify_bounds(classify(members)))
+        except ValueError as exc:
+            parser.error(f"--input line {lineno}: {exc}")
     violations = 0
-    for payload in payloads:
-        record = classify(payload["members"])
-        report = verify_bounds(record)
+    for report in reports:
         print(_bound_summary(report))
         if not report.all_applicable_hold:
             violations += 1
-    print(f"kind=bounds checked={len(payloads)} violations={violations}")
+    print(f"kind=bounds checked={len(reports)} violations={violations}")
     return EXIT_OK if violations == 0 else EXIT_VERIFICATION
 
 
 # --- induction trace ---------------------------------------------------------------
-
-
-def _render_holds(value: bool | None) -> str:
-    if value is None:
-        return "skip"
-    return "pass" if value else "FAIL"
 
 
 def _render_int(value: int | None) -> str:

@@ -27,17 +27,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 
-from harmonia.arith import factorize, merge_factorizations, sigma_of
-from harmonia.bounds import main_bound, render_big, tower
+from harmonia.arith import Factorization, factorize, merge_factorizations, sigma_of
+from harmonia.bounds import MATERIALIZE_BITS, main_bound, render_big, tower, tower_holds
 from harmonia.classify import is_anarchy, is_harmonious
 from harmonia.lemmas import DiophantineInstance, check_hb1, check_hb2
 
 # F_{2K}(2) at 12 distinct primes is a 2^24-bit number; past that the
 # certificates would stop being materializable
 MAX_DISTINCT_PRIMES = 12
-
-# materialize tower bounds for display only up to this many bits
-MATERIALIZE_BITS = 1 << 25
 
 
 class DivisibilityViolation(ArithmeticError):
@@ -51,24 +48,6 @@ class InvariantViolation(RuntimeError):
 
 def _primes_of(n: int) -> tuple[int, ...]:
     return tuple(p for p, _ in factorize(n))
-
-
-def _tower_holds(value: int, r: int, x: int) -> bool:
-    """Exact test value <= tower(r, x) that never materializes more than
-    roughly value-sized integers."""
-    if value < 0:
-        raise ValueError("value must be nonnegative")
-    if r == 0:
-        return value <= x - 1
-    if x == 1:
-        return value <= 0
-    h = x
-    for _ in range(r - 1):
-        if h > value:
-            # h only grows from here, and tower = h'(h'-1) >= h' >= h
-            return True
-        h = h * h
-    return value <= h * h - h
 
 
 def _materialized_tower(r: int, x: int) -> int | None:
@@ -294,8 +273,8 @@ def induction_step(
         * prod(carry_after)
         * prod(p * (p - 1) for p, _ in absorbed)
     )
-    bound_holds = _tower_holds(lhs, v + w, entry_scale + 1)
-    improved_holds = _tower_holds(lhs, v, entry_scale) if w == 0 else None
+    bound_holds = tower_holds(lhs, v + w, entry_scale + 1)
+    improved_holds = tower_holds(lhs, v, entry_scale) if w == 0 else None
     structure_ok = (
         v >= 1
         and not (set(damping) & state.carry)
@@ -431,7 +410,8 @@ class InductionTrace:
         }
 
 
-def _validated_members(members) -> tuple[int, ...]:
+def _validated_members(members) -> tuple[tuple[int, ...], Factorization]:
+    """Sorted members and the factorization of their product."""
     members = tuple(sorted(int(m) for m in members))
     if len(members) < 1 or any(m < 1 for m in members):
         raise ValueError("members must be positive integers")
@@ -448,14 +428,21 @@ def _validated_members(members) -> tuple[int, ...]:
             f"product has {len(merged)} distinct primes; "
             f"certificates are limited to {MAX_DISTINCT_PRIMES}"
         )
-    return members
+    return members, merged
+
+
+def _product_facts(merged: Factorization) -> tuple[int, int, int]:
+    """Pi(P), Phi(P) and sigma(prod M) from the product's factorization;
+    anarchy members are pairwise coprime, so sigma(prod M) = prod sigma(M_i)."""
+    pi = prod(p for p, _ in merged)
+    phi = prod(p - 1 for p, _ in merged)
+    return pi, phi, sigma_of(merged)
 
 
 def run_induction(members) -> InductionTrace:
     """Decompose an anarchy harmonious tuple step by step, verifying every
     certificate and the accumulated aggregate inequality."""
-    members = _validated_members(members)
-    merged = merge_factorizations(*(factorize(m) for m in members))
+    members, merged = _validated_members(members)
     K = len(merged)
 
     state = initial_state(members)
@@ -495,14 +482,12 @@ def run_induction(members) -> InductionTrace:
             * prod(after.carry)
             * acc_psi
         )
-        if not _tower_holds(acc_lhs, spent, 2):
+        if not tower_holds(acc_lhs, spent, 2):
             chain_holds = False
 
-    pi = prod(p for p, _ in merged)
-    phi = prod(p - 1 for p, _ in merged)
-    sigma_product = prod(sigma_of(factorize(m)) for m in members)
+    pi, phi, sigma_product = _product_facts(merged)
     final_lhs = sigma_product * phi * pi
-    final_holds = _tower_holds(final_lhs, 2 * K, 2)
+    final_holds = tower_holds(final_lhs, 2 * K, 2)
 
     return InductionTrace(
         members=members,
@@ -549,12 +534,9 @@ class KernelReport:
 
 def chen_tang_check(members) -> KernelReport:
     """Check sigma(prod M) * Phi(P) * Pi(P) <= tower(K, Pi(P)) exactly."""
-    members = _validated_members(members)
-    merged = merge_factorizations(*(factorize(m) for m in members))
+    members, merged = _validated_members(members)
     K = len(merged)
-    pi = prod(p for p, _ in merged)
-    phi = prod(p - 1 for p, _ in merged)
-    sigma_product = prod(sigma_of(factorize(m)) for m in members)
+    pi, phi, sigma_product = _product_facts(merged)
     lhs = sigma_product * phi * pi
     rhs = tower(K, pi)
     return KernelReport(
@@ -615,12 +597,9 @@ def theorem_trace(members) -> TheoremReport:
     """Case split on the radical: large radicals go through the step chain,
     small ones through the radical-based tower; both land on the same
     combined bound, which is then checked against the product bound."""
-    members = _validated_members(members)
-    merged = merge_factorizations(*(factorize(m) for m in members))
+    members, merged = _validated_members(members)
     K = len(merged)
-    pi = prod(p for p, _ in merged)
-    phi = prod(p - 1 for p, _ in merged)
-    sigma_product = prod(sigma_of(factorize(m)) for m in members)
+    pi, phi, sigma_product = _product_facts(merged)
     product = prod(members)
 
     threshold = 1 << (1 << K)  # 2^(2^K)

@@ -15,6 +15,7 @@ bounds a * prod(m_j - 1).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd, prod
@@ -287,31 +288,13 @@ def instance_count(k: int, R: int, m_max: int, coef_max: int) -> int:
     return k**R * m_choices * coef_max ** (2 * k)
 
 
-def _nondecreasing(length: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
-    if length == 0:
-        yield ()
-        return
-    for first in range(lo, hi + 1):
-        for rest in _nondecreasing(length - 1, first, hi):
-            yield (first, *rest)
-
-
-def _tuples(length: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
-    if length == 0:
-        yield ()
-        return
-    for first in range(lo, hi + 1):
-        for rest in _tuples(length - 1, lo, hi):
-            yield (first, *rest)
-
-
 def _raw_instances(
     k: int, R: int, m_max: int, coef_max: int
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
     """(partition, m, a, b) tuples in lexicographic order, no validation."""
-    partitions = list(_tuples(R, 0, k - 1))
-    m_seqs = list(_nondecreasing(R, 2, m_max))
-    coefs = list(_tuples(k, 1, coef_max))
+    partitions = list(itertools.product(range(k), repeat=R))
+    m_seqs = list(itertools.combinations_with_replacement(range(2, m_max + 1), R))
+    coefs = list(itertools.product(range(1, coef_max + 1), repeat=k))
     for partition in partitions:
         for m in m_seqs:
             for a in coefs:
@@ -468,39 +451,25 @@ def scan_cook_grid(k_max: int, value_max: int = 6, den_max: int = 4) -> GridRepo
     if per_factor ** (2 * k_max) >= 1 << 62:
         raise ValueError("grid values too large for the int64 fast path")
     values = rational_grid(value_max, den_max)
-    nums = [v.numerator for v in values]
-    dens = [v.denominator for v in values]
+    nums = np.array([v.numerator for v in values], dtype=np.int64)
+    dens = np.array([v.denominator for v in values], dtype=np.int64)
 
     seen = 0
     held = 0
     equalities = 0
     bad: list = []
     for k in range(1, k_max + 1):
-        seqs = list(_nondecreasing(k, 0, len(values) - 1))
+        seqs = list(itertools.combinations_with_replacement(range(len(values)), k))
         S = len(seqs)
-        pref_n = np.empty((S, k), dtype=np.int64)
-        pref_d = np.empty((S, k), dtype=np.int64)
-        minus_n = np.empty(S, dtype=np.int64)
-        minus_d = np.empty(S, dtype=np.int64)
-        plus_n = np.empty(S, dtype=np.int64)
-        plus_d = np.empty(S, dtype=np.int64)
-        for s, seq in enumerate(seqs):
-            pn = pd = 1
-            mn = md = 1
-            ln = ld = 1
-            for pos, vi in enumerate(seq):
-                pn *= nums[vi]
-                pd *= dens[vi]
-                pref_n[s, pos] = pn
-                pref_d[s, pos] = pd
-                mn *= nums[vi] - dens[vi]
-                md *= nums[vi]
-                ln *= nums[vi] + dens[vi]
-                ld *= nums[vi]
-            minus_n[s] = mn
-            minus_d[s] = md
-            plus_n[s] = ln
-            plus_d[s] = ld
+        index = np.array(seqs, dtype=np.intp).reshape(S, k)
+        seq_n = nums[index]
+        seq_d = dens[index]
+        pref_n = np.cumprod(seq_n, axis=1)
+        pref_d = np.cumprod(seq_d, axis=1)
+        minus_n = np.prod(seq_n - seq_d, axis=1)
+        minus_d = pref_n[:, -1]
+        plus_n = np.prod(seq_n + seq_d, axis=1)
+        plus_d = minus_d
 
         seen += S * S
         for sx in range(S):
@@ -568,12 +537,10 @@ def scan_pre_cook_grid(
 def scan_divisibility_grid(members: Sequence[int]) -> GridReport:
     """Every unitary split of every member times every subset of the primes
     of the removed part."""
-    from itertools import product as iproduct
-
     unit_lists = [_unitary_divisors(m) for m in members]
     seen = 0
     bad: list = []
-    for parts in iproduct(*unit_lists):
+    for parts in itertools.product(*unit_lists):
         u_product = prod(parts)
         if u_product <= 1:
             continue

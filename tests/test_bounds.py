@@ -15,6 +15,7 @@ from harmonia.bounds import (
     main_bound,
     main_bound_log2,
     tower,
+    tower_holds,
     verify_bounds,
 )
 from harmonia.classify import classify
@@ -150,7 +151,6 @@ def test_verify_bounds_anarchy_pair() -> None:
     assert rep.main_holds is True
     assert rep.borho_holds is True
     assert rep.borho_star_holds is None  # not unitary harmonious
-    assert not rep.unverifiable_cap
     assert rep.K == 5
     assert rep.main_bound_log2 == 960
     assert rep.main_bound is not None and rep.main_bound.bit_length() == 961
@@ -183,7 +183,7 @@ def test_verify_bounds_non_harmonious() -> None:
 
 
 def test_bit_rule_agrees_with_materialized_bounds() -> None:
-    from harmonia.bounds import _decide_borho, _decide_main
+    from harmonia.bounds import _main_holds
 
     for K in range(1, 7):
         b = main_bound(K)
@@ -192,16 +192,14 @@ def test_bit_rule_agrees_with_materialized_bounds() -> None:
         for p in probes:
             if p < 1:
                 continue
-            verdict, cap = _decide_main(p, K)
-            assert not cap
-            assert verdict == (p < b), (K, p)
+            assert _main_holds(p, K) == (p < b), (K, p)
     for k in (1, 2, 3):
         for L in range(0, 8):
             bound = borho_bound(k, L)
-            for p in {1, 2, 35, 10**6}:
-                verdict, cap = _decide_borho(p, k, L)
-                assert not cap
-                assert verdict == (p <= bound), (k, L, p)
+            # the largest product under the bound, and the first one over it
+            edge = tower(L, 2) // k**k
+            for p in {1, 2, 35, 10**6, edge, edge + 1}:
+                assert tower_holds(p * k**k, L, 2) == (p <= bound), (k, L, p)
 
 
 def test_bound_report_json_rendering() -> None:

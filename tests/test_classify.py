@@ -15,7 +15,6 @@ from harmonia.classify import (
     is_anarchy,
     is_harmonious,
     is_unitary_harmonious,
-    pair_diagnostics,
 )
 
 
@@ -58,16 +57,18 @@ def test_anarchy_pair_identity() -> None:
     # for pairs: anarchy <=> g1 = g2 = 1 and gcd(M, N) = 1
     cases = [(64, 173369889), (135, 3472), (3, 7), (2, 3), (220, 284), (9, 10)]
     for m, n in cases:
-        g1, g2 = pair_diagnostics(m, n)
+        rec = classify((m, n))
+        g1, g2 = rec.g1, rec.g2
         expected = g1 == 1 and g2 == 1 and gcd(m, n) == 1
         assert is_anarchy((m, n)) == expected
 
 
 def test_pair_diagnostics_frozen_rows() -> None:
-    assert pair_diagnostics(135, 3472) == (1, 16)
-    assert pair_diagnostics(345, 38192) == (3, 16)
-    assert pair_diagnostics(62992, 63855) == (16, 1)
-    assert pair_diagnostics(64, 173369889) == (1, 1)
+    rows = {(135, 3472): (1, 16), (345, 38192): (3, 16), (62992, 63855): (16, 1),
+            (64, 173369889): (1, 1)}
+    for members, expected in rows.items():
+        rec = classify(members)
+        assert (rec.g1, rec.g2) == expected, members
 
 
 def test_classify_record_fields() -> None:

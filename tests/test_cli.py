@@ -170,6 +170,14 @@ def test_search_anarchy_rejects_pair_search_flags(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_search_triples_refuse_checkpoint(tmp_path, capsys):
+    ck = tmp_path / "run.ck"
+    argv = ("search", "harmonious", "--bound", "1000", "--k", "3")
+    assert run_cli(*argv, "--checkpoint", str(ck)) == 2
+    assert "--checkpoint" in capsys.readouterr().err
+    assert not ck.exists()
+
+
 def test_no_segment_length_or_memory_limit_flags(capsys):
     for flag in ("--segment-length", "--in-memory-limit"):
         assert run_cli("search", "harmonious", "--bound", "100", flag, "1024") == 2
@@ -293,6 +301,16 @@ def test_bounds_verify_usage_errors(tmp_path, capsys):
     open(bad, "w").write("{not json\n")
     assert run_cli("bounds", "verify", "--input", bad) == 2
     capsys.readouterr()
+
+
+def test_bounds_verify_refuses_malformed_records(tmp_path, capsys):
+    path = tmp_path / "records.jsonl"
+    for line in ('{"m": [1, 2]}', "[220, 284]", '{"members": 5}', '{"members": [0, 5]}'):
+        path.write_text('{"members": [220, 284]}\n' + line + "\n")
+        assert run_cli("bounds", "verify", "--input", str(path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--input line 2:" in captured.err
 
 
 # --- induction trace ----------------------------------------------------------------

@@ -217,7 +217,7 @@ def test_trace_json_shape():
 
 
 def test_tower_holds_matches_materialized():
-    from harmonia.induction import _tower_holds
+    from harmonia.bounds import tower_holds
 
     for r in range(0, 7):
         for x in range(2, 8):
@@ -225,8 +225,8 @@ def test_tower_holds_matches_materialized():
             for value in (0, 1, f - 1, f, f + 1):
                 if value < 0:
                     continue
-                assert _tower_holds(value, r, x) == (value <= f), (r, x, value)
+                assert tower_holds(value, r, x) == (value <= f), (r, x, value)
     big = tower(16, 2)
-    assert _tower_holds(big, 16, 2)
-    assert not _tower_holds(big + 1, 16, 2)
-    assert _tower_holds(10**30, 40, 2)
+    assert tower_holds(big, 16, 2)
+    assert not tower_holds(big + 1, 16, 2)
+    assert tower_holds(10**30, 40, 2)
