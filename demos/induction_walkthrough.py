@@ -11,9 +11,11 @@ CLI equivalent:
     harmonia induction trace 64 173369889 --json
 """
 
-from harmonia.induction import run_induction, theorem_trace
+from harmonia.induction import theorem_trace
 
-trace = run_induction((64, 173369889))
+# one call runs the step chain and the case split on the radical
+theorem = theorem_trace((64, 173369889))
+trace = theorem.trace
 print(f"members {trace.members}, {trace.distinct_primes} distinct primes")
 for cert in trace.steps:
     print(f"step {cert.step}: damping={cert.damping} v={cert.v} w={cert.w}")
@@ -28,7 +30,6 @@ print(f"sum v = {trace.sum_v}, sum w = {trace.sum_w}")
 print(f"aggregate: {trace.final_lhs} < 2^{trace.final_rhs_bits} is {trace.final_holds}")
 
 # the case split that turns the trace into the product bound
-theorem = theorem_trace((64, 173369889))
 print(f"radical {theorem.radical} -> branch {theorem.branch}")
 print(f"product {theorem.product} below main bound: {theorem.product_below_main_bound}")
 assert trace.final_holds and theorem.combined_holds

@@ -59,13 +59,6 @@ def _factorize_cached(n: int) -> Factorization:
     return tuple(out)
 
 
-def product_of(factorization: Factorization) -> int:
-    out = 1
-    for p, e in factorization:
-        out *= p**e
-    return out
-
-
 def merge_factorizations(*factorizations: Factorization) -> Factorization:
     """Factorization of the product of the (not necessarily coprime) inputs."""
     acc: dict[int, int] = {}

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, prod
 from typing import Iterable, Sequence
 
@@ -41,35 +40,6 @@ def _profiles_for(members: Sequence[int]) -> tuple[ArithmeticProfile, ...]:
         if not isinstance(m, int) or m < 1:
             raise ValueError(f"members must be positive integers, got {m!r}")
     return tuple(ArithmeticProfile.of(m) for m in members)
-
-
-def is_harmonious(members: Sequence[int]) -> tuple[bool, Fraction]:
-    """Whether the ratio sum over sigma is exactly 1; returns the exact sum too."""
-    profiles = _profiles_for(members)
-    total = sum((Fraction(p.n, p.sigma) for p in profiles), Fraction(0))
-    return total == 1, total
-
-
-def is_unitary_harmonious(members: Sequence[int]) -> tuple[bool, Fraction]:
-    """Same as is_harmonious but with the unitary divisor sum."""
-    profiles = _profiles_for(members)
-    total = sum((Fraction(p.n, p.sigma_star) for p in profiles), Fraction(0))
-    return total == 1, total
-
-
-def is_amicable(members: Sequence[int]) -> bool:
-    """All sigma(M_i) equal and equal to the member sum."""
-    profiles = _profiles_for(members)
-    target = sum(p.n for p in profiles)
-    return all(p.sigma == target for p in profiles)
-
-
-def is_anarchy(members: Sequence[int]) -> bool:
-    """Pairwise strangers check.  Raises ValueError on repeated members."""
-    profiles = _profiles_for(members)
-    if len(set(members)) != len(members):
-        raise ValueError("anarchy is defined for distinct members only")
-    return _anarchy_of(profiles)
 
 
 def _sums_to_one(nums: Sequence[int], dens: Sequence[int]) -> bool:
@@ -127,8 +97,8 @@ class TupleRecord:
 def classify(members: Iterable[int]) -> TupleRecord:
     """Full classification of a tuple.  Invariant under member permutation.
 
-    Unlike is_anarchy, repeated members are not an error here: the anarchy
-    flag is simply false for them.
+    Repeated members are not an error: the anarchy flag is simply false for
+    them.
     """
     ordered = tuple(sorted(members))
     profiles = _profiles_for(ordered)

@@ -19,12 +19,11 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 from . import __version__
 from .bounds import render_big, verify_bounds
 from .classify import CLASS_FLAG_NAMES, classify, format_factorization
-from .induction import run_induction, theorem_trace
+from .induction import theorem_trace
 from .lemmas import (
     scan_cook_grid,
     scan_divisibility_grid,
@@ -55,28 +54,6 @@ _KIND_BY_COMMAND = {
 }
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Audit record written beside every --out file."""
-
-    argv: list
-    config_digest: str
-    version: str
-    wall_time_s: float
-    counts: dict
-    outputs: dict
-
-    def to_json_dict(self) -> dict:
-        return {
-            "argv": self.argv,
-            "config_digest": self.config_digest,
-            "version": self.version,
-            "wall_time_s": self.wall_time_s,
-            "counts": self.counts,
-            "outputs": self.outputs,
-        }
-
-
 def _progress(line: str) -> None:
     print(line, file=sys.stderr)
 
@@ -101,16 +78,16 @@ def _deliver(
         return
     with open(out, "wb") as fh:
         fh.write(blob)
-    manifest = RunManifest(
-        argv=argv,
-        config_digest=config_digest,
-        version=__version__,
-        wall_time_s=round(time.perf_counter() - started, 3),
-        counts=counts,
-        outputs={out: _sha256_bytes(blob)},
-    )
+    manifest = {
+        "argv": argv,
+        "config_digest": config_digest,
+        "version": __version__,
+        "wall_time_s": round(time.perf_counter() - started, 3),
+        "counts": counts,
+        "outputs": {out: _sha256_bytes(blob)},
+    }
     with open(out + ".manifest.json", "w") as fh:
-        json.dump(manifest.to_json_dict(), fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -294,8 +271,8 @@ def _render_int(value: int | None) -> str:
 
 
 def cmd_induction_trace(args, parser: argparse.ArgumentParser, argv: list) -> int:
-    trace = run_induction(args.members)
     theorem = theorem_trace(args.members)
+    trace = theorem.trace
     if args.json:
         payload = {
             "trace": trace.to_json_dict(),
@@ -342,6 +319,8 @@ def cmd_induction_trace(args, parser: argparse.ArgumentParser, argv: list) -> in
 def cmd_lemmas_check(args, parser: argparse.ArgumentParser, argv: list) -> int:
     sink = None
     if args.dump_witnesses:
+        if args.lemma not in ("hb1", "hb2"):
+            parser.error("--dump-witnesses applies to --lemma hb1/hb2 only")
         sink = lambda witness: print(json.dumps(witness, sort_keys=True))  # noqa: E731
     if args.lemma in ("hb1", "hb2"):
         report = scan_hb_grid(

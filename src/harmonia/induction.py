@@ -29,7 +29,7 @@ from math import gcd, prod
 
 from harmonia.arith import Factorization, factorize, merge_factorizations, sigma_of
 from harmonia.bounds import MATERIALIZE_BITS, main_bound, render_big, tower, tower_holds
-from harmonia.classify import is_anarchy, is_harmonious
+from harmonia.classify import classify
 from harmonia.lemmas import DiophantineInstance, check_hb1, check_hb2
 
 # F_{2K}(2) at 12 distinct primes is a 2^24-bit number; past that the
@@ -376,14 +376,21 @@ class InductionTrace:
     members: tuple[int, ...]
     states: tuple[DecompositionState, ...]
     steps: tuple[StepCertificate, ...]
-    primes: tuple[int, ...]
-    distinct_primes: int
+    factorization: Factorization  # of the product of the members
     sum_v: int
     sum_w: int
     final_lhs: int
     final_rhs_bits: int
     final_holds: bool
     chain_holds: bool
+
+    @property
+    def primes(self) -> tuple[int, ...]:
+        return tuple(p for p, _ in self.factorization)
+
+    @property
+    def distinct_primes(self) -> int:
+        return len(self.factorization)
 
     @property
     def all_hold(self) -> bool:
@@ -415,12 +422,13 @@ def _validated_members(members) -> tuple[tuple[int, ...], Factorization]:
     members = tuple(sorted(int(m) for m in members))
     if len(members) < 1 or any(m < 1 for m in members):
         raise ValueError("members must be positive integers")
-    harmonious, total = is_harmonious(members)
-    if not harmonious:
+    record = classify(members)
+    if not record.flags["harmonious"]:
+        total = sum((Fraction(p.n, p.sigma) for p in record.profiles), Fraction(0))
         raise ValueError(f"not a harmonious tuple: ratio sum is {total}")
-    if len(set(members)) != len(members) or not is_anarchy(members):
+    if not record.flags["anarchy"]:
         raise ValueError("not an anarchy tuple: a cross gcd exceeds 1")
-    merged = merge_factorizations(*(factorize(m) for m in members))
+    merged = merge_factorizations(*(p.factorization for p in record.profiles))
     if len(merged) == 0:
         raise ValueError("trivial tuple with no prime factors")
     if len(merged) > MAX_DISTINCT_PRIMES:
@@ -470,20 +478,16 @@ def run_induction(members) -> InductionTrace:
         raise InvariantViolation("step counts do not add up to 2K")
 
     # accumulated chain: after step s the settled/carry scale times all
-    # absorbed psi factors stays below the tower of 2 with the spent slots
+    # absorbed psi factors stays below the tower of 2 with the spent slots;
+    # that is the step's own lhs times the psi factors of the earlier steps
     chain_holds = True
-    acc_psi = 1
+    earlier_psi = 1
     spent = 0
-    for cert, after in zip(certs, states[1:]):
-        acc_psi *= prod(p * (p - 1) for p, _ in cert.absorbed)
+    for cert in certs:
         spent += cert.v + cert.w
-        acc_lhs = (
-            prod(sigma_of(factorize(x)) for x in after.settled)
-            * prod(after.carry)
-            * acc_psi
-        )
-        if not tower_holds(acc_lhs, spent, 2):
+        if not tower_holds(cert.lhs * earlier_psi, spent, 2):
             chain_holds = False
+        earlier_psi *= prod(p * (p - 1) for p, _ in cert.absorbed)
 
     pi, phi, sigma_product = _product_facts(merged)
     final_lhs = sigma_product * phi * pi
@@ -493,8 +497,7 @@ def run_induction(members) -> InductionTrace:
         members=members,
         states=tuple(states),
         steps=tuple(certs),
-        primes=tuple(expected_primes),
-        distinct_primes=K,
+        factorization=merged,
         sum_v=sum_v,
         sum_w=sum_w,
         final_lhs=final_lhs,
@@ -532,26 +535,6 @@ class KernelReport:
         }
 
 
-def chen_tang_check(members) -> KernelReport:
-    """Check sigma(prod M) * Phi(P) * Pi(P) <= tower(K, Pi(P)) exactly."""
-    members, merged = _validated_members(members)
-    K = len(merged)
-    pi, phi, sigma_product = _product_facts(merged)
-    lhs = sigma_product * phi * pi
-    rhs = tower(K, pi)
-    return KernelReport(
-        members=members,
-        primes=tuple(p for p, _ in merged),
-        distinct_primes=K,
-        radical=pi,
-        phi=phi,
-        sigma_product=sigma_product,
-        lhs=lhs,
-        rhs=rhs,
-        holds=lhs <= rhs,
-    )
-
-
 @dataclass
 class TheoremReport:
     """Concrete replay of the case split behind the product bound."""
@@ -565,7 +548,7 @@ class TheoremReport:
     identity_holds: bool
     product: int
     product_below_main_bound: bool
-    trace: InductionTrace | None
+    trace: InductionTrace
     kernel: KernelReport | None
 
     @property
@@ -588,17 +571,20 @@ class TheoremReport:
             "identity_holds": self.identity_holds,
             "product": render_big(self.product),
             "product_below_main_bound": self.product_below_main_bound,
-            "trace": self.trace.to_json_dict() if self.trace else None,
+            # the chain runs on both branches, but only the induction branch
+            # rests on it, so only that branch reports it
+            "trace": self.trace.to_json_dict() if self.branch == "induction" else None,
             "kernel": self.kernel.to_json_dict() if self.kernel else None,
         }
 
 
 def theorem_trace(members) -> TheoremReport:
-    """Case split on the radical: large radicals go through the step chain,
-    small ones through the radical-based tower; both land on the same
-    combined bound, which is then checked against the product bound."""
-    members, merged = _validated_members(members)
-    K = len(merged)
+    """Case split on the radical: the step chain runs on both branches;
+    large radicals take its final inequality, small ones check
+    sigma(prod M) * Phi(P) * Pi(P) <= tower(K, Pi(P)) instead.  Both land on
+    the same combined bound, which is then checked against the product bound."""
+    trace = run_induction(members)
+    members, merged, K = trace.members, trace.factorization, trace.distinct_primes
     pi, phi, sigma_product = _product_facts(merged)
     product = prod(members)
 
@@ -606,16 +592,25 @@ def theorem_trace(members) -> TheoremReport:
     big_tower = tower(2 * K, 2)
     scale = 1 << (2 * (1 << K))  # 2^(2*2^K)
 
-    trace = None
     kernel = None
     if pi > threshold:
         branch = "induction"
-        trace = run_induction(members)
         branch_ok = trace.final_holds
     else:
         branch = "chen_tang"
-        kernel = chen_tang_check(members)
-        branch_ok = kernel.holds and tower(K, pi) * scale <= big_tower * pi * pi
+        rhs = tower(K, pi)
+        kernel = KernelReport(
+            members=members,
+            primes=trace.primes,
+            distinct_primes=K,
+            radical=pi,
+            phi=phi,
+            sigma_product=sigma_product,
+            lhs=trace.final_lhs,
+            rhs=rhs,
+            holds=trace.final_lhs <= rhs,
+        )
+        branch_ok = kernel.holds and rhs * scale <= big_tower * pi * pi
 
     combined = sigma_product * phi * scale <= big_tower * pi
 

@@ -23,7 +23,7 @@ from typing import Callable, Iterator, Sequence
 
 from harmonia.arith import factorize, sigma_of
 from harmonia.bounds import tower
-from harmonia.classify import is_anarchy, is_harmonious
+from harmonia.classify import classify
 
 DEFAULT_BUDGET = 10**8
 
@@ -252,7 +252,8 @@ def check_divisibility(
     lands exactly on 1."""
     if len(unitary_parts) != len(members):
         raise ValueError("one unitary part per member")
-    if not is_harmonious(members)[0] or not is_anarchy(members):
+    flags = classify(members).flags
+    if not (flags["harmonious"] and flags["anarchy"]):
         raise ValueError("members must form an anarchy harmonious tuple")
     u_product = 1
     for m, u in zip(members, unitary_parts):
@@ -355,6 +356,8 @@ def scan_hb_grid(
     checks, inlined to keep millions of instances affordable."""
     if lemma not in ("hb1", "hb2"):
         raise ValueError(f"unknown sum-form lemma {lemma!r}")
+    if k_max < 1 or R_max < 1 or m_max < 2 or coef_max < 1:
+        raise ValueError("need k_max >= 1, R_max >= 1, m_max >= 2 and coef_max >= 1")
     reciprocal = lemma == "hb2"
     total = 0
     for k in range(1, k_max + 1):
@@ -445,6 +448,8 @@ def scan_cook_grid(k_max: int, value_max: int = 6, den_max: int = 4) -> GridRepo
     """
     import numpy as np
 
+    if k_max < 1 or value_max < 2 or den_max < 1:
+        raise ValueError("need k_max >= 1, value_max >= 2 and den_max >= 1")
     # every factor of any product below is at most (value_max + 1) * den_max
     # in absolute value, and cross multiplication pairs two k-fold products
     per_factor = (value_max + 1) * den_max
@@ -507,15 +512,10 @@ def scan_cook_grid(k_max: int, value_max: int = 6, den_max: int = 4) -> GridRepo
     )
 
 
-def scan_pre_cook_grid(
-    values: Sequence[Fraction] | None = None,
-    alphas: Sequence[Fraction] | None = None,
-) -> GridReport:
+def scan_pre_cook_grid() -> GridReport:
     """Strict spreading inequalities over a small rational box."""
-    if values is None:
-        values = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)]
-    if alphas is None:
-        alphas = [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
+    values = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)]
+    alphas = [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
     seen = 0
     bad: list = []
     for i, x1 in enumerate(values):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import numpy as np
 import pytest
@@ -16,7 +16,6 @@ from harmonia.arith import (
     factorize,
     merge_factorizations,
     primes_upto,
-    product_of,
     sieve_tables,
     sigma_of,
     sigma_star_of,
@@ -94,7 +93,7 @@ def test_factorize_round_trip() -> None:
     samples = list(range(1, 2000)) + [rng.randrange(1, 10**9) for _ in range(200)]
     for n in samples:
         f = factorize(n)
-        assert product_of(f) == n
+        assert prod(p**e for p, e in f) == n
         assert all(e >= 1 for _, e in f)
         primes = [p for p, _ in f]
         assert primes == sorted(primes)

@@ -3,54 +3,44 @@
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from harmonia.classify import (
-    classify,
-    format_factorization,
-    is_amicable,
-    is_anarchy,
-    is_harmonious,
-    is_unitary_harmonious,
-)
+from harmonia.classify import classify, format_factorization
+
+
+def flags(members) -> dict[str, bool]:
+    return classify(members).flags
 
 
 def test_harmonious_examples() -> None:
-    ok, total = is_harmonious((135, 3472))
-    assert ok and total == 1
-    ok, total = is_harmonious((6, 6))
-    assert ok and total == 1
-    ok, total = is_harmonious((2, 3))
-    assert not ok and total == Fraction(17, 12)
+    assert flags((135, 3472))["harmonious"]
+    assert flags((6, 6))["harmonious"]
+    # 2/3 + 3/4 = 17/12; the exact sum is checked in test_induction
+    assert not flags((2, 3))["harmonious"]
 
 
 def test_unitary_harmonious_examples() -> None:
-    ok, total = is_unitary_harmonious((6, 6))
-    assert ok and total == 1
+    assert flags((6, 6))["unitary_harmonious"]
     # (135, 3472) is harmonious but not unitary harmonious
-    ok, _ = is_unitary_harmonious((135, 3472))
-    assert not ok
+    assert not flags((135, 3472))["unitary_harmonious"]
 
 
 def test_amicable_examples() -> None:
-    assert is_amicable((220, 284))
-    assert is_amicable((284, 220))
-    assert is_amicable((6, 6))
-    assert not is_amicable((135, 3472))
+    assert flags((220, 284))["amicable"]
+    assert flags((284, 220))["amicable"]
+    assert flags((6, 6))["amicable"]
+    assert not flags((135, 3472))["amicable"]
     # amicable implies harmonious
     for members in ((220, 284), (1184, 1210), (6, 6)):
-        assert is_harmonious(members)[0]
+        assert flags(members)["harmonious"]
 
 
 def test_anarchy_examples() -> None:
-    assert is_anarchy((64, 173369889))
-    assert not is_anarchy((135, 3472))
-    assert not is_anarchy((2, 3))
-    with pytest.raises(ValueError):
-        is_anarchy((6, 6))
+    assert flags((64, 173369889))["anarchy"]
+    assert not flags((135, 3472))["anarchy"]
+    assert not flags((2, 3))["anarchy"]
 
 
 def test_anarchy_pair_identity() -> None:
@@ -60,7 +50,7 @@ def test_anarchy_pair_identity() -> None:
         rec = classify((m, n))
         g1, g2 = rec.g1, rec.g2
         expected = g1 == 1 and g2 == 1 and gcd(m, n) == 1
-        assert is_anarchy((m, n)) == expected
+        assert rec.flags["anarchy"] == expected
 
 
 def test_pair_diagnostics_frozen_rows() -> None:

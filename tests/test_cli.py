@@ -6,6 +6,7 @@ import os
 import pytest
 
 import harmonia.cli
+import harmonia.induction
 from harmonia.cli import CSV_HEADER, main
 from harmonia.classify import classify
 from harmonia.search import SearchConfig, _partial_digest, search_pairs
@@ -336,6 +337,20 @@ def test_induction_trace_json(capsys):
     assert lines[-1] == "kind=induction steps=1 verified=true"
 
 
+def test_induction_trace_validates_once(monkeypatch, capsys):
+    validate = harmonia.induction._validated_members
+    calls = []
+
+    def counted(members):
+        calls.append(members)
+        return validate(members)
+
+    monkeypatch.setattr(harmonia.induction, "_validated_members", counted)
+    assert run_cli("induction", "trace", "64", "173369889") == 0
+    assert len(calls) == 1
+    capsys.readouterr()
+
+
 def test_induction_trace_rejects_non_anarchy(capsys):
     assert run_cli("induction", "trace", "220", "284") == 2
     assert run_cli("induction", "trace", "2", "3") == 2
@@ -373,6 +388,33 @@ def test_lemmas_check_dump_witnesses(capsys):
     held = int(summary.split("hypotheses_held=")[1].split()[0])
     witnesses = [json.loads(line) for line in lines[:-1]]
     assert len(witnesses) == held > 0
+
+
+def test_lemmas_check_dump_witnesses_refused_off_hb(monkeypatch, capsys):
+    scans = []
+    for name in ("scan_cook_grid", "scan_pre_cook_grid", "scan_divisibility_grid"):
+        monkeypatch.setattr(harmonia.cli, name, lambda *a, **k: scans.append(a))
+    for lemma in ("cook", "precook", "div"):
+        assert run_cli("lemmas", "check", "--lemma", lemma, "--dump-witnesses") == 2
+    assert scans == []
+    assert "hb1/hb2 only" in capsys.readouterr().err
+
+
+def test_lemmas_check_refuses_empty_box(capsys):
+    empty_boxes = [
+        ("hb1", "--coef-max", "0"),
+        ("hb1", "--m-max", "1"),
+        ("hb2", "--k-max", "0"),
+        ("hb2", "--r-max", "0"),
+        ("cook", "--m-max", "1"),
+        ("cook", "--k-max", "0"),
+        ("cook", "--coef-max", "0"),
+    ]
+    for lemma, flag, value in empty_boxes:
+        assert run_cli("lemmas", "check", "--lemma", lemma, flag, value) == 2, (lemma, flag)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error: need k_max >= 1") == len(empty_boxes)
 
 
 def test_lemmas_check_remaining_grids(capsys):

@@ -11,7 +11,6 @@ from harmonia.induction import (
     DecompositionState,
     DivisibilityViolation,
     InvariantViolation,
-    chen_tang_check,
     induction_step,
     initial_state,
     run_induction,
@@ -169,8 +168,14 @@ def test_run_induction_rejections():
         run_induction((1,))
 
 
+def test_rejection_names_exact_ratio_sum():
+    # 2/sigma(2) + 3/sigma(3) = 2/3 + 3/4
+    with pytest.raises(ValueError, match="ratio sum is 17/12"):
+        run_induction((2, 3))
+
+
 def test_chen_tang_worked_pair():
-    report = chen_tang_check(PAIR)
+    report = theorem_trace(PAIR).kernel
     assert report.distinct_primes == 5
     assert report.radical == 8778
     assert report.phi == 2160
@@ -186,7 +191,8 @@ def test_theorem_trace_worked_pair():
     report = theorem_trace(PAIR)
     assert report.branch == "chen_tang"
     assert report.radical == 8778
-    assert report.kernel is not None and report.trace is None
+    assert report.kernel is not None and report.trace == run_induction(PAIR)
+    assert report.to_json_dict()["trace"] is None
     assert report.branch_inequality_holds
     assert report.combined_holds
     assert report.identity_holds
@@ -199,7 +205,7 @@ def test_theorem_trace_rejections():
     with pytest.raises(ValueError):
         theorem_trace((220, 284))
     with pytest.raises(ValueError):
-        chen_tang_check((2, 3))
+        theorem_trace((2, 3))
 
 
 def test_trace_json_shape():
