@@ -11,6 +11,13 @@ sequence m_1 <= ... <= m_R, with the hypothesis pair "full sum on one side of
 1, sum without the last factor on the other side".  hb1 uses factors
 (1 - 1/m_j) and bounds a * prod(m_j); hb2 uses the reciprocal factors and
 bounds a * prod(m_j - 1).
+
+check_hb1 and check_hb2 decide one instance at a time and are the oracles.
+scan_hb_grid decides the hypotheses of a whole box with an exact numpy
+kernel, one (k, R) stratum at a time: every (partition, m) row against every
+(a, b) coefficient pair, in bounded chunks, in int64 when the stratum's
+bound k * coef_max^k * m_max^R is below 2^63 and on Python-int object arrays
+otherwise.  Only the survivors reach the per-instance conclusion with tower.
 """
 
 from __future__ import annotations
@@ -20,6 +27,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd, prod
 from typing import Callable, Iterator, Sequence
+
+import numpy as np
 
 from harmonia.arith import factorize, sigma_of
 from harmonia.bounds import tower
@@ -242,6 +251,27 @@ def _unitary_divisors(n: int) -> list[int]:
     return sorted(out)
 
 
+def _require_anarchy_harmonious(members: Sequence[int]) -> None:
+    flags = classify(members).flags
+    if not (flags["harmonious"] and flags["anarchy"]):
+        raise ValueError("members must form an anarchy harmonious tuple")
+
+
+def _divisibility_sum(
+    members: Sequence[int], unitary_parts: Sequence[int], prime_set: Sequence[int]
+) -> Fraction:
+    """sum_i V_i/sigma(V_i) * prod((p - 1)/p for p in prime_set dividing U_i)."""
+    total = Fraction(0)
+    for m, u in zip(members, unitary_parts):
+        v = m // u
+        term = Fraction(v, sigma_of(factorize(v)))
+        for p in prime_set:
+            if u % p == 0:
+                term *= Fraction(p - 1, p)
+        total += term
+    return total
+
+
 def check_divisibility(
     members: Sequence[int],
     unitary_parts: Sequence[int],
@@ -252,9 +282,7 @@ def check_divisibility(
     lands exactly on 1."""
     if len(unitary_parts) != len(members):
         raise ValueError("one unitary part per member")
-    flags = classify(members).flags
-    if not (flags["harmonious"] and flags["anarchy"]):
-        raise ValueError("members must form an anarchy harmonious tuple")
+    _require_anarchy_harmonious(members)
     u_product = 1
     for m, u in zip(members, unitary_parts):
         if u < 1 or m % u != 0 or gcd(u, m // u) != 1:
@@ -265,14 +293,7 @@ def check_divisibility(
     u_primes = {p for p, _ in factorize(u_product)}
     if not set(prime_set) <= u_primes:
         raise ValueError("prime_set must consist of primes of prod(U_i)")
-    total = Fraction(0)
-    for m, u in zip(members, unitary_parts):
-        v = m // u
-        term = Fraction(v, sigma_of(factorize(v)))
-        for p in prime_set:
-            if u % p == 0:
-                term *= Fraction(p - 1, p)
-        total += term
+    total = _divisibility_sum(members, unitary_parts, prime_set)
     return LemmaVerdict(
         hypotheses_hold=True,
         conclusion_holds=total != 1,
@@ -324,6 +345,90 @@ def enumerate_instances(
         yield DiophantineInstance(k=k, R=R, m=m, partition=partition, a=a, b=b)
 
 
+_CHUNK = 1 << 13  # hb kernel chunk: 64 KB per int64 array, so a chunk stays in cache
+
+
+def _class_factors(block, k: int, R: int, reciprocal: bool, dtype) -> tuple[list, list]:
+    """Per class, the (num, den) slot-factor products of every (partition, m)
+    row of block, once over the first R - 1 slots and once over all R."""
+    part = block[:, :R]
+    ms = block[:, R:].astype(dtype)
+    up, down = (ms, ms - 1) if reciprocal else (ms - 1, ms)
+    partial, full = [], []
+    for i in range(k):
+        sel = part == i
+        pn = np.where(sel[:, :-1], up[:, :-1], 1).prod(axis=1)
+        pd = np.where(sel[:, :-1], down[:, :-1], 1).prod(axis=1)
+        partial.append((pn, pd))
+        last = sel[:, -1]
+        full.append((pn * np.where(last, up[:, -1], 1), pd * np.where(last, down[:, -1], 1)))
+    return partial, full
+
+
+def _damped_sum(factors: list, row, a, b) -> tuple:
+    """(num, den) of sum_i (b_i/a_i) * factor_i over a chunk of (row, a)
+    pairs against every b: the class factors are gathered by row, a holds
+    one (n, 1) column per class and b one (1, C) row per class.  den never
+    depends on b, so only num is a full (n, C) array."""
+    num, den = 0, 1
+    for (tn, td), a_i, b_i in zip(factors, a, b):
+        term_num = tn[row, None] * b_i
+        term_den = td[row, None] * a_i
+        num = num * term_den + term_num * den
+        den = den * term_den
+    return num, den
+
+
+def _hb_survivors(
+    reciprocal: bool, k: int, R: int, m_max: int, coef_max: int
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
+    """(partition, m, a, b) of every instance of stratum (k, R) whose hb1
+    (hb2 if reciprocal) hypotheses hold, in the order of _raw_instances.
+
+    The stratum is the C-ordered array of (partition, m) rows, a rows and b
+    columns.  Its rows come in blocks; the flat (row, a) index of a block is
+    walked in chunks that divmod unravels, each chunk tested against every b
+    at once, so a chunk holds at most _CHUNK instances whenever
+    coef_max^k <= _CHUNK.  Each row's class factors are taken once; each
+    damped sum is an exact (num, den) pair compared with 1 as num against
+    den.  Every number built is at most k * coef_max^k * m_max^R, so the
+    stratum runs in int64 when that bound is below 2^63 and otherwise runs
+    the same expressions on dtype=object arrays of Python ints."""
+    coefs = list(itertools.product(range(1, coef_max + 1), repeat=k))
+    C = len(coefs)
+    coef_arr = np.array(coefs, dtype=np.int64)
+    a_ge_b = (coef_arr[:, None, :] >= coef_arr[None, :, :]).all(axis=2)
+    dtype = np.int64 if k * coef_max**k * m_max**R < 1 << 63 else object
+    cols = coef_arr.T.astype(dtype)
+    b = cols[:, None, :]
+    rows = itertools.chain.from_iterable(
+        p + m
+        for p in itertools.product(range(k), repeat=R)
+        for m in itertools.combinations_with_replacement(range(2, m_max + 1), R)
+    )
+    per_block = max(1, _CHUNK // max(C * C, 2 * R))
+    step = max(1, _CHUNK // C)
+    while len(
+        block := np.fromiter(itertools.islice(rows, 2 * R * per_block), np.int64).reshape(
+            -1, 2 * R
+        )
+    ):
+        partial, full = _class_factors(block, k, R, reciprocal, dtype)
+        for lo in range(0, len(block) * C, step):
+            row, a_idx = np.divmod(np.arange(lo, min(lo + step, len(block) * C)), C)
+            a = cols[:, a_idx, None]
+            fn, fd = _damped_sum(full, row, a, b)
+            pn, pd = _damped_sum(partial, row, a, b)
+            if reciprocal:
+                hyp = (fn >= fd) & (pn < pd)
+            else:
+                hyp = (fn <= fd) & (pn > pd) & a_ge_b[a_idx]
+            hit_ra, hit_b = np.nonzero(hyp)
+            for r, ai, bi in zip(row[hit_ra].tolist(), a_idx[hit_ra].tolist(), hit_b.tolist()):
+                cells = block[r].tolist()
+                yield tuple(cells[:R]), tuple(cells[R:]), coefs[ai], coefs[bi]
+
+
 @dataclass
 class GridReport:
     """Outcome of an exhaustive scan over a parameter box."""
@@ -352,8 +457,13 @@ def scan_hb_grid(
     witness_sink: Callable[[dict], None] | None = None,
 ) -> GridReport:
     """Exhaustive scan of one sum-form lemma over all strata k <= k_max,
-    R <= R_max.  Uses the same exact integer arithmetic as the per-instance
-    checks, inlined to keep millions of instances affordable."""
+    R <= R_max, in the lexicographic instance order of enumerate_instances.
+
+    The hypotheses run as the exact numpy kernel of _hb_survivors, one
+    (k, R) stratum at a time in chunks of _CHUNK instances: in int64 when
+    k * coef_max^k * m_max^R < 2^63, on object arrays of Python ints
+    otherwise.  Each survivor is then decided in Python with tower (once per
+    distinct (R, x)) exactly as check_hb1 and check_hb2 decide it."""
     if lemma not in ("hb1", "hb2"):
         raise ValueError(f"unknown sum-form lemma {lemma!r}")
     if k_max < 1 or R_max < 1 or m_max < 2 or coef_max < 1:
@@ -366,40 +476,27 @@ def scan_hb_grid(
     if total > budget:
         raise BudgetExceeded(f"grid holds {total} instances, over budget {budget}")
 
-    seen = 0
     held = 0
     equalities = 0
     remark_bad = 0
     bad: list = []
+    towers: dict[tuple[int, int], int] = {}
     for k in range(1, k_max + 1):
         for R in range(1, R_max + 1):
-            for partition, m, a, b in _raw_instances(k, R, m_max, coef_max):
-                seen += 1
-                if not reciprocal and any(x < y for x, y in zip(a, b)):
-                    continue
-                fn, fd = _sum_with_factors(m, partition, a, b, R, reciprocal)
-                if reciprocal:
-                    if fn < fd:
-                        continue
-                    pn, pd = _sum_with_factors(m, partition, a, b, R - 1, reciprocal)
-                    if pn >= pd:
-                        continue
-                else:
-                    if fn > fd:
-                        continue
-                    pn, pd = _sum_with_factors(m, partition, a, b, R - 1, reciprocal)
-                    if pn <= pd:
-                        continue
+            for partition, m, a, b in _hb_survivors(reciprocal, k, R, m_max, coef_max):
                 held += 1
                 a_prod = prod(a)
                 if reciprocal:
                     lhs = a_prod * prod(v - 1 for v in m)
-                    rhs = tower(R, a_prod)
+                    key = (R, a_prod)
                     if not all(x > y for x, y in zip(a, b)):
                         remark_bad += 1
                 else:
                     lhs = a_prod * prod(m)
-                    rhs = tower(R, a_prod + 1)
+                    key = (R, a_prod + 1)
+                if key not in towers:
+                    towers[key] = tower(*key)
+                rhs = towers[key]
                 if lhs == rhs:
                     equalities += 1
                 if lhs > rhs:
@@ -420,7 +517,7 @@ def scan_hb_grid(
     return GridReport(
         lemma=lemma,
         limits={"k_max": k_max, "R_max": R_max, "m_max": m_max, "coef_max": coef_max},
-        instances=seen,
+        instances=total,
         hypotheses_held=held,
         counterexamples=bad,
         conclusion_equalities=equalities,
@@ -446,8 +543,6 @@ def scan_cook_grid(k_max: int, value_max: int = 6, den_max: int = 4) -> GridRepo
     denominator product below 24^3, so the int64 cross multiplications stay
     far from overflow.
     """
-    import numpy as np
-
     if k_max < 1 or value_max < 2 or den_max < 1:
         raise ValueError("need k_max >= 1, value_max >= 2 and den_max >= 1")
     # every factor of any product below is at most (value_max + 1) * den_max
@@ -536,8 +631,11 @@ def scan_pre_cook_grid() -> GridReport:
 
 def scan_divisibility_grid(members: Sequence[int]) -> GridReport:
     """Every unitary split of every member times every subset of the primes
-    of the removed part."""
+    of the removed part.  The members are validated once, not per split:
+    every split built here is unitary with prod(U_i) > 1 by construction."""
     unit_lists = [_unitary_divisors(m) for m in members]
+    if any(len(units) > 1 for units in unit_lists):  # some split exists
+        _require_anarchy_harmonious(members)
     seen = 0
     bad: list = []
     for parts in itertools.product(*unit_lists):
@@ -548,8 +646,7 @@ def scan_divisibility_grid(members: Sequence[int]) -> GridReport:
         for mask in range(1 << len(u_primes)):
             subset = [p for i, p in enumerate(u_primes) if mask >> i & 1]
             seen += 1
-            verdict = check_divisibility(members, parts, subset)
-            if verdict.counterexample:
+            if _divisibility_sum(members, parts, subset) == 1:
                 bad.append((parts, tuple(subset)))
     return GridReport(
         lemma="div",

@@ -5,6 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+import harmonia.lemmas
+from harmonia.bounds import tower
+from harmonia.classify import classify
 from harmonia.lemmas import (
     BudgetExceeded,
     DiophantineInstance,
@@ -102,31 +105,99 @@ def test_instance_validation():
         DiophantineInstance(k=2, R=1, m=(2,), partition=(0,), a=(1,), b=(1,))
 
 
-def _brute_hb_counts(lemma, k_max, r_max, m_max, coef_max):
+def _oracle_scan(lemma, k_max, r_max, m_max, coef_max):
+    """What scan_hb_grid must report, from the per-instance oracle: counts,
+    equalities, remark violations, counterexamples and the ordered
+    witness dicts."""
     check = check_hb1 if lemma == "hb1" else check_hb2
-    total = held = bad = 0
+    total = equal = remark_bad = 0
+    bad, witnesses = [], []
     for k in range(1, k_max + 1):
         for R in range(1, r_max + 1):
             for inst in enumerate_instances(k, R, m_max, coef_max):
                 total += 1
                 verdict = check(inst)
-                if verdict.hypotheses_hold:
-                    held += 1
-                    if not verdict.conclusion_holds:
-                        bad += 1
-    return total, held, bad
+                if not verdict.hypotheses_hold:
+                    continue
+                lhs, rhs = verdict.witnesses["lhs"], verdict.witnesses["rhs"]
+                equal += lhs == rhs
+                remark_bad += verdict.remark_holds is False
+                if verdict.counterexample:
+                    bad.append(inst)
+                witnesses.append(
+                    {"k": k, "R": R, "m": list(inst.m), "partition": list(inst.partition),
+                     "a": list(inst.a), "b": list(inst.b), "lhs": lhs, "rhs": rhs}
+                )
+    return total, len(witnesses), equal, remark_bad, bad, witnesses
+
+
+def _kernel_scan(lemma, *box):
+    witnesses = []
+    r = scan_hb_grid(lemma, *box, witness_sink=witnesses.append)
+    return (
+        r.instances, r.hypotheses_held, r.conclusion_equalities, r.remark_violations,
+        r.counterexamples, witnesses,
+    )
 
 
 @pytest.mark.parametrize("lemma", ["hb1", "hb2"])
 def test_hb_grid_matches_instance_checks(lemma):
-    report = scan_hb_grid(lemma, 2, 2, 6, 4)
-    total, held, bad = _brute_hb_counts(lemma, 2, 2, 6, 4)
-    assert report.instances == total
-    assert report.hypotheses_held == held
-    assert len(report.counterexamples) == bad == 0
-    assert report.remark_violations == 0
-    assert report.clean
-    assert held > 0
+    # every instance, witnesses compared in order; (3, 2, 5, 3) has 3 classes
+    for box, instances in (((2, 2, 6, 4), 18240), ((3, 2, 5, 3), 78372)):
+        got = _kernel_scan(lemma, *box)
+        assert got == _oracle_scan(lemma, *box)
+        assert got[0] == instances and got[1] > 0
+        assert got[3] == 0 and not got[4]
+        assert all(type(v) is int for w in got[5] for v in (w["lhs"], w["rhs"], *w["m"]))
+
+
+@pytest.mark.parametrize(
+    "box, wraps_from, instances, held",
+    [((1, 32, 4, 2), 31, 26176, 4), ((1, 28, 5, 2), 27, 143836, 8)],
+)
+def test_hb2_grid_wrapping_strata_on_object_arrays(box, wraps_from, instances, held, monkeypatch):
+    # k * coef_max^k * m_max^R reaches 2^63 at R = wraps_from, so those strata
+    # run on Python ints.  Wrapped int64 sums there would pass instances whose
+    # tower(R, x) runs to 2^R * log2(x) bits; every true survivor lies far
+    # below (counts frozen from the per-instance loop)
+    def guarded_tower(r, x):
+        assert r < wraps_from, "survivor from a stratum past the int64 bound"
+        return tower(r, x)
+
+    monkeypatch.setattr(harmonia.lemmas, "tower", guarded_tower)
+    report = scan_hb_grid("hb2", *box)
+    assert (report.instances, report.hypotheses_held) == (instances, held)
+    assert report.conclusion_equalities == 2 and report.clean
+
+
+@pytest.mark.parametrize("lemma", ["hb1", "hb2"])
+def test_hb_grid_chunk_edges(lemma, monkeypatch):
+    want = _kernel_scan(lemma, 2, 3, 6, 3)
+    monkeypatch.setattr(harmonia.lemmas, "_CHUNK", 7)
+    assert _kernel_scan(lemma, 2, 3, 6, 3) == want
+
+
+@pytest.mark.parametrize(
+    "lemma, held, equalities", [("hb1", 93062, 0), ("hb2", 10043, 5)]
+)
+def test_hb_grid_k3_box(lemma, held, equalities):
+    # frozen from the per-instance loop this kernel replaced
+    report = scan_hb_grid(lemma, 3, 3, 12, 4)
+    assert (report.instances, report.hypotheses_held) == (34862256, held)
+    assert report.conclusion_equalities == equalities
+    assert report.remark_violations == 0 and not report.counterexamples
+
+
+def test_divisibility_grid_classifies_members_once(monkeypatch):
+    calls = []
+
+    def counting(members):
+        calls.append(tuple(members))
+        return classify(members)
+
+    monkeypatch.setattr(harmonia.lemmas, "classify", counting)
+    assert scan_divisibility_grid(ANARCHY_PAIR).instances == 242
+    assert calls == [ANARCHY_PAIR]
 
 
 def test_hb1_weaker_consequence():

@@ -9,7 +9,7 @@ import harmonia
 SRC = Path(__file__).resolve().parents[1] / "src" / "harmonia"
 
 # reference oracles kept for the tests to compare the fast paths against
-ORACLES = {"borho_bound", "check_cook", "enumerate_instances"}
+ORACLES = {"borho_bound", "check_cook", "check_divisibility", "enumerate_instances"}
 
 
 def test_no_idle_public_definitions():
