@@ -6,22 +6,27 @@ N/sigma(N).  Two ratios that sum to 1 straddle 1/2, so one member has
 sigma >= 2n and the other sigma <= 2n; perfect numbers lie on both sides.
 This half-plane split sizes the join: only the abundant-or-perfect n (about
 a quarter of all integers) are keyed by their ratio, and only the
-deficient-or-perfect n probe with their complement.  The unitary kind
-splits the same way on sigma*.
+deficient-or-perfect n probe with their complement.  Robin's bound caps
+every key's abundancy sigma(n)/n below an exact a/b (_abundancy_cap), so a
+key's ratio lies above b/a, and a complement at or below b/a is dropped
+before it becomes a query: about 40% of them.  The unitary kind splits the
+same way on sigma*.
 
 One segment pipeline serves every pair kind in both memory regimes.  For
 the ratio kinds, pass 1 sieves each segment once and emits a code-sorted
 key run and a code-sorted query run.  Reduced fractions are packed into
 int64 codes: the numerator is shifted past the denominator width, and every
-segment checks that its sigma fits that width.  The join merges the runs
-code-range bucket by bucket and probes the sorted queries into the sorted
-keys.  Up to IN_MEMORY_LIMIT the runs are arrays; above it, or whenever a
-checkpoint is configured, they are .npy files.  Segment lengths follow from
-the bound alone (_segment_length), so no search has a tuning knob and a
-checkpoint resumes under any thread count.  Pair search needs
-bound < 2^30: from there on, a numerator and a denominator no longer fit in
-63 bits together.  Every segment loop, the anarchy sweep's too, runs on one
-thread-pool driver, _each_segment.
+segment checks that its sigma fits that width, then that its keys stay
+below the abundancy cap.  The join goes code-range bucket by bucket: it
+merges every segment's keys of the bucket into one index, and each
+segment's already sorted query slice probes that index in place.  Up to
+IN_MEMORY_LIMIT the runs are arrays; above it, or whenever a checkpoint is
+configured, they are .npy files.  Segment lengths follow from the bound
+alone (_segment_length), so no search has a tuning knob and a checkpoint
+resumes under any thread count.  Pair search needs bound < 2^30: from there
+on, a numerator and a denominator no longer fit in 63 bits together.
+Every segment loop, the anarchy sweep's too, runs on one thread-pool
+driver, _each_segment.
 
 The anarchy sweep pairs a small side M <= m_bound with every N up to a much
 larger n_bound, streaming N through the same complement match.  Before it
@@ -74,7 +79,7 @@ TRIPLE_BOUND_CAP = 10**5
 _BUCKET_TARGET_BYTES = 64 << 20
 # layout of the run files; it enters the config digest, so a checkpoint
 # written under an older layout is refused instead of resumed
-_RUN_LAYOUT = 2
+_RUN_LAYOUT = 3
 # slots of the anarchy sweep's float64 prefilter table (1 MB of bool)
 _MARK_SLOTS = 1 << 20
 
@@ -213,18 +218,27 @@ def _save_checkpoint(path: str, config_digest: str, rows: list) -> None:
 # --- shared numeric helpers -------------------------------------------------
 
 
-def _sigma_cap(bound: int) -> int:
-    """Strict upper bound for sigma(n) (hence also sigma*(n)) over n <= bound.
+def _abundancy_cap(bound: int) -> tuple[int, int]:
+    """(a, b) with sigma(n)/n < a/b, hence sigma*(n)/n < a/b, for every
+    n <= bound; b is 2^10, so for bound < 2^30 every product of a or b with
+    n or sigma(n) stays below 2^46.
 
     Robin's unconditional estimate: sigma(n)/n < e^gamma lnln n + 0.6483/lnln n
-    for n >= 3.  The leading constant is rounded up and the result padded 2%,
+    for n >= 3.  The leading constant is rounded up and the ratio padded 2%,
     so float evaluation cannot undercut the true maximum.
     """
+    b = 1 << 10
     if bound < 16:
-        return 12 * bound + 12
+        return 12 * b, b
     ll = math.log(math.log(bound))
     ratio = 1.7811 * ll + 0.6483 / ll
-    return int(bound * ratio * 1.02) + 16
+    return math.ceil(ratio * 1.02 * b), b
+
+
+def _sigma_cap(bound: int) -> int:
+    """Strict upper bound for sigma(n) (hence also sigma*(n)) over n <= bound."""
+    a, b = _abundancy_cap(bound)
+    return bound * a // b + 16
 
 
 def _code_shift(bound: int, sigma_max: int) -> int:
@@ -246,6 +260,18 @@ def _check_packing(sigma: np.ndarray, shift: int) -> None:
         raise ArithmeticError(
             f"sigma value {top} does not fit the {shift}-bit key packing; "
             "the sigma cap estimate is too low"
+        )
+
+
+def _check_abundancy(n: np.ndarray, sigma: np.ndarray, a: int, b: int) -> None:
+    """Refuse keys whose sigma(n)/n reaches the abundancy cap a/b: the query
+    prune, which trusts the cap, could drop their pairs."""
+    over = np.flatnonzero(sigma * b >= a * n)
+    if over.size:
+        i = over[0]
+        raise ArithmeticError(
+            f"sigma({n[i]}) = {sigma[i]} reaches the abundancy cap {a}/{b}; "
+            "the cap estimate is too low"
         )
 
 
@@ -420,12 +446,19 @@ def _ratio_segment_runs(
     lo: int, hi: int, bound: int, shift: int, primes: np.ndarray, star: bool
 ) -> dict[str, np.ndarray]:
     """Ratio codes of the segment's n with sigma >= 2n as keys, complement
-    codes of its n with sigma <= 2n as queries."""
+    codes of its n with sigma <= 2n as queries.
+
+    Every key n/sigma(n) lies above b/a, the inverse abundancy cap, which
+    the segment checks after the key packing.  So only the queries whose
+    complement (sigma - n)/sigma lies above b/a can match a key; the rest
+    (about 40%) never enter the run."""
     sigma = _segment_sigma(lo, hi, primes, star)
     _check_packing(sigma, shift)
     n = np.arange(lo, hi + 1, dtype=np.int64)
     key = sigma >= 2 * n
-    query = sigma <= 2 * n
+    a, b = _abundancy_cap(bound)
+    _check_abundancy(n[key], sigma[key], a, b)
+    query = (sigma <= 2 * n) & ((sigma - n) * a > sigma * b)
     return {
         "keys": _sorted_run(_ratio_keys(n[key], sigma[key], shift), n[key]),
         "comps": _sorted_run(*_complement_keys(n[query], sigma[query], shift, bound)),
@@ -515,17 +548,19 @@ def _bucket_edges(bound: int, shift: int, total_keys: int) -> list[int]:
     return [((i * (bound + 1)) // buckets) << shift for i in range(buckets + 1)]
 
 
-def _bucket_rows(
-    store, nsegs: int, name: str, lo_edge: int, hi_edge: int | None
-) -> np.ndarray:
-    """Every segment's `name` rows with codes in [lo_edge, hi_edge), code-sorted."""
-    parts = []
-    for i in range(nsegs):
-        run = store.load(i, name)
-        a = int(np.searchsorted(run[0], lo_edge)) if lo_edge else 0
-        b = int(np.searchsorted(run[0], hi_edge)) if hi_edge is not None else run.shape[1]
-        parts.append(run[:, a:b])
-    rows = np.concatenate(parts, axis=1)
+def _bucket_slice(run: np.ndarray, lo_edge: int, hi_edge: int | None) -> np.ndarray:
+    """The columns of a code-sorted run with codes in [lo_edge, hi_edge)."""
+    a = int(np.searchsorted(run[0], lo_edge)) if lo_edge else 0
+    b = int(np.searchsorted(run[0], hi_edge)) if hi_edge is not None else run.shape[1]
+    return run[:, a:b]
+
+
+def _bucket_rows(store, nsegs: int, lo_edge: int, hi_edge: int | None) -> np.ndarray:
+    """Every segment's key rows with codes in [lo_edge, hi_edge), merged
+    into one code-sorted array."""
+    rows = np.concatenate(
+        [_bucket_slice(store.load(i, "keys"), lo_edge, hi_edge) for i in range(nsegs)], axis=1
+    )
     # the parts are sorted runs, which a stable (merging) sort exploits
     return rows[:, np.argsort(rows[0], kind="stable")] if nsegs > 1 else rows
 
@@ -539,21 +574,26 @@ def _join(
     progress: Progress | None,
 ) -> np.ndarray:
     """Candidate pairs (M <= N) of the ratio runs, bucket by bucket, as the
-    rows of one array."""
+    rows of one array.
+
+    Each bucket merges the keys of every segment into one index.  The
+    queries are never merged: each segment's run is already code-sorted,
+    so its slice of the bucket probes the index in place."""
     total = sum(store.load(i, "keys").shape[1] for i in range(nsegs))
     edges = _bucket_edges(bound, shift, total)
     parts = []
     for b in range(len(edges) - 1):
         hi_edge = edges[b + 1] if b + 2 < len(edges) else None
-        keys = _bucket_rows(store, nsegs, "keys", edges[b], hi_edge)
-        comps = _bucket_rows(store, nsegs, "comps", edges[b], hi_edge)
-        # two distinct perfect numbers match from both sides; the caller's
-        # candidate set folds that duplicate
-        found = _probe(_key_index(keys[0]), keys[1], comps[0], comps[1])
-        parts.append(np.sort(found, axis=0))
+        keys = _bucket_rows(store, nsegs, edges[b], hi_edge)
+        index = _key_index(keys[0])
+        for i in range(nsegs):
+            comps = _bucket_slice(store.load(i, "comps"), edges[b], hi_edge)
+            # two distinct perfect numbers match from both sides; the
+            # caller's candidate set folds that duplicate
+            parts.append(np.stack(_probe(index, keys[1], comps[0], comps[1])))
         if progress:
             progress(f"joined bucket {b + 1}/{len(edges) - 1}")
-    pairs = np.concatenate(parts, axis=1)
+    pairs = np.sort(np.concatenate(parts, axis=1), axis=0)
     return pairs if equal_allowed else pairs[:, pairs[0] < pairs[1]]
 
 

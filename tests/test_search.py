@@ -6,6 +6,7 @@ sigma-class closure for amicable tuples.  None of them share code with the
 join under test.
 """
 
+import functools
 import hashlib
 import json
 import os
@@ -17,12 +18,14 @@ import numpy as np
 import pytest
 
 import harmonia.search
-from harmonia.arith import ArithmeticProfile, sieve_tables
+from harmonia.arith import ArithmeticProfile, primes_upto, sieve_tables
+from harmonia.cli import main as cli_main
 from harmonia.search import (
     CheckpointMismatch,
     CountRow,
     SearchConfig,
     TRIPLE_BOUND_CAP,
+    _abundancy_cap,
     _code_shift,
     _complement_keys,
     _each_segment,
@@ -31,6 +34,7 @@ from harmonia.search import (
     _partial_digest,
     _probe,
     _ratio_keys,
+    _ratio_segment_runs,
     _segment_length,
     _segments,
     _sigma_cap,
@@ -198,6 +202,7 @@ def test_table1_rows():
     assert all(r.flags["harmonious"] for r in records)
 
 
+@functools.lru_cache(maxsize=None)
 def full_join_pairs(bound, star):
     """Every (M <= N) pair from an unsplit join: all n keyed by n/sigma(n),
     all n probing with (sigma(n) - n)/sigma(n)."""
@@ -241,6 +246,42 @@ def test_half_plane_join_matches_full_join_1e6(kind, perfect_pair, monkeypatch):
     )
     assert distinct == [p for p in want if p[0] != p[1]]
     assert (6, 6) not in distinct and perfect_pair in distinct
+
+
+@pytest.mark.parametrize("kind", ["harmonious", "unitary_harmonious"])
+def test_multi_bucket_join_matches_full_join_1e6(kind, monkeypatch):
+    # the keys at 10^6 take ~4 MB (harmonious) and ~1.1 MB (unitary), so
+    # this target splits the join into 64 and 32 code-range buckets, each
+    # probed by every segment's query slice
+    bound = 10**6
+    want = full_join_pairs(bound, star=kind == "unitary_harmonious")
+    monkeypatch.setattr(harmonia.search, "_BUCKET_TARGET_BYTES", 1 << 16)
+    for file_backed in (False, True):
+        if file_backed:
+            monkeypatch.setattr(harmonia.search, "IN_MEMORY_LIMIT", 10**5)
+        for equal in (True, False):
+            lines = []
+            config = SearchConfig(bound=bound, kind=kind, allow_equal_members=equal)
+            got = members_of(search_pairs(config, progress=lines.append))
+            assert got == [p for p in want if equal or p[0] != p[1]]
+            assert sum(line.startswith("joined bucket") for line in lines) >= 8
+
+
+@pytest.mark.parametrize(
+    "kind, keys, queries",
+    [("harmonious", 247_549, 452_874), ("unitary_harmonious", 70_034, 506_597)],
+)
+def test_query_prune_size_1e6(kind, keys, queries):
+    # of the 752,454 (harmonious) and 929,969 (unitary) complement queries
+    # with a nonzero numerator, those at or below b/a = 1024/5143 are dropped
+    bound = 10**6
+    shift = _code_shift(bound, _sigma_cap(bound))
+    primes = primes_upto(1000)
+    star = kind == "unitary_harmonious"
+    assert _abundancy_cap(bound) == (5143, 1024)
+    runs = [_ratio_segment_runs(lo, hi, bound, shift, primes, star) for lo, hi in _segments(bound)]
+    assert sum(r["keys"].shape[1] for r in runs) == keys
+    assert sum(r["comps"].shape[1] for r in runs) == queries
 
 
 def test_complement_key_invariant():
@@ -441,6 +482,19 @@ def test_checkpoint_of_older_run_layout_is_refused(tmp_path):
         search_pairs(config)
 
 
+def test_checkpoint_of_run_layout_2_is_refused(tmp_path, monkeypatch, capsys):
+    # layout 2 kept every deficient-or-perfect query; its run files must not
+    # be mixed into a run of the pruned layout
+    ck = str(tmp_path / "run.ck")
+    argv = ["search", "harmonious", "--bound", "4096", "--checkpoint", ck]
+    with monkeypatch.context() as m:
+        m.setattr(harmonia.search, "_RUN_LAYOUT", 2)
+        assert cli_main(argv) == 0
+    capsys.readouterr()
+    assert cli_main(argv) == 3
+    assert "belongs to config" in capsys.readouterr().err
+
+
 def test_load_checkpoint_absent(tmp_path):
     assert load_checkpoint(str(tmp_path / "nope.ck")) is None
 
@@ -628,6 +682,37 @@ def test_tuple_size_routing():
 def test_sigma_cap_dominates_true_maximum():
     for bound in (10, 100, 10**4, 10**5):
         assert _sigma_cap(bound) > int(sieve_tables(1, bound).sigma.max())
+
+
+def test_abundancy_cap_dominates_true_maximum():
+    for bound in (10, 100, 10**4, 10**5):
+        a, b = _abundancy_cap(bound)
+        tables = sieve_tables(1, bound, star=True)
+        for sigma in (tables.sigma, tables.sigma_star):
+            top = max(Fraction(int(s), n) for n, s in enumerate(sigma.tolist(), 1))
+            assert top < Fraction(a, b)
+
+
+def test_abundancy_cap_tripwire(monkeypatch, capsys):
+    # at 10^4 the largest sigma is 34,560 and the largest sigma(n)/n 3.838:
+    # a cap of 7/2 still packs every sigma but lies below that ratio, so
+    # pass 1 refuses instead of letting the query prune drop pairs
+    monkeypatch.setattr(harmonia.search, "_abundancy_cap", lambda bound: (7, 2))
+    for file_backed in (False, True):
+        if file_backed:
+            monkeypatch.setattr(harmonia.search, "IN_MEMORY_LIMIT", 500)
+        with pytest.raises(ArithmeticError, match="abundancy cap 7/2"):
+            search_pairs(SearchConfig(bound=10**4))
+        assert cli_main(["search", "harmonious", "--bound", "10000"]) == 1
+        err = capsys.readouterr().err
+        assert "abundancy cap 7/2" in err and "key packing" not in err
+    # the packing check runs first: a segment whose sigma is too wide for
+    # its codes is refused as such even when its keys reach the cap as well
+    # (sigma(120)/120 = 3)
+    monkeypatch.setattr(harmonia.search, "_abundancy_cap", lambda bound: (3, 1))
+    monkeypatch.setattr(harmonia.search, "_sigma_cap", lambda bound: 16)
+    with pytest.raises(ArithmeticError, match="key packing"):
+        search_pairs(SearchConfig(bound=10**4))
 
 
 def test_code_shift_overflow_refusal():
