@@ -30,7 +30,6 @@ ZETA2_SHIFT = 64
 
 TOWER_CAP = 64
 MAIN_CAP = 16
-BORHO_CAP = 32
 # bounds are materialized for display only up to this many bits
 MATERIALIZE_BITS = 1 << 25
 
@@ -67,18 +66,6 @@ def main_bound_log2(K: int) -> int:
     if K < 1:
         raise ValueError(f"need K >= 1, got {K}")
     return 4**K - 2 * 2**K
-
-
-def borho_bound(k: int, L: int) -> Fraction:
-    """(2^(2^L) - 2^(2^(L-1))) / k^k as an exact rational (tower(L, 2) / k^k).
-
-    Heavy near the cap: the numerator has 2^L bits.
-    """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    if not 0 <= L <= BORHO_CAP:
-        raise ValueError(f"k^-k bound needs 0 <= L <= {BORHO_CAP}, got {L}")
-    return Fraction(tower(L, 2), k**k)
 
 
 def tower_holds(value: int, r: int, x: int) -> bool:

@@ -198,8 +198,6 @@ def cmd_table2(args, parser: argparse.ArgumentParser, argv: list) -> int:
         bounds = tuple(int(b) for b in args.bounds.split(","))
     except ValueError:
         parser.error(f"--bounds must be comma-separated integers, got {args.bounds!r}")
-    if any(b >= c for b, c in zip(bounds, bounds[1:])):
-        parser.error(f"--bounds must be strictly ascending, got {args.bounds}")
     rows = count_table(
         bounds, threads=args.threads, progress=_progress if args.progress else None
     )

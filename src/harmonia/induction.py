@@ -107,7 +107,6 @@ class StepCertificate:
     step: int
     damping: tuple[int, ...]
     absorbed: tuple[tuple[int, int], ...]
-    carry_before: tuple[int, ...]
     carry_after: tuple[int, ...]
     v: int
     w: int
@@ -287,7 +286,6 @@ def induction_step(
         step=state.step + 1,
         damping=tuple(damping),
         absorbed=tuple(absorbed),
-        carry_before=tuple(sorted(state.carry)),
         carry_after=tuple(sorted(carry_after)),
         v=v,
         w=w,
@@ -371,10 +369,9 @@ def _cross_check_step(
 
 @dataclass
 class InductionTrace:
-    """Full run: states, certificates, and the aggregate inequality."""
+    """Full run: step certificates and the aggregate inequality."""
 
     members: tuple[int, ...]
-    states: tuple[DecompositionState, ...]
     steps: tuple[StepCertificate, ...]
     factorization: Factorization  # of the product of the members
     sum_v: int
@@ -454,14 +451,12 @@ def run_induction(members) -> InductionTrace:
     K = len(merged)
 
     state = initial_state(members)
-    states = [state]
     certs: list[StepCertificate] = []
     while not state.done:
         if state.step >= K:
             raise InvariantViolation(f"trace exceeded {K} steps")
         prev_settled = state.settled
         state, cert = induction_step(state)
-        states.append(state)
         certs.append(cert)
         for old, new in zip(prev_settled, state.settled):
             if new % old != 0 or gcd(old, new // old) != 1:
@@ -495,7 +490,6 @@ def run_induction(members) -> InductionTrace:
 
     return InductionTrace(
         members=members,
-        states=tuple(states),
         steps=tuple(certs),
         factorization=merged,
         sum_v=sum_v,

@@ -1,9 +1,8 @@
-"""Brute-force oracles for the Diophantine lemmas behind the tuple bounds.
+"""Exact deciders for the Diophantine lemmas behind the tuple bounds.
 
-Each check takes one fully explicit instance, evaluates the lemma hypotheses
-and conclusion in exact arithmetic, and reports both.  The grid scanners
-enumerate every instance inside small parameter boxes and confirm that no
-instance satisfies the hypotheses while violating the conclusion.
+The grid scanners enumerate every instance inside small parameter boxes and
+confirm that no instance satisfies the hypotheses while violating the
+conclusion; the CLI's `lemmas check` runs them.
 
 The two sum-form lemmas (CLI names hb1 and hb2) share their shape: k summands
 b_i/a_i, each damped by a subset of R factors derived from a nondecreasing
@@ -12,12 +11,17 @@ sequence m_1 <= ... <= m_R, with the hypothesis pair "full sum on one side of
 (1 - 1/m_j) and bounds a * prod(m_j); hb2 uses the reciprocal factors and
 bounds a * prod(m_j - 1).
 
-check_hb1 and check_hb2 decide one instance at a time and are the oracles.
 scan_hb_grid decides the hypotheses of a whole box with an exact numpy
 kernel, one (k, R) stratum at a time: every (partition, m) row against every
 (a, b) coefficient pair, in bounded chunks, in int64 when the stratum's
 bound k * coef_max^k * m_max^R is below 2^63 and on Python-int object arrays
 otherwise.  Only the survivors reach the per-instance conclusion with tower.
+
+Three per-instance deciders stay here because the library runs them:
+check_hb1 and check_hb2, through which induction feeds both greedy phases
+of every step, and check_pre_cook, which scan_pre_cook_grid calls.  The
+slow references the tests compare the scanners against (check_cook,
+check_divisibility, enumerate_instances) live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, gcd, prod
+from math import comb, prod
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -123,25 +127,20 @@ def check_hb1(inst: DiophantineInstance) -> LemmaVerdict:
 
     Hypotheses: a_i >= b_i, full damped sum <= 1, sum without the last slot
     > 1.  Conclusion: a * prod(m_j) <= tower(R, a + 1) with a = prod(a_i).
+    The tower and the lhs/rhs witnesses are built only when the hypotheses
+    hold.
     """
     if any(x < y for x, y in zip(inst.a, inst.b)):
         return LemmaVerdict(False, None, reason="requires a_i >= b_i for every class")
     fn, fd = _sum_with_factors(inst.m, inst.partition, inst.a, inst.b, inst.R, False)
     pn, pd = _sum_with_factors(inst.m, inst.partition, inst.a, inst.b, inst.R - 1, False)
-    hyp = fn <= fd and pn > pd
+    sums = {"sum_full": Fraction(fn, fd), "sum_partial": Fraction(pn, pd)}
+    if not (fn <= fd and pn > pd):
+        return LemmaVerdict(False, None, sums)
     a = prod(inst.a)
     lhs = a * prod(inst.m)
     rhs = tower(inst.R, a + 1)
-    return LemmaVerdict(
-        hypotheses_hold=hyp,
-        conclusion_holds=(lhs <= rhs) if hyp else None,
-        witnesses={
-            "sum_full": Fraction(fn, fd),
-            "sum_partial": Fraction(pn, pd),
-            "lhs": lhs,
-            "rhs": rhs,
-        },
-    )
+    return LemmaVerdict(True, lhs <= rhs, {**sums, "lhs": lhs, "rhs": rhs})
 
 
 def check_hb2(inst: DiophantineInstance) -> LemmaVerdict:
@@ -149,68 +148,21 @@ def check_hb2(inst: DiophantineInstance) -> LemmaVerdict:
 
     Hypotheses: full boosted sum >= 1, sum without the last slot < 1.
     Conclusion: a * prod(m_j - 1) <= tower(R, a).  The verdict also records
-    whether a_i > b_i held for every class (the hypotheses force it).
+    whether a_i > b_i held for every class (the hypotheses force it).  As
+    in check_hb1, the tower and lhs/rhs are built only when the hypotheses
+    hold.
     """
     fn, fd = _sum_with_factors(inst.m, inst.partition, inst.a, inst.b, inst.R, True)
     pn, pd = _sum_with_factors(inst.m, inst.partition, inst.a, inst.b, inst.R - 1, True)
-    hyp = fn >= fd and pn < pd
+    sums = {"sum_full": Fraction(fn, fd), "sum_partial": Fraction(pn, pd)}
+    remark = all(x > y for x, y in zip(inst.a, inst.b))
+    if not (fn >= fd and pn < pd):
+        return LemmaVerdict(False, None, sums, remark_holds=remark)
     a = prod(inst.a)
     lhs = a * prod(m - 1 for m in inst.m)
     rhs = tower(inst.R, a)
     return LemmaVerdict(
-        hypotheses_hold=hyp,
-        conclusion_holds=(lhs <= rhs) if hyp else None,
-        witnesses={
-            "sum_full": Fraction(fn, fd),
-            "sum_partial": Fraction(pn, pd),
-            "lhs": lhs,
-            "rhs": rhs,
-        },
-        remark_holds=all(x > y for x, y in zip(inst.a, inst.b)),
-    )
-
-
-def check_cook(x: Sequence[Fraction | int], y: Sequence[Fraction | int]) -> LemmaVerdict:
-    """Majorized-sequence product comparison.
-
-    Hypothesis: prefix products of x never exceed those of y.  Conclusions:
-    prod(1 - 1/x_i) <= prod(1 - 1/y_i), prod(1 + 1/x_i) >= prod(1 + 1/y_i),
-    and equality in either happens only for identical sequences.
-    """
-    xs = [Fraction(v) for v in x]
-    ys = [Fraction(v) for v in y]
-    if len(xs) != len(ys) or not xs:
-        raise ValueError("need two sequences of equal positive length")
-    for seq in (xs, ys):
-        if any(v <= 1 for v in seq):
-            raise ValueError("entries must be > 1")
-        if any(u > v for u, v in zip(seq, seq[1:])):
-            raise ValueError("sequences must be nondecreasing")
-    hyp = True
-    px = py = Fraction(1)
-    for u, v in zip(xs, ys):
-        px *= u
-        py *= v
-        if px > py:
-            hyp = False
-            break
-    minus_x = prod((1 - 1 / v for v in xs), start=Fraction(1))
-    minus_y = prod((1 - 1 / v for v in ys), start=Fraction(1))
-    plus_x = prod((1 + 1 / v for v in xs), start=Fraction(1))
-    plus_y = prod((1 + 1 / v for v in ys), start=Fraction(1))
-    concl = None
-    if hyp:
-        equal_ok = (minus_x != minus_y and plus_x != plus_y) or xs == ys
-        concl = minus_x <= minus_y and plus_x >= plus_y and equal_ok
-    return LemmaVerdict(
-        hypotheses_hold=hyp,
-        conclusion_holds=concl,
-        witnesses={
-            "minus_x": minus_x,
-            "minus_y": minus_y,
-            "plus_x": plus_x,
-            "plus_y": plus_y,
-        },
+        True, lhs <= rhs, {**sums, "lhs": lhs, "rhs": rhs}, remark_holds=remark
     )
 
 
@@ -272,35 +224,6 @@ def _divisibility_sum(
     return total
 
 
-def check_divisibility(
-    members: Sequence[int],
-    unitary_parts: Sequence[int],
-    prime_set: Sequence[int],
-) -> LemmaVerdict:
-    """For an anarchy harmonious tuple split as M_i = U_i * V_i with U_i a
-    unitary divisor and prod(U_i) > 1, the damped sum over the V_i never
-    lands exactly on 1."""
-    if len(unitary_parts) != len(members):
-        raise ValueError("one unitary part per member")
-    _require_anarchy_harmonious(members)
-    u_product = 1
-    for m, u in zip(members, unitary_parts):
-        if u < 1 or m % u != 0 or gcd(u, m // u) != 1:
-            raise ValueError(f"{u} is not a unitary divisor of {m}")
-        u_product *= u
-    if u_product <= 1:
-        raise ValueError("need prod(U_i) > 1")
-    u_primes = {p for p, _ in factorize(u_product)}
-    if not set(prime_set) <= u_primes:
-        raise ValueError("prime_set must consist of primes of prod(U_i)")
-    total = _divisibility_sum(members, unitary_parts, prime_set)
-    return LemmaVerdict(
-        hypotheses_hold=True,
-        conclusion_holds=total != 1,
-        witnesses={"sum": total},
-    )
-
-
 # --- exhaustive enumeration -------------------------------------------------
 
 
@@ -308,41 +231,6 @@ def instance_count(k: int, R: int, m_max: int, coef_max: int) -> int:
     """Closed-form size of the (k, R) instance stratum."""
     m_choices = comb(m_max - 2 + R, R)  # nondecreasing length-R over {2..m_max}
     return k**R * m_choices * coef_max ** (2 * k)
-
-
-def _raw_instances(
-    k: int, R: int, m_max: int, coef_max: int
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
-    """(partition, m, a, b) tuples in lexicographic order, no validation."""
-    partitions = list(itertools.product(range(k), repeat=R))
-    m_seqs = list(itertools.combinations_with_replacement(range(2, m_max + 1), R))
-    coefs = list(itertools.product(range(1, coef_max + 1), repeat=k))
-    for partition in partitions:
-        for m in m_seqs:
-            for a in coefs:
-                for b in coefs:
-                    yield partition, m, a, b
-
-
-def enumerate_instances(
-    k: int,
-    R: int,
-    m_max: int,
-    coef_max: int,
-    *,
-    budget: int = DEFAULT_BUDGET,
-) -> Iterator[DiophantineInstance]:
-    """Every instance of the exact (k, R) stratum, lexicographic, validated."""
-    if m_max < 2 or coef_max < 1:
-        raise ValueError("need m_max >= 2 and coef_max >= 1")
-    estimate = instance_count(k, R, m_max, coef_max)
-    if estimate > budget:
-        raise BudgetExceeded(
-            f"stratum (k={k}, R={R}, m_max={m_max}, coef_max={coef_max}) has "
-            f"{estimate} instances, over the budget of {budget}"
-        )
-    for partition, m, a, b in _raw_instances(k, R, m_max, coef_max):
-        yield DiophantineInstance(k=k, R=R, m=m, partition=partition, a=a, b=b)
 
 
 _CHUNK = 1 << 13  # hb kernel chunk: 64 KB per int64 array, so a chunk stays in cache
@@ -383,7 +271,7 @@ def _hb_survivors(
     reciprocal: bool, k: int, R: int, m_max: int, coef_max: int
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
     """(partition, m, a, b) of every instance of stratum (k, R) whose hb1
-    (hb2 if reciprocal) hypotheses hold, in the order of _raw_instances.
+    (hb2 if reciprocal) hypotheses hold, in lexicographic order.
 
     The stratum is the C-ordered array of (partition, m) rows, a rows and b
     columns.  Its rows come in blocks; the flat (row, a) index of a block is
@@ -434,7 +322,6 @@ class GridReport:
     """Outcome of an exhaustive scan over a parameter box."""
 
     lemma: str
-    limits: dict[str, int]
     instances: int
     hypotheses_held: int
     counterexamples: list
@@ -457,7 +344,7 @@ def scan_hb_grid(
     witness_sink: Callable[[dict], None] | None = None,
 ) -> GridReport:
     """Exhaustive scan of one sum-form lemma over all strata k <= k_max,
-    R <= R_max, in the lexicographic instance order of enumerate_instances.
+    R <= R_max, in lexicographic (k, R, partition, m, a, b) order.
 
     The hypotheses run as the exact numpy kernel of _hb_survivors, one
     (k, R) stratum at a time in chunks of _CHUNK instances: in int64 when
@@ -516,7 +403,6 @@ def scan_hb_grid(
                     )
     return GridReport(
         lemma=lemma,
-        limits={"k_max": k_max, "R_max": R_max, "m_max": m_max, "coef_max": coef_max},
         instances=total,
         hypotheses_held=held,
         counterexamples=bad,
@@ -599,7 +485,6 @@ def scan_cook_grid(k_max: int, value_max: int = 6, den_max: int = 4) -> GridRepo
                 )
     return GridReport(
         lemma="cook",
-        limits={"k_max": k_max, "value_max": value_max, "den_max": den_max},
         instances=seen,
         hypotheses_held=held,
         counterexamples=bad,
@@ -622,7 +507,6 @@ def scan_pre_cook_grid() -> GridReport:
                     bad.append((x1, x2, alpha))
     return GridReport(
         lemma="precook",
-        limits={"values": len(values), "alphas": len(alphas)},
         instances=seen,
         hypotheses_held=seen,
         counterexamples=bad,
@@ -650,7 +534,6 @@ def scan_divisibility_grid(members: Sequence[int]) -> GridReport:
                 bad.append((parts, tuple(subset)))
     return GridReport(
         lemma="div",
-        limits={"members": len(members)},
         instances=seen,
         hypotheses_held=seen,
         counterexamples=bad,

@@ -1,0 +1,159 @@
+"""Slow reference implementations that the tests hold the fast paths to.
+
+Nothing in the library calls these; each one decides its question the
+plain way, in exact arithmetic, so a test can compare it with the path the
+library runs:
+
+  borho_bound           the k^-k bound as an exact Fraction, against the
+                        bounds.tower_holds(product * k**k, L, 2) test that
+                        verify_bounds runs without building the tower;
+  check_cook            one pair of sequences in Fractions, against the
+                        int64 cross products of lemmas.scan_cook_grid;
+  check_divisibility    one unitary split, validated per call, against
+                        lemmas.scan_divisibility_grid, which validates the
+                        members once and builds only valid splits;
+  enumerate_instances   every instance of a (k, R) stratum, validated, to
+                        feed check_hb1/check_hb2 one at a time against the
+                        numpy kernel of lemmas.scan_hb_grid.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+from math import gcd, prod
+from typing import Iterator, Sequence
+
+from harmonia.arith import factorize
+from harmonia.bounds import tower
+from harmonia.lemmas import (
+    DEFAULT_BUDGET,
+    BudgetExceeded,
+    DiophantineInstance,
+    LemmaVerdict,
+    _divisibility_sum,
+    _require_anarchy_harmonious,
+    instance_count,
+)
+
+BORHO_CAP = 32
+
+
+def borho_bound(k: int, L: int) -> Fraction:
+    """(2^(2^L) - 2^(2^(L-1))) / k^k as an exact rational (tower(L, 2) / k^k).
+
+    Heavy near the cap: the numerator has 2^L bits.
+    """
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
+    if not 0 <= L <= BORHO_CAP:
+        raise ValueError(f"k^-k bound needs 0 <= L <= {BORHO_CAP}, got {L}")
+    return Fraction(tower(L, 2), k**k)
+
+
+def check_cook(x: Sequence[Fraction | int], y: Sequence[Fraction | int]) -> LemmaVerdict:
+    """Majorized-sequence product comparison.
+
+    Hypothesis: prefix products of x never exceed those of y.  Conclusions:
+    prod(1 - 1/x_i) <= prod(1 - 1/y_i), prod(1 + 1/x_i) >= prod(1 + 1/y_i),
+    and equality in either happens only for identical sequences.
+    """
+    xs = [Fraction(v) for v in x]
+    ys = [Fraction(v) for v in y]
+    if len(xs) != len(ys) or not xs:
+        raise ValueError("need two sequences of equal positive length")
+    for seq in (xs, ys):
+        if any(v <= 1 for v in seq):
+            raise ValueError("entries must be > 1")
+        if any(u > v for u, v in zip(seq, seq[1:])):
+            raise ValueError("sequences must be nondecreasing")
+    hyp = True
+    px = py = Fraction(1)
+    for u, v in zip(xs, ys):
+        px *= u
+        py *= v
+        if px > py:
+            hyp = False
+            break
+    minus_x = prod((1 - 1 / v for v in xs), start=Fraction(1))
+    minus_y = prod((1 - 1 / v for v in ys), start=Fraction(1))
+    plus_x = prod((1 + 1 / v for v in xs), start=Fraction(1))
+    plus_y = prod((1 + 1 / v for v in ys), start=Fraction(1))
+    concl = None
+    if hyp:
+        equal_ok = (minus_x != minus_y and plus_x != plus_y) or xs == ys
+        concl = minus_x <= minus_y and plus_x >= plus_y and equal_ok
+    return LemmaVerdict(
+        hypotheses_hold=hyp,
+        conclusion_holds=concl,
+        witnesses={
+            "minus_x": minus_x,
+            "minus_y": minus_y,
+            "plus_x": plus_x,
+            "plus_y": plus_y,
+        },
+    )
+
+
+def check_divisibility(
+    members: Sequence[int],
+    unitary_parts: Sequence[int],
+    prime_set: Sequence[int],
+) -> LemmaVerdict:
+    """For an anarchy harmonious tuple split as M_i = U_i * V_i with U_i a
+    unitary divisor and prod(U_i) > 1, the damped sum over the V_i never
+    lands exactly on 1."""
+    if len(unitary_parts) != len(members):
+        raise ValueError("one unitary part per member")
+    _require_anarchy_harmonious(members)
+    u_product = 1
+    for m, u in zip(members, unitary_parts):
+        if u < 1 or m % u != 0 or gcd(u, m // u) != 1:
+            raise ValueError(f"{u} is not a unitary divisor of {m}")
+        u_product *= u
+    if u_product <= 1:
+        raise ValueError("need prod(U_i) > 1")
+    u_primes = {p for p, _ in factorize(u_product)}
+    if not set(prime_set) <= u_primes:
+        raise ValueError("prime_set must consist of primes of prod(U_i)")
+    total = _divisibility_sum(members, unitary_parts, prime_set)
+    return LemmaVerdict(
+        hypotheses_hold=True,
+        conclusion_holds=total != 1,
+        witnesses={"sum": total},
+    )
+
+
+def _raw_instances(
+    k: int, R: int, m_max: int, coef_max: int
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
+    """(partition, m, a, b) tuples in lexicographic order, no validation."""
+    partitions = list(itertools.product(range(k), repeat=R))
+    m_seqs = list(itertools.combinations_with_replacement(range(2, m_max + 1), R))
+    coefs = list(itertools.product(range(1, coef_max + 1), repeat=k))
+    for partition in partitions:
+        for m in m_seqs:
+            for a in coefs:
+                for b in coefs:
+                    yield partition, m, a, b
+
+
+def enumerate_instances(
+    k: int,
+    R: int,
+    m_max: int,
+    coef_max: int,
+    *,
+    budget: int = DEFAULT_BUDGET,
+) -> Iterator[DiophantineInstance]:
+    """Every instance of the exact (k, R) stratum, lexicographic, validated."""
+    if m_max < 2 or coef_max < 1:
+        raise ValueError("need m_max >= 2 and coef_max >= 1")
+    estimate = instance_count(k, R, m_max, coef_max)
+    if estimate > budget:
+        raise BudgetExceeded(
+            f"stratum (k={k}, R={R}, m_max={m_max}, coef_max={coef_max}) has "
+            f"{estimate} instances, over the budget of {budget}"
+        )
+    for partition, m, a, b in _raw_instances(k, R, m_max, coef_max):
+        yield DiophantineInstance(k=k, R=R, m=m, partition=partition, a=a, b=b)

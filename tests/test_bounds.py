@@ -7,11 +7,9 @@ from fractions import Fraction
 import pytest
 
 from harmonia.bounds import (
-    BORHO_CAP,
     MAIN_CAP,
     ZETA2_NUM,
     ZETA2_SHIFT,
-    borho_bound,
     main_bound,
     main_bound_log2,
     tower,
@@ -19,6 +17,7 @@ from harmonia.bounds import (
     verify_bounds,
 )
 from harmonia.classify import classify
+from oracles import BORHO_CAP, borho_bound
 
 
 def test_tower_frozen_values() -> None:

@@ -11,12 +11,9 @@ from harmonia.classify import classify
 from harmonia.lemmas import (
     BudgetExceeded,
     DiophantineInstance,
-    check_cook,
-    check_divisibility,
     check_hb1,
     check_hb2,
     check_pre_cook,
-    enumerate_instances,
     instance_count,
     rational_grid,
     scan_cook_grid,
@@ -24,6 +21,7 @@ from harmonia.lemmas import (
     scan_hb_grid,
     scan_pre_cook_grid,
 )
+from oracles import check_cook, check_divisibility, enumerate_instances
 
 ANARCHY_PAIR = (64, 173369889)
 
@@ -67,6 +65,30 @@ def test_hb2_worked_example():
     assert verdict.witnesses["lhs"] == 2
     assert verdict.witnesses["rhs"] == 2
     assert verdict.remark_holds
+
+
+def test_hb_checks_build_tower_only_when_hypotheses_hold(monkeypatch):
+    calls = []
+
+    def counting_tower(r, x):
+        calls.append((r, x))
+        return tower(r, x)
+
+    monkeypatch.setattr(harmonia.lemmas, "tower", counting_tower)
+    # hb2: the partial sum 3/2 * 2^21 is not below 1; tower(22, 2) alone
+    # would take about a second to build
+    fails_hb2 = DiophantineInstance(k=1, R=22, m=(2,) * 22, partition=(0,) * 22, a=(2,), b=(3,))
+    fails_hb1 = DiophantineInstance(k=1, R=1, m=(2,), partition=(0,), a=(2,), b=(2,))
+    for check, inst in ((check_hb2, fails_hb2), (check_hb1, fails_hb1)):
+        verdict = check(inst)
+        assert not verdict.hypotheses_hold and verdict.conclusion_holds is None
+        assert "lhs" not in verdict.witnesses and "rhs" not in verdict.witnesses
+    assert calls == []
+    hb1_worked = DiophantineInstance(k=2, R=1, m=(4,), partition=(1,), a=(2, 3), b=(1, 2))
+    hb2_worked = DiophantineInstance(k=1, R=1, m=(2,), partition=(0,), a=(2,), b=(1,))
+    assert check_hb1(hb1_worked).conclusion_holds
+    assert check_hb2(hb2_worked).conclusion_holds
+    assert calls == [(1, 7), (1, 2)]
 
 
 def test_instance_counts_frozen():
