@@ -10,7 +10,7 @@ from harmonia.arith import (
     sigma_star_of,
 )
 from harmonia.bounds import BoundReport, tower, verify_bounds
-from harmonia.classify import TupleRecord, classify
+from harmonia.classify import TupleRecord, classify, classify_all
 from harmonia.induction import run_induction, theorem_trace
 from harmonia.search import (
     CheckpointMismatch,
@@ -31,6 +31,7 @@ __all__ = [
     "SearchConfig",
     "TupleRecord",
     "classify",
+    "classify_all",
     "count_table",
     "factorize",
     "run_induction",

@@ -7,17 +7,33 @@ A tuple of positive integers is
   anarchy             when the members are pairwise strangers: distinct and
                       gcd(M_i, M_j * sigma(M_j)) = 1 for all i != j.
 
-All verdicts use exact integer and rational arithmetic.
+classify_all is the one validator; classify(members) is its one-tuple case.
+It classifies a whole batch in column passes:
+
+  1. each distinct member is factored once, by trial division of all live
+     members at a time over 2, 3 and 6j +- 1 in ascending blocks, with no
+     sieve table behind it;
+  2. sigma, sigma*, omega and Omega of each member follow from its prime
+     rows;
+  3. the six flags are decided per tuple length k as exact column
+     operations on the members' columns;
+  4. K counts the distinct (tuple, prime) rows, and L and L* are column
+     sums of Omega and omega.
+
+Every verdict is exact: columns are int64 only where a stated bound keeps
+every intermediate below 2^63, and object arrays of Python ints otherwise.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import gcd, prod
-from typing import Iterable, Sequence
+from math import isqrt
+from typing import Iterable
 
-from harmonia.arith import ArithmeticProfile, Factorization, merge_factorizations
+import numpy as np
+
+from harmonia.arith import ArithmeticProfile, Factorization
 
 FLAG_NAMES = (
     "harmonious",
@@ -32,29 +48,13 @@ FLAG_NAMES = (
 # diagnostic flags (pairwise_coprime, sum_coprime) do not count
 CLASS_FLAG_NAMES = ("harmonious", "unitary_harmonious", "amicable", "anarchy")
 
-
-def _profiles_for(members: Sequence[int]) -> tuple[ArithmeticProfile, ...]:
-    if not members:
-        raise ValueError("need at least one member")
-    for m in members:
-        if not isinstance(m, int) or m < 1:
-            raise ValueError(f"members must be positive integers, got {m!r}")
-    return tuple(ArithmeticProfile.of(m) for m in members)
-
-
-def _sums_to_one(nums: Sequence[int], dens: Sequence[int]) -> bool:
-    """Whether sum(n_i / d_i) is exactly 1, in integers: with P the product
-    of the d_i, sum(n_i * (P / d_i)) == P."""
-    p = prod(dens)
-    return sum(n * (p // d) for n, d in zip(nums, dens)) == p
-
-
-def _anarchy_of(profiles: Sequence[ArithmeticProfile]) -> bool:
-    for i, a in enumerate(profiles):
-        for j, b in enumerate(profiles):
-            if i != j and gcd(a.n, b.n * b.sigma) != 1:
-                return False
-    return True
+# (live member, trial divisor) cells of one trial-division block: a block
+# takes this many cells over the members still live, so a lone member is
+# done in a few blocks and a large batch in narrow ones
+_BLOCK_CELLS = 1 << 16
+# below this, sigma(n) <= n * (1 + ln n) < 2^62, so the profile columns and
+# every partial divisor sum behind them fit int64
+_INT64_MEMBERS = 1 << 56
 
 
 @dataclass(frozen=True)
@@ -94,48 +94,274 @@ class TupleRecord:
         return json.dumps(self.to_json_dict(), separators=(",", ":"))
 
 
+def ordered_members(members: Iterable[int]) -> tuple[int, ...]:
+    """The members sorted ascending; ValueError unless there is at least one
+    and each is an int in [1, 2^64)."""
+    ordered = tuple(sorted(members))
+    if not ordered:
+        raise ValueError("need at least one member")
+    for m in ordered:
+        if not isinstance(m, int) or m < 1:
+            raise ValueError(f"members must be positive integers, got {m!r}")
+    if ordered[-1] >> 64:
+        first = next(m for m in ordered if m >> 64)
+        raise ValueError(f"factorize requires n < 2^64, got {first}")
+    return ordered
+
+
 def classify(members: Iterable[int]) -> TupleRecord:
     """Full classification of a tuple.  Invariant under member permutation.
 
     Repeated members are not an error: the anarchy flag is simply false for
     them.
     """
-    ordered = tuple(sorted(members))
-    profiles = _profiles_for(ordered)
-    k = len(ordered)
+    return classify_all([members])[0]
 
-    total = sum(ordered)
-    product = prod(ordered)
 
-    distinct = len(set(ordered)) == k
-    pairwise_coprime = all(
-        gcd(ordered[i], ordered[j]) == 1 for i in range(k) for j in range(i + 1, k)
+def classify_all(tuples: Iterable[Iterable[int]]) -> list[TupleRecord]:
+    """classify of every tuple, in input order, with each distinct member
+    factored once and every flag decided in column passes."""
+    ordered = [ordered_members(t) for t in tuples]
+    if not ordered:
+        return []
+    values, slot = _distinct(np.array([m for t in ordered for m in t], dtype=np.uint64))
+    members = values.tolist()
+    rows_m, rows_p, rows_e = _prime_rows(values)
+    n, sigma, sigma_star = _profile_columns(members, rows_m, rows_p, rows_e)
+    omega = np.bincount(rows_m, minlength=len(members))
+    big_omega = np.bincount(rows_m, weights=rows_e, minlength=len(members)).astype(np.int64)
+    profiles = [
+        ArithmeticProfile(*cols)
+        for cols in zip(
+            members, sigma.tolist(), sigma_star.tolist(), omega.tolist(), big_omega.tolist()
+        )
+    ]
+
+    sizes = [len(t) for t in ordered]
+    lengths = np.array(sizes, dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
+    tuple_of_slot = np.repeat(np.arange(len(ordered)), lengths)
+    K = _distinct_primes(tuple_of_slot, slot, rows_m, rows_p, omega)
+    L_omega = np.bincount(tuple_of_slot, weights=big_omega[slot], minlength=len(ordered))
+    L_star = np.bincount(tuple_of_slot, weights=omega[slot], minlength=len(ordered))
+
+    flags = np.zeros((len(ordered), len(FLAG_NAMES)), dtype=bool)
+    g1: list[int | None] = [None] * len(ordered)
+    g2 = list(g1)
+    for k in sorted(set(sizes)):
+        sel = np.flatnonzero(lengths == k)
+        cols = slot[starts[sel][:, None] + np.arange(k)]
+        flags[sel], g = _flag_columns(n[cols], sigma[cols], sigma_star[cols])
+        if g is not None:
+            for i, a, b in zip(sel.tolist(), *(x.tolist() for x in g)):
+                g1[i], g2[i] = a, b
+
+    by_slot = [profiles[u] for u in slot.tolist()]
+    return [
+        TupleRecord(
+            t, tuple(by_slot[s : s + len(t)]), dict(zip(FLAG_NAMES, f)), a, b, kk, int(lo), int(ls)
+        )
+        for t, s, f, a, b, kk, lo, ls in zip(
+            ordered,
+            starts.tolist(),
+            flags.tolist(),
+            g1,
+            g2,
+            K.tolist(),
+            L_omega.tolist(),
+            L_star.tolist(),
+        )
+    ]
+
+
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values ascending, and each value's index among them.
+    np.unique would do, but its first call imports numpy.ma, which costs a
+    one-tuple classify in a fresh process about 20 ms."""
+    order = np.argsort(values, kind="stable")
+    ranked = values[order]
+    new = np.ones(ranked.size, dtype=bool)
+    new[1:] = ranked[1:] != ranked[:-1]
+    index = np.empty(ranked.size, dtype=np.int64)
+    index[order] = np.cumsum(new) - 1
+    return ranked[new], index
+
+
+# --- step 1: column trial division -----------------------------------------------
+
+
+def _divisor_at(i: int) -> int:
+    """The i-th trial divisor of the sequence 2, 3, 5, 7, 11, 13, ... (2, 3,
+    then every 6j - 1 and 6j + 1)."""
+    if i < 2:
+        return i + 2
+    return 6 * ((i - 2) >> 1) + 5 + 2 * ((i - 2) & 1)
+
+
+def _divisors_upto(r: int) -> int:
+    """How many trial divisors are <= r."""
+    if r < 5:
+        return max(0, min(r, 3) - 1)
+    return 2 + (r + 1) // 6 + (r - 1) // 6
+
+
+def _trial_divisors(lo: int, hi: int) -> np.ndarray:
+    """Trial divisors lo .. hi-1, as uint64."""
+    j = np.arange(max(lo, 2) - 2, max(hi, 2) - 2, dtype=np.uint64)
+    tail = np.uint64(6) * (j >> np.uint64(1)) + np.uint64(5) + np.uint64(2) * (j & np.uint64(1))
+    return np.concatenate((np.array([2, 3], dtype=np.uint64)[lo:hi], tail))
+
+
+def _prime_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(member index, prime, exponent) rows of the factorizations of the
+    uint64 values, by trial division of every live cofactor at once.
+
+    Each block tries the next divisors on all live cofactors.  A hit that a
+    smaller hit of the same member divides is composite: its prime factors
+    are those smaller hits, so it no longer divides the cofactor once they
+    are divided out, and it is dropped.  Each prime hit is divided out as
+    often as it goes.  A member drops out once its cofactor is below the
+    next divisor's square: what is left is 1 or a prime."""
+    cof = values.copy()
+    live = np.flatnonzero(cof > 1)
+    found_m, found_p, found_e = [], [], []
+    i = 0
+    while live.size:
+        c = cof[live]
+        hi = min(_divisors_upto(isqrt(int(c.max()))), i + max(1, _BLOCK_CELLS // live.size))
+        if hi > i:
+            d = _trial_divisors(i, hi)
+            r, j = np.nonzero(c[:, None] % d == 0)
+            # hits come member by member with ascending divisors
+            m, p, q = live[r], d[j], c[r]
+            prime = np.ones(m.size, dtype=bool)
+            for o in range(1, m.size):
+                same = m[o:] == m[:-o]
+                if not same.any():
+                    break
+                prime[o:] &= ~same | (p[o:] % p[:-o] != 0)
+            m, p, q = m[prime], p[prime], q[prime]
+            e = np.zeros(m.size, dtype=np.int64)
+            div = np.ones(m.size, dtype=bool)
+            while div.any():
+                e += div
+                q = np.where(div, q // p, q)
+                div = q % p == 0
+            # q is the member's cofactor without p^e, so c // q = p^e
+            np.floor_divide.at(cof, m, cof[m] // q)
+            found_m.append(m)
+            found_p.append(p)
+            found_e.append(e)
+            i = hi
+        d = _divisor_at(i)
+        c = cof[live]
+        done = c < d * d if d * d < 1 << 64 else np.ones(live.size, dtype=bool)
+        tail = live[done & (c > 1)]
+        found_m.append(tail)
+        found_p.append(cof[tail])
+        found_e.append(np.ones(tail.size, dtype=np.int64))
+        live = live[~done]
+    if not found_m:
+        return np.empty(0, np.int64), np.empty(0, np.uint64), np.empty(0, np.int64)
+    return np.concatenate(found_m), np.concatenate(found_p), np.concatenate(found_e)
+
+
+# --- step 2: profile columns -----------------------------------------------------
+
+
+def _profile_columns(
+    members: list[int], rows_m: np.ndarray, rows_p: np.ndarray, rows_e: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """n, sigma and sigma* columns: each row p^e contributes the factors
+    1 + p + ... + p^e = p^e + (p^e - 1) / (p - 1) and 1 + p^e.  int64
+    below _INT64_MEMBERS, where each factor is at most 2 p^e <= 2n and each
+    partial product at most sigma(n); Python ints above it."""
+    dtype = np.int64 if members[-1] < _INT64_MEMBERS else object
+    p = rows_p.astype(dtype)
+    power = p ** rows_e.astype(dtype)
+    sigma = np.ones(len(members), dtype=dtype)
+    sigma_star = np.ones(len(members), dtype=dtype)
+    np.multiply.at(sigma, rows_m, power + (power - 1) // (p - 1))
+    np.multiply.at(sigma_star, rows_m, power + 1)
+    return np.array(members, dtype=dtype), sigma, sigma_star
+
+
+# --- step 3: flags ------------------------------------------------------------------
+
+
+def _flag_columns(
+    n: np.ndarray, sigma: np.ndarray, sigma_star: np.ndarray
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
+    """FLAG_NAMES columns of tuples given as rows of k sorted members, and
+    (g1, g2) = (gcd(M, sigma(N)), gcd(sigma(M), N)) when k = 2.
+
+    Sum to one is decided as sum(n_i * (P / s_i)) == P with P the product
+    of the s_i; each term is at most P <= s_max^k, so int64 holds the sum
+    when k * s_max^k < 2^63, and object arrays take the rest.  Anarchy's
+    gcd(M_i, M_j * sigma(M_j)) = 1 splits into gcd(M_i, M_j) = 1 and
+    gcd(M_i, sigma(M_j)) = 1, so no product is formed."""
+    k = n.shape[1]
+    if n.dtype != object and k * int(sigma.max()) ** k >= 1 << 63:
+        n, sigma, sigma_star = (x.astype(object) for x in (n, sigma, sigma_star))
+    total = n.sum(axis=1)
+
+    def sums_to_one(s: np.ndarray) -> np.ndarray:
+        p = np.prod(s, axis=1)
+        return (n * (p[:, None] // s)).sum(axis=1) == p
+
+    def coprime(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.gcd(a, b) == 1
+
+    pairwise = strangers = sum_coprime = np.ones(len(n), dtype=bool)
+    for i in range(k):
+        sum_coprime = sum_coprime & coprime(n[:, i], total)
+        for j in range(k):
+            if i < j:
+                pairwise = pairwise & coprime(n[:, i], n[:, j])
+            if i != j:
+                strangers = strangers & coprime(n[:, i], sigma[:, j])
+    distinct = (n[:, 1:] != n[:, :-1]).all(axis=1)
+    flags = np.stack(
+        (
+            sums_to_one(sigma),
+            sums_to_one(sigma_star),
+            (sigma == total[:, None]).all(axis=1),
+            pairwise,
+            distinct & pairwise & strangers,
+            sum_coprime,
+        ),
+        axis=1,
     )
-    flags = {
-        "harmonious": _sums_to_one(ordered, [p.sigma for p in profiles]),
-        "unitary_harmonious": _sums_to_one(ordered, [p.sigma_star for p in profiles]),
-        "amicable": all(p.sigma == total for p in profiles),
-        "pairwise_coprime": pairwise_coprime,
-        "anarchy": distinct and _anarchy_of(profiles),
-        "sum_coprime": gcd(product, total) == 1,
-    }
-
-    g1 = g2 = None
+    g = None
     if k == 2:
-        pm, pn = profiles
-        g1, g2 = gcd(pm.n, pn.sigma), gcd(pm.sigma, pn.n)
+        g = (np.gcd(n[:, 0], sigma[:, 1]), np.gcd(sigma[:, 0], n[:, 1]))
+    return flags, g
 
-    merged = merge_factorizations(*(p.factorization for p in profiles))
-    return TupleRecord(
-        members=ordered,
-        profiles=profiles,
-        flags=flags,
-        g1=g1,
-        g2=g2,
-        K=len(merged),
-        L_omega=sum(e for _, e in merged),
-        L_star=sum(p.omega for p in profiles),
-    )
+
+# --- step 4: K ------------------------------------------------------------------------
+
+
+def _distinct_primes(
+    tuple_of_slot: np.ndarray,
+    slot: np.ndarray,
+    rows_m: np.ndarray,
+    rows_p: np.ndarray,
+    omega: np.ndarray,
+) -> np.ndarray:
+    """K of each tuple: its distinct (tuple, prime) rows, found by expanding
+    every member slot into its member's prime rows and sorting their keys
+    tuple * (number of primes) + prime rank.  Both factors count rows held
+    in memory, so the keys stay far below 2^63."""
+    order = np.argsort(rows_m, kind="stable")
+    primes, rank = _distinct(rows_p[order])
+    first_row = np.cumsum(omega) - omega
+    counts = omega[slot]
+    offsets = np.cumsum(counts) - counts
+    at = np.repeat(first_row[slot] - offsets, counts) + np.arange(int(counts.sum()))
+    key = np.sort(np.repeat(tuple_of_slot, counts) * max(1, primes.size) + rank[at])
+    new = np.ones(key.size, dtype=bool)
+    new[1:] = key[1:] != key[:-1]
+    return np.bincount(key[new] // max(1, primes.size), minlength=int(tuple_of_slot[-1]) + 1)
 
 
 def format_factorization(f: Factorization) -> str:
@@ -143,4 +369,3 @@ def format_factorization(f: Factorization) -> str:
     if not f:
         return "1"
     return "*".join(f"{p}^{e}" if e > 1 else str(p) for p, e in f)
-

@@ -22,7 +22,13 @@ import time
 
 from . import __version__
 from .bounds import render_big, verify_bounds
-from .classify import CLASS_FLAG_NAMES, classify, format_factorization
+from .classify import (
+    CLASS_FLAG_NAMES,
+    classify,
+    classify_all,
+    format_factorization,
+    ordered_members,
+)
 from .induction import theorem_trace
 from .lemmas import (
     scan_cook_grid,
@@ -236,7 +242,7 @@ def cmd_bounds_verify(args, parser: argparse.ArgumentParser, argv: list) -> int:
         parser.error(f"cannot read --input: {exc}")
     except json.JSONDecodeError as exc:
         parser.error(f"--input is not JSONL: {exc}")
-    reports = []
+    tuples = []
     for lineno, payload in payloads:
         members = payload.get("members") if isinstance(payload, dict) else None
         try:
@@ -244,9 +250,10 @@ def cmd_bounds_verify(args, parser: argparse.ArgumentParser, argv: list) -> int:
                 raise ValueError(
                     f'expected {{"members": [integers, ...]}}, got {json.dumps(payload)[:80]}'
                 )
-            reports.append(verify_bounds(classify(members)))
+            tuples.append(ordered_members(members))
         except ValueError as exc:
             parser.error(f"--input line {lineno}: {exc}")
+    reports = [verify_bounds(record) for record in classify_all(tuples)]
     violations = 0
     for report in reports:
         print(_bound_summary(report))

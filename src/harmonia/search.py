@@ -42,10 +42,11 @@ sigma(s(M)) == sigma(M).  Pass 1 puts each M's (s(M), sigma(M)) query into
 the same run stores, and a resolve pass re-sieves each segment to check the
 queries whose partner lies in it.
 
-Every candidate a join produces is re-validated through classify, which
-rebuilds sigma from a fresh factorization, so sieve or join defects cannot
-leak into results; a candidate that fails re-validation raises instead of
-being dropped.
+Every search re-validates all its candidates in one classify_all call,
+which factors each distinct member afresh by trial division, independent of
+the sieve, and rebuilds sigma from that factorization.  So sieve or join
+defects cannot leak into results: a candidate that fails re-validation
+raises instead of being dropped.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .arith import primes_upto, sieve_tables
-from .classify import TupleRecord, classify
+from .classify import TupleRecord, classify_all
 
 KINDS = ("harmonious", "unitary_harmonious", "amicable")
 FILTER_NAMES = ("coprime", "anarchy")
@@ -627,26 +628,25 @@ def _resolve_amicable_queries(
 
 
 def _emit_records(
-    pairs: Sequence[tuple[int, ...]], kind_flag: str, filters: frozenset
+    candidates: Sequence[tuple[int, ...]], kind_flag: str, filters: frozenset
 ) -> list[TupleRecord]:
-    """Classify candidates, insist the searched class really holds, apply
-    filters.  Candidates are exact by construction, so a re-validation
-    failure is an internal defect and raises."""
-    records = []
-    for members in pairs:
-        record = classify(members)
+    """Re-validate all candidates in one classify_all call, insist the
+    searched class really holds, apply filters.  Candidates are exact by
+    construction, so a re-validation failure is an internal defect and
+    raises, naming the first failing candidate in the given order."""
+    records = classify_all(candidates)
+    for members, record in zip(candidates, records):
         if not record.flags[kind_flag]:
             raise ArithmeticError(
                 f"candidate {members} failed exact {kind_flag} re-validation; "
                 "the sieve or the join is defective"
             )
-        if all(record.flags[_FILTER_FLAG[f]] for f in filters):
-            records.append(record)
-    return records
+    return [r for r in records if all(r.flags[_FILTER_FLAG[f]] for f in filters)]
 
 
-def _candidate_pairs(m_col: np.ndarray, n_col: np.ndarray) -> list[tuple[int, int]]:
-    return sorted({(int(m), int(n)) for m, n in zip(m_col.tolist(), n_col.tolist())})
+def _candidate_tuples(*cols: np.ndarray) -> list[tuple[int, ...]]:
+    """The distinct member tuples that the columns hold row by row, sorted."""
+    return sorted(set(zip(*(col.tolist() for col in cols))))
 
 
 # --- public searches ----------------------------------------------------------
@@ -680,7 +680,7 @@ def search_pairs(
             m_col, n_col = _join(
                 store, len(segs), config.bound, shift, config.equal_allowed, progress
             )
-    return _emit_records(_candidate_pairs(m_col, n_col), config.kind, config.filters)
+    return _emit_records(_candidate_tuples(m_col, n_col), config.kind, config.filters)
 
 
 def search_anarchy_pairs(
@@ -703,7 +703,7 @@ def search_anarchy_pairs(
     equal rationals give the same double, and bound < 2^30 (enforced by
     _code_shift) keeps n and sigma(n) far below 2^53.  Equal doubles of
     unequal ratios fail the exact probe, and every record is re-validated
-    by classify.
+    by classify_all.
     """
     if not 2 <= m_bound <= n_bound:
         raise ValueError(f"need 2 <= m_bound <= n_bound, got ({m_bound}, {n_bound})")
@@ -737,15 +737,16 @@ def search_anarchy_pairs(
         return np.stack((m_col[keep], n_col[keep]))
 
     parts = list(_each_segment(work, segs, threads, progress, "swept"))
-    pairs = _candidate_pairs(*np.concatenate(parts, axis=1))
+    pairs = _candidate_tuples(*np.concatenate(parts, axis=1))
     return _emit_records(pairs, "harmonious", frozenset({"anarchy"}))
 
 
 # --- triples -------------------------------------------------------------------
 
 
-def _ratio_triples(config: SearchConfig) -> set[tuple]:
-    """Member tuples, each sorted, of the ratio-kind triples.
+def _ratio_triples(config: SearchConfig) -> np.ndarray:
+    """The ratio-kind triples, one per column of a 3-row array, members
+    ascending down each column; a triple may appear more than once.
 
     With a triple's ratios r = n/sigma(n) sorted as r_a <= r_b <= r_c and
     summing to 1, r_a <= 1/3, so sigma(a) >= 3a, and r_a <= r_b <=
@@ -791,7 +792,7 @@ def _ratio_triples(config: SearchConfig) -> set[tuple]:
     found = np.sort(np.concatenate(parts, axis=1), axis=0)
     if not config.equal_allowed:
         found = found[:, (found[0] < found[1]) & (found[1] < found[2])]
-    return set(zip(*found.tolist()))
+    return found
 
 
 def _amicable_triples(config: SearchConfig) -> list[tuple]:
@@ -835,10 +836,10 @@ def search_triples(config: SearchConfig) -> list[TupleRecord]:
             f"triple search is capped at bound {TRIPLE_BOUND_CAP}; got {config.bound}"
         )
     if config.kind == "amicable":
-        found = _amicable_triples(config)
+        found = np.array(_amicable_triples(config), dtype=np.int64).reshape(-1, 3).T
     else:
         found = _ratio_triples(config)
-    return _emit_records(sorted(found), config.kind, config.filters)
+    return _emit_records(_candidate_tuples(*found), config.kind, config.filters)
 
 
 # --- count table ----------------------------------------------------------------

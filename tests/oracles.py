@@ -14,7 +14,10 @@ library runs:
                         members once and builds only valid splits;
   enumerate_instances   every instance of a (k, R) stratum, validated, to
                         feed check_hb1/check_hb2 one at a time against the
-                        numpy kernel of lemmas.scan_hb_grid.
+                        numpy kernel of lemmas.scan_hb_grid;
+  classify_reference    one tuple from scalar trial-division profiles,
+                        Python sums and a merged factorization, against the
+                        column passes of classify.classify_all.
 """
 
 from __future__ import annotations
@@ -22,10 +25,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd, prod
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from harmonia.arith import factorize
+from harmonia.arith import ArithmeticProfile, factorize, merge_factorizations
 from harmonia.bounds import tower
+from harmonia.classify import TupleRecord
 from harmonia.lemmas import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -157,3 +161,71 @@ def enumerate_instances(
         )
     for partition, m, a, b in _raw_instances(k, R, m_max, coef_max):
         yield DiophantineInstance(k=k, R=R, m=m, partition=partition, a=a, b=b)
+
+
+def _profiles_for(members: Sequence[int]) -> tuple[ArithmeticProfile, ...]:
+    if not members:
+        raise ValueError("need at least one member")
+    for m in members:
+        if not isinstance(m, int) or m < 1:
+            raise ValueError(f"members must be positive integers, got {m!r}")
+    return tuple(ArithmeticProfile.of(m) for m in members)
+
+
+def _sums_to_one(nums: Sequence[int], dens: Sequence[int]) -> bool:
+    """Whether sum(n_i / d_i) is exactly 1, in integers: with P the product
+    of the d_i, sum(n_i * (P / d_i)) == P."""
+    p = prod(dens)
+    return sum(n * (p // d) for n, d in zip(nums, dens)) == p
+
+
+def _anarchy_of(profiles: Sequence[ArithmeticProfile]) -> bool:
+    for i, a in enumerate(profiles):
+        for j, b in enumerate(profiles):
+            if i != j and gcd(a.n, b.n * b.sigma) != 1:
+                return False
+    return True
+
+
+def classify_reference(members: Iterable[int]) -> TupleRecord:
+    """Full classification of a tuple.  Invariant under member permutation.
+
+    Repeated members are not an error: the anarchy flag is simply false for
+    them.
+    """
+    ordered = tuple(sorted(members))
+    profiles = _profiles_for(ordered)
+    k = len(ordered)
+
+    total = sum(ordered)
+    product = prod(ordered)
+
+    distinct = len(set(ordered)) == k
+    pairwise_coprime = all(
+        gcd(ordered[i], ordered[j]) == 1 for i in range(k) for j in range(i + 1, k)
+    )
+    flags = {
+        "harmonious": _sums_to_one(ordered, [p.sigma for p in profiles]),
+        "unitary_harmonious": _sums_to_one(ordered, [p.sigma_star for p in profiles]),
+        "amicable": all(p.sigma == total for p in profiles),
+        "pairwise_coprime": pairwise_coprime,
+        "anarchy": distinct and _anarchy_of(profiles),
+        "sum_coprime": gcd(product, total) == 1,
+    }
+
+    g1 = g2 = None
+    if k == 2:
+        pm, pn = profiles
+        g1, g2 = gcd(pm.n, pn.sigma), gcd(pm.sigma, pn.n)
+
+    merged = merge_factorizations(*(p.factorization for p in profiles))
+    return TupleRecord(
+        members=ordered,
+        profiles=profiles,
+        flags=flags,
+        g1=g1,
+        g2=g2,
+        K=len(merged),
+        L_omega=sum(e for _, e in merged),
+        L_star=sum(p.omega for p in profiles),
+    )

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import random
 from math import gcd
 
 import pytest
+from oracles import classify_reference
 
-from harmonia.classify import classify, format_factorization
+from harmonia.arith import factorize, sigma_of, sigma_star_of
+from harmonia.classify import classify, classify_all, format_factorization
+from harmonia.search import SearchConfig, search_pairs, search_triples
 
 
 def flags(members) -> dict[str, bool]:
@@ -142,3 +146,116 @@ def test_classify_rejects_bad_members() -> None:
         classify(())
     with pytest.raises(ValueError):
         classify((0, 5))
+
+
+# --- classify_all against the per-tuple reference ------------------------------
+
+
+def test_classify_is_the_one_tuple_case_of_classify_all() -> None:
+    cases = [(135, 3472), (3472, 135), (6, 6), (1,), (2, 3, 5), (64, 173369889)]
+    assert classify_all(cases) == [classify(c) for c in cases]
+    assert classify_all([]) == []
+    assert classify_all(iter([[220, 284]]))[0].members == (220, 284)
+
+
+@pytest.mark.parametrize("kind", ["harmonious", "unitary_harmonious", "amicable"])
+def test_classify_all_matches_reference_on_1e6_pairs(kind) -> None:
+    records = search_pairs(SearchConfig(bound=10**6, kind=kind, threads=2))
+    assert len(records) > 20
+    members = [r.members for r in records]
+    want = [classify_reference(m) for m in members]
+    assert records == want
+    assert classify_all(members) == want
+
+
+def test_classify_all_matches_reference_on_1e4_triples() -> None:
+    records = search_triples(SearchConfig(bound=10**4, k=3, threads=2))
+    assert len(records) == 2074
+    assert records == [classify_reference(r.members) for r in records]
+
+
+def test_classify_all_matches_reference_on_random_tuples() -> None:
+    rng = random.Random(12)
+    pools = [lambda: 1, lambda: rng.randint(1, 40), lambda: rng.randint(1, 10**6),
+             lambda: rng.randint(1, 2**40)]
+    tuples = []
+    for _ in range(600):
+        t = [rng.choice(pools)() for _ in range(rng.randint(1, 6))]
+        if rng.random() < 0.3:
+            t.append(rng.choice(t))  # a repeated member
+        tuples.append(t)
+    assert any(len(set(t)) < len(t) for t in tuples)
+    assert {len(t) for t in tuples} >= set(range(1, 7))
+    assert classify_all(tuples) == [classify_reference(t) for t in tuples]
+
+
+def test_classify_all_object_path_matches_reference() -> None:
+    # k * sigma_max^k >= 2^63 sends these tuples through the object-array
+    # expressions instead of int64; the multiperfect diagonals are
+    # harmonious, so an int64 overflow would show as a false verdict
+    big = [
+        (30240, 30240, 30240, 30240),  # sigma(30240) = 4 * 30240
+        (459818240, 459818240, 459818240),  # sigma(n) = 3n
+        (137438691328, 137438691328),  # the perfect number 2^18 (2^19 - 1)
+        (2**31 - 1, 2**31 - 1, 7),
+        (2**40 - 87, 2**40 - 3),
+        (1048573 * 1048583, 2**40 + 15),
+        (3000017, 3000029, 4194304),
+        (135, 3472, 2**22 + 1),
+        (2**63, 2**64 - 1),
+    ]
+    for t in big:
+        sigma_max = max(sigma_of(factorize(m)) for m in t)
+        assert len(t) * sigma_max ** len(t) >= 1 << 63
+    # alone, the members below 2^56 keep int64 profile columns
+    for t in big:
+        assert classify(t) == classify_reference(t), t
+    assert all(classify(t).flags["harmonious"] for t in big[:3])
+    # a mixed batch: int64 and object groups in one call
+    cases = big + [(135, 3472), (64, 173369889), (6, 6, 6, 6)]
+    assert classify_all(cases) == [classify_reference(t) for t in cases]
+
+
+# --- column factorization ---------------------------------------------------------
+
+
+def _profile_facts(n: int) -> tuple[int, int, int, int]:
+    f = factorize(n)
+    return sigma_of(f), sigma_star_of(f), len(f), sum(e for _, e in f)
+
+
+def test_column_factorization_exact_up_to_1e5() -> None:
+    records = classify_all([(n,) for n in range(1, 10**5 + 1)])
+    for n, rec in enumerate(records, 1):
+        (p,) = rec.profiles
+        assert p.n == n
+        assert (p.sigma, p.sigma_star, p.omega, p.big_omega) == _profile_facts(n), n
+        assert (rec.K, rec.L_omega, rec.L_star) == (p.omega, p.big_omega, p.omega)
+
+
+def test_column_factorization_exact_on_large_members() -> None:
+    semiprime = 1048573 * 1048583  # both prime, product near 2^40
+    assert factorize(semiprime) == ((1048573, 1), (1048583, 1))
+    large = [2**31 - 1, semiprime, 2**40 - 87, 2**63, 2**63 + 1, 2**64 - 1]
+    for rec, n in zip(classify_all([(n,) for n in large]), large):
+        (p,) = rec.profiles
+        assert (p.sigma, p.sigma_star, p.omega, p.big_omega) == _profile_facts(n), n
+
+
+def test_classify_all_rejects_bad_members_with_the_old_messages() -> None:
+    cases = [
+        ((), "need at least one member"),
+        ((0, 5), "members must be positive integers, got 0"),
+        ((5, -3), "members must be positive integers, got -3"),
+        ((2.5, 5), "members must be positive integers, got 2.5"),
+        ((5, 2**64), "factorize requires n < 2\\^64, got 18446744073709551616"),
+        ((2**65, 2**64, 5), "factorize requires n < 2\\^64, got 18446744073709551616"),
+    ]
+    for members, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            classify(members)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            classify_all([(6, 6), members])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            classify_reference(members)
+    assert classify((2**64 - 1,)).members == (2**64 - 1,)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import sys
 
 import pytest
 
@@ -45,6 +46,10 @@ def test_classify_no_class_is_exit_1(capsys):
 def test_classify_usage_errors(capsys):
     assert run_cli("classify", "six") == 2
     assert run_cli("classify", "0") == 2
+    assert run_cli("classify", "0", "5") == 2
+    assert "members must be positive integers, got 0" in capsys.readouterr().err
+    assert run_cli("classify", "5", str(2**64)) == 2
+    assert "factorize requires n < 2^64" in capsys.readouterr().err
     capsys.readouterr()
 
 
@@ -304,9 +309,33 @@ def test_bounds_verify_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_bounds_verify_classifies_all_lines_at_once(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "records.jsonl"
+    tuples = [[220, 284], [64, 173369889], [135, 3472], [6, 6], [2, 3]]
+    path.write_text("".join(json.dumps({"members": t}) + "\n" for t in tuples))
+    classify_all = harmonia.cli.classify_all
+    calls = []
+
+    def counted(batch):
+        calls.append(list(batch))
+        return classify_all(batch)
+
+    monkeypatch.setattr(harmonia.cli, "classify_all", counted)
+    # classify() goes through the module's classify_all, so a per-line
+    # classify call would be counted too
+    monkeypatch.setattr(sys.modules["harmonia.classify"], "classify_all", counted)
+    assert run_cli("bounds", "verify", "--input", str(path)) == 0
+    assert calls == [[tuple(sorted(t)) for t in tuples]]
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0] == "members=[220, 284] K=4 main=skip borho=pass borho_star=skip"
+    assert lines[-1] == "kind=bounds checked=5 violations=0"
+
+
 def test_bounds_verify_refuses_malformed_records(tmp_path, capsys):
     path = tmp_path / "records.jsonl"
-    for line in ('{"m": [1, 2]}', "[220, 284]", '{"members": 5}', '{"members": [0, 5]}'):
+    bad = ('{"m": [1, 2]}', "[220, 284]", '{"members": 5}', '{"members": [0, 5]}',
+           '{"members": []}', '{"members": [5, 18446744073709551616]}')
+    for line in bad:
         path.write_text('{"members": [220, 284]}\n' + line + "\n")
         assert run_cli("bounds", "verify", "--input", str(path)) == 2
         captured = capsys.readouterr()

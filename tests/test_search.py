@@ -736,3 +736,59 @@ def test_key_packing_guard_refuses_low_sigma_cap(monkeypatch):
 def test_emit_revalidation_raises_on_bogus_candidate():
     with pytest.raises(ArithmeticError, match="re-validation"):
         _emit_records([(2, 3)], "harmonious", frozenset())
+
+
+def _plant_false_positives(monkeypatch):
+    """Let every search's candidate list also hold two non-harmonious pairs."""
+    candidates = harmonia.search._candidate_tuples
+
+    def planted(*cols):
+        return sorted(candidates(*cols) + [(3, 4), (2, 3)])
+
+    monkeypatch.setattr(harmonia.search, "_candidate_tuples", planted)
+
+
+def test_false_positive_raises_through_every_search(monkeypatch, capsys):
+    _plant_false_positives(monkeypatch)
+    # the first failing candidate in sorted order is named
+    first = r"candidate \(2, 3\) failed exact {} re-validation"
+    searches = [
+        (lambda: search_pairs(SearchConfig(bound=3000)), "harmonious"),
+        (lambda: search_pairs(SearchConfig(bound=3000, kind="amicable")), "amicable"),
+        (lambda: search_triples(SearchConfig(bound=2000, k=3)), "harmonious"),
+        (lambda: search_triples(SearchConfig(bound=2000, k=3, kind="amicable")), "amicable"),
+        (lambda: search_anarchy_pairs(10, 3000), "harmonious"),
+    ]
+    for search, kind in searches:
+        with pytest.raises(ArithmeticError, match=first.format(kind)):
+            search()
+    monkeypatch.setattr(harmonia.search, "IN_MEMORY_LIMIT", 500)
+    with pytest.raises(ArithmeticError, match=first.format("harmonious")):
+        search_pairs(SearchConfig(bound=3000))
+    assert cli_main(["search", "harmonious", "--bound", "3000"]) == 1
+    assert "re-validation" in capsys.readouterr().err
+
+
+def test_each_search_validates_once(monkeypatch, tmp_path):
+    calls = []
+    classify_all = harmonia.search.classify_all
+
+    def counted(tuples):
+        calls.append(len(tuples))
+        return classify_all(tuples)
+
+    monkeypatch.setattr(harmonia.search, "classify_all", counted)
+    searches = [
+        lambda: search_pairs(SearchConfig(bound=3000)),
+        lambda: search_pairs(SearchConfig(bound=3000, kind="unitary_harmonious")),
+        lambda: search_pairs(SearchConfig(bound=3000, kind="amicable")),
+        lambda: search_pairs(SearchConfig(bound=3000, checkpoint_path=str(tmp_path / "c"))),
+        lambda: search_triples(SearchConfig(bound=2000, k=3)),
+        lambda: search_triples(SearchConfig(bound=2000, k=3, kind="amicable")),
+        lambda: search_anarchy_pairs(64, 10**6),
+        lambda: count_table([100, 3000]),
+    ]
+    for search in searches:
+        calls.clear()
+        search()
+        assert len(calls) == 1
