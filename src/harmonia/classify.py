@@ -207,9 +207,9 @@ def _divisors_upto(r: int) -> int:
 
 def _trial_divisors(lo: int, hi: int) -> np.ndarray:
     """Trial divisors lo .. hi-1, as uint64."""
-    j = np.arange(max(lo, 2) - 2, max(hi, 2) - 2, dtype=np.uint64)
-    tail = np.uint64(6) * (j >> np.uint64(1)) + np.uint64(5) + np.uint64(2) * (j & np.uint64(1))
-    return np.concatenate((np.array([2, 3], dtype=np.uint64)[lo:hi], tail))
+    j = np.arange(max(lo, 2) - 2, max(hi, 2) - 2)
+    tail = 6 * (j >> 1) + 5 + 2 * (j & 1)
+    return np.concatenate(([2, 3][lo:hi], tail)).astype(np.uint64)
 
 
 def _prime_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

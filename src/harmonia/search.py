@@ -795,7 +795,7 @@ def _ratio_triples(config: SearchConfig) -> np.ndarray:
     return found
 
 
-def _amicable_triples(config: SearchConfig) -> list[tuple]:
+def _amicable_triples(config: SearchConfig) -> np.ndarray:
     bound = config.bound
     sigma = _sigma_full(bound, False, config.threads)
     order = np.argsort(sigma, kind="stable")
@@ -816,7 +816,7 @@ def _amicable_triples(config: SearchConfig) -> list[tuple]:
                     break
                 if m3 in present:
                     found.append((m1, m2, m3))
-    return found
+    return np.array(found, dtype=np.int64).reshape(-1, 3).T
 
 
 def search_triples(config: SearchConfig) -> list[TupleRecord]:
@@ -836,7 +836,7 @@ def search_triples(config: SearchConfig) -> list[TupleRecord]:
             f"triple search is capped at bound {TRIPLE_BOUND_CAP}; got {config.bound}"
         )
     if config.kind == "amicable":
-        found = np.array(_amicable_triples(config), dtype=np.int64).reshape(-1, 3).T
+        found = _amicable_triples(config)
     else:
         found = _ratio_triples(config)
     return _emit_records(_candidate_tuples(*found), config.kind, config.filters)
