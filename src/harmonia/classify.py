@@ -190,79 +190,58 @@ def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # --- step 1: column trial division -----------------------------------------------
 
 
-def _divisor_at(i: int) -> int:
-    """The i-th trial divisor of the sequence 2, 3, 5, 7, 11, 13, ... (2, 3,
-    then every 6j - 1 and 6j + 1)."""
-    if i < 2:
-        return i + 2
-    return 6 * ((i - 2) >> 1) + 5 + 2 * ((i - 2) & 1)
-
-
-def _divisors_upto(r: int) -> int:
-    """How many trial divisors are <= r."""
-    if r < 5:
-        return max(0, min(r, 3) - 1)
-    return 2 + (r + 1) // 6 + (r - 1) // 6
-
-
-def _trial_divisors(lo: int, hi: int) -> np.ndarray:
-    """Trial divisors lo .. hi-1, as uint64."""
-    j = np.arange(max(lo, 2) - 2, max(hi, 2) - 2)
-    tail = 6 * (j >> 1) + 5 + 2 * (j & 1)
-    return np.concatenate(([2, 3][lo:hi], tail)).astype(np.uint64)
-
-
 def _prime_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(member index, prime, exponent) rows of the factorizations of the
     uint64 values, by trial division of every live cofactor at once.
 
-    Each block tries the next divisors on all live cofactors.  A hit that a
-    smaller hit of the same member divides is composite: its prime factors
-    are those smaller hits, so it no longer divides the cofactor once they
-    are divided out, and it is dropped.  Each prime hit is divided out as
-    often as it goes.  A member drops out once its cofactor is below the
-    next divisor's square: what is left is 1 or a prime."""
+    Each block tries the next range of divisors, 2, 3 and 6j +- 1, on all
+    live cofactors.  A hit that a smaller hit of the same member divides is
+    composite: its prime factors are those smaller hits, so it no longer
+    divides the cofactor once they are divided out, and it is dropped.
+    Each prime hit is divided out as often as it goes.  A member drops out
+    once its cofactor is below the square of the next divisor to try: what
+    is left is 1 or a prime."""
     cof = values.copy()
     live = np.flatnonzero(cof > 1)
     found_m, found_p, found_e = [], [], []
-    i = 0
-    while live.size:
+    lo = 2
+    while True:
         c = cof[live]
-        hi = min(_divisors_upto(isqrt(int(c.max()))), i + max(1, _BLOCK_CELLS // live.size))
-        if hi > i:
-            d = _trial_divisors(i, hi)
-            r, j = np.nonzero(c[:, None] % d == 0)
-            # hits come member by member with ascending divisors
-            m, p, q = live[r], d[j], c[r]
-            prime = np.ones(m.size, dtype=bool)
-            for o in range(1, m.size):
-                same = m[o:] == m[:-o]
-                if not same.any():
-                    break
-                prime[o:] &= ~same | (p[o:] % p[:-o] != 0)
-            m, p, q = m[prime], p[prime], q[prime]
-            e = np.zeros(m.size, dtype=np.int64)
-            div = np.ones(m.size, dtype=bool)
-            while div.any():
-                e += div
-                q = np.where(div, q // p, q)
-                div = q % p == 0
-            # q is the member's cofactor without p^e, so c // q = p^e
-            np.floor_divide.at(cof, m, cof[m] // q)
-            found_m.append(m)
-            found_p.append(p)
-            found_e.append(e)
-            i = hi
-        d = _divisor_at(i)
-        c = cof[live]
-        done = c < d * d if d * d < 1 << 64 else np.ones(live.size, dtype=bool)
-        tail = live[done & (c > 1)]
-        found_m.append(tail)
-        found_p.append(cof[tail])
-        found_e.append(np.ones(tail.size, dtype=np.int64))
-        live = live[~done]
-    if not found_m:
-        return np.empty(0, np.int64), np.empty(0, np.uint64), np.empty(0, np.int64)
+        done = c < lo * lo if lo * lo < 1 << 64 else np.ones(live.size, dtype=bool)
+        tail = done & (c > 1)
+        found_m.append(live[tail])
+        found_p.append(c[tail])
+        found_e.append(np.ones(int(tail.sum()), dtype=np.int64))
+        live, c = live[~done], c[~done]
+        if not live.size:
+            break
+        # a third of the range [lo, hi) are divisors to try: 2, 3, 6k +- 1
+        hi = min(isqrt(int(c.max())) + 1, lo + 3 * max(1, _BLOCK_CELLS // live.size))
+        k = np.arange(lo // 6, hi // 6 + 1)
+        d = np.concatenate(([2, 3], np.stack((6 * k - 1, 6 * k + 1), axis=1).ravel()))
+        d = d[(d >= lo) & (d < hi)].astype(np.uint64)
+        r, j = np.nonzero(c[:, None] % d == 0)
+        # hits come member by member with ascending divisors
+        m, p, q = live[r], d[j], c[r]
+        prime = np.ones(m.size, dtype=bool)
+        for o in range(1, m.size):
+            same = m[o:] == m[:-o]
+            if not same.any():
+                break
+            prime[o:] &= ~same | (p[o:] % p[:-o] != 0)
+        m, p, q = m[prime], p[prime], q[prime]
+        e = np.zeros(m.size, dtype=np.int64)
+        div = np.ones(m.size, dtype=bool)
+        while div.any():
+            e += div
+            q = np.where(div, q // p, q)
+            div = q % p == 0
+        # q is the member's cofactor without p^e, so cofactor // q = p^e
+        np.floor_divide.at(cof, m, cof[m] // q)
+        found_m.append(m)
+        found_p.append(p)
+        found_e.append(e)
+        lo = hi
     return np.concatenate(found_m), np.concatenate(found_p), np.concatenate(found_e)
 
 
