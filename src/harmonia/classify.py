@@ -195,10 +195,10 @@ def _prime_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     uint64 values, by trial division of every live cofactor at once.
 
     Each block tries the next range of divisors, 2, 3 and 6j +- 1, on all
-    live cofactors.  A hit that a smaller hit of the same member divides is
-    composite: its prime factors are those smaller hits, so it no longer
-    divides the cofactor once they are divided out, and it is dropped.
-    Each prime hit is divided out as often as it goes.  A member drops out
+    live cofactors.  A hit that a divisor of the block up to its square
+    root divides is composite and dropped; it would no longer divide the
+    cofactor once its prime factors are divided out.  Each prime hit is
+    divided out as often as it goes.  A member drops out
     once its cofactor is below the square of the next divisor to try: what
     is left is 1 or a prime."""
     cof = values.copy()
@@ -221,14 +221,11 @@ def _prime_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         d = np.concatenate(([2, 3], np.stack((6 * k - 1, 6 * k + 1), axis=1).ravel()))
         d = d[(d >= lo) & (d < hi)].astype(np.uint64)
         r, j = np.nonzero(c[:, None] % d == 0)
-        # hits come member by member with ascending divisors
         m, p, q = live[r], d[j], c[r]
-        prime = np.ones(m.size, dtype=bool)
-        for o in range(1, m.size):
-            same = m[o:] == m[:-o]
-            if not same.any():
-                break
-            prime[o:] &= ~same | (p[o:] % p[:-o] != 0)
+        # a composite hit has a prime factor q <= sqrt(hit), and q >= lo,
+        # since smaller primes are out of the cofactor: q is in this block
+        small = d[: np.searchsorted(d, isqrt(int(p.max(initial=0))), side="right")]
+        prime = ~((p[:, None] % small == 0) & (small * small <= p[:, None])).any(axis=1)
         m, p, q = m[prime], p[prime], q[prime]
         e = np.zeros(m.size, dtype=np.int64)
         div = np.ones(m.size, dtype=bool)
