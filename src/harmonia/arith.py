@@ -3,17 +3,20 @@
 Divisor sums (classical and unitary), segmented multiplicative sieves and
 factorizations.  Everything that decides anything is exact Python int
 arithmetic.  numpy int64 is used only inside sieve segments, with overflow
-bounds stated where it matters.  The sieve works on in-place strided views
-of its segment arrays, one view per prime power, so it builds no index
-arrays and tests no remainders; every int64 it holds is at most
-max(hi, sigma(n)), which MAX_SIEVE_BOUND keeps far below 2^63.
+bounds stated where it matters.  The sieve lays the primes up to 31, up to
+fixed exponents, from precomputed periodic tiles with contiguous copies, and
+strips every other prime power through in-place strided views of its
+segment arrays, one view per prime power; it builds no index arrays and
+tests no remainders.  Every int64 it holds is at most max(hi, sigma(n)),
+which MAX_SIEVE_BOUND keeps far below 2^63.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, prod
+from threading import Lock
 
 import numpy as np
 
@@ -22,6 +25,22 @@ Factorization = tuple[tuple[int, int], ...]
 
 # keeps every int64 intermediate in the sieve far below 2^63 (see sieve_tables)
 MAX_SIEVE_BOUND = 1 << 40
+
+# prime powers p^K that the sieve lays from periodic tiles, one tile per
+# group; each tile's period, the product of its group's p^K, is below 2^19
+_TILE_GROUPS = (
+    ((2, 7), (3, 4), (5, 2)),
+    ((7, 2), (11, 1), (13, 1), (17, 1)),
+    ((19, 1), (23, 1), (29, 1), (31, 1)),
+)
+_TILED = {p: k for group in _TILE_GROUPS for p, k in group}
+# the factor that p^v (v >= 1) contributes to each tile column
+_TILE_FACTORS = {
+    "part": lambda p, v: p**v,
+    "sigma": lambda p, v: (p ** (v + 1) - 1) // (p - 1),
+    "sigma_star": lambda p, v: p**v + 1,
+}
+_TILE_LOCK = Lock()
 
 
 def factorize(n: int) -> Factorization:
@@ -86,29 +105,14 @@ def sigma_star_of(factorization: Factorization) -> int:
 
 @dataclass(frozen=True)
 class ArithmeticProfile:
-    """The divisor-sum facts about one integer."""
+    """The divisor-sum facts about one integer, with its factorization."""
 
     n: int
     sigma: int
     sigma_star: int
     omega: int
     big_omega: int
-
-    @property
-    def factorization(self) -> Factorization:
-        # recovered lazily; factorize() caches, so repeated access is cheap
-        return factorize(self.n)
-
-    @classmethod
-    def of(cls, n: int) -> "ArithmeticProfile":
-        f = factorize(n)
-        return cls(
-            n=n,
-            sigma=sigma_of(f),
-            sigma_star=sigma_star_of(f),
-            omega=len(f),
-            big_omega=sum(e for _, e in f),
-        )
+    factorization: Factorization
 
 
 def primes_upto(limit: int) -> np.ndarray:
@@ -138,6 +142,45 @@ class SieveTables:
         return n - self.lo
 
 
+def _tile(group: tuple[tuple[int, int], ...], column: str) -> np.ndarray:
+    """One column of a group's tile, built on first use: for each residue r
+    modulo the period P, the p-part prod p^min(v_p(r), K) over the group's
+    p^K ("part"), or that part's sigma or sigma* factor.  r = 0 stands for
+    every multiple of P, so it takes each p^K.  int32 holds every entry:
+    the largest is sigma's 255 * 121 * 31."""
+    with _TILE_LOCK:
+        return _build_tile(group, column)
+
+
+@lru_cache(maxsize=None)
+def _build_tile(group: tuple[tuple[int, int], ...], column: str) -> np.ndarray:
+    period = prod(p**k for p, k in group)
+    tile = np.ones(period, dtype=np.int32)
+    factor = np.empty(period, dtype=np.int32)
+    for p, k in group:
+        factor.fill(1)
+        for v in range(1, k + 1):
+            factor[:: p**v] = _TILE_FACTORS[column](p, v)
+        tile *= factor
+    return tile
+
+
+def _lay_tiles(out: np.ndarray, column: str, lo: int) -> None:
+    """out[i] = the product over the tiles of tile[(lo + i) mod P], written
+    with contiguous slices that start at lo mod P and wrap at P."""
+    for g, group in enumerate(_TILE_GROUPS):
+        tile = _tile(group, column)
+        at, start = 0, lo % tile.size
+        while at < out.size:
+            chunk = out[at : at + tile.size - start]
+            if g:
+                chunk *= tile[start : start + chunk.size]
+            else:
+                chunk[...] = tile[start : start + chunk.size]
+            at += chunk.size
+            start = 0
+
+
 def sieve_tables(
     lo: int,
     hi: int,
@@ -147,34 +190,56 @@ def sieve_tables(
 ) -> SieveTables:
     """Multiplicative sieve of sigma (and optionally sigma*) over [lo, hi].
 
-    Each prime p <= sqrt(hi) is stripped through in-place strided views,
-    with no index arrays and no remainder tests.  The multiples of p^k in
-    the segment are the view rem[s::p^k] with s = -lo mod p^k: every
+    First the tiles.  Each tile column repeats with its period P, so the
+    segment lays it from offset lo mod P with contiguous slice copies, and
+    multiplies the later tiles in the same way.  The laid p-part, the
+    product of p^min(v_p(n), K) over the tiled p^K, divides n out of the
+    n-column in one pass; the sigma (and sigma*) columns start as the laid
+    factors of that part.
+
+    Then each prime p <= sqrt(hi) is stripped through in-place strided
+    views, with no index arrays and no remainder tests, from p^(K+1) on
+    for a tiled p^K and from p on otherwise.  The multiples of p^k in the
+    segment are the view rem[s::p^k] with s = -lo mod p^k: every
     p^(k-1)-th entry of the p-view, starting at its first multiple of p^k.
     Step k divides p out of that view once more and swaps its entries'
     factor sigma(p^(k-1)) for sigma(p^k) (1 + p^(k-1) for 1 + p^k in
-    sigma*); the division is exact because step k-1 multiplied that factor
-    in.  Whatever remains above 1 afterwards is a single prime factor with
-    exponent 1.  int64 stays safe: every intermediate is a remainder <= hi
-    or a partial product of sigma(n)'s factors, so at most sigma(n) < 6n
-    for hi <= MAX_SIEVE_BOUND.
+    sigma*); the division is exact because the tile or step k-1
+    multiplied that factor in.  Whatever remains above 1 afterwards is a
+    single prime factor with exponent 1.
+
+    int64 stays safe: every laid product divides n or is a partial product
+    of sigma(n)'s factors, and so is every later intermediate: a remainder
+    <= hi, or a product of factors each at most the one that replaces it,
+    so at most sigma(n) < 6n for hi <= MAX_SIEVE_BOUND.  The p-part is laid
+    into the sigma buffer before the sigma factors overwrite it, so the
+    tiles cost no segment-sized array; the tiles themselves are built once
+    per process on first use, the sigma* column only by a star sieve.
     """
     if not 1 <= lo <= hi:
         raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
     if hi > MAX_SIEVE_BOUND:
         raise ValueError(f"sieve bound {hi} exceeds {MAX_SIEVE_BOUND}")
     length = hi - lo + 1
+    sigma = np.empty(length, dtype=np.int64)
+    _lay_tiles(sigma, "part", lo)
     rem = np.arange(lo, hi + 1, dtype=np.int64)
-    sigma = np.ones(length, dtype=np.int64)
-    sstar = np.ones(length, dtype=np.int64) if star else None
+    rem //= sigma
+    _lay_tiles(sigma, "sigma", lo)
+    sstar = None
+    if star:
+        sstar = np.empty(length, dtype=np.int64)
+        _lay_tiles(sstar, "sigma_star", lo)
     if primes is None:
         primes = primes_upto(isqrt(hi))
     for p in primes.tolist():
         if p * p > hi:
             break
         # q = p^k, and the multiples of q carry the factors f = sigma(p^(k-1))
-        # and f_star = sigma*(p^(k-1)) so far
-        q, f, f_star = p, 1, 1
+        # and f_star = sigma*(p^(k-1)) so far; a tiled p^K starts at k = K + 1
+        K = _TILED.get(p, 0)
+        q = p ** (K + 1)
+        f, f_star = (q - 1) // (p - 1), q // p + 1 if K else 1
         s = -lo % q
         while s < length:
             rem[s::q] //= p

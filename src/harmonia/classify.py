@@ -13,8 +13,8 @@ It classifies a whole batch in column passes:
   1. each distinct member is factored once, by trial division of all live
      members at a time over 2, 3 and 6j +- 1 in ascending blocks, with no
      sieve table behind it;
-  2. sigma, sigma*, omega and Omega of each member follow from its prime
-     rows;
+  2. each member's factorization, sigma, sigma*, omega and Omega follow
+     from its prime rows;
   3. the six flags are decided per tuple length k as exact column
      operations on the members' columns;
   4. K counts the distinct (tuple, prime) rows, and L and L* are column
@@ -127,13 +127,21 @@ def classify_all(tuples: Iterable[Iterable[int]]) -> list[TupleRecord]:
     values, slot = _distinct(np.array([m for t in ordered for m in t], dtype=np.uint64))
     members = values.tolist()
     rows_m, rows_p, rows_e = _prime_rows(values)
+    # rows by member, each member's primes ascending
+    order = np.lexsort((rows_p, rows_m))
+    rows_m, rows_p, rows_e = rows_m[order], rows_p[order], rows_e[order]
     n, sigma, sigma_star = _profile_columns(members, rows_m, rows_p, rows_e)
     omega = np.bincount(rows_m, minlength=len(members))
     big_omega = np.bincount(rows_m, weights=rows_e, minlength=len(members)).astype(np.int64)
     profiles = [
         ArithmeticProfile(*cols)
         for cols in zip(
-            members, sigma.tolist(), sigma_star.tolist(), omega.tolist(), big_omega.tolist()
+            members,
+            sigma.tolist(),
+            sigma_star.tolist(),
+            omega.tolist(),
+            big_omega.tolist(),
+            _factorizations(rows_p, rows_e, omega),
         )
     ]
 
@@ -141,7 +149,7 @@ def classify_all(tuples: Iterable[Iterable[int]]) -> list[TupleRecord]:
     lengths = np.array(sizes, dtype=np.int64)
     starts = np.cumsum(lengths) - lengths
     tuple_of_slot = np.repeat(np.arange(len(ordered)), lengths)
-    K = _distinct_primes(tuple_of_slot, slot, rows_m, rows_p, omega)
+    K = _distinct_primes(tuple_of_slot, slot, rows_p, omega)
     L_omega = np.bincount(tuple_of_slot, weights=big_omega[slot], minlength=len(ordered))
     L_star = np.bincount(tuple_of_slot, weights=omega[slot], minlength=len(ordered))
 
@@ -262,6 +270,16 @@ def _profile_columns(
     return np.array(members, dtype=dtype), sigma, sigma_star
 
 
+def _factorizations(
+    rows_p: np.ndarray, rows_e: np.ndarray, omega: np.ndarray
+) -> list[Factorization]:
+    """Each member's factorization from its rows, which come grouped by
+    member with the primes ascending."""
+    rows = list(zip(rows_p.tolist(), rows_e.tolist()))
+    ends = np.cumsum(omega).tolist()
+    return [tuple(rows[a:b]) for a, b in zip([0, *ends], ends)]
+
+
 # --- step 3: flags ------------------------------------------------------------------
 
 
@@ -320,16 +338,15 @@ def _flag_columns(
 def _distinct_primes(
     tuple_of_slot: np.ndarray,
     slot: np.ndarray,
-    rows_m: np.ndarray,
     rows_p: np.ndarray,
     omega: np.ndarray,
 ) -> np.ndarray:
     """K of each tuple: its distinct (tuple, prime) rows, found by expanding
-    every member slot into its member's prime rows and sorting their keys
-    tuple * (number of primes) + prime rank.  Both factors count rows held
-    in memory, so the keys stay far below 2^63."""
-    order = np.argsort(rows_m, kind="stable")
-    primes, rank = _distinct(rows_p[order])
+    every member slot into its member's prime rows, which come grouped by
+    member, and sorting their keys tuple * (number of primes) + prime rank.
+    Both factors count rows held in memory, so the keys stay far below
+    2^63."""
+    primes, rank = _distinct(rows_p)
     first_row = np.cumsum(omega) - omega
     counts = omega[slot]
     offsets = np.cumsum(counts) - counts

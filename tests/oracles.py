@@ -15,9 +15,11 @@ library runs:
   enumerate_instances   every instance of a (k, R) stratum, validated, to
                         feed check_hb1/check_hb2 one at a time against the
                         numpy kernel of lemmas.scan_hb_grid;
-  classify_reference    one tuple from scalar trial-division profiles,
-                        Python sums and a merged factorization, against the
-                        column passes of classify.classify_all.
+  profile_of            one integer's profile by scalar trial division,
+                        against the column factoring of classify_all;
+  classify_reference    one tuple from profile_of's profiles, Python sums
+                        and a merged factorization, against the column
+                        passes of classify.classify_all.
 """
 
 from __future__ import annotations
@@ -27,7 +29,13 @@ from fractions import Fraction
 from math import gcd, prod
 from typing import Iterable, Iterator, Sequence
 
-from harmonia.arith import ArithmeticProfile, factorize, merge_factorizations
+from harmonia.arith import (
+    ArithmeticProfile,
+    factorize,
+    merge_factorizations,
+    sigma_of,
+    sigma_star_of,
+)
 from harmonia.bounds import tower
 from harmonia.classify import TupleRecord
 from harmonia.lemmas import (
@@ -163,13 +171,26 @@ def enumerate_instances(
         yield DiophantineInstance(k=k, R=R, m=m, partition=partition, a=a, b=b)
 
 
+def profile_of(n: int) -> ArithmeticProfile:
+    """The profile of n from factorize and the scalar divisor sums."""
+    f = factorize(n)
+    return ArithmeticProfile(
+        n=n,
+        sigma=sigma_of(f),
+        sigma_star=sigma_star_of(f),
+        omega=len(f),
+        big_omega=sum(e for _, e in f),
+        factorization=f,
+    )
+
+
 def _profiles_for(members: Sequence[int]) -> tuple[ArithmeticProfile, ...]:
     if not members:
         raise ValueError("need at least one member")
     for m in members:
         if not isinstance(m, int) or m < 1:
             raise ValueError(f"members must be positive integers, got {m!r}")
-    return tuple(ArithmeticProfile.of(m) for m in members)
+    return tuple(profile_of(m) for m in members)
 
 
 def _sums_to_one(nums: Sequence[int], dens: Sequence[int]) -> bool:

@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from math import gcd, isqrt, prod
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import profile_of
 
 from harmonia.arith import (
+    _TILE_GROUPS,
     MAX_SIEVE_BOUND,
     ArithmeticProfile,
     factorize,
@@ -22,6 +28,7 @@ from harmonia.arith import (
 )
 
 ORACLE_LIMIT = 10**6
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def oracle_sigma_table(limit: int) -> np.ndarray:
@@ -152,24 +159,61 @@ def test_sigma_star_le_sigma_equality_iff_squarefree(sieved) -> None:
         assert (sig[n - 1] == star[n - 1]) == squarefree
 
 
-def test_segmented_sieve_matches_whole_range() -> None:
-    whole = sieve_tables(1, 30000, star=True)
-    cuts = [1, 7, 4096, 9999, 10000, 25007, 30000]
-    ps = primes_upto(isqrt(30000))
-    for lo, hi in zip(cuts, cuts[1:]):
-        seg = sieve_tables(lo, hi, star=True, primes=ps)
-        sl = slice(lo - 1, hi)
-        assert np.array_equal(seg.sigma, whole.sigma[sl])
-        assert np.array_equal(seg.sigma_star, whole.sigma_star[sl])
+# the period of each pre-sieved tile, the product of its group's p^K
+_TILE_PERIODS = [prod(p**k for p, k in group) for group in _TILE_GROUPS]
 
 
-# prime powers up to the sieve envelope, small primes and large
-_PRIME_POWERS = [
-    p**k
-    for p in (2, 3, 5, 7, 11, 13, 1009, 65537, 1048573)
-    for k in range(1, 41)
-    if p**k <= MAX_SIEVE_BOUND
-]
+def test_segmented_sieve_matches_whole_range(oracle_table) -> None:
+    # the whole range spans more than two periods of the longest tile; the
+    # cuts fall on, just before and just after multiples of every period
+    periods = sorted(_TILE_PERIODS)
+    hi = 2 * periods[-1] + 5000
+    whole = sieve_tables(1, hi, star=True)
+    assert np.array_equal(whole.sigma, oracle_table[1 : hi + 1])
+    marks = {c * P + d for P in periods for c in (1, 2) for d in (-1, 0, 1)}
+    cuts = sorted({1, 7, 4096, 9999, 10000, hi} | {c for c in marks if c < hi})
+    ps = primes_upto(isqrt(hi))
+    for lo, end in zip(cuts, cuts[1:]):
+        sl = slice(lo - 1, end)
+        seg = sieve_tables(lo, end, star=True, primes=ps)
+        assert np.array_equal(seg.sigma, whole.sigma[sl]), (lo, end)
+        assert np.array_equal(seg.sigma_star, whole.sigma_star[sl]), (lo, end)
+        plain = sieve_tables(lo, end, primes=ps)
+        assert plain.sigma_star is None
+        assert np.array_equal(plain.sigma, whole.sigma[sl]), (lo, end)
+
+
+def test_tiles_are_built_on_first_use() -> None:
+    # importing the CLI builds no tile, and a plain sieve builds no sigma*
+    # tile; a fresh process, so that no other test has built them
+    script = """
+from harmonia import arith
+import harmonia.cli
+assert arith._build_tile.cache_info().currsize == 0
+arith.sieve_tables(10**6, 2 * 10**6)
+columns = {'part', 'sigma'}
+assert arith._build_tile.cache_info().currsize == len(arith._TILE_GROUPS) * len(columns)
+arith.sieve_tables(1, 100, star=True)
+columns.add('sigma_star')
+assert arith._build_tile.cache_info().currsize == len(arith._TILE_GROUPS) * len(columns)
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    subprocess.run([sys.executable, "-c", script], check=True, env=env)
+
+
+# prime powers up to the sieve envelope, small primes and large: every
+# tiled prime (so p^(K+1), where its strided steps start), and the tile
+# periods with their powers
+_PRIME_POWERS = sorted(
+    {
+        p**k
+        for p in (*(p for group in _TILE_GROUPS for p, _ in group), 1009, 65537, 1048573)
+        for k in range(1, 41)
+        if p**k <= MAX_SIEVE_BOUND
+    }
+    | {P**k for P in _TILE_PERIODS for k in (1, 2) if P**k <= MAX_SIEVE_BOUND}
+)
 _WIDTH = 4096
 
 
@@ -226,21 +270,20 @@ def test_sieve_window_property(lo, width, data) -> None:
 
 def test_profile_of_counts_prime_factors() -> None:
     # omega feeds classify's L_star; both counts against factorize
-    assert ArithmeticProfile.of(64) == ArithmeticProfile(64, 127, 65, 1, 6)
-    assert ArithmeticProfile.of(64).factorization == ((2, 6),)
-    assert ArithmeticProfile.of(60).sigma == 168
-    one = ArithmeticProfile.of(1)
+    assert profile_of(64) == ArithmeticProfile(64, 127, 65, 1, 6, ((2, 6),))
+    assert profile_of(60).sigma == 168
+    one = profile_of(1)
     assert (one.sigma, one.sigma_star, one.omega, one.big_omega) == (1, 1, 0, 0)
     assert one.factorization == ()
     for n in list(range(1, 500)) + [3472, 173369889, 2**40 - 1]:
-        p = ArithmeticProfile.of(n)
+        p = profile_of(n)
         f = factorize(n)
         assert (p.omega, p.big_omega) == (len(f), sum(e for _, e in f))
 
 
 def test_profile_of_matches_sieve(sieved) -> None:
     for n in (1, 2, 64, 135, 3472, 173369889 % ORACLE_LIMIT + 2):
-        p = ArithmeticProfile.of(n)
+        p = profile_of(n)
         i = sieved.index(n)
         assert (p.sigma, p.sigma_star) == (int(sieved.sigma[i]), int(sieved.sigma_star[i]))
 

@@ -219,9 +219,9 @@ def test_classify_all_object_path_matches_reference() -> None:
 # --- column factorization ---------------------------------------------------------
 
 
-def _profile_facts(n: int) -> tuple[int, int, int, int]:
+def _profile_facts(n: int) -> tuple:
     f = factorize(n)
-    return sigma_of(f), sigma_star_of(f), len(f), sum(e for _, e in f)
+    return sigma_of(f), sigma_star_of(f), len(f), sum(e for _, e in f), f
 
 
 def test_column_factorization_exact_up_to_1e5() -> None:
@@ -229,7 +229,8 @@ def test_column_factorization_exact_up_to_1e5() -> None:
     for n, rec in enumerate(records, 1):
         (p,) = rec.profiles
         assert p.n == n
-        assert (p.sigma, p.sigma_star, p.omega, p.big_omega) == _profile_facts(n), n
+        facts = (p.sigma, p.sigma_star, p.omega, p.big_omega, p.factorization)
+        assert facts == _profile_facts(n), n
         assert (rec.K, rec.L_omega, rec.L_star) == (p.omega, p.big_omega, p.omega)
 
 
@@ -239,7 +240,8 @@ def test_column_factorization_exact_on_large_members() -> None:
     large = [2**31 - 1, semiprime, 2**40 - 87, 2**63, 2**63 + 1, 2**64 - 1]
     for rec, n in zip(classify_all([(n,) for n in large]), large):
         (p,) = rec.profiles
-        assert (p.sigma, p.sigma_star, p.omega, p.big_omega) == _profile_facts(n), n
+        facts = (p.sigma, p.sigma_star, p.omega, p.big_omega, p.factorization)
+        assert facts == _profile_facts(n), n
 
 
 def test_classify_all_rejects_bad_members_with_the_old_messages() -> None:

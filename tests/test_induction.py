@@ -4,8 +4,8 @@ phase branch, defensive error paths, and the aggregate case split."""
 from fractions import Fraction
 
 import pytest
+from oracles import profile_of
 
-from harmonia.arith import ArithmeticProfile
 from harmonia.bounds import tower
 from harmonia.induction import (
     DecompositionState,
@@ -182,7 +182,7 @@ def test_chen_tang_worked_pair():
     assert report.rhs == 8778**32 - 8778**16
     assert report.holds
 
-    sigma_product = ArithmeticProfile.of(64).sigma * ArithmeticProfile.of(173369889).sigma
+    sigma_product = profile_of(64).sigma * profile_of(173369889).sigma
     assert report.sigma_product == sigma_product
     assert report.lhs == sigma_product * 2160 * 8778
 

@@ -16,9 +16,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import profile_of
 
 import harmonia.search
-from harmonia.arith import ArithmeticProfile, primes_upto, sieve_tables
+from harmonia.arith import primes_upto, sieve_tables
 from harmonia.cli import main as cli_main
 from harmonia.search import (
     CheckpointMismatch,
@@ -58,12 +59,12 @@ AMICABLE_1E4 = ((220, 284), (1184, 1210), (2620, 2924), (5020, 5564), (6232, 636
 
 
 def harmonic_ratio(n):
-    p = ArithmeticProfile.of(n)
+    p = profile_of(n)
     return Fraction(p.n, p.sigma)
 
 
 def unitary_ratio(n):
-    p = ArithmeticProfile.of(n)
+    p = profile_of(n)
     return Fraction(p.n, p.sigma_star)
 
 

@@ -1,5 +1,6 @@
-"""Every public top-level function, class or constant in src/ is read in src/
-or is exported from the package, so no idle API accumulates."""
+"""Every public top-level function, class or constant in src/, and every
+public method of a class there, is read in src/ or is exported from the
+package, so no idle API accumulates."""
 
 import ast
 from pathlib import Path
@@ -21,6 +22,16 @@ def _public_names(node: ast.stmt) -> list[str]:
     return [name for name in names if not name.startswith("_")]
 
 
+def _public_methods(node: ast.stmt) -> list[str]:
+    if not isinstance(node, ast.ClassDef):
+        return []
+    return [
+        f"{node.name}.{n.name}"
+        for n in node.body
+        if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")
+    ]
+
+
 def test_no_idle_public_definitions():
     trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
     used = set(harmonia.__all__)
@@ -29,3 +40,5 @@ def test_no_idle_public_definitions():
             used.add(node.id if isinstance(node, ast.Name) else node.attr)
     defined = {name for tree in trees for node in tree.body for name in _public_names(node)}
     assert sorted(defined - used) == []
+    methods = {name for tree in trees for node in tree.body for name in _public_methods(node)}
+    assert sorted(m for m in methods if m.split(".")[1] not in used) == []
