@@ -3,12 +3,13 @@
 Divisor sums (classical and unitary), segmented multiplicative sieves and
 factorizations.  Everything that decides anything is exact Python int
 arithmetic.  numpy int64 is used only inside sieve segments, with overflow
-bounds stated where it matters.  The sieve lays the primes up to 31, up to
-fixed exponents, from precomputed periodic tiles with contiguous copies, and
+bounds stated where it matters.  One sieve call yields one divisor-sum
+column, sigma or sigma*.  It lays the primes up to 31, up to fixed
+exponents, from precomputed periodic tiles with contiguous copies, and
 strips every other prime power through in-place strided views of its
-segment arrays, one view per prime power; it builds no index arrays and
-tests no remainders.  Every int64 it holds is at most max(hi, sigma(n)),
-which MAX_SIEVE_BOUND keeps far below 2^63.
+remainder and output arrays, one view each per prime power; it builds no
+index arrays and tests no remainders.  Every int64 it holds is at most
+max(hi, sigma(n)), which MAX_SIEVE_BOUND keeps far below 2^63.
 """
 
 from __future__ import annotations
@@ -127,21 +128,6 @@ def primes_upto(limit: int) -> np.ndarray:
     return np.nonzero(~composite)[0].astype(np.int64)
 
 
-@dataclass
-class SieveTables:
-    """Per-integer tables over the inclusive range [lo, hi]; index n - lo."""
-
-    lo: int
-    hi: int
-    sigma: np.ndarray
-    sigma_star: np.ndarray | None = None
-
-    def index(self, n: int) -> int:
-        if not self.lo <= n <= self.hi:
-            raise IndexError(f"{n} outside [{self.lo}, {self.hi}]")
-        return n - self.lo
-
-
 def _tile(group: tuple[tuple[int, int], ...], column: str) -> np.ndarray:
     """One column of a group's tile, built on first use: for each residue r
     modulo the period P, the p-part prod p^min(v_p(r), K) over the group's
@@ -181,21 +167,15 @@ def _lay_tiles(out: np.ndarray, column: str, lo: int) -> None:
             start = 0
 
 
-def sieve_tables(
-    lo: int,
-    hi: int,
-    *,
-    star: bool = False,
-    primes: np.ndarray | None = None,
-) -> SieveTables:
-    """Multiplicative sieve of sigma (and optionally sigma*) over [lo, hi].
+def sieve_tables(lo: int, hi: int, *, star: bool = False) -> np.ndarray:
+    """sigma(n), or sigma*(n) when star, for n in [lo, hi] at index n - lo.
 
-    First the tiles.  Each tile column repeats with its period P, so the
-    segment lays it from offset lo mod P with contiguous slice copies, and
-    multiplies the later tiles in the same way.  The laid p-part, the
-    product of p^min(v_p(n), K) over the tiled p^K, divides n out of the
-    n-column in one pass; the sigma (and sigma*) columns start as the laid
-    factors of that part.
+    A multiplicative sieve of the one divisor sum.  First the tiles.  Each
+    tile column repeats with its period P, so the segment lays it from
+    offset lo mod P with contiguous slice copies, and multiplies the later
+    tiles in the same way.  The laid p-part, the product of p^min(v_p(n), K)
+    over the tiled p^K, divides n out of the n-column in one pass; the
+    output then starts as the laid factors of that part.
 
     Then each prime p <= sqrt(hi) is stripped through in-place strided
     views, with no index arrays and no remainder tests, from p^(K+1) on
@@ -203,62 +183,49 @@ def sieve_tables(
     segment are the view rem[s::p^k] with s = -lo mod p^k: every
     p^(k-1)-th entry of the p-view, starting at its first multiple of p^k.
     Step k divides p out of that view once more and swaps its entries'
-    factor sigma(p^(k-1)) for sigma(p^k) (1 + p^(k-1) for 1 + p^k in
-    sigma*); the division is exact because the tile or step k-1
-    multiplied that factor in.  Whatever remains above 1 afterwards is a
-    single prime factor with exponent 1.
+    factor f = sigma(p^(k-1)) for f*p + 1 = sigma(p^k) (1 + p^(k-1) for
+    1 + p^k under star); the division is exact because the tile or step
+    k-1 multiplied that factor in.  Whatever remains above 1 afterwards is
+    a single prime factor with exponent 1.
 
     int64 stays safe: every laid product divides n or is a partial product
-    of sigma(n)'s factors, and so is every later intermediate: a remainder
-    <= hi, or a product of factors each at most the one that replaces it,
-    so at most sigma(n) < 6n for hi <= MAX_SIEVE_BOUND.  The p-part is laid
-    into the sigma buffer before the sigma factors overwrite it, so the
-    tiles cost no segment-sized array; the tiles themselves are built once
-    per process on first use, the sigma* column only by a star sieve.
+    of the output's factors, and so is every later intermediate: a
+    remainder <= hi, or a product of factors each at most the one that
+    replaces it, so at most sigma(n) < 6n (sigma*(n) <= sigma(n)) for
+    hi <= MAX_SIEVE_BOUND.  The p-part is laid into the output buffer
+    before the factors overwrite it, so the tiles cost no segment-sized
+    array; the tiles themselves are built once per process on first use,
+    and only the requested column's.
     """
     if not 1 <= lo <= hi:
         raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
     if hi > MAX_SIEVE_BOUND:
         raise ValueError(f"sieve bound {hi} exceeds {MAX_SIEVE_BOUND}")
     length = hi - lo + 1
-    sigma = np.empty(length, dtype=np.int64)
-    _lay_tiles(sigma, "part", lo)
+    out = np.empty(length, dtype=np.int64)
+    _lay_tiles(out, "part", lo)
     rem = np.arange(lo, hi + 1, dtype=np.int64)
-    rem //= sigma
-    _lay_tiles(sigma, "sigma", lo)
-    sstar = None
-    if star:
-        sstar = np.empty(length, dtype=np.int64)
-        _lay_tiles(sstar, "sigma_star", lo)
-    if primes is None:
-        primes = primes_upto(isqrt(hi))
-    for p in primes.tolist():
-        if p * p > hi:
-            break
-        # q = p^k, and the multiples of q carry the factors f = sigma(p^(k-1))
-        # and f_star = sigma*(p^(k-1)) so far; a tiled p^K starts at k = K + 1
+    rem //= out
+    _lay_tiles(out, "sigma_star" if star else "sigma", lo)
+    for p in primes_upto(isqrt(hi)).tolist():
+        # q = p^k, and the multiples of q carry the factor f of p^(k-1) so
+        # far; a tiled p^K starts at k = K + 1
         K = _TILED.get(p, 0)
         q = p ** (K + 1)
-        f, f_star = (q - 1) // (p - 1), q // p + 1 if K else 1
+        if star:
+            f = q // p + 1 if K else 1
+        else:
+            f = (q - 1) // (p - 1)
         s = -lo % q
         while s < length:
             rem[s::q] //= p
-            view = sigma[s::q]
+            view = out[s::q]
             if f > 1:
                 view //= f
-            f = f * p + 1
+            f = q + 1 if star else f * p + 1
             view *= f
-            if star:
-                view = sstar[s::q]
-                if f_star > 1:
-                    view //= f_star
-                f_star = q + 1
-                view *= f_star
             q *= p
             s = -lo % q
     # a leftover prime r > 1 contributes 1 + r, a leftover 1 contributes 1
-    tail = rem + (rem > 1)
-    sigma *= tail
-    if star:
-        sstar *= tail
-    return SieveTables(lo=lo, hi=hi, sigma=sigma, sigma_star=sstar)
+    out *= rem + (rem > 1)
+    return out

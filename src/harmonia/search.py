@@ -59,12 +59,11 @@ import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import isqrt
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .arith import primes_upto, sieve_tables
+from .arith import sieve_tables
 from .classify import TupleRecord, classify_all
 
 KINDS = ("harmonious", "unitary_harmonious", "amicable")
@@ -319,17 +318,10 @@ def _each_segment(
         pool.shutdown(cancel_futures=True)
 
 
-def _segment_sigma(lo: int, hi: int, primes: np.ndarray, star: bool) -> np.ndarray:
-    t = sieve_tables(lo, hi, star=star, primes=primes)
-    return t.sigma_star if star else t.sigma
-
-
 def _sigma_full(bound: int, star: bool, threads: int) -> np.ndarray:
     """sigma (or sigma*) of every n in [1, bound] as one array."""
-    segs = _segments(bound)
-    primes = primes_upto(isqrt(bound))
     return np.concatenate(
-        list(_each_segment(lambda seg: _segment_sigma(*seg, primes, star), segs, threads))
+        list(_each_segment(lambda seg: sieve_tables(*seg, star=star), _segments(bound), threads))
     )
 
 
@@ -444,7 +436,7 @@ def _run_store(config: SearchConfig, in_memory: bool) -> Iterator:
 
 
 def _ratio_segment_runs(
-    lo: int, hi: int, bound: int, shift: int, primes: np.ndarray, star: bool
+    lo: int, hi: int, bound: int, shift: int, star: bool
 ) -> dict[str, np.ndarray]:
     """Ratio codes of the segment's n with sigma >= 2n as keys, complement
     codes of its n with sigma <= 2n as queries.
@@ -453,7 +445,7 @@ def _ratio_segment_runs(
     the segment checks after the key packing.  So only the queries whose
     complement (sigma - n)/sigma lies above b/a can match a key; the rest
     (about 40%) never enter the run."""
-    sigma = _segment_sigma(lo, hi, primes, star)
+    sigma = sieve_tables(lo, hi, star=star)
     _check_packing(sigma, shift)
     n = np.arange(lo, hi + 1, dtype=np.int64)
     key = sigma >= 2 * n
@@ -467,9 +459,9 @@ def _ratio_segment_runs(
 
 
 def _amicable_segment_runs(
-    lo: int, hi: int, bound: int, equal_allowed: bool, primes: np.ndarray
+    lo: int, hi: int, bound: int, equal_allowed: bool
 ) -> dict[str, np.ndarray]:
-    sigma = _segment_sigma(lo, hi, primes, star=False)
+    sigma = sieve_tables(lo, hi)
     n = np.arange(lo, hi + 1, dtype=np.int64)
     partner = sigma - n
     floor = n if equal_allowed else n + 1
@@ -511,7 +503,6 @@ def _pass1(
     from it and record each segment's run-file digests in it."""
     digest = config.digest()
     names = ("queries",) if config.kind == "amicable" else ("keys", "comps")
-    primes = primes_upto(isqrt(config.bound))
     star = config.kind == "unitary_harmonious"
     rows: list[dict] = []
     if config.checkpoint_path:
@@ -522,9 +513,9 @@ def _pass1(
     def work(i: int) -> dict:
         lo, hi = segs[i]
         if config.kind == "amicable":
-            runs = _amicable_segment_runs(lo, hi, config.bound, config.equal_allowed, primes)
+            runs = _amicable_segment_runs(lo, hi, config.bound, config.equal_allowed)
         else:
-            runs = _ratio_segment_runs(lo, hi, config.bound, shift, primes, star)
+            runs = _ratio_segment_runs(lo, hi, config.bound, shift, star)
         for name, run in runs.items():
             store.put(i, name, run)
         # only a checkpoint records the run files' digests
@@ -601,17 +592,15 @@ def _join(
 def _resolve_amicable_queries(
     store,
     segs: list[tuple[int, int]],
-    bound: int,
     threads: int,
     progress: Progress | None,
 ) -> np.ndarray:
     """Re-sieve each segment and keep the queries whose partner lies in it
     and has the same sigma; (M, partner) pairs as the rows of one array."""
-    primes = primes_upto(isqrt(bound))
 
     def work(seg: tuple[int, int]) -> np.ndarray:
         lo, hi = seg
-        sigma = _segment_sigma(lo, hi, primes, star=False)
+        sigma = sieve_tables(lo, hi)
         hits = []
         for i in range(len(segs)):
             arr = store.load(i, "queries")
@@ -673,9 +662,7 @@ def search_pairs(
     with _run_store(config, in_memory) as store:
         _pass1(config, segs, shift, store, progress)
         if config.kind == "amicable":
-            m_col, n_col = _resolve_amicable_queries(
-                store, segs, config.bound, config.threads, progress
-            )
+            m_col, n_col = _resolve_amicable_queries(store, segs, config.threads, progress)
         else:
             m_col, n_col = _join(
                 store, len(segs), config.bound, shift, config.equal_allowed, progress
@@ -722,11 +709,10 @@ def search_anarchy_pairs(
     marks[doubles.view(np.int64) & (_MARK_SLOTS - 1)] = True
 
     segs = _segments(n_bound)
-    primes = primes_upto(isqrt(n_bound))
 
     def work(seg: tuple[int, int]) -> np.ndarray:
         lo_n, hi_n = seg
-        sigma = _segment_sigma(lo_n, hi_n, primes, star=False)
+        sigma = sieve_tables(lo_n, hi_n)
         _check_packing(sigma, shift)
         n = np.arange(lo_n, hi_n + 1, dtype=np.int64)
         ratio = n / sigma

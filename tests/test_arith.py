@@ -72,8 +72,9 @@ def oracle_table() -> np.ndarray:
 
 
 @pytest.fixture(scope="module")
-def sieved():
-    return sieve_tables(1, ORACLE_LIMIT, star=True)
+def sieved() -> tuple[np.ndarray, np.ndarray]:
+    """(sigma, sigma*) over [1, ORACLE_LIMIT], n at index n - 1."""
+    return sieve_tables(1, ORACLE_LIMIT), sieve_tables(1, ORACLE_LIMIT, star=True)
 
 
 def test_sigma_frozen_values() -> None:
@@ -123,36 +124,36 @@ def test_merge_factorizations() -> None:
 def test_sieve_sigma_against_divisor_enumeration(oracle_table, sieved) -> None:
     # full agreement on [1, 10^6] between the multiplicative sieve and the
     # divisor-enumeration oracle
-    assert np.array_equal(sieved.sigma, oracle_table[1:])
+    assert np.array_equal(sieved[0], oracle_table[1:])
 
 
 def test_sieve_against_single_n_oracles(sieved) -> None:
     rng = random.Random(777)
     samples = list(range(1, 300)) + [rng.randrange(1, ORACLE_LIMIT) for _ in range(120)]
+    sigma, star = sieved
     for n in samples:
-        i = sieved.index(n)
-        assert int(sieved.sigma[i]) == oracle_sigma_single(n)
-        assert int(sieved.sigma_star[i]) == oracle_sigma_star_single(n)
+        assert int(sigma[n - 1]) == oracle_sigma_single(n)
+        assert int(star[n - 1]) == oracle_sigma_star_single(n)
 
 
 def test_sigma_multiplicative_on_coprime_pairs(sieved) -> None:
     rng = random.Random(99)
+    sigma, star = sieved
     checked = 0
     while checked < 400:
         a = rng.randrange(2, 10**4)
         b = rng.randrange(2, ORACLE_LIMIT // a)
         if gcd(a, b) != 1:
             continue
-        ia, ib, iab = sieved.index(a), sieved.index(b), sieved.index(a * b)
-        assert sieved.sigma[iab] == sieved.sigma[ia] * sieved.sigma[ib]
-        assert sieved.sigma_star[iab] == sieved.sigma_star[ia] * sieved.sigma_star[ib]
+        ia, ib, iab = a - 1, b - 1, a * b - 1
+        assert sigma[iab] == sigma[ia] * sigma[ib]
+        assert star[iab] == star[ia] * star[ib]
         checked += 1
 
 
 def test_sigma_star_le_sigma_equality_iff_squarefree(sieved) -> None:
     lim = 10**4
-    star = sieved.sigma_star[:lim]
-    sig = sieved.sigma[:lim]
+    sig, star = (column[:lim] for column in sieved)
     assert np.all(star <= sig)
     for n in range(1, lim + 1):
         squarefree = all(e == 1 for _, e in factorize(n))
@@ -168,38 +169,43 @@ def test_segmented_sieve_matches_whole_range(oracle_table) -> None:
     # cuts fall on, just before and just after multiples of every period
     periods = sorted(_TILE_PERIODS)
     hi = 2 * periods[-1] + 5000
-    whole = sieve_tables(1, hi, star=True)
-    assert np.array_equal(whole.sigma, oracle_table[1 : hi + 1])
+    whole, whole_star = sieve_tables(1, hi), sieve_tables(1, hi, star=True)
+    assert np.array_equal(whole, oracle_table[1 : hi + 1])
     marks = {c * P + d for P in periods for c in (1, 2) for d in (-1, 0, 1)}
     cuts = sorted({1, 7, 4096, 9999, 10000, hi} | {c for c in marks if c < hi})
-    ps = primes_upto(isqrt(hi))
     for lo, end in zip(cuts, cuts[1:]):
         sl = slice(lo - 1, end)
-        seg = sieve_tables(lo, end, star=True, primes=ps)
-        assert np.array_equal(seg.sigma, whole.sigma[sl]), (lo, end)
-        assert np.array_equal(seg.sigma_star, whole.sigma_star[sl]), (lo, end)
-        plain = sieve_tables(lo, end, primes=ps)
-        assert plain.sigma_star is None
-        assert np.array_equal(plain.sigma, whole.sigma[sl]), (lo, end)
+        assert np.array_equal(sieve_tables(lo, end), whole[sl]), (lo, end)
+        assert np.array_equal(sieve_tables(lo, end, star=True), whole_star[sl]), (lo, end)
 
 
 def test_tiles_are_built_on_first_use() -> None:
-    # importing the CLI builds no tile, and a plain sieve builds no sigma*
-    # tile; a fresh process, so that no other test has built them
+    # importing the CLI builds no tile, and a sieve builds only the part
+    # tile and its own column's: a plain sieve no sigma* tile, a star sieve
+    # no sigma tile; one fresh process per order, so that no other test has
+    # built them
     script = """
 from harmonia import arith
 import harmonia.cli
-assert arith._build_tile.cache_info().currsize == 0
-arith.sieve_tables(10**6, 2 * 10**6)
-columns = {'part', 'sigma'}
-assert arith._build_tile.cache_info().currsize == len(arith._TILE_GROUPS) * len(columns)
-arith.sieve_tables(1, 100, star=True)
-columns.add('sigma_star')
-assert arith._build_tile.cache_info().currsize == len(arith._TILE_GROUPS) * len(columns)
+build = arith._build_tile
+assert build.cache_info().currsize == 0
+used = set()
+def spy(group, column):
+    used.add(column)
+    return build(group, column)
+arith._build_tile = spy
+for star, want in %r:
+    arith.sieve_tables(10**6, 2 * 10**6, star=star)
+    assert sorted(used) == want, (star, sorted(used))
+    assert build.cache_info().currsize == len(arith._TILE_GROUPS) * len(want)
 """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    subprocess.run([sys.executable, "-c", script], check=True, env=env)
+    for sieves in (
+        [(False, ["part", "sigma"]), (True, ["part", "sigma", "sigma_star"])],
+        [(True, ["part", "sigma_star"]), (False, ["part", "sigma", "sigma_star"])],
+    ):
+        subprocess.run([sys.executable, "-c", script % (sieves,)], check=True, env=env)
 
 
 # prime powers up to the sieve envelope, small primes and large: every
@@ -240,7 +246,7 @@ def test_sieve_window_property(lo, width, data) -> None:
     # random windows anywhere up to the int64 envelope against factorize;
     # a segment cut, often on a prime-power multiple, must not change a value
     hi = lo + width
-    whole = sieve_tables(lo, hi, star=True)
+    whole, whole_star = sieve_tables(lo, hi), sieve_tables(lo, hi, star=True)
     q = data.draw(st.sampled_from(_PRIME_POWERS), label="q")
     first = -(-lo // q) * q
     cut = data.draw(
@@ -250,12 +256,10 @@ def test_sieve_window_property(lo, width, data) -> None:
         ),
         label="cut",
     )
-    ps = primes_upto(isqrt(hi))
-    parts = [sieve_tables(lo, cut, star=True, primes=ps)]
-    if cut < hi:
-        parts.append(sieve_tables(cut + 1, hi, star=True, primes=ps))
-    assert np.array_equal(np.concatenate([t.sigma for t in parts]), whole.sigma)
-    assert np.array_equal(np.concatenate([t.sigma_star for t in parts]), whole.sigma_star)
+    pieces = [(lo, cut)] + ([(cut + 1, hi)] if cut < hi else [])
+    for star, column in ((False, whole), (True, whole_star)):
+        parts = [sieve_tables(a, b, star=star) for a, b in pieces]
+        assert np.array_equal(np.concatenate(parts), column)
     # the ends, both sides of the cut, the first multiple of q, the member
     # with the most factors 2, and a few random members
     deep = max(range(lo, hi + 1), key=lambda n: n & -n)
@@ -263,9 +267,8 @@ def test_sieve_window_property(lo, width, data) -> None:
     sample |= set(data.draw(st.lists(st.integers(lo, hi), max_size=2), label="more"))
     for n in sorted(sample):
         f = factorize(n)
-        i = whole.index(n)
-        assert int(whole.sigma[i]) == sigma_of(f), n
-        assert int(whole.sigma_star[i]) == sigma_star_of(f), n
+        assert int(whole[n - lo]) == sigma_of(f), n
+        assert int(whole_star[n - lo]) == sigma_star_of(f), n
 
 
 def test_profile_of_counts_prime_factors() -> None:
@@ -282,10 +285,10 @@ def test_profile_of_counts_prime_factors() -> None:
 
 
 def test_profile_of_matches_sieve(sieved) -> None:
+    sigma, star = sieved
     for n in (1, 2, 64, 135, 3472, 173369889 % ORACLE_LIMIT + 2):
         p = profile_of(n)
-        i = sieved.index(n)
-        assert (p.sigma, p.sigma_star) == (int(sieved.sigma[i]), int(sieved.sigma_star[i]))
+        assert (p.sigma, p.sigma_star) == (int(sigma[n - 1]), int(star[n - 1]))
 
 
 def test_primes_upto() -> None:

@@ -19,7 +19,7 @@ import pytest
 from oracles import profile_of
 
 import harmonia.search
-from harmonia.arith import primes_upto, sieve_tables
+from harmonia.arith import sieve_tables
 from harmonia.cli import main as cli_main
 from harmonia.search import (
     CheckpointMismatch,
@@ -129,7 +129,7 @@ def test_pairs_match_fraction_oracle_1e3():
 def test_pairs_match_blockwise_integer_oracle_1e4():
     # M/sigma(M) + N/sigma(N) = 1  <=>  M*sigma(N) + N*sigma(M) = sigma(M)*sigma(N)
     bound = 10**4
-    s = sieve_tables(1, bound).sigma
+    s = sieve_tables(1, bound)
     n = np.arange(1, bound + 1, dtype=np.int64)
     oracle = []
     for lo in range(0, bound, 512):
@@ -162,7 +162,7 @@ def test_unitary_pairs_match_oracle_1e3():
 def test_amicable_pairs_match_blockwise_oracle_1e4():
     # sigma(M) = sigma(N) = M + N checked directly on sieve tables
     bound = 10**4
-    s = sieve_tables(1, bound).sigma
+    s = sieve_tables(1, bound)
     n = np.arange(1, bound + 1, dtype=np.int64)
     oracle = []
     for lo in range(0, bound, 512):
@@ -207,8 +207,7 @@ def test_table1_rows():
 def full_join_pairs(bound, star):
     """Every (M <= N) pair from an unsplit join: all n keyed by n/sigma(n),
     all n probing with (sigma(n) - n)/sigma(n)."""
-    tables = sieve_tables(1, bound, star=star)
-    s = tables.sigma_star if star else tables.sigma
+    s = sieve_tables(1, bound, star=star)
     n = np.arange(1, bound + 1, dtype=np.int64)
     g = np.gcd(n, s)
     num, den = n // g, s // g
@@ -277,10 +276,9 @@ def test_query_prune_size_1e6(kind, keys, queries):
     # with a nonzero numerator, those at or below b/a = 1024/5143 are dropped
     bound = 10**6
     shift = _code_shift(bound, _sigma_cap(bound))
-    primes = primes_upto(1000)
     star = kind == "unitary_harmonious"
     assert _abundancy_cap(bound) == (5143, 1024)
-    runs = [_ratio_segment_runs(lo, hi, bound, shift, primes, star) for lo, hi in _segments(bound)]
+    runs = [_ratio_segment_runs(lo, hi, bound, shift, star) for lo, hi in _segments(bound)]
     assert sum(r["keys"].shape[1] for r in runs) == keys
     assert sum(r["comps"].shape[1] for r in runs) == queries
 
@@ -537,7 +535,7 @@ def test_anarchy_prefilter_drops_no_candidate(monkeypatch):
     # side's complement keys
     m_bound, n_bound = 1000, 2 * 10**6
     shift = _code_shift(n_bound, _sigma_cap(n_bound))
-    sigma = sieve_tables(1, n_bound).sigma
+    sigma = sieve_tables(1, n_bound)
     n = np.arange(1, n_bound + 1, dtype=np.int64)
     comps = _sorted_run(*_complement_keys(n[:m_bound], sigma[:m_bound], shift, n_bound))
     n_col, m_col = _probe(_key_index(comps[0]), comps[1], _ratio_keys(n, sigma, shift), n)
@@ -645,7 +643,7 @@ def test_unitary_triples_match_frozen_listing_1e5(equal):
 
 def test_amicable_triples_match_class_oracle_1e4():
     bound = 10**4
-    sigma = sieve_tables(1, bound).sigma.tolist()
+    sigma = sieve_tables(1, bound).tolist()
     classes = defaultdict(list)
     for n, s in enumerate(sigma, start=1):
         classes[s].append(n)
@@ -682,14 +680,13 @@ def test_tuple_size_routing():
 
 def test_sigma_cap_dominates_true_maximum():
     for bound in (10, 100, 10**4, 10**5):
-        assert _sigma_cap(bound) > int(sieve_tables(1, bound).sigma.max())
+        assert _sigma_cap(bound) > int(sieve_tables(1, bound).max())
 
 
 def test_abundancy_cap_dominates_true_maximum():
     for bound in (10, 100, 10**4, 10**5):
         a, b = _abundancy_cap(bound)
-        tables = sieve_tables(1, bound, star=True)
-        for sigma in (tables.sigma, tables.sigma_star):
+        for sigma in (sieve_tables(1, bound), sieve_tables(1, bound, star=True)):
             top = max(Fraction(int(s), n) for n, s in enumerate(sigma.tolist(), 1))
             assert top < Fraction(a, b)
 
