@@ -24,8 +24,7 @@ print("pairwise-coprime pairs below 10^5:")
 records = search_pairs(SearchConfig(bound=10**5, filters={"coprime"}))
 for record in records:
     m, n = record.members
-    fm = format_factorization(record.profiles[0].factorization)
-    fn = format_factorization(record.profiles[1].factorization)
+    fm, fn = (format_factorization(f) for f in record.factorizations)
     print(f"  {m:>6} = {fm:<14} {n:>6} = {fn:<16} "
           f"gcd(M,sN)={record.g1:<3} gcd(sM,N)={record.g2}")
 print(f"{len(records)} pairs")

@@ -3,7 +3,6 @@ unitary harmonious, amicable and anarchy integer tuples, with exact arithmetic
 end to end."""
 
 from harmonia.arith import (
-    ArithmeticProfile,
     Factorization,
     factorize,
     sigma_of,
@@ -24,7 +23,6 @@ from harmonia.search import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArithmeticProfile",
     "BoundReport",
     "CheckpointMismatch",
     "Factorization",

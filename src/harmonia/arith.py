@@ -14,7 +14,6 @@ max(hi, sigma(n)), which MAX_SIEVE_BOUND keeps far below 2^63.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt, prod
 from threading import Lock
@@ -102,18 +101,6 @@ def sigma_star_of(factorization: Factorization) -> int:
     for p, e in factorization:
         out *= 1 + p**e
     return out
-
-
-@dataclass(frozen=True)
-class ArithmeticProfile:
-    """The divisor-sum facts about one integer, with its factorization."""
-
-    n: int
-    sigma: int
-    sigma_star: int
-    omega: int
-    big_omega: int
-    factorization: Factorization
 
 
 def primes_upto(limit: int) -> np.ndarray:

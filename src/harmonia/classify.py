@@ -13,8 +13,8 @@ It classifies a whole batch in column passes:
   1. each distinct member is factored once, by trial division of all live
      members at a time over 2, 3 and 6j +- 1 in ascending blocks, with no
      sieve table behind it;
-  2. each member's factorization, sigma, sigma*, omega and Omega follow
-     from its prime rows;
+  2. sigma, sigma*, omega and Omega of each member are columns summed or
+     multiplied over its prime rows, and its factorization is its rows;
   3. the six flags are decided per tuple length k as exact column
      operations on the members' columns;
   4. K counts the distinct (tuple, prime) rows, and L and L* are column
@@ -33,7 +33,7 @@ from typing import Iterable
 
 import numpy as np
 
-from harmonia.arith import ArithmeticProfile, Factorization
+from harmonia.arith import Factorization
 
 FLAG_NAMES = (
     "harmonious",
@@ -59,10 +59,12 @@ _INT64_MEMBERS = 1 << 56
 
 @dataclass(frozen=True)
 class TupleRecord:
-    """Classification result for one tuple, members sorted ascending."""
+    """Classification result for one tuple, members sorted ascending;
+    sigma[i] and factorizations[i] belong to members[i]."""
 
     members: tuple[int, ...]
-    profiles: tuple[ArithmeticProfile, ...]
+    sigma: tuple[int, ...]
+    factorizations: tuple[Factorization, ...]
     flags: dict[str, bool]
     g1: int | None
     g2: int | None
@@ -81,7 +83,7 @@ class TupleRecord:
         # fixed field order so that output files diff cleanly
         return {
             "members": list(self.members),
-            "sigma": [p.sigma for p in self.profiles],
+            "sigma": list(self.sigma),
             "flags": {name: self.flags[name] for name in FLAG_NAMES},
             "g1": self.g1,
             "g2": self.g2,
@@ -96,13 +98,16 @@ class TupleRecord:
 
 def ordered_members(members: Iterable[int]) -> tuple[int, ...]:
     """The members sorted ascending; ValueError unless there is at least one
-    and each is an int in [1, 2^64)."""
+    and each is an int in [1, 2^64); a bool is not a member."""
+    members = tuple(members)
+    for m in members:
+        if type(m) is not int:
+            raise ValueError(f"members must be positive integers, got {m!r}")
     ordered = tuple(sorted(members))
     if not ordered:
         raise ValueError("need at least one member")
-    for m in ordered:
-        if not isinstance(m, int) or m < 1:
-            raise ValueError(f"members must be positive integers, got {m!r}")
+    if ordered[0] < 1:
+        raise ValueError(f"members must be positive integers, got {ordered[0]}")
     if ordered[-1] >> 64:
         first = next(m for m in ordered if m >> 64)
         raise ValueError(f"factorize requires n < 2^64, got {first}")
@@ -133,17 +138,6 @@ def classify_all(tuples: Iterable[Iterable[int]]) -> list[TupleRecord]:
     n, sigma, sigma_star = _profile_columns(members, rows_m, rows_p, rows_e)
     omega = np.bincount(rows_m, minlength=len(members))
     big_omega = np.bincount(rows_m, weights=rows_e, minlength=len(members)).astype(np.int64)
-    profiles = [
-        ArithmeticProfile(*cols)
-        for cols in zip(
-            members,
-            sigma.tolist(),
-            sigma_star.tolist(),
-            omega.tolist(),
-            big_omega.tolist(),
-            _factorizations(rows_p, rows_e, omega),
-        )
-    ]
 
     sizes = [len(t) for t in ordered]
     lengths = np.array(sizes, dtype=np.int64)
@@ -164,20 +158,21 @@ def classify_all(tuples: Iterable[Iterable[int]]) -> list[TupleRecord]:
             for i, a, b in zip(sel.tolist(), *(x.tolist() for x in g)):
                 g1[i], g2[i] = a, b
 
-    by_slot = [profiles[u] for u in slot.tolist()]
+    sigma_at = sigma[slot].tolist()
+    factorizations = _factorizations(rows_p, rows_e, omega)
+    factorization_at = [factorizations[u] for u in slot.tolist()]
     return [
-        TupleRecord(
-            t, tuple(by_slot[s : s + len(t)]), dict(zip(FLAG_NAMES, f)), a, b, kk, int(lo), int(ls)
-        )
-        for t, s, f, a, b, kk, lo, ls in zip(
+        TupleRecord(t, tuple(sigma_at[s:e]), tuple(factorization_at[s:e]), *rest)
+        for t, s, e, *rest in zip(
             ordered,
             starts.tolist(),
-            flags.tolist(),
+            (starts + lengths).tolist(),
+            [dict(zip(FLAG_NAMES, f)) for f in flags.tolist()],
             g1,
             g2,
             K.tolist(),
-            L_omega.tolist(),
-            L_star.tolist(),
+            L_omega.astype(np.int64).tolist(),
+            L_star.astype(np.int64).tolist(),
         )
     ]
 

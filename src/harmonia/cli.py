@@ -103,8 +103,8 @@ def _csv_lines(records) -> list[str]:
         m, n = r.members
         lines.append(
             f"{m},{n}"
-            f",{format_factorization(r.profiles[0].factorization)}"
-            f",{format_factorization(r.profiles[1].factorization)}"
+            f",{format_factorization(r.factorizations[0])}"
+            f",{format_factorization(r.factorizations[1])}"
             f",{r.g1},{r.g2}"
         )
     return lines

@@ -416,16 +416,14 @@ class InductionTrace:
 
 def _validated_members(members) -> tuple[tuple[int, ...], Factorization]:
     """Sorted members and the factorization of their product."""
-    members = tuple(sorted(int(m) for m in members))
-    if len(members) < 1 or any(m < 1 for m in members):
-        raise ValueError("members must be positive integers")
     record = classify(members)
+    members = record.members
     if not record.flags["harmonious"]:
-        total = sum((Fraction(p.n, p.sigma) for p in record.profiles), Fraction(0))
+        total = sum(map(Fraction, members, record.sigma), Fraction(0))
         raise ValueError(f"not a harmonious tuple: ratio sum is {total}")
     if not record.flags["anarchy"]:
         raise ValueError("not an anarchy tuple: a cross gcd exceeds 1")
-    merged = merge_factorizations(*(p.factorization for p in record.profiles))
+    merged = merge_factorizations(*record.factorizations)
     if len(merged) == 0:
         raise ValueError("trivial tuple with no prime factors")
     if len(merged) > MAX_DISTINCT_PRIMES:

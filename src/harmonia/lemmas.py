@@ -517,9 +517,8 @@ def scan_divisibility_grid(members: Sequence[int]) -> GridReport:
     """Every unitary split of every member times every subset of the primes
     of the removed part.  The members are validated once, not per split:
     every split built here is unitary with prod(U_i) > 1 by construction."""
+    _require_anarchy_harmonious(members)
     unit_lists = [_unitary_divisors(m) for m in members]
-    if any(len(units) > 1 for units in unit_lists):  # some split exists
-        _require_anarchy_harmonious(members)
     seen = 0
     bad: list = []
     for parts in itertools.product(*unit_lists):

@@ -25,12 +25,13 @@ library runs:
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 from typing import Iterable, Iterator, Sequence
 
 from harmonia.arith import (
-    ArithmeticProfile,
+    Factorization,
     factorize,
     merge_factorizations,
     sigma_of,
@@ -171,10 +172,22 @@ def enumerate_instances(
         yield DiophantineInstance(k=k, R=R, m=m, partition=partition, a=a, b=b)
 
 
-def profile_of(n: int) -> ArithmeticProfile:
+@dataclass(frozen=True)
+class Profile:
+    """The divisor-sum facts about one integer, with its factorization."""
+
+    n: int
+    sigma: int
+    sigma_star: int
+    omega: int
+    big_omega: int
+    factorization: Factorization
+
+
+def profile_of(n: int) -> Profile:
     """The profile of n from factorize and the scalar divisor sums."""
     f = factorize(n)
-    return ArithmeticProfile(
+    return Profile(
         n=n,
         sigma=sigma_of(f),
         sigma_star=sigma_star_of(f),
@@ -184,13 +197,21 @@ def profile_of(n: int) -> ArithmeticProfile:
     )
 
 
-def _profiles_for(members: Sequence[int]) -> tuple[ArithmeticProfile, ...]:
-    if not members:
-        raise ValueError("need at least one member")
+def _profiles_for(members: Iterable[int]) -> tuple[tuple[int, ...], tuple[Profile, ...]]:
+    """The members sorted ascending and their profiles; ValueError on the
+    members that classify rejects, with its messages."""
+    members = tuple(members)
     for m in members:
-        if not isinstance(m, int) or m < 1:
+        # bool is a subclass of int, but True is not a member
+        if not isinstance(m, int) or isinstance(m, bool):
             raise ValueError(f"members must be positive integers, got {m!r}")
-    return tuple(profile_of(m) for m in members)
+    ordered = tuple(sorted(members))
+    if not ordered:
+        raise ValueError("need at least one member")
+    for m in ordered:
+        if m < 1:
+            raise ValueError(f"members must be positive integers, got {m!r}")
+    return ordered, tuple(profile_of(m) for m in ordered)
 
 
 def _sums_to_one(nums: Sequence[int], dens: Sequence[int]) -> bool:
@@ -200,7 +221,7 @@ def _sums_to_one(nums: Sequence[int], dens: Sequence[int]) -> bool:
     return sum(n * (p // d) for n, d in zip(nums, dens)) == p
 
 
-def _anarchy_of(profiles: Sequence[ArithmeticProfile]) -> bool:
+def _anarchy_of(profiles: Sequence[Profile]) -> bool:
     for i, a in enumerate(profiles):
         for j, b in enumerate(profiles):
             if i != j and gcd(a.n, b.n * b.sigma) != 1:
@@ -214,8 +235,7 @@ def classify_reference(members: Iterable[int]) -> TupleRecord:
     Repeated members are not an error: the anarchy flag is simply false for
     them.
     """
-    ordered = tuple(sorted(members))
-    profiles = _profiles_for(ordered)
+    ordered, profiles = _profiles_for(members)
     k = len(ordered)
 
     total = sum(ordered)
@@ -242,7 +262,8 @@ def classify_reference(members: Iterable[int]) -> TupleRecord:
     merged = merge_factorizations(*(p.factorization for p in profiles))
     return TupleRecord(
         members=ordered,
-        profiles=profiles,
+        sigma=tuple(p.sigma for p in profiles),
+        factorizations=tuple(p.factorization for p in profiles),
         flags=flags,
         g1=g1,
         g2=g2,

@@ -13,12 +13,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import profile_of
+from oracles import Profile, profile_of
 
 from harmonia.arith import (
     _TILE_GROUPS,
     MAX_SIEVE_BOUND,
-    ArithmeticProfile,
     factorize,
     merge_factorizations,
     primes_upto,
@@ -273,7 +272,7 @@ def test_sieve_window_property(lo, width, data) -> None:
 
 def test_profile_of_counts_prime_factors() -> None:
     # omega feeds classify's L_star; both counts against factorize
-    assert profile_of(64) == ArithmeticProfile(64, 127, 65, 1, 6, ((2, 6),))
+    assert profile_of(64) == Profile(64, 127, 65, 1, 6, ((2, 6),))
     assert profile_of(60).sigma == 168
     one = profile_of(1)
     assert (one.sigma, one.sigma_star, one.omega, one.big_omega) == (1, 1, 0, 0)

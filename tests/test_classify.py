@@ -6,11 +6,18 @@ import json
 import random
 from math import gcd
 
+import numpy as np
 import pytest
 from oracles import classify_reference
 
 from harmonia.arith import factorize, sigma_of, sigma_star_of
-from harmonia.classify import classify, classify_all, format_factorization
+from harmonia.classify import (
+    _prime_rows,
+    _profile_columns,
+    classify,
+    classify_all,
+    format_factorization,
+)
 from harmonia.search import SearchConfig, search_pairs, search_triples
 
 
@@ -219,19 +226,26 @@ def test_classify_all_object_path_matches_reference() -> None:
 # --- column factorization ---------------------------------------------------------
 
 
-def _profile_facts(n: int) -> tuple:
+def _facts(n: int) -> tuple:
+    """sigma, factorization, K, L and L* of the one-tuple (n,)."""
     f = factorize(n)
-    return sigma_of(f), sigma_star_of(f), len(f), sum(e for _, e in f), f
+    return sigma_of(f), f, len(f), sum(e for _, e in f), len(f)
+
+
+def _sigma_star_column(members: list[int]) -> list[int]:
+    """classify_all's sigma* column of the ascending members."""
+    rows = _prime_rows(np.array(members, dtype=np.uint64))
+    return _profile_columns(members, *rows)[2].tolist()
 
 
 def test_column_factorization_exact_up_to_1e5() -> None:
-    records = classify_all([(n,) for n in range(1, 10**5 + 1)])
-    for n, rec in enumerate(records, 1):
-        (p,) = rec.profiles
-        assert p.n == n
-        facts = (p.sigma, p.sigma_star, p.omega, p.big_omega, p.factorization)
-        assert facts == _profile_facts(n), n
-        assert (rec.K, rec.L_omega, rec.L_star) == (p.omega, p.big_omega, p.omega)
+    members = list(range(1, 10**5 + 1))
+    records = classify_all([(n,) for n in members])
+    for n, rec in zip(members, records):
+        assert rec.members == (n,)
+        facts = (rec.sigma[0], rec.factorizations[0], rec.K, rec.L_omega, rec.L_star)
+        assert facts == _facts(n), n
+    assert _sigma_star_column(members) == [sigma_star_of(factorize(n)) for n in members]
 
 
 def test_column_factorization_exact_on_large_members() -> None:
@@ -239,9 +253,10 @@ def test_column_factorization_exact_on_large_members() -> None:
     assert factorize(semiprime) == ((1048573, 1), (1048583, 1))
     large = [2**31 - 1, semiprime, 2**40 - 87, 2**63, 2**63 + 1, 2**64 - 1]
     for rec, n in zip(classify_all([(n,) for n in large]), large):
-        (p,) = rec.profiles
-        facts = (p.sigma, p.sigma_star, p.omega, p.big_omega, p.factorization)
-        assert facts == _profile_facts(n), n
+        facts = (rec.sigma[0], rec.factorizations[0], rec.K, rec.L_omega, rec.L_star)
+        assert facts == _facts(n), n
+    # above 2^56 the columns are object arrays of Python ints
+    assert _sigma_star_column(large) == [sigma_star_of(factorize(n)) for n in large]
 
 
 def test_classify_all_rejects_bad_members_with_the_old_messages() -> None:
@@ -250,6 +265,8 @@ def test_classify_all_rejects_bad_members_with_the_old_messages() -> None:
         ((0, 5), "members must be positive integers, got 0"),
         ((5, -3), "members must be positive integers, got -3"),
         ((2.5, 5), "members must be positive integers, got 2.5"),
+        ((True, 5), "members must be positive integers, got True"),
+        ((5, "7"), "members must be positive integers, got '7'"),
         ((5, 2**64), "factorize requires n < 2\\^64, got 18446744073709551616"),
         ((2**65, 2**64, 5), "factorize requires n < 2\\^64, got 18446744073709551616"),
     ]

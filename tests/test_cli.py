@@ -122,8 +122,8 @@ def test_search_csv_round_trips_through_record(tmp_path, capsys):
         assert record.g1 == int(g1) and record.g2 == int(g2)
         from harmonia.classify import format_factorization
 
-        assert format_factorization(record.profiles[0].factorization) == factor_m
-        assert format_factorization(record.profiles[1].factorization) == factor_n
+        assert format_factorization(record.factorizations[0]) == factor_m
+        assert format_factorization(record.factorizations[1]) == factor_n
 
 
 def test_search_csv_rejected_for_triples(capsys):
@@ -468,7 +468,9 @@ def test_lemmas_check_remaining_grids(capsys):
 
 def test_lemmas_check_div_members_flag(capsys):
     assert run_cli("lemmas", "check", "--lemma", "div", "--members", "64,bad") == 2
-    capsys.readouterr()
+    # 1/sigma(1) + 1/sigma(1) = 2: not harmonious, though no unitary split exists
+    assert run_cli("lemmas", "check", "--lemma", "div", "--members", "1,1") == 2
+    assert "anarchy harmonious" in capsys.readouterr().err
 
 
 # --- top level ---------------------------------------------------------------------

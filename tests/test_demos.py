@@ -2,15 +2,19 @@
 
 Each demo is a separate process, so a field or function a demo still uses
 but the library dropped fails here instead of only when someone runs it.
-demos/anarchy_hunt.py is left out: its sieve to 2*10^8 takes ~14 s.
+demos/anarchy_hunt.py is not run whole, since its sieve to 2*10^8 takes
+~14 s; its printing runs in-process on the pair that sieve finds.
 """
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from harmonia.classify import classify
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ("bound_checks", "induction_walkthrough", "lemma_grids", "table_reproduction")
@@ -30,3 +34,16 @@ def test_demo_runs(name: str) -> None:
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_anarchy_hunt_shows_the_pair(capsys) -> None:
+    show = runpy.run_path(str(ROOT / "demos" / "anarchy_hunt.py"))["show"]
+    show([classify((64, 173369889))])
+    assert capsys.readouterr().out.split("\n") == [
+        "found (64, 173369889)",
+        "  64 = 2^6,  sigma = 127",
+        "  173369889 = 3^4*7^2*11^2*19^2,  sigma = 349491681",
+        "  64*349491681 + 173369889*127 == 127*349491681",
+        "  anarchy: True",
+        "",
+    ]

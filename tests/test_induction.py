@@ -166,6 +166,9 @@ def test_run_induction_rejections():
         run_induction((6, 6))
     with pytest.raises(ValueError, match="prime"):
         run_induction((1,))
+    for members in (("64", 173369889), (64, 173369889.0)):
+        with pytest.raises(ValueError, match="^members must be positive integers, got "):
+            run_induction(members)
 
 
 def test_rejection_names_exact_ratio_sum():

@@ -286,7 +286,7 @@ def test_query_prune_size_1e6(kind, keys, queries):
 def test_complement_key_invariant():
     for record in search_pairs(SearchConfig(bound=10**4)):
         m, n = record.members
-        sm, sn = (p.sigma for p in record.profiles)
+        sm, sn = record.sigma
         assert 1 - Fraction(m, sm) == Fraction(n, sn)
 
 
