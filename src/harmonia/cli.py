@@ -9,12 +9,14 @@ data goes to --out when given (stdout otherwise); the fixed one-line summary
 is always the last line on stdout; progress goes to stderr only.  Alongside
 every --out file a <out>.manifest.json records the command line, config
 digest, version, wall time, counts, and the output's sha256, so reruns can be
-audited without rereading the data.
+audited without rereading the data.  The parser is built once per process,
+so repeated main() calls in one process skip rebuilding it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -121,67 +123,41 @@ def _digest_of(payload: dict) -> str:
 # --- search -------------------------------------------------------------------
 
 
-def cmd_search(args, parser: argparse.ArgumentParser, argv: list) -> int:
+def _search_output(args, argv, records, digest: str, kind: str, bound: int, started) -> int:
+    lines = _csv_lines(records) if args.fmt == "csv" else _jsonl_lines(records)
+    _deliver(lines, args.out, argv, digest, {"found": len(records)}, started)
+    print(f"kind={kind} bound={bound} found={len(records)}")
+    return EXIT_OK
+
+
+def cmd_search_tuples(args, parser: argparse.ArgumentParser, argv: list) -> int:
     started = time.perf_counter()
-    progress = _progress if args.progress else None
     if args.fmt == "csv" and args.k == 3:
         parser.error("--format csv is defined for pairs only; use jsonl for k=3")
-
-    if args.kind == "anarchy":
-        if args.m_bound is None or args.n_bound is None:
-            parser.error("search anarchy needs --m-bound and --n-bound")
-        if args.bound is not None:
-            parser.error("search anarchy takes --m-bound/--n-bound, not --bound")
-        pair_flags = (args.checkpoint is not None, args.k == 3, args.allow_equal is not None)
-        if any(pair_flags) or args.coprime or args.anarchy:
-            parser.error(
-                "search anarchy takes no --checkpoint, --k 3, --allow-equal, "
-                "--coprime or --anarchy"
-            )
-        records = search_anarchy_pairs(
-            args.m_bound, args.n_bound, threads=args.threads, progress=progress
-        )
-        digest = _digest_of(
-            {"op": "anarchy", "m_bound": args.m_bound, "n_bound": args.n_bound}
-        )
-        bound = args.n_bound
-        kind_label = "anarchy"
+    config = SearchConfig(
+        bound=args.bound,
+        kind=_KIND_BY_COMMAND[args.kind],
+        k=args.k,
+        filters=args.filters,
+        allow_equal_members=None if args.allow_equal is None else args.allow_equal == "true",
+        checkpoint_path=args.checkpoint,
+        threads=args.threads,
+    )
+    if args.k == 2:
+        records = search_pairs(config, progress=_progress if args.progress else None)
     else:
-        if args.bound is None:
-            parser.error(f"search {args.kind} needs --bound")
-        if args.m_bound is not None or args.n_bound is not None:
-            parser.error("--m-bound/--n-bound only apply to search anarchy")
-        if args.k == 3 and args.checkpoint is not None:
-            parser.error("--checkpoint applies to pair search only, not --k 3")
-        filters = set()
-        if args.coprime:
-            filters.add("coprime")
-        if args.anarchy:
-            filters.add("anarchy")
-        config = SearchConfig(
-            bound=args.bound,
-            kind=_KIND_BY_COMMAND[args.kind],
-            k=args.k,
-            filters=frozenset(filters),
-            allow_equal_members=(
-                None if args.allow_equal is None else args.allow_equal == "true"
-            ),
-            checkpoint_path=args.checkpoint,
-            threads=args.threads,
-        )
-        if args.k == 2:
-            records = search_pairs(config, progress=progress)
-        else:
-            records = search_triples(config)
-        digest = config.digest()
-        bound = args.bound
-        kind_label = config.kind
+        records = search_triples(config)
+    return _search_output(args, argv, records, config.digest(), config.kind, args.bound, started)
 
-    lines = _csv_lines(records) if args.fmt == "csv" else _jsonl_lines(records)
 
-    _deliver(lines, args.out, argv, digest, {"found": len(records)}, started)
-    print(f"kind={kind_label} bound={bound} found={len(records)}")
-    return EXIT_OK
+def cmd_search_anarchy(args, parser: argparse.ArgumentParser, argv: list) -> int:
+    started = time.perf_counter()
+    progress = _progress if args.progress else None
+    records = search_anarchy_pairs(
+        args.m_bound, args.n_bound, threads=args.threads, progress=progress
+    )
+    digest = _digest_of({"op": "anarchy", "m_bound": args.m_bound, "n_bound": args.n_bound})
+    return _search_output(args, argv, records, digest, "anarchy", args.n_bound, started)
 
 
 # --- classify -------------------------------------------------------------------
@@ -246,7 +222,7 @@ def cmd_bounds_verify(args, parser: argparse.ArgumentParser, argv: list) -> int:
     for lineno, payload in payloads:
         members = payload.get("members") if isinstance(payload, dict) else None
         try:
-            if not isinstance(members, list) or not all(type(m) is int for m in members):
+            if not isinstance(members, list):
                 raise ValueError(
                     f'expected {{"members": [integers, ...]}}, got {json.dumps(payload)[:80]}'
                 )
@@ -361,7 +337,9 @@ def cmd_lemmas_check(args, parser: argparse.ArgumentParser, argv: list) -> int:
 # --- parser -------------------------------------------------------------------------
 
 
-def _add_search_parser(sub) -> None:
+def _add_search_parser(sub, run: argparse.ArgumentParser) -> None:
+    shared = argparse.ArgumentParser(add_help=False, parents=[run])
+    shared.add_argument("--format", dest="fmt", choices=["csv", "jsonl"], default="jsonl")
     p = sub.add_parser(
         "search",
         help="enumerate pairs or triples of a class up to a bound",
@@ -370,35 +348,38 @@ def _add_search_parser(sub) -> None:
             "line is always 'kind=<> bound=<> found=<>'."
         ),
     )
-    p.add_argument(
-        "kind",
-        choices=["harmonious", "unitary", "amicable", "anarchy"],
-        help="class to search; 'anarchy' sweeps M <= --m-bound, N <= --n-bound",
+    ssub = p.add_subparsers(dest="kind", required=True)
+    for command, kind in _KIND_BY_COMMAND.items():
+        k = ssub.add_parser(command, parents=[shared], help=f"{kind} pairs or triples")
+        k.add_argument(
+            "--bound", type=int, required=True, help="largest member; pairs need bound < 2^30"
+        )
+        k.add_argument("--k", type=int, choices=[2, 3], default=2, help="tuple size")
+        for name, tuples in (("coprime", "pairwise coprime"), ("anarchy", "anarchy")):
+            k.add_argument(
+                f"--{name}",
+                dest="filters",
+                action="append_const",
+                const=name,
+                help=f"keep {tuples} tuples only",
+            )
+        k.add_argument(
+            "--allow-equal",
+            choices=["true", "false"],
+            default=None,
+            help="override the kind's equal-members convention",
+        )
+        k.add_argument("--checkpoint", help="pairs only: checkpoint file; run files go beside it")
+        k.set_defaults(handler=cmd_search_tuples, filters=[])
+    a = ssub.add_parser(
+        "anarchy", parents=[shared], help="sweep M <= --m-bound, N <= --n-bound for anarchy pairs"
     )
-    p.add_argument(
-        "--bound",
-        type=int,
-        help="largest member (kinds other than anarchy); pair search needs bound < 2^30",
-    )
-    p.add_argument("--k", type=int, choices=[2, 3], default=2, help="tuple size")
-    p.add_argument("--coprime", action="store_true", help="keep pairwise coprime tuples only")
-    p.add_argument("--anarchy", action="store_true", help="keep anarchy tuples only")
-    p.add_argument(
-        "--allow-equal",
-        choices=["true", "false"],
-        default=None,
-        help="override the kind's equal-members convention",
-    )
-    p.add_argument("--format", dest="fmt", choices=["csv", "jsonl"], default="jsonl")
-    p.add_argument("--out", help="output file; stdout when omitted")
-    p.add_argument("--checkpoint", help="checkpoint file; run files go beside it at any bound")
-    p.add_argument("--threads", type=int, default=0, help="worker threads (0 = auto)")
-    p.add_argument("--m-bound", type=int, help="anarchy only: bound for the smaller member")
-    p.add_argument("--n-bound", type=int, help="anarchy only: bound for the larger member")
-    p.add_argument("--progress", action="store_true", help="report progress on stderr")
-    p.set_defaults(handler=cmd_search)
+    a.add_argument("--m-bound", type=int, required=True, help="bound for the smaller member")
+    a.add_argument("--n-bound", type=int, required=True, help="bound for the larger member")
+    a.set_defaults(handler=cmd_search_anarchy)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="harmonia",
@@ -407,7 +388,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"harmonia {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _add_search_parser(sub)
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--out", help="output file; stdout when omitted")
+    run.add_argument("--threads", type=int, default=0, help="worker threads (0 = auto)")
+    run.add_argument("--progress", action="store_true", help="report progress on stderr")
+    _add_search_parser(sub, run)
 
     p = sub.add_parser("classify", help="classify one tuple and print its record")
     p.add_argument("members", nargs="+", type=int, metavar="M")
@@ -415,11 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="reproduce the count table")
     rsub = p.add_subparsers(dest="report_kind", required=True)
-    t2 = rsub.add_parser("table2", help="pair counts per bound as CSV")
+    t2 = rsub.add_parser("table2", parents=[run], help="pair counts per bound as CSV")
     t2.add_argument("--bounds", required=True, help="comma-separated ascending bounds")
-    t2.add_argument("--out", help="output file; stdout when omitted")
-    t2.add_argument("--threads", type=int, default=0)
-    t2.add_argument("--progress", action="store_true")
     t2.set_defaults(handler=cmd_table2)
 
     p = sub.add_parser("bounds", help="verify explicit bounds over a result file")

@@ -115,6 +115,8 @@ class SearchConfig:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.k not in (2, 3):
             raise ValueError(f"k must be 2 or 3, got {self.k}")
+        if self.k == 3 and self.checkpoint_path is not None:
+            raise ValueError("a checkpoint (--checkpoint) applies to pair search only, not k=3")
         object.__setattr__(self, "filters", frozenset(self.filters))
         bad = self.filters - set(FILTER_NAMES)
         if bad:

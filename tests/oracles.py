@@ -9,9 +9,11 @@ library runs:
                         verify_bounds runs without building the tower;
   check_cook            one pair of sequences in Fractions, against the
                         int64 cross products of lemmas.scan_cook_grid;
-  check_divisibility    one unitary split, validated per call, against
-                        lemmas.scan_divisibility_grid, which validates the
-                        members once and builds only valid splits;
+  check_divisibility    one unitary split, validated per call through
+                        classify_reference, its damped sum in Fractions,
+                        against lemmas.scan_divisibility_grid, which
+                        validates the members once and builds only valid
+                        splits;
   enumerate_instances   every instance of a (k, R) stratum, validated, to
                         feed check_hb1/check_hb2 one at a time against the
                         numpy kernel of lemmas.scan_hb_grid;
@@ -44,8 +46,6 @@ from harmonia.lemmas import (
     BudgetExceeded,
     DiophantineInstance,
     LemmaVerdict,
-    _divisibility_sum,
-    _require_anarchy_harmonious,
     instance_count,
 )
 
@@ -118,7 +118,9 @@ def check_divisibility(
     lands exactly on 1."""
     if len(unitary_parts) != len(members):
         raise ValueError("one unitary part per member")
-    _require_anarchy_harmonious(members)
+    flags = classify_reference(members).flags
+    if not (flags["harmonious"] and flags["anarchy"]):
+        raise ValueError("members must form an anarchy harmonious tuple")
     u_product = 1
     for m, u in zip(members, unitary_parts):
         if u < 1 or m % u != 0 or gcd(u, m // u) != 1:
@@ -129,7 +131,10 @@ def check_divisibility(
     u_primes = {p for p, _ in factorize(u_product)}
     if not set(prime_set) <= u_primes:
         raise ValueError("prime_set must consist of primes of prod(U_i)")
-    total = _divisibility_sum(members, unitary_parts, prime_set)
+    total = Fraction(0)
+    for m, u in zip(members, unitary_parts):
+        damping = prod(Fraction(p - 1, p) for p in prime_set if u % p == 0)
+        total += Fraction(m // u, sigma_of(factorize(m // u))) * damping
     return LemmaVerdict(
         hypotheses_hold=True,
         conclusion_holds=total != 1,

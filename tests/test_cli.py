@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import sys
 
 import pytest
@@ -188,11 +189,28 @@ def test_no_segment_length_or_memory_limit_flags(capsys):
     for flag in ("--segment-length", "--in-memory-limit"):
         assert run_cli("search", "harmonious", "--bound", "100", flag, "1024") == 2
         assert run_cli("report", "table2", "--bounds", "10,100", flag, "1024") == 2
-    for command in (("search",), ("report", "table2")):
+    kinds = ("harmonious", "unitary", "amicable", "anarchy")
+    for command in (*(("search", kind) for kind in kinds), ("report", "table2")):
         capsys.readouterr()
         assert run_cli(*command, "--help") == 0
         help_text = capsys.readouterr().out
+        # a help that lists no flags would pass the check below vacuously
+        assert "--threads" in help_text, command
         assert "--segment-length" not in help_text and "--in-memory-limit" not in help_text
+
+
+def test_search_help_lists_only_its_kinds_flags(capsys):
+    def flags_of(*command):
+        assert run_cli(*command, "--help") == 0
+        return set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+
+    anarchy = flags_of("search", "anarchy")
+    assert {"--m-bound", "--n-bound"} <= anarchy
+    pair_only = {"--bound", "--checkpoint", "--k", "--allow-equal", "--coprime", "--anarchy"}
+    assert not anarchy & pair_only
+    for kind in ("harmonious", "unitary", "amicable"):
+        pair = flags_of("search", kind)
+        assert pair_only <= pair and "--m-bound" not in pair, kind
 
 
 def test_search_anarchy_filter_flag(capsys):
@@ -333,14 +351,23 @@ def test_bounds_verify_classifies_all_lines_at_once(tmp_path, monkeypatch, capsy
 
 def test_bounds_verify_refuses_malformed_records(tmp_path, capsys):
     path = tmp_path / "records.jsonl"
-    bad = ('{"m": [1, 2]}', "[220, 284]", '{"members": 5}', '{"members": [0, 5]}',
-           '{"members": []}', '{"members": [5, 18446744073709551616]}')
-    for line in bad:
+    shape = 'expected {"members": [integers, ...]}'
+    # past the shape test, the validator's own message names the bad member
+    bad = {
+        '{"m": [1, 2]}': shape,
+        "[220, 284]": shape,
+        '{"members": 5}': shape,
+        '{"members": [0, 5]}': "members must be positive integers, got 0",
+        '{"members": [64, true]}': "members must be positive integers, got True",
+        '{"members": []}': "need at least one member",
+        '{"members": [5, 18446744073709551616]}': "factorize requires n < 2^64",
+    }
+    for line, message in bad.items():
         path.write_text('{"members": [220, 284]}\n' + line + "\n")
         assert run_cli("bounds", "verify", "--input", str(path)) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "--input line 2:" in captured.err
+        assert f"--input line 2: {message}" in captured.err, line
 
 
 # --- induction trace ----------------------------------------------------------------

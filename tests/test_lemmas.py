@@ -2,10 +2,13 @@
 small exhaustive grids cross-checked against the per-instance verdicts."""
 
 from fractions import Fraction
+from itertools import combinations, product
+from math import prod
 
 import pytest
 
 import harmonia.lemmas
+from harmonia.arith import factorize
 from harmonia.bounds import tower
 from harmonia.classify import classify
 from harmonia.lemmas import (
@@ -374,3 +377,29 @@ def test_divisibility_grid_on_anarchy_pair():
     report = scan_divisibility_grid(ANARCHY_PAIR)
     assert report.instances == 242
     assert report.clean
+
+
+def _unitary_divisors(n):
+    powers = [p**e for p, e in factorize(n)]
+    return sorted(
+        prod(chosen) for r in range(len(powers) + 1) for chosen in combinations(powers, r)
+    )
+
+
+def test_divisibility_grid_matches_the_oracle_split_by_split():
+    # every unitary split times every subset of the U-primes, one oracle call each
+    seen, ones = 0, []
+    for parts in product(*(_unitary_divisors(m) for m in ANARCHY_PAIR)):
+        if prod(parts) == 1:
+            continue
+        u_primes = [p for p, _ in factorize(prod(parts))]
+        for r in range(len(u_primes) + 1):
+            for subset in combinations(u_primes, r):
+                verdict = check_divisibility(ANARCHY_PAIR, parts, subset)
+                assert verdict.hypotheses_hold
+                seen += 1
+                if not verdict.conclusion_holds:
+                    ones.append((parts, subset))
+    report = scan_divisibility_grid(ANARCHY_PAIR)
+    assert seen == report.instances == 242
+    assert ones == report.counterexamples == []

@@ -92,6 +92,15 @@ def test_config_validation():
         SearchConfig(bound=10, threads=-1)
 
 
+def test_triple_config_refuses_checkpoint(tmp_path):
+    # a triple search keeps no run files, so a checkpoint would silently
+    # record nothing
+    ck = tmp_path / "run.ck"
+    with pytest.raises(ValueError, match="--checkpoint"):
+        SearchConfig(bound=1000, k=3, checkpoint_path=str(ck))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_equal_member_conventions():
     assert SearchConfig(bound=10).equal_allowed
     assert SearchConfig(bound=10, kind="unitary_harmonious").equal_allowed
