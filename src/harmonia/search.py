@@ -12,21 +12,20 @@ key's ratio lies above b/a, and a complement at or below b/a is dropped
 before it becomes a query: about 40% of them.  The unitary kind splits the
 same way on sigma*.
 
-One segment pipeline serves every pair kind in both memory regimes.  For
-the ratio kinds, pass 1 sieves each segment once and emits a code-sorted
-key run and a code-sorted query run.  Reduced fractions are packed into
-int64 codes: the numerator is shifted past the denominator width, and every
-segment checks that its sigma fits that width, then that its keys stay
-below the abundancy cap.  The join goes code-range bucket by bucket: it
-merges every segment's keys of the bucket into one index, and each
-segment's already sorted query slice probes that index in place.  Up to
-IN_MEMORY_LIMIT the runs are arrays; above it, or whenever a checkpoint is
-configured, they are .npy files.  Segment lengths follow from the bound
-alone (_segment_length), so no search has a tuning knob and a checkpoint
-resumes under any thread count.  Pair search needs bound < 2^30: from there
-on, a numerator and a denominator no longer fit in 63 bits together.
-Every segment loop, the anarchy sweep's too, runs on one thread-pool
-driver, _each_segment.
+One segment pipeline serves every pair kind.  For the ratio kinds, pass 1
+sieves each segment once and emits a code-sorted key run and a code-sorted
+query run.  Reduced fractions are packed into int64 codes: the numerator
+is shifted past the denominator width, and every segment checks that its
+sigma fits that width, then that its keys stay below the abundancy cap.
+The join goes code-range bucket by bucket: it merges every segment's keys
+of the bucket into one index, and each segment's already sorted query
+slice probes that index in place.  Every run is a .npy file: beside the
+checkpoint when one is configured, in a temporary directory otherwise.
+Segment lengths follow from the bound alone (_segment_length), so no
+search has a tuning knob and a checkpoint resumes under any thread count.
+Pair search needs bound < 2^30: from there on, a numerator and a
+denominator no longer fit in 63 bits together.  Every segment loop, the
+anarchy sweep's too, runs on one thread-pool driver, _each_segment.
 
 The anarchy sweep pairs a small side M <= m_bound with every N up to a much
 larger n_bound, streaming N through the same complement match.  Before it
@@ -39,7 +38,7 @@ that pass go through the exact codes.
 Amicable pairs use the aliquot shortcut instead: the only possible partner
 of M is s(M) = sigma(M) - M, so a pair exists exactly when
 sigma(s(M)) == sigma(M).  Pass 1 puts each M's (s(M), sigma(M)) query into
-the same run stores, and a resolve pass re-sieves each segment to check the
+the same run store, and a resolve pass re-sieves each segment to check the
 queries whose partner lies in it.
 
 Every search re-validates all its candidates in one classify_all call,
@@ -70,9 +69,6 @@ KINDS = ("harmonious", "unitary_harmonious", "amicable")
 FILTER_NAMES = ("coprime", "anarchy")
 _FILTER_FLAG = {"coprime": "pairwise_coprime", "anarchy": "anarchy"}
 
-# pair searches up to this bound keep their runs in memory unless a
-# checkpoint is configured
-IN_MEMORY_LIMIT = 10**7
 TRIPLE_BOUND_CAP = 10**5
 # key bytes per bucket of the merge join; a bucket's queries take about
 # three times as much
@@ -158,8 +154,8 @@ class Checkpoint:
 # --- checkpoint plumbing ----------------------------------------------------
 #
 # A checkpoint is only useful when partial work survives the process, so a
-# configured checkpoint_path forces the file-backed pipeline and the run
-# files live beside the checkpoint in <checkpoint_path>.runs/.  The file
+# configured checkpoint_path keeps the run files beside the checkpoint in
+# <checkpoint_path>.runs/ instead of a temporary directory.  The file
 # records the sha256 of every completed segment's run files; resuming
 # re-hashes them, and any disagreement (foreign config, missing file,
 # altered bytes) refuses rather than risking a silently different result.
@@ -386,26 +382,17 @@ def _probe(
     return np.repeat(owners[hit], lens), values[rows]
 
 
-# --- run stores ---------------------------------------------------------------
+# --- run store ----------------------------------------------------------------
 #
-# Pass 1 puts each segment's runs into a store under (segment, name): the
-# ratio kinds write a "keys" and a "comps" run of (code, n) rows, amicable
-# writes a "queries" run of (partner, sigma_m, m) rows.  Every run is one
-# int64 array sorted by its first row.
-
-
-class _MemoryRuns(dict):
-    """Run store of the in-memory regime."""
-
-    def put(self, index: int, name: str, run: np.ndarray) -> None:
-        self[index, name] = run
-
-    def load(self, index: int, name: str) -> np.ndarray:
-        return self[index, name]
+# Pass 1 writes each segment's runs into the store under (segment, name):
+# the ratio kinds write a "keys" and a "comps" run of (code, n) rows,
+# amicable writes a "queries" run of (partner, sigma_m, m) rows.  Every run
+# is one int64 array sorted by its first row.
 
 
 class _FileRuns:
-    """Run store of the file-backed regime: <name>-<segment>.npy files."""
+    """The run store of every pair search: <name>-<segment>.npy files in
+    one directory, loaded memory-mapped."""
 
     def __init__(self, rundir: str) -> None:
         self.rundir = rundir
@@ -421,11 +408,10 @@ class _FileRuns:
 
 
 @contextlib.contextmanager
-def _run_store(config: SearchConfig, in_memory: bool) -> Iterator:
-    """The regime's run store; a temporary run directory is removed on exit."""
-    if in_memory:
-        yield _MemoryRuns()
-    elif config.checkpoint_path:
+def _run_store(config: SearchConfig) -> Iterator[_FileRuns]:
+    """The run store in <checkpoint_path>.runs/, or in a temporary
+    harmonia-runs-* directory (under TMPDIR) that is removed on exit."""
+    if config.checkpoint_path:
         rundir = config.checkpoint_path + ".runs"
         os.makedirs(rundir, exist_ok=True)
         yield _FileRuns(rundir)
@@ -605,10 +591,7 @@ def _resolve_amicable_queries(
         sigma = sieve_tables(lo, hi)
         hits = []
         for i in range(len(segs)):
-            arr = store.load(i, "queries")
-            a = int(np.searchsorted(arr[0], lo, side="left"))
-            b = int(np.searchsorted(arr[0], hi, side="right"))
-            sl = np.asarray(arr[:, a:b])
+            sl = np.asarray(_bucket_slice(store.load(i, "queries"), lo, hi + 1))
             hits.append(sl[[2, 0]][:, sigma[sl[0] - lo] == sl[1]])
         return np.concatenate(hits, axis=1)
 
@@ -648,20 +631,19 @@ def search_pairs(
 ) -> list[TupleRecord]:
     """All pairs (M <= N <= bound) of the configured kind, sorted ascending.
 
-    Every kind runs the same path: pass 1 puts each segment's runs into a
-    run store, then the ratio kinds join the runs and amicable resolves its
-    partner queries.  The store holds arrays up to IN_MEMORY_LIMIT (10^7);
-    above that, or whenever a checkpoint_path is set (partial work can only
-    be resumed from disk), it holds files.  The segment length follows from
-    the bound (_segment_length).  Results are identical across segment
-    lengths, thread counts, and the two regimes.
+    Every kind runs the same path: pass 1 writes each segment's runs as
+    .npy files, then the ratio kinds join the runs and amicable resolves its
+    partner queries.  The files live beside checkpoint_path when it is set
+    and in a temporary directory otherwise, up to about 11 bytes per
+    integer of the bound.  The segment length follows from the bound
+    (_segment_length).  Results are identical across segment lengths and
+    thread counts.
     """
     if config.k != 2:
         raise ValueError(f"search_pairs needs k=2, got k={config.k}")
-    in_memory = config.bound <= IN_MEMORY_LIMIT and not config.checkpoint_path
     shift = 0 if config.kind == "amicable" else _code_shift(config.bound, _sigma_cap(config.bound))
     segs = _segments(config.bound)
-    with _run_store(config, in_memory) as store:
+    with _run_store(config) as store:
         _pass1(config, segs, shift, store, progress)
         if config.kind == "amicable":
             m_col, n_col = _resolve_amicable_queries(store, segs, config.threads, progress)

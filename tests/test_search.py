@@ -10,6 +10,7 @@ import functools
 import hashlib
 import json
 import os
+import tempfile
 import time
 from collections import defaultdict
 from fractions import Fraction
@@ -241,10 +242,10 @@ def full_join_pairs(bound, star):
 def test_half_plane_join_matches_full_join_1e6(kind, perfect_pair, monkeypatch):
     bound = 10**6
     want = full_join_pairs(bound, star=kind == "unitary_harmonious")
-    for file_backed in (False, True):
-        if file_backed:
-            monkeypatch.setattr(harmonia.search, "IN_MEMORY_LIMIT", 10**5)
-            monkeypatch.setattr(harmonia.search, "_segment_length", lambda bound: 1 << 16)
+    # the derived segment length (125,000), then a shorter one
+    for length in (None, 1 << 16):
+        if length:
+            monkeypatch.setattr(harmonia.search, "_segment_length", lambda bound: length)
         got = members_of(search_pairs(SearchConfig(bound=bound, kind=kind)))
         assert got == want
         # two perfect numbers are found from both sides of the split
@@ -265,15 +266,12 @@ def test_multi_bucket_join_matches_full_join_1e6(kind, monkeypatch):
     bound = 10**6
     want = full_join_pairs(bound, star=kind == "unitary_harmonious")
     monkeypatch.setattr(harmonia.search, "_BUCKET_TARGET_BYTES", 1 << 16)
-    for file_backed in (False, True):
-        if file_backed:
-            monkeypatch.setattr(harmonia.search, "IN_MEMORY_LIMIT", 10**5)
-        for equal in (True, False):
-            lines = []
-            config = SearchConfig(bound=bound, kind=kind, allow_equal_members=equal)
-            got = members_of(search_pairs(config, progress=lines.append))
-            assert got == [p for p in want if equal or p[0] != p[1]]
-            assert sum(line.startswith("joined bucket") for line in lines) >= 8
+    for equal in (True, False):
+        lines = []
+        config = SearchConfig(bound=bound, kind=kind, allow_equal_members=equal)
+        got = members_of(search_pairs(config, progress=lines.append))
+        assert got == [p for p in want if equal or p[0] != p[1]]
+        assert sum(line.startswith("joined bucket") for line in lines) >= 8
 
 
 @pytest.mark.parametrize(
@@ -333,7 +331,7 @@ def test_count_table_matches_search_cardinalities():
         )
 
 
-# --- determinism and regimes ---------------------------------------------------
+# --- determinism and run files -------------------------------------------------
 
 
 def test_partition_independence(monkeypatch):
@@ -387,14 +385,14 @@ def test_failing_segment_cancels_the_rest():
     assert len(ran) <= 5
 
 
-def test_external_regime_matches_memory(monkeypatch):
+def test_segment_length_invariance_every_kind(monkeypatch):
+    # the derived 3 segments of 1024 against one segment holding the bound
     for kind in ("harmonious", "unitary_harmonious", "amicable"):
-        mem = search_pairs(SearchConfig(bound=3000, kind=kind))
+        split = search_pairs(SearchConfig(bound=3000, kind=kind))
         with monkeypatch.context() as m:
-            m.setattr(harmonia.search, "IN_MEMORY_LIMIT", 500)
-            m.setattr(harmonia.search, "_segment_length", lambda bound: 1024)
-            ext = search_pairs(SearchConfig(bound=3000, kind=kind))
-        assert jsonl_of(ext) == jsonl_of(mem)
+            m.setattr(harmonia.search, "_segment_length", lambda bound: 4096)
+            whole = search_pairs(SearchConfig(bound=3000, kind=kind))
+        assert jsonl_of(whole) == jsonl_of(split)
 
 
 def test_run_files_are_hashed_only_for_a_checkpoint(tmp_path, monkeypatch):
@@ -412,9 +410,8 @@ def test_run_files_are_hashed_only_for_a_checkpoint(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harmonia.search, "_sha256_file", hash_spy)
     monkeypatch.setattr(harmonia.search._FileRuns, "put", put_spy)
-    # the file regime without a checkpoint: 4 segments, a keys and a comps
-    # run each, and no digest anywhere
-    monkeypatch.setattr(harmonia.search, "IN_MEMORY_LIMIT", 500)
+    # without a checkpoint: 4 segments, a keys and a comps run each, and no
+    # digest anywhere
     search_pairs(SearchConfig(bound=4096))
     assert len(written) == 8 and hashed == []
 
@@ -423,6 +420,33 @@ def test_run_files_are_hashed_only_for_a_checkpoint(tmp_path, monkeypatch):
     assert len(written) == 16
     assert sorted(hashed) == sorted(os.listdir(str(ck) + ".runs"))
     assert len(hashed) == 8
+
+
+def test_runs_live_in_a_temporary_directory(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    seen = []
+
+    def look(line):
+        seen.append({d: set(os.listdir(tmp_path / d)) for d in os.listdir(tmp_path)})
+
+    # 3 segments of 1024, a keys and a comps run each
+    search_pairs(SearchConfig(bound=3000), progress=look)
+    assert len({d for dirs in seen for d in dirs}) == 1
+    [(rundir, files)] = seen[-1].items()
+    assert rundir.startswith("harmonia-runs-")
+    assert files == {f"{name}-{i:06d}.npy" for name in ("keys", "comps") for i in range(3)}
+    assert os.listdir(tmp_path) == []
+    # a search that the key-packing guard refuses leaves nothing behind
+    monkeypatch.setattr(harmonia.search, "_sigma_cap", lambda bound: bound)
+    with pytest.raises(ArithmeticError, match="key packing"):
+        search_pairs(SearchConfig(bound=3000))
+    assert os.listdir(tmp_path) == []
+
+
+def test_missing_temporary_directory_exits_4(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    assert cli_main(["search", "harmonious", "--bound", "3000"]) == 4
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_checkpoint_resume_and_refusal(tmp_path):
@@ -705,14 +729,11 @@ def test_abundancy_cap_tripwire(monkeypatch, capsys):
     # a cap of 7/2 still packs every sigma but lies below that ratio, so
     # pass 1 refuses instead of letting the query prune drop pairs
     monkeypatch.setattr(harmonia.search, "_abundancy_cap", lambda bound: (7, 2))
-    for file_backed in (False, True):
-        if file_backed:
-            monkeypatch.setattr(harmonia.search, "IN_MEMORY_LIMIT", 500)
-        with pytest.raises(ArithmeticError, match="abundancy cap 7/2"):
-            search_pairs(SearchConfig(bound=10**4))
-        assert cli_main(["search", "harmonious", "--bound", "10000"]) == 1
-        err = capsys.readouterr().err
-        assert "abundancy cap 7/2" in err and "key packing" not in err
+    with pytest.raises(ArithmeticError, match="abundancy cap 7/2"):
+        search_pairs(SearchConfig(bound=10**4))
+    assert cli_main(["search", "harmonious", "--bound", "10000"]) == 1
+    err = capsys.readouterr().err
+    assert "abundancy cap 7/2" in err and "key packing" not in err
     # the packing check runs first: a segment whose sigma is too wide for
     # its codes is refused as such even when its keys reach the cap as well
     # (sigma(120)/120 = 3)
@@ -734,8 +755,8 @@ def test_key_packing_guard_refuses_low_sigma_cap(monkeypatch):
         search_pairs(SearchConfig(bound=3000))
     with pytest.raises(ArithmeticError, match="key packing"):
         search_anarchy_pairs(10, 3000)
-    monkeypatch.setattr(harmonia.search, "IN_MEMORY_LIMIT", 500)
-    monkeypatch.setattr(harmonia.search, "_segment_length", lambda bound: 1024)
+    # one segment holding the bound instead of the derived three
+    monkeypatch.setattr(harmonia.search, "_segment_length", lambda bound: 4096)
     with pytest.raises(ArithmeticError, match="key packing"):
         search_pairs(SearchConfig(bound=3000))
 
@@ -769,9 +790,6 @@ def test_false_positive_raises_through_every_search(monkeypatch, capsys):
     for search, kind in searches:
         with pytest.raises(ArithmeticError, match=first.format(kind)):
             search()
-    monkeypatch.setattr(harmonia.search, "IN_MEMORY_LIMIT", 500)
-    with pytest.raises(ArithmeticError, match=first.format("harmonious")):
-        search_pairs(SearchConfig(bound=3000))
     assert cli_main(["search", "harmonious", "--bound", "3000"]) == 1
     assert "re-validation" in capsys.readouterr().err
 
