@@ -4,18 +4,21 @@ Divisor sums (classical and unitary), segmented multiplicative sieves and
 factorizations.  Everything that decides anything is exact Python int
 arithmetic.  numpy int64 is used only inside sieve segments, with overflow
 bounds stated where it matters.  One sieve call yields one divisor-sum
-column, sigma or sigma*.  It lays the primes up to 31, up to fixed
-exponents, from precomputed periodic tiles with contiguous copies, and
-strips every other prime power through in-place strided views of its
-remainder and output arrays, one view each per prime power; it builds no
-index arrays and tests no remainders.  Every int64 it holds is at most
-max(hi, sigma(n)), which MAX_SIEVE_BOUND keeps far below 2^63.
+column, sigma or sigma*, over every n of the segment or, for the anarchy
+sweep, over its odd n only.  It lays the primes up to 31, up to fixed
+exponents, from precomputed periodic tiles with contiguous copies (the odd
+column from each tile's odd residues), and strips every other prime power
+through in-place strided views of its remainder and output arrays, one
+view each per prime power; it builds no index arrays and tests no
+remainders.  The odd column gives the prime 2 no pass and halves the
+integers.  Every int64 it holds is at most max(hi, sigma(n)), which
+MAX_SIEVE_BOUND keeps far below 2^63.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 from threading import Lock
 
 import numpy as np
@@ -115,14 +118,15 @@ def primes_upto(limit: int) -> np.ndarray:
     return np.nonzero(~composite)[0].astype(np.int64)
 
 
-def _tile(group: tuple[tuple[int, int], ...], column: str) -> np.ndarray:
+def _tile(group: tuple[tuple[int, int], ...], column: str, odd: bool) -> np.ndarray:
     """One column of a group's tile, built on first use: for each residue r
     modulo the period P, the p-part prod p^min(v_p(r), K) over the group's
     p^K ("part"), or that part's sigma or sigma* factor.  r = 0 stands for
     every multiple of P, so it takes each p^K.  int32 holds every entry:
-    the largest is sigma's 255 * 121 * 31."""
+    the largest is sigma's 255 * 121 * 31.  Under odd, the odd-residue tile
+    T'[j] = tile[(2j + 1) mod P] instead, of period P / gcd(2, P)."""
     with _TILE_LOCK:
-        return _build_tile(group, column)
+        return _build_odd_tile(group, column) if odd else _build_tile(group, column)
 
 
 @lru_cache(maxsize=None)
@@ -138,12 +142,20 @@ def _build_tile(group: tuple[tuple[int, int], ...], column: str) -> np.ndarray:
     return tile
 
 
-def _lay_tiles(out: np.ndarray, column: str, lo: int) -> None:
-    """out[i] = the product over the tiles of tile[(lo + i) mod P], written
-    with contiguous slices that start at lo mod P and wrap at P."""
+@lru_cache(maxsize=None)
+def _build_odd_tile(group: tuple[tuple[int, int], ...], column: str) -> np.ndarray:
+    tile = _build_tile(group, column)
+    period = tile.size // gcd(2, tile.size)
+    return tile[(2 * np.arange(period) + 1) % tile.size]
+
+
+def _lay_tiles(out: np.ndarray, column: str, origin: int, odd: bool) -> None:
+    """out[i] = the product over the tiles of tile[(origin + i) mod P], or
+    of T'[(origin + i) mod P'] under odd, written with contiguous slices
+    that start at origin modulo the period and wrap there."""
     for g, group in enumerate(_TILE_GROUPS):
-        tile = _tile(group, column)
-        at, start = 0, lo % tile.size
+        tile = _tile(group, column, odd)
+        at, start = 0, origin % tile.size
         while at < out.size:
             chunk = out[at : at + tile.size - start]
             if g:
@@ -154,8 +166,10 @@ def _lay_tiles(out: np.ndarray, column: str, lo: int) -> None:
             start = 0
 
 
-def sieve_tables(lo: int, hi: int, *, star: bool = False) -> np.ndarray:
-    """sigma(n), or sigma*(n) when star, for n in [lo, hi] at index n - lo.
+def sieve_tables(lo: int, hi: int, *, star: bool = False, odd: bool = False) -> np.ndarray:
+    """sigma(n), or sigma*(n) when star, for n in [lo, hi] at index n - lo;
+    under odd, for the odd n in [lo, hi] only, at index (n - lo') / 2 with
+    lo' = lo | 1.
 
     A multiplicative sieve of the one divisor sum.  First the tiles.  Each
     tile column repeats with its period P, so the segment lays it from
@@ -175,6 +189,14 @@ def sieve_tables(lo: int, hi: int, *, star: bool = False) -> np.ndarray:
     k-1 multiplied that factor in.  Whatever remains above 1 afterwards is
     a single prime factor with exponent 1.
 
+    The odd column runs the same body over half the integers.  Entry i
+    holds n = lo' + 2i, so each tile is read through its odd-residue tile
+    T'[j] = tile[(2j + 1) mod P], of period P' = P / gcd(2, P), from offset
+    ((lo' - 1) / 2) mod P'.  The prime 2 gets no pass.  An odd p^k has its
+    first odd multiple at index s = -lo' * (p^k + 1) / 2 mod p^k, since
+    (p^k + 1) / 2 inverts 2 modulo p^k, and the next ones follow every p^k
+    entries.
+
     int64 stays safe: every laid product divides n or is a partial product
     of the output's factors, and so is every later intermediate: a
     remainder <= hi, or a product of factors each at most the one that
@@ -188,13 +210,16 @@ def sieve_tables(lo: int, hi: int, *, star: bool = False) -> np.ndarray:
         raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
     if hi > MAX_SIEVE_BOUND:
         raise ValueError(f"sieve bound {hi} exceeds {MAX_SIEVE_BOUND}")
-    length = hi - lo + 1
+    first, step = (lo | 1, 2) if odd else (lo, 1)
+    rem = np.arange(first, hi + 1, step, dtype=np.int64)
+    length = rem.size
     out = np.empty(length, dtype=np.int64)
-    _lay_tiles(out, "part", lo)
-    rem = np.arange(lo, hi + 1, dtype=np.int64)
+    origin = first // step
+    _lay_tiles(out, "part", origin, odd)
     rem //= out
-    _lay_tiles(out, "sigma_star" if star else "sigma", lo)
-    for p in primes_upto(isqrt(hi)).tolist():
+    _lay_tiles(out, "sigma_star" if star else "sigma", origin, odd)
+    # the odd column skips the prime 2, the first prime
+    for p in primes_upto(isqrt(hi)).tolist()[odd:]:
         # q = p^k, and the multiples of q carry the factor f of p^(k-1) so
         # far; a tiled p^K starts at k = K + 1
         K = _TILED.get(p, 0)
@@ -203,7 +228,8 @@ def sieve_tables(lo: int, hi: int, *, star: bool = False) -> np.ndarray:
             f = q // p + 1 if K else 1
         else:
             f = (q - 1) // (p - 1)
-        s = -lo % q
+        # the first multiple of q; (q + 1) / 2 inverts the odd column's step
+        s = -first * ((q + 1) // 2 if odd else 1) % q
         while s < length:
             rem[s::q] //= p
             view = out[s::q]
@@ -212,7 +238,7 @@ def sieve_tables(lo: int, hi: int, *, star: bool = False) -> np.ndarray:
             f = q + 1 if star else f * p + 1
             view *= f
             q *= p
-            s = -lo % q
+            s = -first * ((q + 1) // 2 if odd else 1) % q
     # a leftover prime r > 1 contributes 1 + r, a leftover 1 contributes 1
     out *= rem + (rem > 1)
     return out

@@ -297,11 +297,26 @@ def cmd_induction_trace(args, parser: argparse.ArgumentParser, argv: list) -> in
 # --- lemmas check -----------------------------------------------------------------
 
 
+# every lemma-specific flag of `lemmas check`: its default and the lemmas
+# that read it; the others refuse it
+_LEMMA_FLAGS = {
+    "k_max": (2, ("hb1", "hb2", "cook")),
+    "r_max": (3, ("hb1", "hb2")),
+    "m_max": (12, ("hb1", "hb2", "cook")),
+    "coef_max": (6, ("hb1", "hb2", "cook")),
+    "members": ("64,173369889", ("div",)),
+    "dump_witnesses": (False, ("hb1", "hb2")),
+}
+
+
 def cmd_lemmas_check(args, parser: argparse.ArgumentParser, argv: list) -> int:
+    for name, (default, lemmas) in _LEMMA_FLAGS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif args.lemma not in lemmas:
+            parser.error(f"--{name.replace('_', '-')} applies to --lemma {'/'.join(lemmas)} only")
     sink = None
     if args.dump_witnesses:
-        if args.lemma not in ("hb1", "hb2"):
-            parser.error("--dump-witnesses applies to --lemma hb1/hb2 only")
         sink = lambda witness: print(json.dumps(witness, sort_keys=True))  # noqa: E731
     if args.lemma in ("hb1", "hb2"):
         report = scan_hb_grid(
@@ -426,20 +441,23 @@ def build_parser() -> argparse.ArgumentParser:
             "hb1/hb2 use all four box flags; cook reads --k-max as the sequence "
             "length cap, --m-max as the value cap, --coef-max as the denominator "
             "cap; precook uses its fixed default grid; div scans every unitary "
-            "split of --members."
+            "split of --members.  A flag that its lemma does not read is refused."
         ),
     )
     lc.add_argument(
         "--lemma", required=True, choices=["hb1", "hb2", "cook", "precook", "div"]
     )
-    lc.add_argument("--k-max", type=int, default=2)
-    lc.add_argument("--r-max", type=int, default=3)
-    lc.add_argument("--m-max", type=int, default=12)
-    lc.add_argument("--coef-max", type=int, default=6)
-    lc.add_argument("--members", default="64,173369889", help="div only: the tuple to split")
+    lc.add_argument("--k-max", type=int, help="hb1/hb2/cook only (default 2)")
+    lc.add_argument("--r-max", type=int, help="hb1/hb2 only (default 3)")
+    lc.add_argument("--m-max", type=int, help="hb1/hb2/cook only (default 12)")
+    lc.add_argument("--coef-max", type=int, help="hb1/hb2/cook only (default 6)")
+    lc.add_argument(
+        "--members", help="div only: the tuple to split (default 64,173369889)"
+    )
     lc.add_argument(
         "--dump-witnesses",
         action="store_true",
+        default=None,
         help="hb1/hb2 only: print every hypothesis-holding instance as JSON lines",
     )
     lc.set_defaults(handler=cmd_lemmas_check)

@@ -28,12 +28,16 @@ denominator no longer fit in 63 bits together.  Every segment loop, the
 anarchy sweep's too, runs on one thread-pool driver, _each_segment.
 
 The anarchy sweep pairs a small side M <= m_bound with every N up to a much
-larger n_bound, streaming N through the same complement match.  Before it
-builds exact codes it compares float64s: N/sigma(N) against the small
-side's (sigma(M) - M)/sigma(M), hashed on their low mantissa bits.  Equal
-rationals whose parts are below 2^53 round to the same double, and
-bound < 2^30 guarantees that, so the prefilter drops no match; the few N
-that pass go through the exact codes.
+larger n_bound, streaming N through the same complement match over the odd
+integers only.  Anarchy forces N odd or M an odd square (the parity rule),
+and N = 2^a * o with o odd has N/sigma(N) = t exactly when
+o/sigma(o) = t * (2^(a+1) - 1)/2^a.  So one sweep of the odd column of the
+sieve probes every M's complement t, and the scaled targets of the
+odd-square M for each a >= 1.  Before it builds exact codes it compares
+float64s: o/sigma(o) against the targets, hashed on their low mantissa
+bits.  Equal rationals whose parts are below 2^53 round to the same
+double, and bound < 2^30 guarantees that, so the prefilter drops no match;
+the few o that pass go through the exact codes.
 
 Amicable pairs use the aliquot shortcut instead: the only possible partner
 of M is s(M) = sigma(M) - M, so a pair exists exactly when
@@ -58,6 +62,7 @@ import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -253,7 +258,7 @@ def _code_shift(bound: int, sigma_max: int) -> int:
 def _check_packing(sigma: np.ndarray, shift: int) -> None:
     """Refuse a segment whose sigma overflows the denominator width: its
     codes would collide with other fractions' and pairs would go missing."""
-    top = int(sigma.max())
+    top = int(sigma.max(initial=0))
     if top >= 1 << shift:
         raise ArithmeticError(
             f"sigma value {top} does not fit the {shift}-bit key packing; "
@@ -545,6 +550,16 @@ def _bucket_rows(store, nsegs: int, lo_edge: int, hi_edge: int | None) -> np.nda
     return rows[:, np.argsort(rows[0], kind="stable")] if nsegs > 1 else rows
 
 
+def _check_conserved(phase: str, taken: int, written: int) -> None:
+    """Refuse a pass whose slices do not add up to the rows pass 1 wrote:
+    a row lost between the two drops its pairs without any other error."""
+    if taken != written:
+        raise ArithmeticError(
+            f"{phase}: the slices hold {taken} rows, pass 1 wrote {written}; "
+            "a bucket or segment slice lost rows"
+        )
+
+
 def _join(
     store,
     nsegs: int,
@@ -558,21 +573,29 @@ def _join(
 
     Each bucket merges the keys of every segment into one index.  The
     queries are never merged: each segment's run is already code-sorted,
-    so its slice of the bucket probes the index in place."""
+    so its slice of the bucket probes the index in place.  The buckets'
+    key rows and query rows must add up to the pass-1 runs'
+    (_check_conserved)."""
     total = sum(store.load(i, "keys").shape[1] for i in range(nsegs))
+    queries = sum(store.load(i, "comps").shape[1] for i in range(nsegs))
     edges = _bucket_edges(bound, shift, total)
     parts = []
+    joined_keys = joined_queries = 0
     for b in range(len(edges) - 1):
         hi_edge = edges[b + 1] if b + 2 < len(edges) else None
         keys = _bucket_rows(store, nsegs, edges[b], hi_edge)
+        joined_keys += keys.shape[1]
         index = _key_index(keys[0])
         for i in range(nsegs):
             comps = _bucket_slice(store.load(i, "comps"), edges[b], hi_edge)
+            joined_queries += comps.shape[1]
             # two distinct perfect numbers match from both sides; the
             # caller's candidate set folds that duplicate
             parts.append(np.stack(_probe(index, keys[1], comps[0], comps[1])))
         if progress:
             progress(f"joined bucket {b + 1}/{len(edges) - 1}")
+    _check_conserved("join keys", joined_keys, total)
+    _check_conserved("join queries", joined_queries, queries)
     pairs = np.sort(np.concatenate(parts, axis=1), axis=0)
     return pairs if equal_allowed else pairs[:, pairs[0] < pairs[1]]
 
@@ -584,18 +607,24 @@ def _resolve_amicable_queries(
     progress: Progress | None,
 ) -> np.ndarray:
     """Re-sieve each segment and keep the queries whose partner lies in it
-    and has the same sigma; (M, partner) pairs as the rows of one array."""
+    and has the same sigma; (M, partner) pairs as the rows of one array.
+    The segments' query slices must add up to the pass-1 runs
+    (_check_conserved)."""
 
-    def work(seg: tuple[int, int]) -> np.ndarray:
+    def work(seg: tuple[int, int]) -> tuple[np.ndarray, int]:
         lo, hi = seg
         sigma = sieve_tables(lo, hi)
-        hits = []
+        hits, taken = [], 0
         for i in range(len(segs)):
             sl = np.asarray(_bucket_slice(store.load(i, "queries"), lo, hi + 1))
+            taken += sl.shape[1]
             hits.append(sl[[2, 0]][:, sigma[sl[0] - lo] == sl[1]])
-        return np.concatenate(hits, axis=1)
+        return np.concatenate(hits, axis=1), taken
 
-    return np.concatenate(list(_each_segment(work, segs, threads, progress, "resolved")), axis=1)
+    hits, taken = zip(*_each_segment(work, segs, threads, progress, "resolved"))
+    total = sum(store.load(i, "queries").shape[1] for i in range(len(segs)))
+    _check_conserved("resolve queries", sum(taken), total)
+    return np.concatenate(hits, axis=1)
 
 
 # --- record emission ---------------------------------------------------------
@@ -654,6 +683,27 @@ def search_pairs(
     return _emit_records(_candidate_tuples(m_col, n_col), config.kind, config.filters)
 
 
+def _scaled_targets(small_sigma: np.ndarray, n_bound: int, shift: int) -> list[tuple[int, ...]]:
+    """(code, m, 2^a) for each odd square m > 1 and a >= 1: the code of the
+    reduced t * (2^(a+1) - 1) / 2^a, where t is m's complement
+    (sigma(m) - m)/sigma(m).  An odd o matches it exactly when N = 2^a * o
+    has N/sigma(N) = t.  A row whose reduced numerator exceeds n_bound / 2^a
+    (every such o lies above it) or whose reduced denominator needs more
+    than the shift's bits (no sigma that passes _check_packing matches it)
+    is dropped."""
+    rows = []
+    for j in range(3, math.isqrt(small_sigma.size) + 1, 2):
+        m = j * j
+        s = int(small_sigma[m - 1])
+        a = 1
+        while 1 << a <= n_bound:
+            t = Fraction((s - m) * ((2 << a) - 1), s << a)
+            if t.numerator <= n_bound >> a and t.denominator < 1 << shift:
+                rows.append(((t.numerator << shift) | t.denominator, m, 1 << a))
+            a += 1
+    return rows
+
+
 def search_anarchy_pairs(
     m_bound: int,
     n_bound: int,
@@ -664,17 +714,28 @@ def search_anarchy_pairs(
     """Harmonious pairs with M <= m_bound, M <= N <= n_bound passing the
     anarchy test.
 
-    The small side's complement keys form the haystack; one streaming sweep
-    over [1, n_bound] probes the large side against it, so the large bound
-    never needs an index of its own.  Before any exact key is built, each
-    swept n's ratio n/sigma(n) is taken as a float64, and only the n whose
-    double equals one of the small side's complement doubles go on to
-    _ratio_keys and _probe.  That drops no match: integers below 2^53
-    convert to float64 exactly and their quotient is correctly rounded, so
-    equal rationals give the same double, and bound < 2^30 (enforced by
-    _code_shift) keeps n and sigma(n) far below 2^53.  Equal doubles of
-    unequal ratios fail the exact probe, and every record is re-validated
-    by classify_all.
+    The sweep reads sigma of the odd integers only.  Anarchy asks for
+    gcd(N, M*sigma(M)) = gcd(M, N*sigma(N)) = 1, so an even N forces M and
+    sigma(M) odd, which makes M an odd square (the parity rule): every
+    anarchy pair has N odd or M an odd square.  Write N = 2^a * o with o
+    odd; sigma(N) = (2^(a+1) - 1) * sigma(o), so N/sigma(N) = t exactly when
+    o/sigma(o) = t * (2^(a+1) - 1) / 2^a.  The small side's targets are
+    therefore every M's complement t with a = 0, plus the scaled
+    complements of the odd-square M for each a >= 1 (_scaled_targets), as
+    (code, M, 2^a) rows.  One streaming sweep over the odd o in
+    [1, n_bound] probes them, and a match gives N = 2^a * o, kept when
+    M <= N <= n_bound.  The candidates are the harmonious pairs with N odd
+    or M an odd square; _emit_records drops those that fail anarchy.
+
+    Before any exact key is built, each swept o's ratio o/sigma(o) is taken
+    as a float64, and only the o whose double equals one of the targets'
+    doubles go on to _ratio_keys and _probe.  That drops no match: integers
+    below 2^53 convert to float64 exactly and their quotient is correctly
+    rounded, so equal rationals give the same double.  bound < 2^30
+    (enforced by _code_shift) keeps o and sigma(o) far below 2^53, and
+    every target's reduced numerator (at most n_bound) and denominator
+    (below 2^shift) too.  Equal doubles of unequal ratios fail the exact
+    probe, and every record is re-validated by classify_all.
     """
     if not 2 <= m_bound <= n_bound:
         raise ValueError(f"need 2 <= m_bound <= n_bound, got ({m_bound}, {n_bound})")
@@ -684,11 +745,18 @@ def search_anarchy_pairs(
     small_sigma = _sigma_full(m_bound, False, threads)
     _check_packing(small_sigma, shift)
     small_n = np.arange(1, m_bound + 1, dtype=np.int64)
-    comps = _sorted_run(*_complement_keys(small_n, small_sigma, shift, n_bound))
-    index = _key_index(comps[0])
-    doubles = (small_sigma - small_n) / small_sigma
+    codes, owners = _complement_keys(small_n, small_sigma, shift, n_bound)
+    scaled = np.array(_scaled_targets(small_sigma, n_bound, shift), dtype=np.int64).reshape(-1, 3)
+    targets = _sorted_run(
+        np.concatenate((codes, scaled[:, 0])),
+        np.concatenate((owners, scaled[:, 1])),
+        np.concatenate((np.ones_like(owners), scaled[:, 2])),
+    )
+    index = _key_index(targets[0])
+    rows = np.arange(targets.shape[1])
+    doubles = (targets[0] >> shift) / (targets[0] & ((1 << shift) - 1))
     # equal doubles have equal bits, so a table over the low mantissa bits
-    # passes every n whose double is among them (and about 0.1% of the rest)
+    # passes every o whose double is among them (and about 0.1% of the rest)
     marks = np.zeros(_MARK_SLOTS, dtype=bool)
     marks[doubles.view(np.int64) & (_MARK_SLOTS - 1)] = True
 
@@ -696,14 +764,16 @@ def search_anarchy_pairs(
 
     def work(seg: tuple[int, int]) -> np.ndarray:
         lo_n, hi_n = seg
-        sigma = sieve_tables(lo_n, hi_n)
+        sigma = sieve_tables(lo_n, hi_n, odd=True)
         _check_packing(sigma, shift)
-        n = np.arange(lo_n, hi_n + 1, dtype=np.int64)
-        ratio = n / sigma
+        o = np.arange(lo_n | 1, hi_n + 1, 2, dtype=np.int64)
+        ratio = o / sigma
         hit = np.flatnonzero(marks[ratio.view(np.int64) & (_MARK_SLOTS - 1)])
         hit = hit[np.isin(ratio[hit], doubles)]
-        n_col, m_col = _probe(index, comps[1], _ratio_keys(n[hit], sigma[hit], shift), n[hit])
-        keep = n_col >= m_col
+        o_col, row = _probe(index, rows, _ratio_keys(o[hit], sigma[hit], shift), o[hit])
+        m_col = targets[1, row]
+        n_col = o_col * targets[2, row]
+        keep = (n_col >= m_col) & (n_col <= n_bound)
         return np.stack((m_col[keep], n_col[keep]))
 
     parts = list(_each_segment(work, segs, threads, progress, "swept"))

@@ -178,6 +178,32 @@ def test_segmented_sieve_matches_whole_range(oracle_table) -> None:
         assert np.array_equal(sieve_tables(lo, end, star=True), whole_star[sl]), (lo, end)
 
 
+def _odd_entries(column: np.ndarray, lo: int) -> np.ndarray:
+    """The entries of a full column from lo that belong to odd n."""
+    return column[(lo | 1) - lo :: 2]
+
+
+def test_odd_column_is_the_full_columns_odd_entries() -> None:
+    # the odd column reads tile T'[j] = tile[(2j + 1) mod P] of period
+    # P' = P / gcd(2, P) and wraps at every odd n = 2cP' + 1; the spans start
+    # at 1, on even and odd n, on both sides of the first two wraps of each
+    # tile, and one covers every wrap of all three tiles
+    odd_periods = [P // gcd(2, P) for P in _TILE_PERIODS]
+    spans = [(1, 1), (2, 2), (2, 3), (1, 10), (2, 11), (1, 2 * max(odd_periods) + 5000)]
+    for period in odd_periods:
+        for c in (1, 2):
+            for d in (-2, -1, 0, 1):
+                wrap = 2 * c * period + d
+                spans += [(wrap - 3000, wrap + 3000), (wrap, wrap + 999)]
+    # a 2^20 span of the anarchy sweep's range, from an even and an odd lo
+    spans += [(172_000_000, 172_000_000 + (1 << 20) - 1), (172_000_001, 172_000_001 + (1 << 20))]
+    for lo, hi in spans:
+        for star in (False, True):
+            full = sieve_tables(lo, hi, star=star)
+            odd = sieve_tables(lo, hi, star=star, odd=True)
+            assert np.array_equal(odd, _odd_entries(full, lo)), (lo, hi, star)
+
+
 def test_tiles_are_built_on_first_use() -> None:
     # importing the CLI builds no tile, and a sieve builds only the part
     # tile and its own column's: a plain sieve no sigma* tile, a star sieve
@@ -259,6 +285,9 @@ def test_sieve_window_property(lo, width, data) -> None:
     for star, column in ((False, whole), (True, whole_star)):
         parts = [sieve_tables(a, b, star=star) for a, b in pieces]
         assert np.array_equal(np.concatenate(parts), column)
+        # the odd column is the odd n's entries of the full one
+        odd = sieve_tables(lo, hi, star=star, odd=True)
+        assert np.array_equal(odd, _odd_entries(column, lo))
     # the ends, both sides of the cut, the first multiple of q, the member
     # with the most factors 2, and a few random members
     deep = max(range(lo, hi + 1), key=lambda n: n & -n)

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import sys
+import types
 
 import pytest
 
@@ -498,6 +499,52 @@ def test_lemmas_check_div_members_flag(capsys):
     # 1/sigma(1) + 1/sigma(1) = 2: not harmonious, though no unitary split exists
     assert run_cli("lemmas", "check", "--lemma", "div", "--members", "1,1") == 2
     assert "anarchy harmonious" in capsys.readouterr().err
+
+
+def test_lemmas_check_refuses_flags_of_other_lemmas(monkeypatch, capsys):
+    scans = []
+    for name in ("scan_hb_grid", "scan_cook_grid", "scan_pre_cook_grid", "scan_divisibility_grid"):
+        monkeypatch.setattr(harmonia.cli, name, lambda *a, **k: scans.append(a))
+    refused = [
+        ("hb1", "--members", "1,1", "div only"),
+        ("hb2", "--members", "64,173369889", "div only"),
+        ("cook", "--members", "1,1", "div only"),
+        ("precook", "--members", "1,1", "div only"),
+        ("cook", "--r-max", "3", "hb1/hb2 only"),
+        ("precook", "--r-max", "3", "hb1/hb2 only"),
+        ("div", "--r-max", "3", "hb1/hb2 only"),
+    ]
+    for lemma in ("precook", "div"):
+        for flag in ("--k-max", "--m-max", "--coef-max"):
+            refused.append((lemma, flag, "99", "hb1/hb2/cook only"))
+    for lemma, flag, value, rule in refused:
+        assert run_cli("lemmas", "check", "--lemma", lemma, flag, value) == 2, (lemma, flag)
+        assert f"{flag} applies to --lemma {rule}" in capsys.readouterr().err
+    assert scans == []
+
+
+def test_lemmas_check_resolves_defaults_per_lemma(monkeypatch, capsys):
+    # the defaults a lemma reads are the ones it always had
+    scans = []
+    report = types.SimpleNamespace(
+        lemma="stub",
+        instances=0,
+        hypotheses_held=0,
+        counterexamples=(),
+        conclusion_equalities=0,
+        remark_violations=0,
+        clean=True,
+    )
+    for name in ("scan_hb_grid", "scan_cook_grid", "scan_divisibility_grid"):
+        monkeypatch.setattr(harmonia.cli, name, lambda *a, **k: scans.append((a, k)) or report)
+    for lemma in ("hb1", "cook", "div"):
+        assert run_cli("lemmas", "check", "--lemma", lemma) == 0
+    assert scans == [
+        (("hb1", 2, 3, 12, 6), {"witness_sink": None}),
+        ((2,), {"value_max": 12, "den_max": 6}),
+        (((64, 173369889),), {}),
+    ]
+    capsys.readouterr()
 
 
 # --- top level ---------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Each demo is a separate process, so a field or function a demo still uses
 but the library dropped fails here instead of only when someone runs it.
 demos/anarchy_hunt.py is not run whole, since its sieve to 2*10^8 takes
-~14 s; its printing runs in-process on the pair that sieve finds.
+~4 s on two cores; its printing runs in-process on the pair that sieve
+finds.
 """
 
 import os

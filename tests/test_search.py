@@ -9,6 +9,7 @@ join under test.
 import functools
 import hashlib
 import json
+import math
 import os
 import tempfile
 import time
@@ -21,6 +22,7 @@ from oracles import profile_of
 
 import harmonia.search
 from harmonia.arith import sieve_tables
+from harmonia.classify import classify_all
 from harmonia.cli import main as cli_main
 from harmonia.search import (
     CheckpointMismatch,
@@ -272,6 +274,29 @@ def test_multi_bucket_join_matches_full_join_1e6(kind, monkeypatch):
         got = members_of(search_pairs(config, progress=lines.append))
         assert got == [p for p in want if equal or p[0] != p[1]]
         assert sum(line.startswith("joined bucket") for line in lines) >= 8
+
+
+@pytest.mark.parametrize(
+    "kind, skip",
+    # harmonious at 3000 runs 3 segments and one bucket: its first three
+    # slices are key slices, the next three query slices
+    [("harmonious", 0), ("harmonious", 3), ("amicable", 0)],
+)
+def test_run_conservation_refuses_a_lost_row(kind, skip, monkeypatch):
+    # a bucket or segment slice that loses one column must make the search
+    # raise instead of dropping the pairs of that row
+    real = harmonia.search._bucket_slice
+    calls = []
+
+    def lossy(run, lo_edge, hi_edge):
+        part = real(run, lo_edge, hi_edge)
+        calls.append(part.shape[1])
+        return part[:, 1:] if len(calls) == skip + 1 else part
+
+    monkeypatch.setattr(harmonia.search, "_bucket_slice", lossy)
+    with pytest.raises(ArithmeticError, match="lost rows"):
+        search_pairs(SearchConfig(bound=3000, kind=kind))
+    assert calls[skip] > 0
 
 
 @pytest.mark.parametrize(
@@ -563,6 +588,71 @@ def test_anarchy_key_match_for_known_pair():
     assert ccode.tolist() == code.tolist()
 
 
+def odd_square(m):
+    return m % 2 == 1 and math.isqrt(m) ** 2 == m
+
+
+def parity_rule(m, n):
+    """Every anarchy pair (m, n) has n odd or m an odd square."""
+    return n % 2 == 1 or odd_square(m)
+
+
+def swept_candidates(monkeypatch, m_bound, n_bound, segment_lengths=(None,)):
+    """The candidate list that the anarchy sweep hands to _emit_records, the
+    same under each segment length (None: the derived one)."""
+    sent = []
+    emit = harmonia.search._emit_records
+
+    def spy(pairs, kind_flag, filters):
+        sent.append(list(pairs))
+        return emit(pairs, kind_flag, filters)
+
+    with monkeypatch.context() as m:
+        m.setattr(harmonia.search, "_emit_records", spy)
+        for length in segment_lengths:
+            if length:
+                m.setattr(harmonia.search, "_segment_length", lambda bound: length)
+            search_anarchy_pairs(m_bound, n_bound, threads=2)
+    assert len(sent) == len(segment_lengths) and all(got == sent[0] for got in sent)
+    return sent[0]
+
+
+def test_anarchy_parity_rule_brute_force():
+    # gcd(n, m*sigma(m)) = gcd(m, n*sigma(n)) = 1 over all 1 <= m, n <= 2000,
+    # with sigma from divisor enumeration
+    limit = 2000
+    sigma = np.zeros(limit + 1, dtype=np.int64)
+    for d in range(1, limit + 1):
+        sigma[d::d] += d
+    k = np.arange(1, limit + 1, dtype=np.int64)
+    m, n = k[:, None], k[None, :]
+    strangers = (np.gcd(n, m * sigma[m]) == 1) & (np.gcd(m, n * sigma[n]) == 1)
+    allowed = (n % 2 == 1) | np.array([odd_square(v) for v in k.tolist()])[:, None]
+    assert not (strangers & ~allowed).any()
+    # the odd-square branch is not empty: (9, 4) are strangers
+    assert strangers[8, 3] and (strangers & (n % 2 == 0)).sum() > 100
+
+
+@pytest.mark.parametrize("bound", [10**6, 10**7])
+def test_anarchy_sweep_matches_pair_search_by_parity(bound, monkeypatch):
+    # the 2^a * o decomposition: the harmonious pairs with m <= 1000 that
+    # the parity rule keeps are exactly the sweep's candidates
+    want = [
+        r.members
+        for r in search_pairs(SearchConfig(bound=bound))
+        if r.members[0] <= 1000 and parity_rule(*r.members)
+    ]
+    assert any(n % 2 == 0 for _, n in want)
+    assert swept_candidates(monkeypatch, 1000, bound) == want
+
+
+def test_anarchy_sweep_keeps_an_even_partner_at_the_bound(monkeypatch):
+    # 2016 = 2^5 * 63 and 63/sigma(63) = 63/104 in lowest terms, so at
+    # n_bound = 2016 the scaled target's numerator is exactly n_bound / 2^5
+    assert (9, 2016) in swept_candidates(monkeypatch, 9, 2016)
+    assert (9, 2016) not in swept_candidates(monkeypatch, 9, 2015)
+
+
 def test_anarchy_prefilter_drops_no_candidate(monkeypatch):
     # the unfiltered exact path: every n's ratio key probed into the small
     # side's complement keys
@@ -575,20 +665,13 @@ def test_anarchy_prefilter_drops_no_candidate(monkeypatch):
     keep = n_col >= m_col
     exact = sorted(set(zip(m_col[keep].tolist(), n_col[keep].tolist())))
     assert len(exact) > 100
-
-    sent = []
-    emit = harmonia.search._emit_records
-
-    def spy(pairs, kind_flag, filters):
-        sent.append(list(pairs))
-        return emit(pairs, kind_flag, filters)
-
-    monkeypatch.setattr(harmonia.search, "_emit_records", spy)
-    for segment_length in (1024, 1 << 17):
-        sent.clear()
-        monkeypatch.setattr(harmonia.search, "_segment_length", lambda bound: segment_length)
-        search_anarchy_pairs(m_bound, n_bound, threads=2)
-        assert sent == [exact]
+    # the sweep sends the exact pairs that the parity rule keeps, and every
+    # pair the rule removes fails anarchy
+    kept = [pair for pair in exact if parity_rule(*pair)]
+    removed = [pair for pair in exact if not parity_rule(*pair)]
+    assert len(kept) == 44 and len(removed) == 420
+    assert not any(r.flags["anarchy"] for r in classify_all(removed))
+    assert swept_candidates(monkeypatch, m_bound, n_bound, (1024, 1 << 17)) == kept
 
 
 # --- triples ---------------------------------------------------------------------
