@@ -86,7 +86,7 @@ def tower_holds(value: int, r: int, x: int) -> bool:
     return value <= h * h - h
 
 
-def _main_holds(product: int, K: int) -> bool:
+def main_holds(product: int, K: int) -> bool:
     """Is product < main_bound(K)?
 
     The bound lies in [2^E, 2^(E+1)] with E = main_bound_log2(K), so the bit
@@ -159,12 +159,12 @@ def verify_bounds(record: TupleRecord) -> BoundReport:
     main_applies = bool(
         record.flags["anarchy"] and record.flags["harmonious"] and record.K >= 1
     )
-    main_holds = None
+    holds = None
     log2 = None
     bound_value = None
     if main_applies:
         log2 = main_bound_log2(record.K)
-        main_holds = _main_holds(product, record.K)
+        holds = main_holds(product, record.K)
         if log2 <= MATERIALIZE_BITS:
             bound_value = main_bound(record.K)
 
@@ -183,7 +183,7 @@ def verify_bounds(record: TupleRecord) -> BoundReport:
         L_star=record.L_star,
         product=product,
         main_applies=main_applies,
-        main_holds=main_holds,
+        main_holds=holds,
         main_bound_log2=log2,
         main_bound=bound_value,
         borho_holds=borho_holds,

@@ -42,6 +42,7 @@ from .search import (
     CheckpointMismatch,
     SearchConfig,
     count_table,
+    json_digest,
     search_anarchy_pairs,
     search_pairs,
     search_triples,
@@ -66,10 +67,6 @@ def _progress(line: str) -> None:
     print(line, file=sys.stderr)
 
 
-def _sha256_bytes(blob: bytes) -> str:
-    return hashlib.sha256(blob).hexdigest()
-
-
 def _deliver(
     lines: list[str],
     out: str | None,
@@ -92,7 +89,7 @@ def _deliver(
         "version": __version__,
         "wall_time_s": round(time.perf_counter() - started, 3),
         "counts": counts,
-        "outputs": {out: _sha256_bytes(blob)},
+        "outputs": {out: hashlib.sha256(blob).hexdigest()},
     }
     with open(out + ".manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -114,10 +111,6 @@ def _csv_lines(records) -> list[str]:
 
 def _jsonl_lines(records) -> list[str]:
     return [r.to_json() for r in records]
-
-
-def _digest_of(payload: dict) -> str:
-    return _sha256_bytes(json.dumps(payload, sort_keys=True).encode())
 
 
 # --- search -------------------------------------------------------------------
@@ -156,7 +149,7 @@ def cmd_search_anarchy(args, parser: argparse.ArgumentParser, argv: list) -> int
     records = search_anarchy_pairs(
         args.m_bound, args.n_bound, threads=args.threads, progress=progress
     )
-    digest = _digest_of({"op": "anarchy", "m_bound": args.m_bound, "n_bound": args.n_bound})
+    digest = json_digest({"op": "anarchy", "m_bound": args.m_bound, "n_bound": args.n_bound})
     return _search_output(args, argv, records, digest, "anarchy", args.n_bound, started)
 
 
@@ -185,7 +178,7 @@ def cmd_table2(args, parser: argparse.ArgumentParser, argv: list) -> int:
     )
     lines = ["bound,harmonious_count,coprime_count"]
     lines += [f"{r.bound},{r.harmonious},{r.coprime_harmonious}" for r in rows]
-    digest = _digest_of({"op": "table2", "bounds": list(bounds)})
+    digest = json_digest({"op": "table2", "bounds": list(bounds)})
     counts = {str(r.bound): r.harmonious for r in rows}
     _deliver(lines, args.out, argv, digest, counts, started)
     print(f"kind=table2 bound={bounds[-1]} found={rows[-1].harmonious}")
@@ -297,24 +290,30 @@ def cmd_induction_trace(args, parser: argparse.ArgumentParser, argv: list) -> in
 # --- lemmas check -----------------------------------------------------------------
 
 
-# every lemma-specific flag of `lemmas check`: its default and the lemmas
-# that read it; the others refuse it
+_LEMMAS = ("hb1", "hb2", "cook", "precook", "div")
+# every lemma-specific flag of `lemmas check`: its default, the lemmas that
+# read it (the others refuse it) and what it sets; the parser builds each
+# flag, its help and the command's description from this table
 _LEMMA_FLAGS = {
-    "k_max": (2, ("hb1", "hb2", "cook")),
-    "r_max": (3, ("hb1", "hb2")),
-    "m_max": (12, ("hb1", "hb2", "cook")),
-    "coef_max": (6, ("hb1", "hb2", "cook")),
-    "members": ("64,173369889", ("div",)),
-    "dump_witnesses": (False, ("hb1", "hb2")),
+    "k_max": (2, ("hb1", "hb2", "cook"), "largest class count k; cook: sequence length"),
+    "r_max": (3, ("hb1", "hb2"), "largest factor-slot count R"),
+    "m_max": (12, ("hb1", "hb2", "cook"), "largest m_j; cook: largest entry value"),
+    "coef_max": (6, ("hb1", "hb2", "cook"), "largest a_i and b_i; cook: largest denominator"),
+    "members": ("64,173369889", ("div",), "the tuple whose unitary splits are scanned"),
+    "dump_witnesses": (False, ("hb1", "hb2"), "print each hypothesis-holding instance as JSON"),
 }
 
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def cmd_lemmas_check(args, parser: argparse.ArgumentParser, argv: list) -> int:
-    for name, (default, lemmas) in _LEMMA_FLAGS.items():
+    for name, (default, lemmas, _) in _LEMMA_FLAGS.items():
         if getattr(args, name) is None:
             setattr(args, name, default)
         elif args.lemma not in lemmas:
-            parser.error(f"--{name.replace('_', '-')} applies to --lemma {'/'.join(lemmas)} only")
+            parser.error(f"{_flag(name)} applies to --lemma {'/'.join(lemmas)} only")
     sink = None
     if args.dump_witnesses:
         sink = lambda witness: print(json.dumps(witness, sort_keys=True))  # noqa: E731
@@ -434,32 +433,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lemmas", help="exhaustive lemma grids")
     lsub = p.add_subparsers(dest="lemmas_kind", required=True)
+    reads = {
+        lemma: " ".join(_flag(n) for n, (_, lemmas, _) in _LEMMA_FLAGS.items() if lemma in lemmas)
+        for lemma in _LEMMAS
+    }
     lc = lsub.add_parser(
         "check",
         help="scan one lemma over a parameter box",
         description=(
-            "hb1/hb2 use all four box flags; cook reads --k-max as the sequence "
-            "length cap, --m-max as the value cap, --coef-max as the denominator "
-            "cap; precook uses its fixed default grid; div scans every unitary "
-            "split of --members.  A flag that its lemma does not read is refused."
+            "; ".join(f"{lemma} reads {flags or 'no flag'}" for lemma, flags in reads.items())
+            + ".  A flag that its lemma does not read is refused."
         ),
     )
-    lc.add_argument(
-        "--lemma", required=True, choices=["hb1", "hb2", "cook", "precook", "div"]
-    )
-    lc.add_argument("--k-max", type=int, help="hb1/hb2/cook only (default 2)")
-    lc.add_argument("--r-max", type=int, help="hb1/hb2 only (default 3)")
-    lc.add_argument("--m-max", type=int, help="hb1/hb2/cook only (default 12)")
-    lc.add_argument("--coef-max", type=int, help="hb1/hb2/cook only (default 6)")
-    lc.add_argument(
-        "--members", help="div only: the tuple to split (default 64,173369889)"
-    )
-    lc.add_argument(
-        "--dump-witnesses",
-        action="store_true",
-        default=None,
-        help="hb1/hb2 only: print every hypothesis-holding instance as JSON lines",
-    )
+    lc.add_argument("--lemma", required=True, choices=_LEMMAS)
+    for name, (default, lemmas, what) in _LEMMA_FLAGS.items():
+        # None marks an unset flag, so cmd_lemmas_check can refuse a set one
+        kind = {"type": type(default)}
+        if default is False:
+            kind = {"action": "store_true", "default": None}
+        lc.add_argument(
+            _flag(name), help=f"{'/'.join(lemmas)} only: {what} (default {default})", **kind
+        )
     lc.set_defaults(handler=cmd_lemmas_check)
 
     return parser

@@ -28,9 +28,9 @@ from fractions import Fraction
 from math import gcd, prod
 
 from harmonia.arith import Factorization, factorize, merge_factorizations, sigma_of
-from harmonia.bounds import MATERIALIZE_BITS, main_bound, render_big, tower, tower_holds
+from harmonia.bounds import MATERIALIZE_BITS, main_holds, render_big, tower, tower_holds
 from harmonia.classify import classify
-from harmonia.lemmas import DiophantineInstance, check_hb1, check_hb2
+from harmonia.lemmas import DiophantineInstance, check_hb, divisibility_terms
 
 # F_{2K}(2) at 12 distinct primes is a 2^24-bit number; past that the
 # certificates would stop being materializable
@@ -166,7 +166,6 @@ def induction_step(
     if state.done:
         raise ValueError("nothing pending; the decomposition is complete")
     members = state.members
-    k = len(members)
 
     owner: dict[int, int] = {}
     exponent: dict[int, int] = {}
@@ -175,14 +174,9 @@ def induction_step(
             owner[p] = i
             exponent[p] = e
 
-    sigma_settled = [sigma_of(factorize(v)) for v in state.settled]
-    terms = []
-    for i in range(k):
-        term = Fraction(state.settled[i], sigma_settled[i])
-        for p in state.carry:
-            if owner[p] == i:
-                term *= Fraction(p - 1, p)
-        terms.append(term)
+    # the divisibility lemma's damped sum, with U_i the pending parts and
+    # the carry primes as the damping set
+    terms = divisibility_terms(members, state.pending, state.carry)
     entry_sum = sum(terms)
 
     if entry_sum == 1:
@@ -266,6 +260,7 @@ def induction_step(
 
     v = len(absorbed)
     w = len(damping)
+    sigma_settled = [sigma_of(factorize(x)) for x in state.settled]
     entry_scale = prod(sigma_settled) * prod(state.carry)
     lhs = (
         prod(sigma_of(factorize(x)) for x in new_settled)
@@ -303,7 +298,7 @@ def induction_step(
         raise InvariantViolation(
             f"certificate inequalities failed at step {state.step + 1}"
         )
-    _cross_check_step(state, sigma_settled, owner, exponent, certificate)
+    _cross_check_step(state, sigma_settled, owner, certificate)
     return new_state, certificate
 
 
@@ -311,60 +306,41 @@ def _cross_check_step(
     state: DecompositionState,
     sigma_settled: list[int],
     owner: dict[int, int],
-    exponent: dict[int, int],
     cert: StepCertificate,
 ) -> None:
-    """Feed both greedy phases back through the lemma oracles."""
-    k = len(state.members)
-
-    def coefficients(primes: frozenset[int] | set[int]) -> tuple[list[int], list[int]]:
-        a = []
-        b = []
-        for i in range(k):
-            ai = sigma_settled[i]
-            bi = state.settled[i]
-            for p in primes:
-                if owner[p] == i:
-                    ai *= p
-                    bi *= p - 1
-            a.append(ai)
-            b.append(bi)
-        return a, b
-
-    if cert.w >= 1:
-        a, b = coefficients(state.carry)
+    """Feed both greedy phases back through the sum-form lemmas: damping as
+    an hb1 instance whose coefficients carry the carry primes, absorbing as
+    an hb2 instance whose coefficients carry the carry and damped primes."""
+    phases = (
+        ("damping", "hb1", state.carry, [(p, p) for p in cert.damping]),
+        (
+            "absorbing",
+            "hb2",
+            state.carry | set(cert.damping),
+            [(p ** (e + 1), p) for p, e in cert.absorbed],
+        ),
+    )
+    for phase, lemma, primes, slots in phases:
+        if not slots:
+            continue  # a step that starts below 1 damps nothing
+        a, b = list(sigma_settled), list(state.settled)
+        for p in primes:
+            a[owner[p]] *= p
+            b[owner[p]] *= p - 1
         inst = DiophantineInstance(
-            k=k,
-            R=cert.w,
-            m=cert.damping,
-            partition=tuple(owner[p] for p in cert.damping),
+            k=len(state.members),
+            R=len(slots),
+            m=tuple(m for m, _ in slots),
+            partition=tuple(owner[p] for _, p in slots),
             a=tuple(a),
             b=tuple(b),
         )
-        verdict = check_hb1(inst)
+        verdict = check_hb(lemma, inst)
         if not (verdict.hypotheses_hold and verdict.conclusion_holds):
             raise InvariantViolation(
-                f"damping phase of step {cert.step} failed the sum-form "
+                f"{phase} phase of step {cert.step} failed the sum-form "
                 f"lemma cross-check: {verdict}"
             )
-
-    active = state.carry | set(cert.damping)
-    a, b = coefficients(active)
-    moduli = tuple(p ** (e + 1) for p, e in cert.absorbed)
-    inst = DiophantineInstance(
-        k=k,
-        R=cert.v,
-        m=moduli,
-        partition=tuple(owner[p] for p, _ in cert.absorbed),
-        a=tuple(a),
-        b=tuple(b),
-    )
-    verdict = check_hb2(inst)
-    if not (verdict.hypotheses_hold and verdict.conclusion_holds):
-        raise InvariantViolation(
-            f"absorbing phase of step {cert.step} failed the sum-form "
-            f"lemma cross-check: {verdict}"
-        )
 
 
 @dataclass
@@ -627,7 +603,7 @@ def theorem_trace(members) -> TheoremReport:
         combined_holds=combined,
         identity_holds=identity,
         product=product,
-        product_below_main_bound=product < main_bound(K),
+        product_below_main_bound=main_holds(product, K),
         trace=trace,
         kernel=kernel,
     )

@@ -9,7 +9,8 @@ b_i/a_i, each damped by a subset of R factors derived from a nondecreasing
 sequence m_1 <= ... <= m_R, with the hypothesis pair "full sum on one side of
 1, sum without the last factor on the other side".  hb1 uses factors
 (1 - 1/m_j) and bounds a * prod(m_j); hb2 uses the reciprocal factors and
-bounds a * prod(m_j - 1).
+bounds a * prod(m_j - 1).  _hb_hypotheses and _hb_conclusion state these
+once; check_hb and scan_hb_grid both decide with them.
 
 scan_hb_grid decides the hypotheses of a whole box with an exact numpy
 kernel, one (k, R) stratum at a time: every (partition, m) row against every
@@ -17,11 +18,13 @@ kernel, one (k, R) stratum at a time: every (partition, m) row against every
 bound k * coef_max^k * m_max^R is below 2^63 and on Python-int object arrays
 otherwise.  Only the survivors reach the per-instance conclusion with tower.
 
-Three per-instance deciders stay here because the library runs them:
-check_hb1 and check_hb2, through which induction feeds both greedy phases
-of every step, and check_pre_cook, which scan_pre_cook_grid calls.  The
-slow references the tests compare the scanners against (check_cook,
-check_divisibility, enumerate_instances) live in tests/oracles.py.
+Two per-instance deciders stay here because the library runs them:
+check_hb, through which induction feeds both greedy phases of every step,
+and check_pre_cook, which scan_pre_cook_grid calls.  divisibility_terms is
+the divisibility lemma's damped sum, term by term: scan_divisibility_grid
+sums it and every induction step enters with it.  The slow references the
+tests compare the scanners against (check_cook, check_divisibility,
+enumerate_instances) live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, prod
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -122,45 +125,51 @@ def _sum_with_factors(
     return num, den
 
 
-def check_hb1(inst: DiophantineInstance) -> LemmaVerdict:
-    """Sum-form lemma, direct factors.
+def _reciprocal(lemma: str) -> bool:
+    """hb2 damps with the reciprocal factors, hb1 with the direct ones."""
+    if lemma not in ("hb1", "hb2"):
+        raise ValueError(f"unknown sum-form lemma {lemma!r}")
+    return lemma == "hb2"
 
-    Hypotheses: a_i >= b_i, full damped sum <= 1, sum without the last slot
-    > 1.  Conclusion: a * prod(m_j) <= tower(R, a + 1) with a = prod(a_i).
-    The tower and the lhs/rhs witnesses are built only when the hypotheses
-    hold.
+
+def _hb_hypotheses(reciprocal: bool, full: tuple, partial: tuple):
+    """The sum-form hypothesis pair on exact (num, den) sums, for ints or
+    numpy arrays alike: hb1 needs full sum <= 1 < partial sum, hb2 the
+    reverse, full sum >= 1 > partial sum.  hb1's a_i >= b_i is tested apart."""
+    (fn, fd), (pn, pd) = full, partial
+    if reciprocal:
+        return (fn >= fd) & (pn < pd)
+    return (fn <= fd) & (pn > pd)
+
+
+def _hb_conclusion(reciprocal: bool, m: Sequence[int], a: Sequence[int]) -> tuple[int, int]:
+    """(lhs, x) of the conclusion lhs <= tower(R, x), with a = prod(a_i):
+    a * prod(m_j) against x = a + 1 for hb1, a * prod(m_j - 1) against
+    x = a for hb2."""
+    a_prod = prod(a)
+    if reciprocal:
+        return a_prod * prod(v - 1 for v in m), a_prod
+    return a_prod * prod(m), a_prod + 1
+
+
+def check_hb(lemma: str, inst: DiophantineInstance) -> LemmaVerdict:
+    """Decide one instance of sum-form lemma hb1 or hb2.
+
+    hb1 also requires a_i >= b_i; the hb2 verdict records whether a_i > b_i
+    held for every class (the hypotheses force it).  The tower and the
+    lhs/rhs witnesses are built only when the hypotheses hold.
     """
-    if any(x < y for x, y in zip(inst.a, inst.b)):
+    reciprocal = _reciprocal(lemma)
+    if not reciprocal and any(x < y for x, y in zip(inst.a, inst.b)):
         return LemmaVerdict(False, None, reason="requires a_i >= b_i for every class")
-    fn, fd = _sum_with_factors(inst.m, inst.partition, inst.a, inst.b, inst.R, False)
-    pn, pd = _sum_with_factors(inst.m, inst.partition, inst.a, inst.b, inst.R - 1, False)
-    sums = {"sum_full": Fraction(fn, fd), "sum_partial": Fraction(pn, pd)}
-    if not (fn <= fd and pn > pd):
-        return LemmaVerdict(False, None, sums)
-    a = prod(inst.a)
-    lhs = a * prod(inst.m)
-    rhs = tower(inst.R, a + 1)
-    return LemmaVerdict(True, lhs <= rhs, {**sums, "lhs": lhs, "rhs": rhs})
-
-
-def check_hb2(inst: DiophantineInstance) -> LemmaVerdict:
-    """Sum-form lemma, reciprocal factors.
-
-    Hypotheses: full boosted sum >= 1, sum without the last slot < 1.
-    Conclusion: a * prod(m_j - 1) <= tower(R, a).  The verdict also records
-    whether a_i > b_i held for every class (the hypotheses force it).  As
-    in check_hb1, the tower and lhs/rhs are built only when the hypotheses
-    hold.
-    """
-    fn, fd = _sum_with_factors(inst.m, inst.partition, inst.a, inst.b, inst.R, True)
-    pn, pd = _sum_with_factors(inst.m, inst.partition, inst.a, inst.b, inst.R - 1, True)
-    sums = {"sum_full": Fraction(fn, fd), "sum_partial": Fraction(pn, pd)}
-    remark = all(x > y for x, y in zip(inst.a, inst.b))
-    if not (fn >= fd and pn < pd):
+    full = _sum_with_factors(inst.m, inst.partition, inst.a, inst.b, inst.R, reciprocal)
+    partial = _sum_with_factors(inst.m, inst.partition, inst.a, inst.b, inst.R - 1, reciprocal)
+    sums = {"sum_full": Fraction(*full), "sum_partial": Fraction(*partial)}
+    remark = all(x > y for x, y in zip(inst.a, inst.b)) if reciprocal else None
+    if not _hb_hypotheses(reciprocal, full, partial):
         return LemmaVerdict(False, None, sums, remark_holds=remark)
-    a = prod(inst.a)
-    lhs = a * prod(m - 1 for m in inst.m)
-    rhs = tower(inst.R, a)
+    lhs, x = _hb_conclusion(reciprocal, inst.m, inst.a)
+    rhs = tower(inst.R, x)
     return LemmaVerdict(
         True, lhs <= rhs, {**sums, "lhs": lhs, "rhs": rhs}, remark_holds=remark
     )
@@ -209,19 +218,21 @@ def _require_anarchy_harmonious(members: Sequence[int]) -> None:
         raise ValueError("members must form an anarchy harmonious tuple")
 
 
-def _divisibility_sum(
-    members: Sequence[int], unitary_parts: Sequence[int], prime_set: Sequence[int]
-) -> Fraction:
-    """sum_i V_i/sigma(V_i) * prod((p - 1)/p for p in prime_set dividing U_i)."""
-    total = Fraction(0)
+def divisibility_terms(
+    members: Sequence[int], unitary_parts: Sequence[int], prime_set: Iterable[int]
+) -> list[Fraction]:
+    """Per member, V_i/sigma(V_i) * prod((p - 1)/p for p in prime_set
+    dividing U_i), with V_i = M_i / U_i: the terms of the damped sum that the
+    divisibility lemma keeps off 1 and that every induction step enters with."""
+    terms = []
     for m, u in zip(members, unitary_parts):
         v = m // u
         term = Fraction(v, sigma_of(factorize(v)))
         for p in prime_set:
             if u % p == 0:
                 term *= Fraction(p - 1, p)
-        total += term
-    return total
+        terms.append(term)
+    return terms
 
 
 # --- exhaustive enumeration -------------------------------------------------
@@ -307,10 +318,9 @@ def _hb_survivors(
             a = cols[:, a_idx, None]
             fn, fd = _damped_sum(full, row, a, b)
             pn, pd = _damped_sum(partial, row, a, b)
-            if reciprocal:
-                hyp = (fn >= fd) & (pn < pd)
-            else:
-                hyp = (fn <= fd) & (pn > pd) & a_ge_b[a_idx]
+            hyp = _hb_hypotheses(reciprocal, (fn, fd), (pn, pd))
+            if not reciprocal:
+                hyp &= a_ge_b[a_idx]
             hit_ra, hit_b = np.nonzero(hyp)
             for r, ai, bi in zip(row[hit_ra].tolist(), a_idx[hit_ra].tolist(), hit_b.tolist()):
                 cells = block[r].tolist()
@@ -340,28 +350,26 @@ def scan_hb_grid(
     m_max: int,
     coef_max: int,
     *,
-    budget: int = DEFAULT_BUDGET,
     witness_sink: Callable[[dict], None] | None = None,
 ) -> GridReport:
     """Exhaustive scan of one sum-form lemma over all strata k <= k_max,
-    R <= R_max, in lexicographic (k, R, partition, m, a, b) order.
+    R <= R_max, in lexicographic (k, R, partition, m, a, b) order; a box of
+    more than DEFAULT_BUDGET instances is refused before any work.
 
     The hypotheses run as the exact numpy kernel of _hb_survivors, one
     (k, R) stratum at a time in chunks of _CHUNK instances: in int64 when
     k * coef_max^k * m_max^R < 2^63, on object arrays of Python ints
-    otherwise.  Each survivor is then decided in Python with tower (once per
-    distinct (R, x)) exactly as check_hb1 and check_hb2 decide it."""
-    if lemma not in ("hb1", "hb2"):
-        raise ValueError(f"unknown sum-form lemma {lemma!r}")
+    otherwise.  Each survivor then meets the conclusion that check_hb
+    decides, with tower built once per distinct (R, x)."""
+    reciprocal = _reciprocal(lemma)
     if k_max < 1 or R_max < 1 or m_max < 2 or coef_max < 1:
         raise ValueError("need k_max >= 1, R_max >= 1, m_max >= 2 and coef_max >= 1")
-    reciprocal = lemma == "hb2"
     total = 0
     for k in range(1, k_max + 1):
         for R in range(1, R_max + 1):
             total += instance_count(k, R, m_max, coef_max)
-    if total > budget:
-        raise BudgetExceeded(f"grid holds {total} instances, over budget {budget}")
+    if total > DEFAULT_BUDGET:
+        raise BudgetExceeded(f"grid holds {total} instances, over budget {DEFAULT_BUDGET}")
 
     held = 0
     equalities = 0
@@ -372,18 +380,12 @@ def scan_hb_grid(
         for R in range(1, R_max + 1):
             for partition, m, a, b in _hb_survivors(reciprocal, k, R, m_max, coef_max):
                 held += 1
-                a_prod = prod(a)
-                if reciprocal:
-                    lhs = a_prod * prod(v - 1 for v in m)
-                    key = (R, a_prod)
-                    if not all(x > y for x, y in zip(a, b)):
-                        remark_bad += 1
-                else:
-                    lhs = a_prod * prod(m)
-                    key = (R, a_prod + 1)
-                if key not in towers:
-                    towers[key] = tower(*key)
-                rhs = towers[key]
+                lhs, x = _hb_conclusion(reciprocal, m, a)
+                if reciprocal and not all(ai > bi for ai, bi in zip(a, b)):
+                    remark_bad += 1
+                if (R, x) not in towers:
+                    towers[R, x] = tower(R, x)
+                rhs = towers[R, x]
                 if lhs == rhs:
                     equalities += 1
                 if lhs > rhs:
@@ -529,7 +531,7 @@ def scan_divisibility_grid(members: Sequence[int]) -> GridReport:
         for mask in range(1 << len(u_primes)):
             subset = [p for i, p in enumerate(u_primes) if mask >> i & 1]
             seen += 1
-            if _divisibility_sum(members, parts, subset) == 1:
+            if sum(divisibility_terms(members, parts, subset)) == 1:
                 bad.append((parts, tuple(subset)))
     return GridReport(
         lemma="div",

@@ -91,6 +91,12 @@ class CheckpointMismatch(RuntimeError):
     """Checkpoint on disk does not belong to the requested configuration."""
 
 
+def json_digest(payload) -> str:
+    """sha256 hex of payload's sorted-key JSON: config digests, checkpoint
+    partial digests and the CLI's manifest digests."""
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Parameters of one bounded pair/triple search.
@@ -145,8 +151,7 @@ class SearchConfig:
             "segment_length": _segment_length(self.bound),
             "run_layout": _RUN_LAYOUT,
         }
-        blob = json.dumps(payload, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
+        return json_digest(payload)
 
 
 @dataclass(frozen=True)
@@ -174,10 +179,6 @@ def _sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
-def _partial_digest(rows: list) -> str:
-    return hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
-
-
 def load_checkpoint(path: str) -> tuple[Checkpoint, list] | None:
     """(checkpoint, per-segment file-digest rows), or None when absent."""
     if not os.path.exists(path):
@@ -195,7 +196,7 @@ def load_checkpoint(path: str) -> tuple[Checkpoint, list] | None:
             raise ValueError("runs must be a list of objects")
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointMismatch(f"unreadable checkpoint {path}: {exc}") from exc
-    if _partial_digest(rows) != ck.partial_digest or len(rows) != ck.last_segment + 1:
+    if json_digest(rows) != ck.partial_digest or len(rows) != ck.last_segment + 1:
         raise CheckpointMismatch(f"checkpoint {path} is internally inconsistent")
     return ck, rows
 
@@ -204,7 +205,7 @@ def _save_checkpoint(path: str, config_digest: str, rows: list) -> None:
     payload = {
         "config_digest": config_digest,
         "last_segment": len(rows) - 1,
-        "partial_digest": _partial_digest(rows),
+        "partial_digest": json_digest(rows),
         "runs": rows,
     }
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")

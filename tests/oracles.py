@@ -15,8 +15,9 @@ library runs:
                         validates the members once and builds only valid
                         splits;
   enumerate_instances   every instance of a (k, R) stratum, validated, to
-                        feed check_hb1/check_hb2 one at a time against the
-                        numpy kernel of lemmas.scan_hb_grid;
+                        feed lemmas.check_hb one at a time against the
+                        numpy kernel of lemmas.scan_hb_grid (check_hb
+                        itself stays in the library: induction runs it);
   profile_of            one integer's profile by scalar trial division,
                         against the column factoring of classify_all;
   classify_reference    one tuple from profile_of's profiles, Python sums

@@ -182,7 +182,7 @@ def test_verify_bounds_non_harmonious() -> None:
 
 
 def test_bit_rule_agrees_with_materialized_bounds() -> None:
-    from harmonia.bounds import _main_holds
+    from harmonia.bounds import main_holds
 
     for K in range(1, 7):
         b = main_bound(K)
@@ -191,7 +191,7 @@ def test_bit_rule_agrees_with_materialized_bounds() -> None:
         for p in probes:
             if p < 1:
                 continue
-            assert _main_holds(p, K) == (p < b), (K, p)
+            assert main_holds(p, K) == (p < b), (K, p)
     for k in (1, 2, 3):
         for L in range(0, 8):
             bound = borho_bound(k, L)

@@ -10,9 +10,9 @@ import pytest
 
 import harmonia.cli
 import harmonia.induction
-from harmonia.cli import CSV_HEADER, main
+from harmonia.cli import _LEMMA_FLAGS, CSV_HEADER, main
 from harmonia.classify import classify
-from harmonia.search import SearchConfig, _partial_digest, search_pairs
+from harmonia.search import SearchConfig, json_digest, search_pairs
 
 
 def run_cli(*argv):
@@ -246,7 +246,7 @@ def test_search_malformed_checkpoint_exit_3(tmp_path, capsys):
     bad_row = {
         "config_digest": SearchConfig(bound=4096).digest(),
         "last_segment": 0,
-        "partial_digest": _partial_digest([1]),
+        "partial_digest": json_digest([1]),
         "runs": [1],
     }
     for payload in ([], "x", bad_row):
@@ -521,6 +521,23 @@ def test_lemmas_check_refuses_flags_of_other_lemmas(monkeypatch, capsys):
         assert run_cli("lemmas", "check", "--lemma", lemma, flag, value) == 2, (lemma, flag)
         assert f"{flag} applies to --lemma {rule}" in capsys.readouterr().err
     assert scans == []
+
+
+def test_lemmas_check_help_states_the_flag_table(capsys):
+    assert run_cli("lemmas", "check", "--help") == 0
+    # argparse wraps the help, at spaces and after hyphens alike
+    text = "".join(capsys.readouterr().out.split())
+    for name, (default, lemmas, _) in _LEMMA_FLAGS.items():
+        flag = "--" + name.replace("_", "-")
+        rule = re.escape(f"{flag}") + "[A-Z_]*" + re.escape(f"{'/'.join(lemmas)}only:")
+        assert re.search(rule + r"[^()]*" + re.escape(f"(default{default})"), text), flag
+    for lemma in ("hb1", "hb2", "cook", "precook", "div"):
+        reads = [
+            "--" + name.replace("_", "-")
+            for name, (_, lemmas, _) in _LEMMA_FLAGS.items()
+            if lemma in lemmas
+        ]
+        assert f"{lemma}reads{''.join(reads) or 'noflag'}" in text, lemma
 
 
 def test_lemmas_check_resolves_defaults_per_lemma(monkeypatch, capsys):

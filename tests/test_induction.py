@@ -1,11 +1,13 @@
 """Induction engine tests: the worked pair, synthetic mid-states for every
 phase branch, defensive error paths, and the aggregate case split."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 from oracles import profile_of
 
+import harmonia.induction
 from harmonia.bounds import tower
 from harmonia.induction import (
     DecompositionState,
@@ -16,6 +18,7 @@ from harmonia.induction import (
     run_induction,
     theorem_trace,
 )
+from harmonia.lemmas import check_hb
 
 PAIR = (64, 173369889)
 PAIR_PRIMES = (2, 3, 7, 11, 19)
@@ -112,6 +115,25 @@ def test_partial_carry_consistency_identity():
     assert cert.w == cert.v + len(cert.carry_after) - 2
 
 
+def test_steps_cross_check_their_phases_through_check_hb(monkeypatch):
+    # the damping phase as an hb1 instance, the absorbing phase as hb2; a
+    # step that starts below 1 damps nothing and feeds hb2 only
+    seen = []
+
+    def recording(lemma, inst):
+        verdict = check_hb(lemma, inst)
+        seen.append((lemma, inst.m, inst.partition, inst.a, inst.b, verdict.conclusion_holds))
+        return verdict
+
+    monkeypatch.setattr(harmonia.induction, "check_hb", recording)
+    absorbing = ("hb2", (128, 243, 343, 1331, 6859), (0, 1, 1, 1, 1), (2, 4389), (1, 2160), True)
+    induction_step(DecompositionState(PAIR, PAIR, (1, 1), frozenset({2, 3}), 0))
+    assert seen == [("hb1", (7, 11, 19), (1, 1, 1), (2, 3), (1, 2), True), absorbing]
+    seen.clear()
+    induction_step(DecompositionState(PAIR, PAIR, (1, 1), frozenset(PAIR_PRIMES), 0))
+    assert seen == [absorbing]
+
+
 def test_half_settled_state():
     state = DecompositionState(PAIR, (1, 173369889), (64, 1), frozenset(), 0)
     new_state, cert = induction_step(state)
@@ -202,6 +224,20 @@ def test_theorem_trace_worked_pair():
     assert report.product == 64 * 173369889
     assert report.product_below_main_bound
     assert report.all_hold
+
+
+def test_theorem_trace_decides_the_main_bound_by_bit_length(monkeypatch):
+    # 34 product bits against the exponent 4^5 - 2 * 2^5 = 960: the bit
+    # length decides, so no main bound is ever built
+    def refuse(K):
+        raise AssertionError(f"main_bound({K}) was built")
+
+    for name, module in list(sys.modules.items()):
+        if (name == "harmonia" or name.startswith("harmonia.")) and hasattr(module, "main_bound"):
+            monkeypatch.setattr(module, "main_bound", refuse)
+    report = theorem_trace(PAIR)
+    assert report.product.bit_length() == 34
+    assert report.product_below_main_bound and report.all_hold
 
 
 def test_theorem_trace_rejections():

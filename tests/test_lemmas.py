@@ -14,8 +14,7 @@ from harmonia.classify import classify
 from harmonia.lemmas import (
     BudgetExceeded,
     DiophantineInstance,
-    check_hb1,
-    check_hb2,
+    check_hb,
     check_pre_cook,
     instance_count,
     rational_grid,
@@ -31,7 +30,7 @@ ANARCHY_PAIR = (64, 173369889)
 
 def test_hb1_worked_example():
     inst = DiophantineInstance(k=2, R=1, m=(4,), partition=(1,), a=(2, 3), b=(1, 2))
-    verdict = check_hb1(inst)
+    verdict = check_hb("hb1", inst)
     assert verdict.hypotheses_hold
     assert verdict.conclusion_holds
     assert verdict.witnesses["sum_full"] == 1
@@ -42,7 +41,7 @@ def test_hb1_worked_example():
 
 def test_hb1_rejects_small_a():
     inst = DiophantineInstance(k=2, R=1, m=(4,), partition=(0,), a=(1, 3), b=(2, 2))
-    verdict = check_hb1(inst)
+    verdict = check_hb("hb1", inst)
     assert not verdict.hypotheses_hold
     assert verdict.conclusion_holds is None
     assert "a_i >= b_i" in verdict.reason
@@ -51,16 +50,16 @@ def test_hb1_rejects_small_a():
 def test_hb1_hypotheses_can_fail():
     # partial sum is exactly 1, not > 1
     inst = DiophantineInstance(k=1, R=1, m=(2,), partition=(0,), a=(2,), b=(2,))
-    verdict = check_hb1(inst)
+    verdict = check_hb("hb1", inst)
     assert not verdict.hypotheses_hold
     # full sum above 1
     inst = DiophantineInstance(k=1, R=1, m=(5,), partition=(0,), a=(2,), b=(4,))
-    assert not check_hb1(inst).hypotheses_hold
+    assert not check_hb("hb1", inst).hypotheses_hold
 
 
 def test_hb2_worked_example():
     inst = DiophantineInstance(k=1, R=1, m=(2,), partition=(0,), a=(2,), b=(1,))
-    verdict = check_hb2(inst)
+    verdict = check_hb("hb2", inst)
     assert verdict.hypotheses_hold
     assert verdict.conclusion_holds
     assert verdict.witnesses["sum_full"] == 1
@@ -82,15 +81,15 @@ def test_hb_checks_build_tower_only_when_hypotheses_hold(monkeypatch):
     # would take about a second to build
     fails_hb2 = DiophantineInstance(k=1, R=22, m=(2,) * 22, partition=(0,) * 22, a=(2,), b=(3,))
     fails_hb1 = DiophantineInstance(k=1, R=1, m=(2,), partition=(0,), a=(2,), b=(2,))
-    for check, inst in ((check_hb2, fails_hb2), (check_hb1, fails_hb1)):
-        verdict = check(inst)
+    for lemma, inst in (("hb2", fails_hb2), ("hb1", fails_hb1)):
+        verdict = check_hb(lemma, inst)
         assert not verdict.hypotheses_hold and verdict.conclusion_holds is None
         assert "lhs" not in verdict.witnesses and "rhs" not in verdict.witnesses
     assert calls == []
     hb1_worked = DiophantineInstance(k=2, R=1, m=(4,), partition=(1,), a=(2, 3), b=(1, 2))
     hb2_worked = DiophantineInstance(k=1, R=1, m=(2,), partition=(0,), a=(2,), b=(1,))
-    assert check_hb1(hb1_worked).conclusion_holds
-    assert check_hb2(hb2_worked).conclusion_holds
+    assert check_hb("hb1", hb1_worked).conclusion_holds
+    assert check_hb("hb2", hb2_worked).conclusion_holds
     assert calls == [(1, 7), (1, 2)]
 
 
@@ -115,8 +114,19 @@ def test_enumeration_budget_refusal():
     with pytest.raises(BudgetExceeded) as err:
         list(enumerate_instances(2, 3, 12, 6, budget=100))
     assert str(instance_count(2, 3, 12, 6)) in str(err.value)
-    with pytest.raises(BudgetExceeded):
-        scan_hb_grid("hb1", 2, 2, 6, 4, budget=10)
+    # the box over DEFAULT_BUDGET is refused before any work
+    with pytest.raises(BudgetExceeded) as err:
+        scan_hb_grid("hb1", 3, 3, 12, 6)
+    assert "grid holds 392879916 instances" in str(err.value)
+
+
+def test_check_hb_refuses_an_unknown_lemma():
+    inst = DiophantineInstance(k=1, R=1, m=(2,), partition=(0,), a=(2,), b=(1,))
+    with pytest.raises(ValueError) as by_check:
+        check_hb("hb3", inst)
+    with pytest.raises(ValueError) as by_scan:
+        scan_hb_grid("hb3", 1, 1, 2, 1)
+    assert str(by_check.value) == str(by_scan.value) == "unknown sum-form lemma 'hb3'"
 
 
 def test_instance_validation():
@@ -134,14 +144,13 @@ def _oracle_scan(lemma, k_max, r_max, m_max, coef_max):
     """What scan_hb_grid must report, from the per-instance oracle: counts,
     equalities, remark violations, counterexamples and the ordered
     witness dicts."""
-    check = check_hb1 if lemma == "hb1" else check_hb2
     total = equal = remark_bad = 0
     bad, witnesses = [], []
     for k in range(1, k_max + 1):
         for R in range(1, r_max + 1):
             for inst in enumerate_instances(k, R, m_max, coef_max):
                 total += 1
-                verdict = check(inst)
+                verdict = check_hb(lemma, inst)
                 if not verdict.hypotheses_hold:
                     continue
                 lhs, rhs = verdict.witnesses["lhs"], verdict.witnesses["rhs"]
@@ -230,7 +239,7 @@ def test_hb1_weaker_consequence():
     for k in (1, 2):
         for R in (1, 2):
             for inst in enumerate_instances(k, R, 6, 4):
-                verdict = check_hb1(inst)
+                verdict = check_hb("hb1", inst)
                 if not verdict.hypotheses_hold:
                     continue
                 a = 1
@@ -244,7 +253,7 @@ def test_hb2_remark_forced():
     for k in (1, 2):
         for R in (1, 2):
             for inst in enumerate_instances(k, R, 6, 4):
-                verdict = check_hb2(inst)
+                verdict = check_hb("hb2", inst)
                 if verdict.hypotheses_hold:
                     assert verdict.remark_holds
 

@@ -35,7 +35,6 @@ from harmonia.search import (
     _each_segment,
     _emit_records,
     _key_index,
-    _partial_digest,
     _probe,
     _ratio_keys,
     _ratio_segment_runs,
@@ -44,6 +43,7 @@ from harmonia.search import (
     _sigma_cap,
     _sorted_run,
     count_table,
+    json_digest,
     load_checkpoint,
     search_anarchy_pairs,
     search_pairs,
@@ -490,7 +490,7 @@ def test_checkpoint_resume_and_refusal(tmp_path):
         raw = json.load(fh)
     raw["runs"] = raw["runs"][:2]
     raw["last_segment"] = 1
-    raw["partial_digest"] = _partial_digest(raw["runs"])
+    raw["partial_digest"] = json_digest(raw["runs"])
     with open(ck, "w") as fh:
         json.dump(raw, fh)
     assert jsonl_of(search_pairs(config)) == first
