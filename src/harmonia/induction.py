@@ -19,6 +19,9 @@ Every step emits a certificate whose inequalities are verified in exact
 arithmetic, and the two greedy phases are cross-checked against the
 sum-form lemma oracles.  Landing exactly on 1 with pending parts left is
 impossible for anarchy harmonious tuples, so it is reported as an error.
+
+The trace carries the product facts Pi(P), Phi(P) and sigma(prod M), and
+theorem_trace's one TheoremReport adds only what its case split decides.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from math import gcd, prod
 
 from harmonia.arith import Factorization, factorize, merge_factorizations, sigma_of
 from harmonia.bounds import MATERIALIZE_BITS, main_holds, render_big, tower, tower_holds
-from harmonia.classify import classify
 from harmonia.lemmas import DiophantineInstance, check_hb, divisibility_terms
+from harmonia.lemmas import _require_anarchy_harmonious
 
 # F_{2K}(2) at 12 distinct primes is a 2^24-bit number; past that the
 # certificates would stop being materializable
@@ -345,11 +348,15 @@ def _cross_check_step(
 
 @dataclass
 class InductionTrace:
-    """Full run: step certificates and the aggregate inequality."""
+    """Full run: step certificates, the product facts Pi(P), Phi(P) and
+    sigma(prod M), and the aggregate inequality."""
 
     members: tuple[int, ...]
     steps: tuple[StepCertificate, ...]
     factorization: Factorization  # of the product of the members
+    radical: int
+    phi: int
+    sigma_product: int
     sum_v: int
     sum_w: int
     final_lhs: int
@@ -364,6 +371,10 @@ class InductionTrace:
     @property
     def distinct_primes(self) -> int:
         return len(self.factorization)
+
+    @property
+    def product(self) -> int:
+        return prod(self.members)
 
     @property
     def all_hold(self) -> bool:
@@ -392,13 +403,7 @@ class InductionTrace:
 
 def _validated_members(members) -> tuple[tuple[int, ...], Factorization]:
     """Sorted members and the factorization of their product."""
-    record = classify(members)
-    members = record.members
-    if not record.flags["harmonious"]:
-        total = sum(map(Fraction, members, record.sigma), Fraction(0))
-        raise ValueError(f"not a harmonious tuple: ratio sum is {total}")
-    if not record.flags["anarchy"]:
-        raise ValueError("not an anarchy tuple: a cross gcd exceeds 1")
+    record = _require_anarchy_harmonious(members)
     merged = merge_factorizations(*record.factorizations)
     if len(merged) == 0:
         raise ValueError("trivial tuple with no prime factors")
@@ -407,15 +412,7 @@ def _validated_members(members) -> tuple[tuple[int, ...], Factorization]:
             f"product has {len(merged)} distinct primes; "
             f"certificates are limited to {MAX_DISTINCT_PRIMES}"
         )
-    return members, merged
-
-
-def _product_facts(merged: Factorization) -> tuple[int, int, int]:
-    """Pi(P), Phi(P) and sigma(prod M) from the product's factorization;
-    anarchy members are pairwise coprime, so sigma(prod M) = prod sigma(M_i)."""
-    pi = prod(p for p, _ in merged)
-    phi = prod(p - 1 for p, _ in merged)
-    return pi, phi, sigma_of(merged)
+    return record.members, merged
 
 
 def run_induction(members) -> InductionTrace:
@@ -458,7 +455,10 @@ def run_induction(members) -> InductionTrace:
             chain_holds = False
         earlier_psi *= prod(p * (p - 1) for p, _ in cert.absorbed)
 
-    pi, phi, sigma_product = _product_facts(merged)
+    # anarchy members are pairwise coprime, so sigma(prod M) = prod sigma(M_i)
+    pi = prod(p for p, _ in merged)
+    phi = prod(p - 1 for p, _ in merged)
+    sigma_product = sigma_of(merged)
     final_lhs = sigma_product * phi * pi
     final_holds = tower_holds(final_lhs, 2 * K, 2)
 
@@ -466,6 +466,9 @@ def run_induction(members) -> InductionTrace:
         members=members,
         steps=tuple(certs),
         factorization=merged,
+        radical=pi,
+        phi=phi,
+        sigma_product=sigma_product,
         sum_v=sum_v,
         sum_w=sum_w,
         final_lhs=final_lhs,
@@ -476,48 +479,25 @@ def run_induction(members) -> InductionTrace:
 
 
 @dataclass
-class KernelReport:
-    """Aggregate bound with the tower based at the radical of the product."""
-
-    members: tuple[int, ...]
-    primes: tuple[int, ...]
-    distinct_primes: int
-    radical: int
-    phi: int
-    sigma_product: int
-    lhs: int
-    rhs: int
-    holds: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "members": list(self.members),
-            "primes": list(self.primes),
-            "distinct_primes": self.distinct_primes,
-            "radical": self.radical,
-            "phi": self.phi,
-            "sigma_product": render_big(self.sigma_product),
-            "lhs": render_big(self.lhs),
-            "rhs": render_big(self.rhs),
-            "holds": self.holds,
-        }
-
-
-@dataclass
 class TheoremReport:
-    """Concrete replay of the case split behind the product bound."""
+    """Concrete replay of the case split behind the product bound, on top of
+    the trace; rhs is the kernel's tower(K, Pi(P)), None on the induction branch."""
 
-    members: tuple[int, ...]
-    distinct_primes: int
-    radical: int
+    trace: InductionTrace
     branch: str
     branch_inequality_holds: bool
     combined_holds: bool
     identity_holds: bool
-    product: int
     product_below_main_bound: bool
-    trace: InductionTrace
-    kernel: KernelReport | None
+    rhs: int | None
+
+    @property
+    def radical(self) -> int:
+        return self.trace.radical
+
+    @property
+    def product(self) -> int:
+        return self.trace.product
 
     @property
     def all_hold(self) -> bool:
@@ -529,81 +509,76 @@ class TheoremReport:
         )
 
     def to_json_dict(self) -> dict:
+        t = self.trace
+        kernel = None
+        if self.rhs is not None:
+            kernel = {
+                "members": list(t.members),
+                "primes": list(t.primes),
+                "distinct_primes": t.distinct_primes,
+                "radical": t.radical,
+                "phi": t.phi,
+                "sigma_product": render_big(t.sigma_product),
+                "lhs": render_big(t.final_lhs),
+                "rhs": render_big(self.rhs),
+                "holds": t.final_lhs <= self.rhs,
+            }
         return {
-            "members": list(self.members),
-            "distinct_primes": self.distinct_primes,
-            "radical": self.radical,
+            "members": list(t.members),
+            "distinct_primes": t.distinct_primes,
+            "radical": t.radical,
             "branch": self.branch,
             "branch_inequality_holds": self.branch_inequality_holds,
             "combined_holds": self.combined_holds,
             "identity_holds": self.identity_holds,
-            "product": render_big(self.product),
+            "product": render_big(t.product),
             "product_below_main_bound": self.product_below_main_bound,
             # the chain runs on both branches, but only the induction branch
             # rests on it, so only that branch reports it
-            "trace": self.trace.to_json_dict() if self.branch == "induction" else None,
-            "kernel": self.kernel.to_json_dict() if self.kernel else None,
+            "trace": t.to_json_dict() if self.branch == "induction" else None,
+            "kernel": kernel,
         }
 
 
 def theorem_trace(members) -> TheoremReport:
     """Case split on the radical: the step chain runs on both branches;
     large radicals take its final inequality, small ones check
-    sigma(prod M) * Phi(P) * Pi(P) <= tower(K, Pi(P)) instead.  Both land on
-    the same combined bound, which is then checked against the product bound."""
+    sigma(prod M) * Phi(P) * Pi(P) <= rhs = tower(K, Pi(P)) instead.  Both
+    land on the same combined bound, which is then checked against the
+    product bound.  The product facts are read from the trace."""
     trace = run_induction(members)
-    members, merged, K = trace.members, trace.factorization, trace.distinct_primes
-    pi, phi, sigma_product = _product_facts(merged)
-    product = prod(members)
+    K, pi, phi, sigma_product = trace.distinct_primes, trace.radical, trace.phi, trace.sigma_product
 
     threshold = 1 << (1 << K)  # 2^(2^K)
     big_tower = tower(2 * K, 2)
     scale = 1 << (2 * (1 << K))  # 2^(2*2^K)
 
-    kernel = None
+    rhs = None
     if pi > threshold:
         branch = "induction"
         branch_ok = trace.final_holds
     else:
         branch = "chen_tang"
         rhs = tower(K, pi)
-        kernel = KernelReport(
-            members=members,
-            primes=trace.primes,
-            distinct_primes=K,
-            radical=pi,
-            phi=phi,
-            sigma_product=sigma_product,
-            lhs=trace.final_lhs,
-            rhs=rhs,
-            holds=trace.final_lhs <= rhs,
-        )
-        branch_ok = kernel.holds and rhs * scale <= big_tower * pi * pi
+        branch_ok = trace.final_lhs <= rhs and rhs * scale <= big_tower * pi * pi
 
     combined = sigma_product * phi * scale <= big_tower * pi
 
     # sigma(prod M) * Phi(P) / Pi(P) == prod(M) * prod(1 - 1/p^(e+1)),
     # cross-multiplied to integers on both sides
-    lhs_num = sigma_product * phi
-    lhs_den = pi
-    rhs_num = product
-    rhs_den = 1
-    for p, e in merged:
+    rhs_num, rhs_den = trace.product, 1
+    for p, e in trace.factorization:
         q = p ** (e + 1)
         rhs_num *= q - 1
         rhs_den *= q
-    identity = lhs_num * rhs_den == rhs_num * lhs_den
+    identity = sigma_product * phi * rhs_den == rhs_num * pi
 
     return TheoremReport(
-        members=members,
-        distinct_primes=K,
-        radical=pi,
+        trace=trace,
         branch=branch,
         branch_inequality_holds=branch_ok,
         combined_holds=combined,
         identity_holds=identity,
-        product=product,
-        product_below_main_bound=main_holds(product, K),
-        trace=trace,
-        kernel=kernel,
+        product_below_main_bound=main_holds(trace.product, K),
+        rhs=rhs,
     )

@@ -17,6 +17,8 @@ kernel, one (k, R) stratum at a time: every (partition, m) row against every
 (a, b) coefficient pair, in bounded chunks, in int64 when the stratum's
 bound k * coef_max^k * m_max^R is below 2^63 and on Python-int object arrays
 otherwise.  Only the survivors reach the per-instance conclusion with tower.
+The hb and the cook grids both refuse a box of more than DEFAULT_BUDGET
+(10^8) instances, counted in closed form, before any work.
 
 Two per-instance deciders stay here because the library runs them:
 check_hb, through which induction feeds both greedy phases of every step,
@@ -37,9 +39,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from harmonia.arith import factorize, sigma_of
+from harmonia.arith import Factorization, factorize, sigma_of
 from harmonia.bounds import tower
-from harmonia.classify import classify
+from harmonia.classify import TupleRecord, classify
 
 DEFAULT_BUDGET = 10**8
 
@@ -204,18 +206,24 @@ def check_pre_cook(
     )
 
 
-def _unitary_divisors(n: int) -> list[int]:
+def _unitary_divisors(factorization: Factorization) -> list[int]:
     out = [1]
-    for p, e in factorize(n):
+    for p, e in factorization:
         q = p**e
         out += [d * q for d in out]
     return sorted(out)
 
 
-def _require_anarchy_harmonious(members: Sequence[int]) -> None:
-    flags = classify(members).flags
-    if not (flags["harmonious"] and flags["anarchy"]):
-        raise ValueError("members must form an anarchy harmonious tuple")
+def _require_anarchy_harmonious(members: Sequence[int]) -> TupleRecord:
+    """The classify record of an anarchy harmonious tuple: the one input
+    check of the induction and the div grid."""
+    record = classify(members)
+    if not record.flags["harmonious"]:
+        total = sum(map(Fraction, record.members, record.sigma), Fraction(0))
+        raise ValueError(f"not a harmonious tuple: ratio sum is {total}")
+    if not record.flags["anarchy"]:
+        raise ValueError("not an anarchy tuple: a cross gcd exceeds 1")
+    return record
 
 
 def divisibility_terms(
@@ -425,7 +433,8 @@ def rational_grid(value_max: int, den_max: int) -> list[Fraction]:
 
 def scan_cook_grid(k_max: int, value_max: int = 6, den_max: int = 4) -> GridReport:
     """All pairs of nondecreasing sequences (length <= k_max) over the
-    rational grid; vectorized over int64 cross products.
+    rational grid; vectorized over int64 cross products.  A box of more
+    than DEFAULT_BUDGET instances is refused before any sequence is built.
 
     Bounds: values <= value_max <= 6 with den <= 4 keep every numerator and
     denominator product below 24^3, so the int64 cross multiplications stay
@@ -439,10 +448,13 @@ def scan_cook_grid(k_max: int, value_max: int = 6, den_max: int = 4) -> GridRepo
     if per_factor ** (2 * k_max) >= 1 << 62:
         raise ValueError("grid values too large for the int64 fast path")
     values = rational_grid(value_max, den_max)
+    # S_k = C(n + k - 1, k) nondecreasing sequences of length k, S_k^2 pairs
+    total = sum(comb(len(values) + k - 1, k) ** 2 for k in range(1, k_max + 1))
+    if total > DEFAULT_BUDGET:
+        raise BudgetExceeded(f"grid holds {total} instances, over budget {DEFAULT_BUDGET}")
     nums = np.array([v.numerator for v in values], dtype=np.int64)
     dens = np.array([v.denominator for v in values], dtype=np.int64)
 
-    seen = 0
     held = 0
     equalities = 0
     bad: list = []
@@ -459,7 +471,6 @@ def scan_cook_grid(k_max: int, value_max: int = 6, den_max: int = 4) -> GridRepo
         plus_n = np.prod(seq_n + seq_d, axis=1)
         plus_d = minus_d
 
-        seen += S * S
         for sx in range(S):
             # hypothesis: every prefix product of x is <= that of y
             ok = np.ones(S, dtype=bool)
@@ -487,7 +498,7 @@ def scan_cook_grid(k_max: int, value_max: int = 6, den_max: int = 4) -> GridRepo
                 )
     return GridReport(
         lemma="cook",
-        instances=seen,
+        instances=total,
         hypotheses_held=held,
         counterexamples=bad,
         conclusion_equalities=equalities,
@@ -519,15 +530,16 @@ def scan_divisibility_grid(members: Sequence[int]) -> GridReport:
     """Every unitary split of every member times every subset of the primes
     of the removed part.  The members are validated once, not per split:
     every split built here is unitary with prod(U_i) > 1 by construction."""
-    _require_anarchy_harmonious(members)
-    unit_lists = [_unitary_divisors(m) for m in members]
+    record = _require_anarchy_harmonious(members)
+    # the record sorts its members; the splits keep the caller's order
+    by_member = dict(zip(record.members, record.factorizations))
+    facts = [by_member[m] for m in members]
     seen = 0
     bad: list = []
-    for parts in itertools.product(*unit_lists):
-        u_product = prod(parts)
-        if u_product <= 1:
+    for parts in itertools.product(*map(_unitary_divisors, facts)):
+        if prod(parts) <= 1:
             continue
-        u_primes = sorted(p for p, _ in factorize(u_product))
+        u_primes = sorted(p for f, u in zip(facts, parts) for p, _ in f if u % p == 0)
         for mask in range(1 << len(u_primes)):
             subset = [p for i, p in enumerate(u_primes) if mask >> i & 1]
             seen += 1

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: flags, exit codes, output formats, manifests."""
 
+import hashlib
 import json
 import os
 import re
@@ -394,6 +395,18 @@ def test_induction_trace_json(capsys):
     assert lines[-1] == "kind=induction steps=1 verified=true"
 
 
+@pytest.mark.parametrize("members", [("64", "173369889"), ("173369889", "64")])
+def test_induction_trace_bytes_are_frozen(members, capsys):
+    frozen = {
+        (): "cec3f8f8cf6de2654afee990b932342827da1ac03b31f4180fb662becabb0b20",
+        ("--json",): "8394910dae1f9190ae0c6b1bff05084a6910a16ac3be9905eda4aa17541bb269",
+    }
+    for extra, digest in frozen.items():
+        assert run_cli("induction", "trace", *members, *extra) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, extra
+
+
 def test_induction_trace_validates_once(monkeypatch, capsys):
     validate = harmonia.induction._validated_members
     calls = []
@@ -498,7 +511,17 @@ def test_lemmas_check_div_members_flag(capsys):
     assert run_cli("lemmas", "check", "--lemma", "div", "--members", "64,bad") == 2
     # 1/sigma(1) + 1/sigma(1) = 2: not harmonious, though no unitary split exists
     assert run_cli("lemmas", "check", "--lemma", "div", "--members", "1,1") == 2
-    assert "anarchy harmonious" in capsys.readouterr().err
+    assert "error: not a harmonious tuple: ratio sum is 2\n" in capsys.readouterr().err
+    assert run_cli("lemmas", "check", "--lemma", "div", "--members", "220,284") == 2
+    assert "error: not an anarchy tuple: a cross gcd exceeds 1\n" in capsys.readouterr().err
+
+
+def test_lemmas_check_refuses_an_oversized_cook_box(capsys):
+    # sum over k <= 3 of C(131 + k, k)^2 over the 132 default grid values
+    assert run_cli("lemmas", "check", "--lemma", "cook", "--k-max", "3") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "grid holds 153806933764 instances, over budget 100000000" in captured.err
 
 
 def test_lemmas_check_refuses_flags_of_other_lemmas(monkeypatch, capsys):

@@ -200,23 +200,35 @@ def test_rejection_names_exact_ratio_sum():
 
 
 def test_chen_tang_worked_pair():
-    report = theorem_trace(PAIR).kernel
-    assert report.distinct_primes == 5
-    assert report.radical == 8778
-    assert report.phi == 2160
+    report = theorem_trace(PAIR)
+    trace = report.trace
+    assert trace.distinct_primes == 5
+    assert trace.radical == report.radical == 8778
+    assert trace.phi == 2160
     assert report.rhs == 8778**32 - 8778**16
-    assert report.holds
 
     sigma_product = profile_of(64).sigma * profile_of(173369889).sigma
-    assert report.sigma_product == sigma_product
-    assert report.lhs == sigma_product * 2160 * 8778
+    assert trace.sigma_product == sigma_product
+    assert trace.final_lhs == sigma_product * 2160 * 8778
+
+    kernel = report.to_json_dict()["kernel"]
+    assert list(kernel) == [
+        "members", "primes", "distinct_primes", "radical", "phi",
+        "sigma_product", "lhs", "rhs", "holds",
+    ]
+    assert kernel["members"] == list(PAIR) and kernel["primes"] == list(PAIR_PRIMES)
+    assert (kernel["distinct_primes"], kernel["radical"], kernel["phi"]) == (5, 8778, 2160)
+    assert kernel["sigma_product"] == str(sigma_product)
+    assert kernel["lhs"] == str(sigma_product * 2160 * 8778)
+    assert kernel["rhs"] == {"bits": report.rhs.bit_length()}
+    assert kernel["holds"] is True
 
 
 def test_theorem_trace_worked_pair():
     report = theorem_trace(PAIR)
     assert report.branch == "chen_tang"
     assert report.radical == 8778
-    assert report.kernel is not None and report.trace == run_induction(PAIR)
+    assert report.rhs is not None and report.trace == run_induction(PAIR)
     assert report.to_json_dict()["trace"] is None
     assert report.branch_inequality_holds
     assert report.combined_holds

@@ -1,9 +1,10 @@
 """Lemma oracle tests: frozen worked examples, enumeration counts, and
 small exhaustive grids cross-checked against the per-instance verdicts."""
 
+import types
 from fractions import Fraction
 from itertools import combinations, product
-from math import prod
+from math import comb, prod
 
 import pytest
 
@@ -12,6 +13,7 @@ from harmonia.arith import factorize
 from harmonia.bounds import tower
 from harmonia.classify import classify
 from harmonia.lemmas import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     DiophantineInstance,
     check_hb,
@@ -118,6 +120,24 @@ def test_enumeration_budget_refusal():
     with pytest.raises(BudgetExceeded) as err:
         scan_hb_grid("hb1", 3, 3, 12, 6)
     assert "grid holds 392879916 instances" in str(err.value)
+
+
+def test_cook_budget_refusal_enumerates_nothing(monkeypatch):
+    # the benchmark's box runs; its count is the closed form over 30 values
+    assert scan_cook_grid(2, value_max=6, den_max=4).instances == 30**2 + comb(31, 2) ** 2
+
+    def refuse(*args):
+        raise AssertionError("the cook scan enumerated sequences")
+
+    monkeypatch.setattr(
+        harmonia.lemmas, "itertools", types.SimpleNamespace(combinations_with_replacement=refuse)
+    )
+    # 132 grid values: sum over k <= 3 of C(131 + k, k)^2 instances
+    want = sum(comb(131 + k, k) ** 2 for k in (1, 2, 3))
+    assert want == 153806933764
+    with pytest.raises(BudgetExceeded) as err:
+        scan_cook_grid(3, value_max=12, den_max=6)
+    assert f"grid holds {want} instances, over budget {DEFAULT_BUDGET}" in str(err.value)
 
 
 def test_check_hb_refuses_an_unknown_lemma():
