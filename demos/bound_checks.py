@@ -33,6 +33,6 @@ print()
 for members in [(6, 6), (220, 284), (135, 3472), (64, 173369889)]:
     record = classify(members)
     report = verify_bounds(record)
-    print(f"{members}: K={report.K} product={report.product}")
+    print(f"{members}: K={record.K} product={record.product}")
     print("  " + json.dumps(report.to_json_dict()))
     assert report.all_applicable_hold

@@ -14,6 +14,11 @@ settles the main bound outside the single octave that holds the bound; inside
 it the bound is at most twice the product and is built and compared.  The
 k^-k bound is tested by tower_holds on product * k^k, which never builds an
 integer much larger than the square of that value.
+
+verify_bounds returns a BoundReport that holds the classified record and the
+three verdicts, nothing else: members, K, L, L* and the product are read from
+the record, and the displayed main bound and its exponent are built only when
+the report is rendered as JSON.
 """
 
 from __future__ import annotations
@@ -99,19 +104,14 @@ def main_holds(product: int, K: int) -> bool:
     return product < main_bound(K)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundReport:
-    """Outcome of every applicable bound check for one tuple."""
+    """The three bound verdicts for one classified record, each None where
+    its hypothesis fails; what the report shows of the tuple is read from
+    the record, and the main bound itself is built only to render it."""
 
-    members: tuple[int, ...]
-    K: int
-    L_omega: int
-    L_star: int
-    product: int
-    main_applies: bool
+    record: TupleRecord
     main_holds: bool | None
-    main_bound_log2: int | None
-    main_bound: int | None
     borho_holds: bool | None
     borho_star_holds: bool | None
 
@@ -120,16 +120,20 @@ class BoundReport:
         return False not in (self.main_holds, self.borho_holds, self.borho_star_holds)
 
     def to_json_dict(self) -> dict:
+        record = self.record
+        main_applies = self.main_holds is not None
+        log2 = main_bound_log2(record.K) if main_applies else None
+        bound = main_bound(record.K) if main_applies and log2 <= MATERIALIZE_BITS else None
         return {
-            "members": list(self.members),
-            "K": self.K,
-            "L": self.L_omega,
-            "L_star": self.L_star,
-            "product": render_big(self.product),
-            "main_applies": self.main_applies,
+            "members": list(record.members),
+            "K": record.K,
+            "L": record.L_omega,
+            "L_star": record.L_star,
+            "product": render_big(record.product),
+            "main_applies": main_applies,
             "main_holds": self.main_holds,
-            "main_bound_log2": self.main_bound_log2,
-            "main_bound": render_big(self.main_bound),
+            "main_bound_log2": log2,
+            "main_bound": render_big(bound),
             "borho_holds": self.borho_holds,
             "borho_star_holds": self.borho_star_holds,
         }
@@ -151,41 +155,21 @@ def verify_bounds(record: TupleRecord) -> BoundReport:
     The main bound applies to anarchy harmonious tuples (K >= 1, which only
     excludes the degenerate all-ones tuple); the k^-k bound applies to
     harmonious tuples via L_omega and to unitary harmonious tuples via
-    L_star.  Flags are None when the hypothesis does not hold.
+    L_star.  A verdict is None when its hypothesis does not hold.
     """
-    k = len(record.members)
-    product = record.product
-
-    main_applies = bool(
-        record.flags["anarchy"] and record.flags["harmonious"] and record.K >= 1
-    )
-    holds = None
-    log2 = None
-    bound_value = None
-    if main_applies:
-        log2 = main_bound_log2(record.K)
-        holds = main_holds(product, record.K)
-        if log2 <= MATERIALIZE_BITS:
-            bound_value = main_bound(record.K)
-
-    borho_holds = None
-    if record.flags["harmonious"]:
-        borho_holds = tower_holds(product * k**k, record.L_omega, 2)
-
-    borho_star_holds = None
-    if record.flags["unitary_harmonious"]:
-        borho_star_holds = tower_holds(product * k**k, record.L_star, 2)
-
+    product_kk = record.product * len(record.members) ** len(record.members)
+    harmonious = record.flags["harmonious"]
     return BoundReport(
-        members=record.members,
-        K=record.K,
-        L_omega=record.L_omega,
-        L_star=record.L_star,
-        product=product,
-        main_applies=main_applies,
-        main_holds=holds,
-        main_bound_log2=log2,
-        main_bound=bound_value,
-        borho_holds=borho_holds,
-        borho_star_holds=borho_star_holds,
+        record=record,
+        main_holds=(
+            main_holds(record.product, record.K)
+            if record.flags["anarchy"] and harmonious and record.K >= 1
+            else None
+        ),
+        borho_holds=tower_holds(product_kk, record.L_omega, 2) if harmonious else None,
+        borho_star_holds=(
+            tower_holds(product_kk, record.L_star, 2)
+            if record.flags["unitary_harmonious"]
+            else None
+        ),
     )

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd, isqrt
 from typing import Iterable
 
 import numpy as np
@@ -66,11 +66,19 @@ class TupleRecord:
     sigma: tuple[int, ...]
     factorizations: tuple[Factorization, ...]
     flags: dict[str, bool]
-    g1: int | None
-    g2: int | None
     K: int
     L_omega: int
     L_star: int
+
+    @property
+    def g1(self) -> int | None:
+        """gcd(M, sigma(N)) of a pair (M, N); None for any other length."""
+        return gcd(self.members[0], self.sigma[1]) if len(self.members) == 2 else None
+
+    @property
+    def g2(self) -> int | None:
+        """gcd(sigma(M), N) of a pair (M, N); None for any other length."""
+        return gcd(self.sigma[0], self.members[1]) if len(self.members) == 2 else None
 
     @property
     def product(self) -> int:
@@ -148,15 +156,10 @@ def classify_all(tuples: Iterable[Iterable[int]]) -> list[TupleRecord]:
     L_star = np.bincount(tuple_of_slot, weights=omega[slot], minlength=len(ordered))
 
     flags = np.zeros((len(ordered), len(FLAG_NAMES)), dtype=bool)
-    g1: list[int | None] = [None] * len(ordered)
-    g2 = list(g1)
     for k in sorted(set(sizes)):
         sel = np.flatnonzero(lengths == k)
         cols = slot[starts[sel][:, None] + np.arange(k)]
-        flags[sel], g = _flag_columns(n[cols], sigma[cols], sigma_star[cols])
-        if g is not None:
-            for i, a, b in zip(sel.tolist(), *(x.tolist() for x in g)):
-                g1[i], g2[i] = a, b
+        flags[sel] = _flag_columns(n[cols], sigma[cols], sigma_star[cols])
 
     sigma_at = sigma[slot].tolist()
     factorizations = _factorizations(rows_p, rows_e, omega)
@@ -168,8 +171,6 @@ def classify_all(tuples: Iterable[Iterable[int]]) -> list[TupleRecord]:
             starts.tolist(),
             (starts + lengths).tolist(),
             [dict(zip(FLAG_NAMES, f)) for f in flags.tolist()],
-            g1,
-            g2,
             K.tolist(),
             L_omega.astype(np.int64).tolist(),
             L_star.astype(np.int64).tolist(),
@@ -278,11 +279,8 @@ def _factorizations(
 # --- step 3: flags ------------------------------------------------------------------
 
 
-def _flag_columns(
-    n: np.ndarray, sigma: np.ndarray, sigma_star: np.ndarray
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
-    """FLAG_NAMES columns of tuples given as rows of k sorted members, and
-    (g1, g2) = (gcd(M, sigma(N)), gcd(sigma(M), N)) when k = 2.
+def _flag_columns(n: np.ndarray, sigma: np.ndarray, sigma_star: np.ndarray) -> np.ndarray:
+    """FLAG_NAMES columns of tuples given as rows of k sorted members.
 
     Sum to one is decided as sum(n_i * (P / s_i)) == P with P the product
     of the s_i; each term is at most P <= s_max^k, so int64 holds the sum
@@ -310,7 +308,7 @@ def _flag_columns(
             if i != j:
                 strangers = strangers & coprime(n[:, i], sigma[:, j])
     distinct = (n[:, 1:] != n[:, :-1]).all(axis=1)
-    flags = np.stack(
+    return np.stack(
         (
             sums_to_one(sigma),
             sums_to_one(sigma_star),
@@ -321,10 +319,6 @@ def _flag_columns(
         ),
         axis=1,
     )
-    g = None
-    if k == 2:
-        g = (np.gcd(n[:, 0], sigma[:, 1]), np.gcd(sigma[:, 0], n[:, 1]))
-    return flags, g
 
 
 # --- step 4: K ------------------------------------------------------------------------

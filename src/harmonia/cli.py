@@ -196,7 +196,7 @@ def _render_holds(value: bool | None) -> str:
 
 def _bound_summary(report) -> str:
     return (
-        f"members={list(report.members)} K={report.K} "
+        f"members={list(report.record.members)} K={report.record.K} "
         f"main={_render_holds(report.main_holds)} "
         f"borho={_render_holds(report.borho_holds)} "
         f"borho_star={_render_holds(report.borho_star_holds)}"

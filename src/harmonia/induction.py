@@ -33,7 +33,7 @@ from math import gcd, prod
 from harmonia.arith import Factorization, factorize, merge_factorizations, sigma_of
 from harmonia.bounds import MATERIALIZE_BITS, main_holds, render_big, tower, tower_holds
 from harmonia.lemmas import DiophantineInstance, check_hb, divisibility_terms
-from harmonia.lemmas import _require_anarchy_harmonious
+from harmonia.lemmas import require_anarchy_harmonious
 
 # F_{2K}(2) at 12 distinct primes is a 2^24-bit number; past that the
 # certificates would stop being materializable
@@ -403,7 +403,7 @@ class InductionTrace:
 
 def _validated_members(members) -> tuple[tuple[int, ...], Factorization]:
     """Sorted members and the factorization of their product."""
-    record = _require_anarchy_harmonious(members)
+    record = require_anarchy_harmonious(members)
     merged = merge_factorizations(*record.factorizations)
     if len(merged) == 0:
         raise ValueError("trivial tuple with no prime factors")

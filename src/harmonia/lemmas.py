@@ -214,7 +214,7 @@ def _unitary_divisors(factorization: Factorization) -> list[int]:
     return sorted(out)
 
 
-def _require_anarchy_harmonious(members: Sequence[int]) -> TupleRecord:
+def require_anarchy_harmonious(members: Sequence[int]) -> TupleRecord:
     """The classify record of an anarchy harmonious tuple: the one input
     check of the induction and the div grid."""
     record = classify(members)
@@ -436,9 +436,9 @@ def scan_cook_grid(k_max: int, value_max: int = 6, den_max: int = 4) -> GridRepo
     rational grid; vectorized over int64 cross products.  A box of more
     than DEFAULT_BUDGET instances is refused before any sequence is built.
 
-    Bounds: values <= value_max <= 6 with den <= 4 keep every numerator and
-    denominator product below 24^3, so the int64 cross multiplications stay
-    far from overflow.
+    Bounds: a box is refused unless ((value_max + 1) * den_max)^(2 * k_max)
+    < 2^62, which keeps every int64 cross multiplication below 2^62; the
+    CLI runs value_max 12 and den_max 6 by default.
     """
     if k_max < 1 or value_max < 2 or den_max < 1:
         raise ValueError("need k_max >= 1, value_max >= 2 and den_max >= 1")
@@ -530,7 +530,7 @@ def scan_divisibility_grid(members: Sequence[int]) -> GridReport:
     """Every unitary split of every member times every subset of the primes
     of the removed part.  The members are validated once, not per split:
     every split built here is unitary with prod(U_i) > 1 by construction."""
-    record = _require_anarchy_harmonious(members)
+    record = require_anarchy_harmonious(members)
     # the record sorts its members; the splits keep the caller's order
     by_member = dict(zip(record.members, record.factorizations))
     facts = [by_member[m] for m in members]

@@ -260,19 +260,12 @@ def classify_reference(members: Iterable[int]) -> TupleRecord:
         "sum_coprime": gcd(product, total) == 1,
     }
 
-    g1 = g2 = None
-    if k == 2:
-        pm, pn = profiles
-        g1, g2 = gcd(pm.n, pn.sigma), gcd(pm.sigma, pn.n)
-
     merged = merge_factorizations(*(p.factorization for p in profiles))
     return TupleRecord(
         members=ordered,
         sigma=tuple(p.sigma for p in profiles),
         factorizations=tuple(p.factorization for p in profiles),
         flags=flags,
-        g1=g1,
-        g2=g2,
         K=len(merged),
         L_omega=sum(e for _, e in merged),
         L_star=sum(p.omega for p in profiles),

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
+import harmonia.bounds
 from harmonia.bounds import (
     MAIN_CAP,
     ZETA2_NUM,
     ZETA2_SHIFT,
+    BoundReport,
     main_bound,
     main_bound_log2,
     tower,
@@ -146,20 +149,53 @@ def test_zeta2_constant_against_independent_pi() -> None:
 
 def test_verify_bounds_anarchy_pair() -> None:
     rep = verify_bounds(classify((64, 173369889)))
-    assert rep.main_applies
+    obj = rep.to_json_dict()
+    assert obj["main_applies"]
     assert rep.main_holds is True
     assert rep.borho_holds is True
     assert rep.borho_star_holds is None  # not unitary harmonious
-    assert rep.K == 5
-    assert rep.main_bound_log2 == 960
-    assert rep.main_bound is not None and rep.main_bound.bit_length() == 961
-    assert rep.product == 64 * 173369889
+    assert rep.record.K == 5
+    assert obj["main_bound_log2"] == 960
+    assert obj["main_bound"] == {"bits": 961}
+    assert rep.record.product == 64 * 173369889
     assert rep.all_applicable_hold
+
+
+def test_bound_report_holds_record_and_verdicts(monkeypatch) -> None:
+    assert [f.name for f in fields(BoundReport)] == [
+        "record",
+        "main_holds",
+        "borho_holds",
+        "borho_star_holds",
+    ]
+
+    def refused(K):
+        raise AssertionError("verify_bounds built a main bound")
+
+    # the anarchy pair's product is 34 bits, far below the 960-bit octave
+    monkeypatch.setattr(harmonia.bounds, "main_bound", refused)
+    record = classify((64, 173369889))
+    rep = verify_bounds(record)
+    assert rep.record is record and rep.main_holds is True
+
+
+@pytest.mark.parametrize("q", [5, 7, 13, 17, 19, 31])
+def test_main_bound_gates_on_anarchy_not_coprimality(q: int) -> None:
+    # 135/sigma(135) = 9/16 and N/sigma(N) = 7/16 for N = 7 * 2^(q-1) * (2^q - 1)
+    # with 2^q - 1 prime: a pairwise coprime harmonious pair with K = 5 that
+    # is no anarchy pair, since gcd(N, sigma(135)) = gcd(N, 240) > 1
+    record = classify((135, 7 * 2 ** (q - 1) * (2**q - 1)))
+    assert record.flags["harmonious"] and record.flags["pairwise_coprime"]
+    assert not record.flags["anarchy"]
+    assert record.K == 5
+    rep = verify_bounds(record)
+    assert rep.main_holds is None
+    assert rep.borho_holds is True
 
 
 def test_verify_bounds_amicable_pair() -> None:
     rep = verify_bounds(classify((220, 284)))
-    assert not rep.main_applies  # not anarchy
+    assert not rep.to_json_dict()["main_applies"]  # not anarchy
     assert rep.main_holds is None
     assert rep.borho_holds is True
     assert rep.all_applicable_hold
@@ -169,7 +205,7 @@ def test_verify_bounds_perfect_pair() -> None:
     rep = verify_bounds(classify((6, 6)))
     assert rep.borho_holds is True
     assert rep.borho_star_holds is True  # (6,6) is unitary harmonious
-    assert rep.L_omega == 4 and rep.L_star == 4
+    assert rep.record.L_omega == 4 and rep.record.L_star == 4
     # product 36, bound (2^16 - 2^8)/4 = 16320
     assert 36 * 4 <= 2**16 - 2**8
 

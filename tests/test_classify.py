@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import fields
 from math import gcd
 
 import numpy as np
@@ -12,6 +13,7 @@ from oracles import classify_reference
 
 from harmonia.arith import factorize, sigma_of, sigma_star_of
 from harmonia.classify import (
+    TupleRecord,
     _prime_rows,
     _profile_columns,
     classify,
@@ -84,6 +86,13 @@ def test_classify_record_fields() -> None:
     assert rec.L_star == 1 + 4
     assert (rec.g1, rec.g2) == (1, 1)
     assert rec.product == 64 * 173369889
+
+
+def test_pair_gcds_are_derived_not_stored() -> None:
+    # g1 and g2 follow from members and sigma; test_pair_diagnostics_frozen_rows
+    # checks their values
+    names = [f.name for f in fields(TupleRecord)]
+    assert "g1" not in names and "g2" not in names
 
 
 def test_classify_equal_members_not_anarchy() -> None:

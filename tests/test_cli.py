@@ -321,6 +321,22 @@ def test_bounds_verify_over_results(tmp_path, capsys):
     assert all("borho=pass" in line for line in lines[:-1])
 
 
+def test_bounds_verify_bytes_are_frozen(tmp_path, capsys):
+    # the 30 coprime pairs to 10^5 (main=skip: none is anarchy) and the
+    # anarchy pair (main=pass)
+    pairs = [r.members for r in search_pairs(SearchConfig(bound=10**5, filters={"coprime"}))]
+    assert len(pairs) == 30
+    path = tmp_path / "records.jsonl"
+    lines = [json.dumps({"members": list(p)}) for p in (*pairs, (64, 173369889))]
+    path.write_text("".join(line + "\n" for line in lines))
+    assert run_cli("bounds", "verify", "--input", str(path)) == 0
+    out = capsys.readouterr().out
+    assert (out.count("main=skip"), out.count("main=pass")) == (30, 1)
+    assert out.endswith("kind=bounds checked=31 violations=0\n")
+    digest = "2c83410d7edaf572d494dd18a6506052986a6763d8be2f105711ac1639c02616"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_bounds_verify_usage_errors(tmp_path, capsys):
     assert run_cli("bounds", "verify", "--input", str(tmp_path / "missing")) == 2
     bad = str(tmp_path / "bad.jsonl")

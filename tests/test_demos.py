@@ -7,6 +7,7 @@ demos/anarchy_hunt.py is not run whole, since its sieve to 2*10^8 takes
 finds.
 """
 
+import hashlib
 import os
 import runpy
 import subprocess
@@ -21,20 +22,31 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ("bound_checks", "induction_walkthrough", "lemma_grids", "table_reproduction")
 
 
-@pytest.mark.parametrize("name", DEMOS)
-def test_demo_runs(name: str) -> None:
+def _run_demo(name: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "demos" / f"{name}.py")],
         env=env,
         capture_output=True,
-        text=True,
         timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_runs(name: str) -> None:
+    proc = _run_demo(name)
+    assert proc.returncode == 0, proc.stderr[-2000:].decode()
+
+
+def test_bound_checks_bytes_are_frozen() -> None:
+    # F_0(2)..F_6(2), then each tuple's K, product and to_json_dict()
+    proc = _run_demo("bound_checks")
+    assert proc.returncode == 0, proc.stderr[-2000:].decode()
+    digest = "d1f51f64fa98bf378fa3faf57bc97d7991843d25f48272c16d45b67343d5b503"
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
 def test_anarchy_hunt_shows_the_pair(capsys) -> None:

@@ -352,7 +352,7 @@ def test_cook_grid_matches_fraction_path():
 
 
 def test_cook_grid_acceptance_box_is_reasonable():
-    # default box: 30 grid values, sequences up to length 3
+    # the 30 grid values to 6 with denominators to 4, sequences of length 1
     report = scan_cook_grid(1, value_max=6, den_max=4)
     assert report.instances == 30 * 30
     assert report.clean

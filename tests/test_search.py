@@ -190,6 +190,17 @@ def test_amicable_pairs_match_blockwise_oracle_1e4():
     assert tuple(got) == AMICABLE_1E4
 
 
+def test_amicable_pairs_match_published_counts():
+    # OEIS A066539: 42 amicable pairs with smaller member <= 10^6, 108 with
+    # it <= 10^7.  Every one of the 108 has N/M < 1.4, so a search to
+    # 1.4 * 10^7, which holds both members of each, finds them all.
+    got = members_of(search_pairs(SearchConfig(bound=14 * 10**6, kind="amicable")))
+    assert sum(m <= 10**6 for m, _ in got) == 42
+    upto_1e7 = [(m, n) for m, n in got if m <= 10**7]
+    assert len(upto_1e7) == 108
+    assert max(Fraction(n, m) for m, n in upto_1e7) < Fraction(14, 10)
+
+
 def test_amicable_equal_members_are_the_perfect_numbers():
     got = members_of(
         search_pairs(SearchConfig(bound=10**4, kind="amicable", allow_equal_members=True))

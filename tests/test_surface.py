@@ -2,7 +2,8 @@
 src/ or is exported from the package, and every public method of a class
 there is read as an attribute (x.name) in src/, so no idle API accumulates.
 A bare name does not count for a method: a local variable of the same name
-would hide it."""
+would hide it.  No module in src/ imports another's private (_name) names:
+what two modules share is public."""
 
 import ast
 from pathlib import Path
@@ -49,3 +50,22 @@ def test_no_idle_public_definitions():
     assert sorted(defined - used) == []
     methods = {name for tree in trees for node in tree.body for name in _public_methods(node)}
     assert sorted(m for m in methods if m.split(".")[1] not in attributes) == []
+
+
+def _private_imports(tree: ast.Module) -> list[str]:
+    return [
+        f"{node.module or '.'}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "harmonia")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+
+
+def test_no_private_names_across_modules():
+    found = {
+        path.name: _private_imports(ast.parse(path.read_text()))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {name: imports for name, imports in found.items() if imports} == {}
