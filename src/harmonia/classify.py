@@ -17,8 +17,9 @@ It classifies a whole batch in column passes:
      multiplied over its prime rows, and its factorization is its rows;
   3. the six flags are decided per tuple length k as exact column
      operations on the members' columns;
-  4. K counts the distinct (tuple, prime) rows, and L and L* are column
-     sums of Omega and omega.
+  4. each record keeps its members' factorizations and reads K (distinct
+     primes), L (all exponents) and L* (primes per member, summed) off
+     them.
 
 Every verdict is exact: columns are int64 only where a stated bound keeps
 every intermediate below 2^63, and object arrays of Python ints otherwise.
@@ -66,9 +67,21 @@ class TupleRecord:
     sigma: tuple[int, ...]
     factorizations: tuple[Factorization, ...]
     flags: dict[str, bool]
-    K: int
-    L_omega: int
-    L_star: int
+
+    @property
+    def K(self) -> int:
+        """omega(prod M_i): the distinct primes across the members."""
+        return len({p for f in self.factorizations for p, _ in f})
+
+    @property
+    def L_omega(self) -> int:
+        """Omega(prod M_i): the sum of all exponents."""
+        return sum(e for f in self.factorizations for _, e in f)
+
+    @property
+    def L_star(self) -> int:
+        """sum of omega(M_i): each member's primes, summed over the members."""
+        return sum(map(len, self.factorizations))
 
     @property
     def g1(self) -> int | None:
@@ -145,15 +158,10 @@ def classify_all(tuples: Iterable[Iterable[int]]) -> list[TupleRecord]:
     rows_m, rows_p, rows_e = rows_m[order], rows_p[order], rows_e[order]
     n, sigma, sigma_star = _profile_columns(members, rows_m, rows_p, rows_e)
     omega = np.bincount(rows_m, minlength=len(members))
-    big_omega = np.bincount(rows_m, weights=rows_e, minlength=len(members)).astype(np.int64)
 
     sizes = [len(t) for t in ordered]
     lengths = np.array(sizes, dtype=np.int64)
     starts = np.cumsum(lengths) - lengths
-    tuple_of_slot = np.repeat(np.arange(len(ordered)), lengths)
-    K = _distinct_primes(tuple_of_slot, slot, rows_p, omega)
-    L_omega = np.bincount(tuple_of_slot, weights=big_omega[slot], minlength=len(ordered))
-    L_star = np.bincount(tuple_of_slot, weights=omega[slot], minlength=len(ordered))
 
     flags = np.zeros((len(ordered), len(FLAG_NAMES)), dtype=bool)
     for k in sorted(set(sizes)):
@@ -165,16 +173,10 @@ def classify_all(tuples: Iterable[Iterable[int]]) -> list[TupleRecord]:
     factorizations = _factorizations(rows_p, rows_e, omega)
     factorization_at = [factorizations[u] for u in slot.tolist()]
     return [
-        TupleRecord(t, tuple(sigma_at[s:e]), tuple(factorization_at[s:e]), *rest)
-        for t, s, e, *rest in zip(
-            ordered,
-            starts.tolist(),
-            (starts + lengths).tolist(),
-            [dict(zip(FLAG_NAMES, f)) for f in flags.tolist()],
-            K.tolist(),
-            L_omega.astype(np.int64).tolist(),
-            L_star.astype(np.int64).tolist(),
+        TupleRecord(
+            t, tuple(sigma_at[s:e]), tuple(factorization_at[s:e]), dict(zip(FLAG_NAMES, f))
         )
+        for t, s, e, f in zip(ordered, starts.tolist(), (starts + lengths).tolist(), flags.tolist())
     ]
 
 
@@ -319,31 +321,6 @@ def _flag_columns(n: np.ndarray, sigma: np.ndarray, sigma_star: np.ndarray) -> n
         ),
         axis=1,
     )
-
-
-# --- step 4: K ------------------------------------------------------------------------
-
-
-def _distinct_primes(
-    tuple_of_slot: np.ndarray,
-    slot: np.ndarray,
-    rows_p: np.ndarray,
-    omega: np.ndarray,
-) -> np.ndarray:
-    """K of each tuple: its distinct (tuple, prime) rows, found by expanding
-    every member slot into its member's prime rows, which come grouped by
-    member, and sorting their keys tuple * (number of primes) + prime rank.
-    Both factors count rows held in memory, so the keys stay far below
-    2^63."""
-    primes, rank = _distinct(rows_p)
-    first_row = np.cumsum(omega) - omega
-    counts = omega[slot]
-    offsets = np.cumsum(counts) - counts
-    at = np.repeat(first_row[slot] - offsets, counts) + np.arange(int(counts.sum()))
-    key = np.sort(np.repeat(tuple_of_slot, counts) * max(1, primes.size) + rank[at])
-    new = np.ones(key.size, dtype=bool)
-    new[1:] = key[1:] != key[:-1]
-    return np.bincount(key[new] // max(1, primes.size), minlength=int(tuple_of_slot[-1]) + 1)
 
 
 def format_factorization(f: Factorization) -> str:

@@ -58,6 +58,7 @@ import contextlib
 import hashlib
 import json
 import math
+import operator
 import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
@@ -97,6 +98,18 @@ def json_digest(payload) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
+def _integer(name: str, value, low: int | None = None) -> int:
+    """value as an int, read with operator.index so that a float is refused
+    instead of truncated; ValueError unless it is integral and >= low."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Parameters of one bounded pair/triple search.
@@ -116,20 +129,23 @@ class SearchConfig:
     threads: int = 0
 
     def __post_init__(self):
-        if self.bound < 2:
-            raise ValueError(f"bound must be >= 2, got {self.bound}")
+        object.__setattr__(self, "bound", _integer("bound", self.bound, 2))
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.k not in (2, 3):
             raise ValueError(f"k must be 2 or 3, got {self.k}")
         if self.k == 3 and self.checkpoint_path is not None:
             raise ValueError("a checkpoint (--checkpoint) applies to pair search only, not k=3")
+        if isinstance(self.filters, str):
+            raise ValueError(
+                f"filters must be a collection of names, got the str {self.filters!r}; "
+                f"known: {FILTER_NAMES}"
+            )
         object.__setattr__(self, "filters", frozenset(self.filters))
         bad = self.filters - set(FILTER_NAMES)
         if bad:
             raise ValueError(f"unknown filters {sorted(bad)}; known: {FILTER_NAMES}")
-        if self.threads < 0:
-            raise ValueError("threads must be >= 0 (0 = auto)")
+        object.__setattr__(self, "threads", _integer("threads", self.threads, 0))
 
     @property
     def equal_allowed(self) -> bool:
@@ -738,10 +754,10 @@ def search_anarchy_pairs(
     (below 2^shift) too.  Equal doubles of unequal ratios fail the exact
     probe, and every record is re-validated by classify_all.
     """
+    m_bound, n_bound = _integer("m_bound", m_bound), _integer("n_bound", n_bound)
     if not 2 <= m_bound <= n_bound:
         raise ValueError(f"need 2 <= m_bound <= n_bound, got ({m_bound}, {n_bound})")
-    if threads < 0:
-        raise ValueError("threads must be >= 0 (0 = auto)")
+    threads = _integer("threads", threads, 0)
     shift = _code_shift(n_bound, _sigma_cap(n_bound))
     small_sigma = _sigma_full(m_bound, False, threads)
     _check_packing(small_sigma, shift)
@@ -904,7 +920,7 @@ def count_table(
     One search at the largest bound supplies every row: a pair (M, N) counts
     toward bound b exactly when N <= b.
     """
-    ladder = [int(b) for b in bounds]
+    ladder = [_integer("bounds", b) for b in bounds]
     if not ladder:
         raise ValueError("need at least one bound")
     if ladder[0] < 2:

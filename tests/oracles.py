@@ -20,9 +20,12 @@ library runs:
                         itself stays in the library: induction runs it);
   profile_of            one integer's profile by scalar trial division,
                         against the column factoring of classify_all;
-  classify_reference    one tuple from profile_of's profiles, Python sums
-                        and a merged factorization, against the column
-                        passes of classify.classify_all.
+  classify_reference    one tuple from profile_of's profiles and Python
+                        sums, against the column passes of
+                        classify.classify_all;
+  counts_reference      one tuple's (K, L, L*) from a merged factorization
+                        and the members' omega, against the counts that a
+                        TupleRecord reads off its factorizations.
 """
 
 from __future__ import annotations
@@ -259,14 +262,17 @@ def classify_reference(members: Iterable[int]) -> TupleRecord:
         "anarchy": distinct and _anarchy_of(profiles),
         "sum_coprime": gcd(product, total) == 1,
     }
-
-    merged = merge_factorizations(*(p.factorization for p in profiles))
     return TupleRecord(
         members=ordered,
         sigma=tuple(p.sigma for p in profiles),
         factorizations=tuple(p.factorization for p in profiles),
         flags=flags,
-        K=len(merged),
-        L_omega=sum(e for _, e in merged),
-        L_star=sum(p.omega for p in profiles),
     )
+
+
+def counts_reference(members: Iterable[int]) -> tuple[int, int, int]:
+    """(K, L, L*) of a tuple: the distinct primes and the sum of exponents
+    of the product's merged factorization, and the sum of omega(M_i)."""
+    _, profiles = _profiles_for(members)
+    merged = merge_factorizations(*(p.factorization for p in profiles))
+    return len(merged), sum(e for _, e in merged), sum(p.omega for p in profiles)

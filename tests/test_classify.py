@@ -9,7 +9,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from oracles import classify_reference
+from oracles import classify_reference, counts_reference
 
 from harmonia.arith import factorize, sigma_of, sigma_star_of
 from harmonia.classify import (
@@ -89,10 +89,31 @@ def test_classify_record_fields() -> None:
 
 
 def test_pair_gcds_are_derived_not_stored() -> None:
-    # g1 and g2 follow from members and sigma; test_pair_diagnostics_frozen_rows
-    # checks their values
-    names = [f.name for f in fields(TupleRecord)]
-    assert "g1" not in names and "g2" not in names
+    # g1 and g2 follow from members and sigma, and K, L and L* from the
+    # factorizations; test_pair_diagnostics_frozen_rows and
+    # test_derived_counts_frozen_cases check their values
+    assert [f.name for f in fields(TupleRecord)] == [
+        "members",
+        "sigma",
+        "factorizations",
+        "flags",
+    ]
+    for name in ("g1", "g2", "K", "L_omega", "L_star", "product"):
+        assert isinstance(getattr(TupleRecord, name), property), name
+
+
+def test_derived_counts_frozen_cases() -> None:
+    cases = {
+        (220, 284): (4, 7, 5),  # 2^2*5*11 and 2^2*71 share the prime 2
+        (6, 6): (2, 4, 4),  # a repeated member counts once in K only
+        (1,): (0, 0, 0),
+        # above 2^56 the profile columns are object arrays of Python ints
+        (2**63, 2**64 - 1): (8, 70, 8),
+        (6, 3 * 2**57): (2, 60, 4),
+    }
+    records = classify_all(cases)
+    assert [(r.K, r.L_omega, r.L_star) for r in records] == list(cases.values())
+    assert [counts_reference(t) for t in cases] == list(cases.values())
 
 
 def test_classify_equal_members_not_anarchy() -> None:
@@ -167,6 +188,15 @@ def test_classify_rejects_bad_members() -> None:
 # --- classify_all against the per-tuple reference ------------------------------
 
 
+def _assert_reference(records: list[TupleRecord], tuples) -> None:
+    """The records equal classify_reference of the tuples, and the (K, L, L*)
+    they read off their factorizations equal the oracle's own counts."""
+    tuples = list(tuples)
+    assert records == [classify_reference(t) for t in tuples]
+    counts = [(r.K, r.L_omega, r.L_star) for r in records]
+    assert counts == [counts_reference(t) for t in tuples]
+
+
 def test_classify_is_the_one_tuple_case_of_classify_all() -> None:
     cases = [(135, 3472), (3472, 135), (6, 6), (1,), (2, 3, 5), (64, 173369889)]
     assert classify_all(cases) == [classify(c) for c in cases]
@@ -179,15 +209,14 @@ def test_classify_all_matches_reference_on_1e6_pairs(kind) -> None:
     records = search_pairs(SearchConfig(bound=10**6, kind=kind, threads=2))
     assert len(records) > 20
     members = [r.members for r in records]
-    want = [classify_reference(m) for m in members]
-    assert records == want
-    assert classify_all(members) == want
+    _assert_reference(records, members)
+    _assert_reference(classify_all(members), members)
 
 
 def test_classify_all_matches_reference_on_1e4_triples() -> None:
     records = search_triples(SearchConfig(bound=10**4, k=3, threads=2))
     assert len(records) == 2074
-    assert records == [classify_reference(r.members) for r in records]
+    _assert_reference(records, [r.members for r in records])
 
 
 def test_classify_all_matches_reference_on_random_tuples() -> None:
@@ -202,7 +231,7 @@ def test_classify_all_matches_reference_on_random_tuples() -> None:
         tuples.append(t)
     assert any(len(set(t)) < len(t) for t in tuples)
     assert {len(t) for t in tuples} >= set(range(1, 7))
-    assert classify_all(tuples) == [classify_reference(t) for t in tuples]
+    _assert_reference(classify_all(tuples), tuples)
 
 
 def test_classify_all_object_path_matches_reference() -> None:
@@ -225,11 +254,11 @@ def test_classify_all_object_path_matches_reference() -> None:
         assert len(t) * sigma_max ** len(t) >= 1 << 63
     # alone, the members below 2^56 keep int64 profile columns
     for t in big:
-        assert classify(t) == classify_reference(t), t
+        _assert_reference([classify(t)], [t])
     assert all(classify(t).flags["harmonious"] for t in big[:3])
     # a mixed batch: int64 and object groups in one call
     cases = big + [(135, 3472), (64, 173369889), (6, 6, 6, 6)]
-    assert classify_all(cases) == [classify_reference(t) for t in cases]
+    _assert_reference(classify_all(cases), cases)
 
 
 # --- column factorization ---------------------------------------------------------

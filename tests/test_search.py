@@ -95,6 +95,29 @@ def test_config_validation():
         SearchConfig(bound=10, threads=-1)
 
 
+def test_config_refuses_non_integral_bound_and_threads():
+    # a float is refused even when it is whole, never truncated or rounded
+    with pytest.raises(ValueError, match="^bound must be an integer, got 1000.0$"):
+        SearchConfig(bound=1000.0)
+    with pytest.raises(ValueError, match="^threads must be an integer, got 1.5$"):
+        SearchConfig(bound=1000, threads=1.5)
+    with pytest.raises(ValueError, match="^bound must be an integer, got '1000'$"):
+        SearchConfig(bound="1000")
+    with pytest.raises(ValueError, match="^threads must be >= 0, got -1$"):
+        SearchConfig(bound=1000, threads=-1)
+    # numpy integers are integral: they are read as Python ints
+    config = SearchConfig(bound=np.int64(1000), threads=np.int32(2))
+    assert (type(config.bound), type(config.threads)) == (int, int)
+    assert config == SearchConfig(bound=1000, threads=2)
+
+
+def test_config_refuses_a_bare_string_as_filters():
+    # a str is refused as a whole, not read as a collection of letters
+    with pytest.raises(ValueError, match="^filters must be a collection of names.*'coprime'"):
+        SearchConfig(bound=10, filters="coprime")
+    assert SearchConfig(bound=10, filters=["coprime"]).filters == {"coprime"}
+
+
 def test_triple_config_refuses_checkpoint(tmp_path):
     # a triple search keeps no run files, so a checkpoint would silently
     # record nothing
@@ -355,6 +378,10 @@ def test_count_table_validation():
         count_table((10, 10))
     with pytest.raises(ValueError, match=">= 2"):
         count_table((1, 10))
+    with pytest.raises(ValueError, match="^bounds must be an integer, got 10.5$"):
+        count_table([10.5, 100])
+    with pytest.raises(ValueError, match="^threads must be an integer, got 1.5$"):
+        count_table([10, 100], threads=1.5)
 
 
 def test_count_table_matches_search_cardinalities():
@@ -582,6 +609,12 @@ def test_anarchy_validation():
         search_anarchy_pairs(1, 10)
     with pytest.raises(ValueError, match="threads must be >= 0"):
         search_anarchy_pairs(100, 10**4, threads=-3)
+    with pytest.raises(ValueError, match="^m_bound must be an integer, got 100.0$"):
+        search_anarchy_pairs(100.0, 1000)
+    with pytest.raises(ValueError, match="^n_bound must be an integer, got 1000.0$"):
+        search_anarchy_pairs(100, 1000.0)
+    with pytest.raises(ValueError, match="^threads must be an integer, got 1.5$"):
+        search_anarchy_pairs(100, 1000, threads=1.5)
 
 
 def test_anarchy_key_match_for_known_pair():

@@ -3,7 +3,9 @@ src/ or is exported from the package, and every public method of a class
 there is read as an attribute (x.name) in src/, so no idle API accumulates.
 A bare name does not count for a method: a local variable of the same name
 would hide it.  No module in src/ imports another's private (_name) names:
-what two modules share is public."""
+what two modules share is public.  Every name a module in src/ imports is
+read in that module or re-exported by the package, so code that is deleted
+takes its imports with it."""
 
 import ast
 from pathlib import Path
@@ -69,3 +71,28 @@ def test_no_private_names_across_modules():
         for path in sorted(SRC.glob("*.py"))
     }
     assert {name: imports for name, imports in found.items() if imports} == {}
+
+
+def _idle_imports(path: Path) -> list[str]:
+    """Names that the module at path imports and never reads; the package's
+    __init__ may import a name only to list it in __all__."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    if path.name == "__init__.py":
+        read |= set(harmonia.__all__)
+    return sorted(imported - read)
+
+
+def test_no_idle_imports():
+    found = {path.name: _idle_imports(path) for path in sorted(SRC.glob("*.py"))}
+    assert {name: idle for name, idle in found.items() if idle} == {}
