@@ -33,11 +33,11 @@ integers only.  Anarchy forces N odd or M an odd square (the parity rule),
 and N = 2^a * o with o odd has N/sigma(N) = t exactly when
 o/sigma(o) = t * (2^(a+1) - 1)/2^a.  So one sweep of the odd column of the
 sieve probes every M's complement t, and the scaled targets of the
-odd-square M for each a >= 1.  Before it builds exact codes it compares
-float64s: o/sigma(o) against the targets, hashed on their low mantissa
-bits.  Equal rationals whose parts are below 2^53 round to the same
-double, and bound < 2^30 guarantees that, so the prefilter drops no match;
-the few o that pass go through the exact codes.
+odd-square M for each a >= 1 (_anarchy_targets).  Before it builds exact
+codes it looks up each o/sigma(o) as a float64 in a table of the targets'
+doubles, hashed on their low mantissa bits.  Equal rationals whose parts
+are below 2^53 round to the same double, and bound < 2^30 guarantees
+that, so the table drops no match; only the exact codes decide.
 
 Amicable pairs use the aliquot shortcut instead: the only possible partner
 of M is s(M) = sigma(M) - M, so a pair exists exactly when
@@ -63,7 +63,6 @@ import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -132,6 +131,7 @@ class SearchConfig:
         object.__setattr__(self, "bound", _integer("bound", self.bound, 2))
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        object.__setattr__(self, "k", _integer("k", self.k))
         if self.k not in (2, 3):
             raise ValueError(f"k must be 2 or 3, got {self.k}")
         if self.k == 3 and self.checkpoint_path is not None:
@@ -309,10 +309,6 @@ def _segments(bound: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + length - 1, bound)) for lo in range(1, bound + 1, length)]
 
 
-def _threads(requested: int) -> int:
-    return requested if requested > 0 else (os.cpu_count() or 1)
-
-
 def _each_segment(
     fn: Callable,
     items: Sequence,
@@ -326,7 +322,7 @@ def _each_segment(
     Each result is reported as "<phase> segment <i>/<len(items)>", counted
     from `start`.  When fn raises, the items not yet started are cancelled
     instead of run, and the error propagates."""
-    pool = ThreadPoolExecutor(max_workers=_threads(threads))
+    pool = ThreadPoolExecutor(max_workers=threads if threads > 0 else (os.cpu_count() or 1))
     try:
         futures = [pool.submit(fn, item) for item in items[start:]]
         for i, fut in enumerate(futures, start + 1):
@@ -544,27 +540,28 @@ def _pass1(
 
 
 def _bucket_edges(bound: int, shift: int, total_keys: int) -> list[int]:
-    """Code-range boundaries splitting the join into flat-memory buckets."""
+    """Code-range boundaries splitting the join into flat-memory buckets,
+    from 0 to (bound + 1) << shift: above every code, whose numerator is <= bound."""
     want = max(1, (total_keys * 16) // _BUCKET_TARGET_BYTES)
     buckets = 1 << min(12, max(0, want - 1).bit_length())
     return [((i * (bound + 1)) // buckets) << shift for i in range(buckets + 1)]
 
 
-def _bucket_slice(run: np.ndarray, lo_edge: int, hi_edge: int | None) -> np.ndarray:
-    """The columns of a code-sorted run with codes in [lo_edge, hi_edge)."""
-    a = int(np.searchsorted(run[0], lo_edge)) if lo_edge else 0
-    b = int(np.searchsorted(run[0], hi_edge)) if hi_edge is not None else run.shape[1]
-    return run[:, a:b]
+def _bucket_slice(run: np.ndarray, lo_edge: int, hi_edge: int) -> np.ndarray:
+    """The columns of a code-sorted run with codes in [lo_edge, hi_edge),
+    read as <= hi_edge - 1, which fits int64 even where the last edge is 2^63."""
+    col = run[0]
+    return run[:, np.searchsorted(col, lo_edge) : np.searchsorted(col, hi_edge - 1, side="right")]
 
 
-def _bucket_rows(store, nsegs: int, lo_edge: int, hi_edge: int | None) -> np.ndarray:
+def _bucket_rows(store, nsegs: int, lo_edge: int, hi_edge: int) -> np.ndarray:
     """Every segment's key rows with codes in [lo_edge, hi_edge), merged
     into one code-sorted array."""
     rows = np.concatenate(
         [_bucket_slice(store.load(i, "keys"), lo_edge, hi_edge) for i in range(nsegs)], axis=1
     )
     # the parts are sorted runs, which a stable (merging) sort exploits
-    return rows[:, np.argsort(rows[0], kind="stable")] if nsegs > 1 else rows
+    return rows[:, np.argsort(rows[0], kind="stable")]
 
 
 def _check_conserved(phase: str, taken: int, written: int) -> None:
@@ -599,12 +596,11 @@ def _join(
     parts = []
     joined_keys = joined_queries = 0
     for b in range(len(edges) - 1):
-        hi_edge = edges[b + 1] if b + 2 < len(edges) else None
-        keys = _bucket_rows(store, nsegs, edges[b], hi_edge)
+        keys = _bucket_rows(store, nsegs, edges[b], edges[b + 1])
         joined_keys += keys.shape[1]
         index = _key_index(keys[0])
         for i in range(nsegs):
-            comps = _bucket_slice(store.load(i, "comps"), edges[b], hi_edge)
+            comps = _bucket_slice(store.load(i, "comps"), edges[b], edges[b + 1])
             joined_queries += comps.shape[1]
             # two distinct perfect numbers match from both sides; the
             # caller's candidate set folds that duplicate
@@ -700,25 +696,27 @@ def search_pairs(
     return _emit_records(_candidate_tuples(m_col, n_col), config.kind, config.filters)
 
 
-def _scaled_targets(small_sigma: np.ndarray, n_bound: int, shift: int) -> list[tuple[int, ...]]:
-    """(code, m, 2^a) for each odd square m > 1 and a >= 1: the code of the
-    reduced t * (2^(a+1) - 1) / 2^a, where t is m's complement
-    (sigma(m) - m)/sigma(m).  An odd o matches it exactly when N = 2^a * o
-    has N/sigma(N) = t.  A row whose reduced numerator exceeds n_bound / 2^a
-    (every such o lies above it) or whose reduced denominator needs more
-    than the shift's bits (no sigma that passes _check_packing matches it)
-    is dropped."""
-    rows = []
-    for j in range(3, math.isqrt(small_sigma.size) + 1, 2):
-        m = j * j
-        s = int(small_sigma[m - 1])
-        a = 1
-        while 1 << a <= n_bound:
-            t = Fraction((s - m) * ((2 << a) - 1), s << a)
-            if t.numerator <= n_bound >> a and t.denominator < 1 << shift:
-                rows.append(((t.numerator << shift) | t.denominator, m, 1 << a))
-            a += 1
-    return rows
+def _anarchy_targets(small_sigma: np.ndarray, n_bound: int, shift: int) -> np.ndarray:
+    """Code-sorted (code, m, 2^a) rows: the code of the reduced
+    t * (2^(a+1) - 1) / 2^a, t = (sigma(m) - m)/sigma(m), for every m at
+    a = 0 and every odd square m > 1 at each a >= 1 with 2^a <= n_bound.
+    An odd o matches exactly when N = 2^a * o has N/sigma(N) = t.  Rows with
+    a reduced numerator of 0 or above n_bound / 2^a (every such o lies above
+    it), or a denominator of 2^shift or more, are dropped.  No product
+    overflows: _check_packing gives sigma(m) < 2^shift, and _code_shift keeps
+    bit_length(n_bound) + shift <= 63, with 2^(a+1) <= 2^bit_length(n_bound)."""
+    size = small_sigma.size
+    odd_squares = np.arange(3, math.isqrt(size) + 1, 2, dtype=np.int64) ** 2
+    scales = np.arange(1, n_bound.bit_length(), dtype=np.int64)
+    m = np.concatenate((np.arange(1, size + 1, dtype=np.int64), np.tile(odd_squares, scales.size)))
+    a = np.concatenate((np.zeros(size, dtype=np.int64), np.repeat(scales, odd_squares.size)))
+    s = small_sigma[m - 1]
+    num = (s - m) * ((2 << a) - 1)
+    den = s << a
+    g = np.gcd(num, den)
+    num, den = num // g, den // g
+    keep = (num >= 1) & (num <= n_bound >> a) & (den < 1 << shift)
+    return _sorted_run((num[keep] << shift) | den[keep], m[keep], 1 << a[keep])
 
 
 def search_anarchy_pairs(
@@ -738,21 +736,21 @@ def search_anarchy_pairs(
     odd; sigma(N) = (2^(a+1) - 1) * sigma(o), so N/sigma(N) = t exactly when
     o/sigma(o) = t * (2^(a+1) - 1) / 2^a.  The small side's targets are
     therefore every M's complement t with a = 0, plus the scaled
-    complements of the odd-square M for each a >= 1 (_scaled_targets), as
-    (code, M, 2^a) rows.  One streaming sweep over the odd o in
+    complements of the odd-square M for each a >= 1, as the (code, M, 2^a)
+    rows of _anarchy_targets.  One streaming sweep over the odd o in
     [1, n_bound] probes them, and a match gives N = 2^a * o, kept when
     M <= N <= n_bound.  The candidates are the harmonious pairs with N odd
     or M an odd square; _emit_records drops those that fail anarchy.
 
-    Before any exact key is built, each swept o's ratio o/sigma(o) is taken
-    as a float64, and only the o whose double equals one of the targets'
-    doubles go on to _ratio_keys and _probe.  That drops no match: integers
-    below 2^53 convert to float64 exactly and their quotient is correctly
-    rounded, so equal rationals give the same double.  bound < 2^30
-    (enforced by _code_shift) keeps o and sigma(o) far below 2^53, and
-    every target's reduced numerator (at most n_bound) and denominator
-    (below 2^shift) too.  Equal doubles of unequal ratios fail the exact
-    probe, and every record is re-validated by classify_all.
+    Before any exact key is built, each swept o's ratio o/sigma(o) is looked
+    up as a float64 in a table over the low mantissa bits of the targets'
+    doubles, and only the o it marks go on to _ratio_keys and _probe, which
+    alone decide.  The table drops no match: integers below 2^53 convert to
+    float64 exactly and their quotient is correctly rounded, so equal
+    rationals give the same double.  bound < 2^30 (enforced by _code_shift)
+    keeps o and sigma(o) far below 2^53, and every target's reduced
+    numerator (at most n_bound) and denominator (below 2^shift) too; every
+    record is re-validated by classify_all.
     """
     m_bound, n_bound = _integer("m_bound", m_bound), _integer("n_bound", n_bound)
     if not 2 <= m_bound <= n_bound:
@@ -761,14 +759,7 @@ def search_anarchy_pairs(
     shift = _code_shift(n_bound, _sigma_cap(n_bound))
     small_sigma = _sigma_full(m_bound, False, threads)
     _check_packing(small_sigma, shift)
-    small_n = np.arange(1, m_bound + 1, dtype=np.int64)
-    codes, owners = _complement_keys(small_n, small_sigma, shift, n_bound)
-    scaled = np.array(_scaled_targets(small_sigma, n_bound, shift), dtype=np.int64).reshape(-1, 3)
-    targets = _sorted_run(
-        np.concatenate((codes, scaled[:, 0])),
-        np.concatenate((owners, scaled[:, 1])),
-        np.concatenate((np.ones_like(owners), scaled[:, 2])),
-    )
+    targets = _anarchy_targets(small_sigma, n_bound, shift)
     index = _key_index(targets[0])
     rows = np.arange(targets.shape[1])
     doubles = (targets[0] >> shift) / (targets[0] & ((1 << shift) - 1))
@@ -777,23 +768,21 @@ def search_anarchy_pairs(
     marks = np.zeros(_MARK_SLOTS, dtype=bool)
     marks[doubles.view(np.int64) & (_MARK_SLOTS - 1)] = True
 
-    segs = _segments(n_bound)
-
     def work(seg: tuple[int, int]) -> np.ndarray:
         lo_n, hi_n = seg
         sigma = sieve_tables(lo_n, hi_n, odd=True)
         _check_packing(sigma, shift)
         o = np.arange(lo_n | 1, hi_n + 1, 2, dtype=np.int64)
-        ratio = o / sigma
-        hit = np.flatnonzero(marks[ratio.view(np.int64) & (_MARK_SLOTS - 1)])
-        hit = hit[np.isin(ratio[hit], doubles)]
+        slots = (o / sigma).view(np.int64)
+        slots &= _MARK_SLOTS - 1  # in place: no second segment-sized temporary
+        hit = np.flatnonzero(marks[slots])
         o_col, row = _probe(index, rows, _ratio_keys(o[hit], sigma[hit], shift), o[hit])
         m_col = targets[1, row]
         n_col = o_col * targets[2, row]
         keep = (n_col >= m_col) & (n_col <= n_bound)
         return np.stack((m_col[keep], n_col[keep]))
 
-    parts = list(_each_segment(work, segs, threads, progress, "swept"))
+    parts = list(_each_segment(work, _segments(n_bound), threads, progress, "swept"))
     pairs = _candidate_tuples(*np.concatenate(parts, axis=1))
     return _emit_records(pairs, "harmonious", frozenset({"anarchy"}))
 
@@ -814,15 +803,12 @@ def _ratio_triples(config: SearchConfig) -> np.ndarray:
     bound = config.bound
     sigma = _sigma_full(bound, config.kind == "unitary_harmonious", config.threads)
     n = np.arange(1, bound + 1, dtype=np.int64)
-    g = np.gcd(n, sigma)
-    rn = n // g
-    rd = sigma // g
-    # every product below, such as (rd_a - rn_a) * rd_b, is under sigma_max^2
+    # every product below, such as (sigma_a - n_a) * sigma_b, is under sigma_max^2
     sigma_max = int(sigma.max())
     if sigma_max * sigma_max >= 1 << 62:
         raise ValueError(f"sigma values up to {sigma_max} overflow the triple search")
     shift = _code_shift(bound, sigma_max)
-    keys = _sorted_run((rn << shift) | rd, n)
+    keys = _sorted_run(_ratio_keys(n, sigma, shift), n)
     index = _key_index(keys[0])
     mid = np.flatnonzero(sigma >= 2 * n)
     mid = mid[np.argsort(n[mid] / sigma[mid])]
@@ -837,12 +823,11 @@ def _ratio_triples(config: SearchConfig) -> np.ndarray:
         lo = np.searchsorted(mid_ratio, r * (1 - slack))
         hi = np.searchsorted(mid_ratio, (1 - r) / 2 * (1 + slack), side="right")
         b = mid[lo:hi]
-        # 1 - r_a - r_b over the product of the reduced denominators
-        tn = (rd[a] - rn[a]) * rd[b] - rn[b] * rd[a]
-        td = rd[a] * rd[b]
-        gg = np.gcd(tn, td)
-        tn //= gg
-        td //= gg
+        # 1 - r_a - r_b over sigma_a * sigma_b, then reduced
+        tn = (sigma[a] - n[a]) * sigma[b] - n[b] * sigma[a]
+        td = sigma[a] * sigma[b]
+        g = np.gcd(tn, td)
+        tn, td = tn // g, td // g
         fit = (tn >= 1) & (tn <= bound) & (td <= sigma_max)
         b_col, c_col = _probe(index, keys[1], (tn[fit] << shift) | td[fit], n[b[fit]])
         parts.append(np.stack((np.full_like(b_col, a + 1), b_col, c_col)))

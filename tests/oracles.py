@@ -25,7 +25,11 @@ library runs:
                         classify.classify_all;
   counts_reference      one tuple's (K, L, L*) from a merged factorization
                         and the members' omega, against the counts that a
-                        TupleRecord reads off its factorizations.
+                        TupleRecord reads off its factorizations;
+  scaled_targets_reference
+                        the anarchy sweep's a >= 1 targets, one Fraction
+                        per (odd square, a), against the one int64 pass of
+                        search._anarchy_targets.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, isqrt, prod
 from typing import Iterable, Iterator, Sequence
 
 from harmonia.arith import (
@@ -276,3 +280,22 @@ def counts_reference(members: Iterable[int]) -> tuple[int, int, int]:
     _, profiles = _profiles_for(members)
     merged = merge_factorizations(*(p.factorization for p in profiles))
     return len(merged), sum(e for _, e in merged), sum(p.omega for p in profiles)
+
+
+def scaled_targets_reference(small_sigma, n_bound: int, shift: int) -> list[tuple[int, int, int]]:
+    """(code, m, 2^a) for each odd square m > 1 (small_sigma[m - 1] its
+    sigma) and each a >= 1 with 2^a <= n_bound: the packed code of the
+    reduced t * (2^(a+1) - 1) / 2^a, t = (sigma(m) - m)/sigma(m).  Rows whose
+    reduced numerator exceeds n_bound / 2^a or whose reduced denominator
+    needs more than the shift's bits are dropped."""
+    rows = []
+    for j in range(3, isqrt(len(small_sigma)) + 1, 2):
+        m = j * j
+        s = int(small_sigma[m - 1])
+        a = 1
+        while 1 << a <= n_bound:
+            t = Fraction((s - m) * ((2 << a) - 1), s << a)
+            if t.numerator <= n_bound >> a and t.denominator < 1 << shift:
+                rows.append(((t.numerator << shift) | t.denominator, m, 1 << a))
+            a += 1
+    return rows

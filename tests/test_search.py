@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import profile_of
+from oracles import profile_of, scaled_targets_reference
 
 import harmonia.search
 from harmonia.arith import sieve_tables
@@ -30,6 +30,10 @@ from harmonia.search import (
     SearchConfig,
     TRIPLE_BOUND_CAP,
     _abundancy_cap,
+    _anarchy_targets,
+    _bucket_edges,
+    _bucket_slice,
+    _check_packing,
     _code_shift,
     _complement_keys,
     _each_segment,
@@ -105,10 +109,15 @@ def test_config_refuses_non_integral_bound_and_threads():
         SearchConfig(bound="1000")
     with pytest.raises(ValueError, match="^threads must be >= 0, got -1$"):
         SearchConfig(bound=1000, threads=-1)
+    with pytest.raises(ValueError, match="^k must be an integer, got 2.0$"):
+        SearchConfig(bound=1000, k=2.0)
     # numpy integers are integral: they are read as Python ints
     config = SearchConfig(bound=np.int64(1000), threads=np.int32(2))
     assert (type(config.bound), type(config.threads)) == (int, int)
     assert config == SearchConfig(bound=1000, threads=2)
+    # so their digest is the int's, and a checkpoint resumes under either
+    triple = SearchConfig(bound=1000, k=np.int64(3))
+    assert triple.digest() == SearchConfig(bound=1000, k=3).digest()
 
 
 def test_config_refuses_a_bare_string_as_filters():
@@ -347,6 +356,34 @@ def test_query_prune_size_1e6(kind, keys, queries):
     runs = [_ratio_segment_runs(lo, hi, bound, shift, star) for lo, hi in _segments(bound)]
     assert sum(r["keys"].shape[1] for r in runs) == keys
     assert sum(r["comps"].shape[1] for r in runs) == queries
+
+
+@pytest.mark.parametrize("kind", ["harmonious", "unitary_harmonious"])
+def test_bucket_edges_cover_every_code_1e5(kind, monkeypatch):
+    # the join slices on plain edges: every key and query code lies below
+    # the last edge, so consecutive slices add up to each run exactly
+    monkeypatch.setattr(harmonia.search, "_BUCKET_TARGET_BYTES", 1 << 12)
+    bound = 10**5
+    shift = _code_shift(bound, _sigma_cap(bound))
+    star = kind == "unitary_harmonious"
+    runs = [_ratio_segment_runs(lo, hi, bound, shift, star) for lo, hi in _segments(bound)]
+    edges = _bucket_edges(bound, shift, sum(r["keys"].shape[1] for r in runs))
+    assert len(edges) - 1 >= 8 and edges[0] == 0
+    for run in (r[name] for r in runs for name in ("keys", "comps")):
+        assert run.shape[1] and 0 <= run[0, 0] and run[0, -1] < edges[-1]
+        parts = [_bucket_slice(run, lo, hi) for lo, hi in zip(edges, edges[1:])]
+        assert np.array_equal(np.concatenate(parts, axis=1), run)
+
+
+def test_bucket_slice_reaches_a_last_edge_of_2_63():
+    # at bound 2^30 - 1 the last edge, (bound + 1) << shift, is 2^63, one
+    # past the largest int64; the slice still takes the codes just below it
+    bound = 2**30 - 1
+    shift = _code_shift(bound, _sigma_cap(bound))
+    assert _bucket_edges(bound, shift, 0)[-1] == 1 << 63
+    run = np.array([[5 << shift, (1 << 63) - 2, (1 << 63) - 1], [1, 2, 3]], dtype=np.int64)
+    assert _bucket_slice(run, 0, 1 << 63).tolist() == run.tolist()
+    assert _bucket_slice(run, (1 << 63) - 1, 1 << 63).tolist() == [[(1 << 63) - 1], [3]]
 
 
 def test_complement_key_invariant():
@@ -630,6 +667,43 @@ def test_anarchy_key_match_for_known_pair():
     )
     assert owners.tolist() == [64]
     assert ccode.tolist() == code.tolist()
+
+
+def anarchy_target_rows(small_sigma, n_bound):
+    """The rows of _anarchy_targets and those of the slow reference: the
+    a = 0 rows of _complement_keys plus scaled_targets_reference."""
+    shift = _code_shift(n_bound, _sigma_cap(n_bound))
+    _check_packing(small_sigma, shift)
+    targets = _anarchy_targets(small_sigma, n_bound, shift)
+    assert (np.diff(targets[0]) >= 0).all()
+    n = np.arange(1, small_sigma.size + 1, dtype=np.int64)
+    codes, owners = _complement_keys(n, small_sigma, shift, n_bound)
+    want = set(zip(codes.tolist(), owners.tolist(), [1] * owners.size))
+    want |= set(scaled_targets_reference(small_sigma, n_bound, shift))
+    return list(zip(*targets.tolist())), want
+
+
+@pytest.mark.parametrize(
+    "m_bound, n_bound",
+    [(2, 2), (9, 2015), (9, 2016), (1000, 176160768), (5000, 2**30 - 1)],
+)
+def test_anarchy_targets_match_reference(m_bound, n_bound):
+    got, want = anarchy_target_rows(sieve_tables(1, m_bound), n_bound)
+    assert len(got) == len(want) and set(got) == want
+
+
+def test_anarchy_targets_near_the_int64_limit():
+    # sigma just below 2^shift at n_bound = 2^30 - 1 (shift 33): at a = 29
+    # the products (sigma - m) * (2^(a+1) - 1) come just below 2^63; each
+    # sigma is a multiple of m, so that many rows reduce far enough to survive
+    n_bound = 2**30 - 1
+    shift = _code_shift(n_bound, _sigma_cap(n_bound))
+    m = np.arange(1, 2001, dtype=np.int64)
+    small_sigma = ((1 << shift) - 1) // m * m
+    assert (small_sigma > (1 << shift) - 1 - m).all()
+    got, want = anarchy_target_rows(small_sigma, n_bound)
+    assert len(got) == len(want) and set(got) == want
+    assert len(got) > 1000 and any(scale > 1 for _, _, scale in got)
 
 
 def odd_square(m):

@@ -3,9 +3,10 @@ src/ or is exported from the package, and every public method of a class
 there is read as an attribute (x.name) in src/, so no idle API accumulates.
 A bare name does not count for a method: a local variable of the same name
 would hide it.  No module in src/ imports another's private (_name) names:
-what two modules share is public.  Every name a module in src/ imports is
-read in that module or re-exported by the package, so code that is deleted
-takes its imports with it."""
+what two modules share is public.  So every private top-level name is read
+in its own module, and a helper goes when its last caller does.  Every name
+a module in src/ imports is read in that module or re-exported by the
+package, so code that is deleted takes its imports with it."""
 
 import ast
 from pathlib import Path
@@ -15,16 +16,18 @@ import harmonia
 SRC = Path(__file__).resolve().parents[1] / "src" / "harmonia"
 
 
-def _public_names(node: ast.stmt) -> list[str]:
+def _defined_names(node: ast.stmt) -> list[str]:
     if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-        names = [node.name]
-    elif isinstance(node, ast.Assign):
-        names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-    elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-        names = [node.target.id]
-    else:
-        names = []
-    return [name for name in names if not name.startswith("_")]
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def _public_names(node: ast.stmt) -> list[str]:
+    return [name for name in _defined_names(node) if not name.startswith("_")]
 
 
 def _public_methods(node: ast.stmt) -> list[str]:
@@ -52,6 +55,29 @@ def test_no_idle_public_definitions():
     assert sorted(defined - used) == []
     methods = {name for tree in trees for node in tree.body for name in _public_methods(node)}
     assert sorted(m for m in methods if m.split(".")[1] not in attributes) == []
+
+
+def _idle_private_names(path: Path) -> list[str]:
+    """The private (_name, not __dunder__) top-level names that the module at
+    path defines and never reads; no other module may import them."""
+    tree = ast.parse(path.read_text())
+    defined = {
+        name
+        for node in tree.body
+        for name in _defined_names(node)
+        if name.startswith("_") and not name.endswith("__")
+    }
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(defined - read)
+
+
+def test_no_idle_private_definitions():
+    found = {path.name: _idle_private_names(path) for path in sorted(SRC.glob("*.py"))}
+    assert {name: idle for name, idle in found.items() if idle} == {}
 
 
 def _private_imports(tree: ast.Module) -> list[str]:
