@@ -30,6 +30,6 @@ print(f"sum v = {trace.sum_v}, sum w = {trace.sum_w}")
 print(f"aggregate: {trace.final_lhs} < 2^{trace.final_rhs_bits} is {trace.final_holds}")
 
 # the case split that turns the trace into the product bound
-print(f"radical {theorem.radical} -> branch {theorem.branch}")
-print(f"product {theorem.product} below main bound: {theorem.product_below_main_bound}")
+print(f"radical {trace.radical} -> branch {theorem.branch}")
+print(f"product {trace.product} below main bound: {theorem.product_below_main_bound}")
 assert trace.final_holds and theorem.combined_holds

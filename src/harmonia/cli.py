@@ -279,7 +279,7 @@ def cmd_induction_trace(args, parser: argparse.ArgumentParser, argv: list) -> in
             f" branch_inequality={_render_holds(theorem.branch_inequality_holds)}"
             f" combined={_render_holds(theorem.combined_holds)}"
             f" identity={_render_holds(theorem.identity_holds)}"
-            f" product={_render_int(theorem.product)}"
+            f" product={_render_int(trace.product)}"
             f" below_main_bound={_render_holds(theorem.product_below_main_bound)}"
         )
     ok = trace.all_hold and theorem.all_hold

@@ -20,8 +20,10 @@ arithmetic, and the two greedy phases are cross-checked against the
 sum-form lemma oracles.  Landing exactly on 1 with pending parts left is
 impossible for anarchy harmonious tuples, so it is reported as an error.
 
-The trace carries the product facts Pi(P), Phi(P) and sigma(prod M), and
-theorem_trace's one TheoremReport adds only what its case split decides.
+Each result type stores its inputs and verdicts and derives the rest: the
+trace derives the product facts Pi(P), Phi(P) and sigma(prod M) from the
+product's factorization, and theorem_trace's one TheoremReport adds only
+what its case split decides.
 """
 
 from __future__ import annotations
@@ -49,10 +51,6 @@ class InvariantViolation(RuntimeError):
     guarantees; signals corrupt input or an implementation bug."""
 
 
-def _primes_of(n: int) -> tuple[int, ...]:
-    return tuple(p for p, _ in factorize(n))
-
-
 def _materialized_tower(r: int, x: int) -> int | None:
     if x.bit_length() * (1 << r) > MATERIALIZE_BITS:
         return None
@@ -61,67 +59,71 @@ def _materialized_tower(r: int, x: int) -> int | None:
 
 @dataclass(frozen=True)
 class DecompositionState:
-    """Snapshot between steps: members, pending/settled halves, carry set."""
+    """Snapshot between steps: members, pending halves U_i, carry set; the
+    settled halves are V_i = M_i / U_i, and (members, members) starts a run."""
 
     members: tuple[int, ...]
     pending: tuple[int, ...]
-    settled: tuple[int, ...]
-    carry: frozenset[int]
-    step: int
+    carry: frozenset[int] = frozenset()
+    step: int = 0
 
     def __post_init__(self) -> None:
-        k = len(self.members)
-        if not (len(self.pending) == len(self.settled) == k) or k == 0:
-            raise ValueError("members, pending, settled must have equal length")
-        for m, u, v in zip(self.members, self.pending, self.settled):
-            if u < 1 or v < 1 or u * v != m:
-                raise ValueError(f"{u} * {v} does not decompose {m}")
-            if gcd(u, v) != 1:
-                raise ValueError(f"pending {u} and settled {v} share a factor")
+        if len(self.pending) != len(self.members) or not self.members:
+            raise ValueError("members and pending must have equal nonzero length")
+        for m, u in zip(self.members, self.pending):
+            if not 0 < u <= m or m % u != 0:
+                raise ValueError(f"pending {u} does not divide {m}")
+            if gcd(u, m // u) != 1:
+                raise ValueError(f"pending {u} and settled {m // u} share a factor")
         for i, u in enumerate(self.pending):
             for u2 in self.pending[i + 1 :]:
                 if gcd(u, u2) != 1:
                     raise ValueError("pending parts must be pairwise coprime")
-        pending_primes = set()
-        for u in self.pending:
-            pending_primes.update(_primes_of(u))
-        if not self.carry <= pending_primes:
+        if not self.carry <= {p for u in self.pending for p, _ in factorize(u)}:
             raise ValueError("carry primes must divide some pending part")
+
+    @property
+    def settled(self) -> tuple[int, ...]:
+        return tuple(m // u for m, u in zip(self.members, self.pending))
 
     @property
     def done(self) -> bool:
         return all(u == 1 for u in self.pending)
 
 
-def initial_state(members: tuple[int, ...]) -> DecompositionState:
-    return DecompositionState(
-        members=tuple(members),
-        pending=tuple(members),
-        settled=(1,) * len(members),
-        carry=frozenset(),
-        step=0,
-    )
-
-
-@dataclass
+@dataclass(frozen=True)
 class StepCertificate:
-    """One verified step: the greedy choices and the exact inequalities."""
+    """One verified step: the greedy choices and the exact inequalities;
+    the towers over entry_scale = prod(sigma(V_i)) * prod(S) are built when read."""
 
     step: int
     damping: tuple[int, ...]
     absorbed: tuple[tuple[int, int], ...]
     carry_after: tuple[int, ...]
-    v: int
-    w: int
     entry_sum: Fraction
     phase1_sums: tuple[Fraction, ...]
     phase2_sums: tuple[Fraction, ...]
     lhs: int
-    bound: int | None
-    improved_bound: int | None
+    entry_scale: int
     structure_ok: bool
     bound_holds: bool
     improved_holds: bool | None
+
+    @property
+    def v(self) -> int:
+        return len(self.absorbed)
+
+    @property
+    def w(self) -> int:
+        return len(self.damping)
+
+    @property
+    def bound(self) -> int | None:
+        return _materialized_tower(self.v + self.w, self.entry_scale + 1)
+
+    @property
+    def improved_bound(self) -> int | None:
+        return _materialized_tower(self.v, self.entry_scale) if self.w == 0 else None
 
     @property
     def damped_sum(self) -> Fraction:
@@ -235,19 +237,9 @@ def induction_step(
     absorbed_primes = {p for p, _ in absorbed}
     carry_after = frozenset(active - absorbed_primes)
     new_pending = list(state.pending)
-    new_settled = list(state.settled)
     for p, e in absorbed:
-        i = owner[p]
-        q = p**e
-        new_pending[i] //= q
-        new_settled[i] *= q
-    new_state = DecompositionState(
-        members=members,
-        pending=tuple(new_pending),
-        settled=tuple(new_settled),
-        carry=carry_after,
-        step=state.step + 1,
-    )
+        new_pending[owner[p]] //= p**e
+    new_state = DecompositionState(members, tuple(new_pending), carry_after, state.step + 1)
 
     exit_sum = phase2_sums[-1]
     if exit_sum == 1 and not new_state.done:
@@ -266,7 +258,7 @@ def induction_step(
     sigma_settled = [sigma_of(factorize(x)) for x in state.settled]
     entry_scale = prod(sigma_settled) * prod(state.carry)
     lhs = (
-        prod(sigma_of(factorize(x)) for x in new_settled)
+        prod(sigma_of(factorize(x)) for x in new_state.settled)
         * prod(carry_after)
         * prod(p * (p - 1) for p, _ in absorbed)
     )
@@ -285,14 +277,11 @@ def induction_step(
         damping=tuple(damping),
         absorbed=tuple(absorbed),
         carry_after=tuple(sorted(carry_after)),
-        v=v,
-        w=w,
         entry_sum=entry_sum,
         phase1_sums=tuple(phase1_sums),
         phase2_sums=tuple(phase2_sums),
         lhs=lhs,
-        bound=_materialized_tower(v + w, entry_scale + 1),
-        improved_bound=_materialized_tower(v, entry_scale) if w == 0 else None,
+        entry_scale=entry_scale,
         structure_ok=structure_ok,
         bound_holds=bound_holds,
         improved_holds=improved_holds,
@@ -331,12 +320,7 @@ def _cross_check_step(
             a[owner[p]] *= p
             b[owner[p]] *= p - 1
         inst = DiophantineInstance(
-            k=len(state.members),
-            R=len(slots),
-            m=tuple(m for m, _ in slots),
-            partition=tuple(owner[p] for _, p in slots),
-            a=tuple(a),
-            b=tuple(b),
+            tuple(m for m, _ in slots), tuple(owner[p] for _, p in slots), tuple(a), tuple(b)
         )
         verdict = check_hb(lemma, inst)
         if not (verdict.hypotheses_hold and verdict.conclusion_holds):
@@ -346,21 +330,20 @@ def _cross_check_step(
             )
 
 
-@dataclass
+def _final_lhs(factorization: Factorization) -> int:
+    """sigma(prod M) * Phi(P) * Pi(P) from the product's factorization."""
+    return sigma_of(factorization) * prod(p * (p - 1) for p, _ in factorization)
+
+
+@dataclass(frozen=True)
 class InductionTrace:
-    """Full run: step certificates, the product facts Pi(P), Phi(P) and
-    sigma(prod M), and the aggregate inequality."""
+    """Full run: step certificates and the verdicts of the chain and the
+    aggregate inequality; the product facts Pi(P), Phi(P) and sigma(prod M)
+    are read off the factorization."""
 
     members: tuple[int, ...]
     steps: tuple[StepCertificate, ...]
     factorization: Factorization  # of the product of the members
-    radical: int
-    phi: int
-    sigma_product: int
-    sum_v: int
-    sum_w: int
-    final_lhs: int
-    final_rhs_bits: int
     final_holds: bool
     chain_holds: bool
 
@@ -375,6 +358,35 @@ class InductionTrace:
     @property
     def product(self) -> int:
         return prod(self.members)
+
+    @property
+    def radical(self) -> int:
+        return prod(self.primes)
+
+    @property
+    def phi(self) -> int:
+        return prod(p - 1 for p in self.primes)
+
+    @property
+    def sigma_product(self) -> int:
+        # anarchy members are pairwise coprime, so sigma(prod M) = prod sigma(M_i)
+        return sigma_of(self.factorization)
+
+    @property
+    def sum_v(self) -> int:
+        return sum(cert.v for cert in self.steps)
+
+    @property
+    def sum_w(self) -> int:
+        return sum(cert.w for cert in self.steps)
+
+    @property
+    def final_lhs(self) -> int:
+        return _final_lhs(self.factorization)
+
+    @property
+    def final_rhs_bits(self) -> int:
+        return 1 << (2 * self.distinct_primes)
 
     @property
     def all_hold(self) -> bool:
@@ -417,11 +429,11 @@ def _validated_members(members) -> tuple[tuple[int, ...], Factorization]:
 
 def run_induction(members) -> InductionTrace:
     """Decompose an anarchy harmonious tuple step by step, verifying every
-    certificate and the accumulated aggregate inequality."""
+    certificate, the accumulated chain and the aggregate inequality."""
     members, merged = _validated_members(members)
     K = len(merged)
 
-    state = initial_state(members)
+    state = DecompositionState(members, members)
     certs: list[StepCertificate] = []
     while not state.done:
         if state.step >= K:
@@ -432,16 +444,6 @@ def run_induction(members) -> InductionTrace:
         for old, new in zip(prev_settled, state.settled):
             if new % old != 0 or gcd(old, new // old) != 1:
                 raise InvariantViolation("settled parts must grow by coprime factors")
-
-    # accounting: every prime is damped exactly once and absorbed exactly once
-    all_absorbed = sorted(p for cert in certs for p, _ in cert.absorbed)
-    expected_primes = [p for p, _ in merged]
-    if all_absorbed != expected_primes:
-        raise InvariantViolation("absorbed primes do not cover the product")
-    sum_v = sum(cert.v for cert in certs)
-    sum_w = sum(cert.w for cert in certs)
-    if sum_v != K or sum_v + sum_w != 2 * K:
-        raise InvariantViolation("step counts do not add up to 2K")
 
     # accumulated chain: after step s the settled/carry scale times all
     # absorbed psi factors stays below the tower of 2 with the spent slots;
@@ -455,36 +457,28 @@ def run_induction(members) -> InductionTrace:
             chain_holds = False
         earlier_psi *= prod(p * (p - 1) for p, _ in cert.absorbed)
 
-    # anarchy members are pairwise coprime, so sigma(prod M) = prod sigma(M_i)
-    pi = prod(p for p, _ in merged)
-    phi = prod(p - 1 for p, _ in merged)
-    sigma_product = sigma_of(merged)
-    final_lhs = sigma_product * phi * pi
-    final_holds = tower_holds(final_lhs, 2 * K, 2)
+    final_holds = tower_holds(_final_lhs(merged), 2 * K, 2)
+    trace = InductionTrace(members, tuple(certs), merged, final_holds, chain_holds)
 
-    return InductionTrace(
-        members=members,
-        steps=tuple(certs),
-        factorization=merged,
-        radical=pi,
-        phi=phi,
-        sigma_product=sigma_product,
-        sum_v=sum_v,
-        sum_w=sum_w,
-        final_lhs=final_lhs,
-        final_rhs_bits=1 << (2 * K),
-        final_holds=final_holds,
-        chain_holds=chain_holds,
-    )
+    # accounting: every prime is damped exactly once and absorbed exactly once
+    if sorted(p for cert in certs for p, _ in cert.absorbed) != list(trace.primes):
+        raise InvariantViolation("absorbed primes do not cover the product")
+    if trace.sum_v != K or trace.sum_v + trace.sum_w != 2 * K:
+        raise InvariantViolation("step counts do not add up to 2K")
+    return trace
 
 
-@dataclass
+def _radical_threshold(K: int) -> int:
+    """2^(2^K): a radical above it takes the induction branch."""
+    return 1 << (1 << K)
+
+
+@dataclass(frozen=True)
 class TheoremReport:
     """Concrete replay of the case split behind the product bound, on top of
     the trace; rhs is the kernel's tower(K, Pi(P)), None on the induction branch."""
 
     trace: InductionTrace
-    branch: str
     branch_inequality_holds: bool
     combined_holds: bool
     identity_holds: bool
@@ -492,12 +486,8 @@ class TheoremReport:
     rhs: int | None
 
     @property
-    def radical(self) -> int:
-        return self.trace.radical
-
-    @property
-    def product(self) -> int:
-        return self.trace.product
+    def branch(self) -> str:
+        return "induction" if self.rhs is None else "chen_tang"
 
     @property
     def all_hold(self) -> bool:
@@ -547,22 +537,19 @@ def theorem_trace(members) -> TheoremReport:
     land on the same combined bound, which is then checked against the
     product bound.  The product facts are read from the trace."""
     trace = run_induction(members)
-    K, pi, phi, sigma_product = trace.distinct_primes, trace.radical, trace.phi, trace.sigma_product
+    K, pi = trace.distinct_primes, trace.radical
 
-    threshold = 1 << (1 << K)  # 2^(2^K)
     big_tower = tower(2 * K, 2)
     scale = 1 << (2 * (1 << K))  # 2^(2*2^K)
 
     rhs = None
-    if pi > threshold:
-        branch = "induction"
+    if pi > _radical_threshold(K):
         branch_ok = trace.final_holds
     else:
-        branch = "chen_tang"
         rhs = tower(K, pi)
         branch_ok = trace.final_lhs <= rhs and rhs * scale <= big_tower * pi * pi
 
-    combined = sigma_product * phi * scale <= big_tower * pi
+    combined = trace.sigma_product * trace.phi * scale <= big_tower * pi
 
     # sigma(prod M) * Phi(P) / Pi(P) == prod(M) * prod(1 - 1/p^(e+1)),
     # cross-multiplied to integers on both sides
@@ -571,11 +558,10 @@ def theorem_trace(members) -> TheoremReport:
         q = p ** (e + 1)
         rhs_num *= q - 1
         rhs_den *= q
-    identity = sigma_product * phi * rhs_den == rhs_num * pi
+    identity = trace.sigma_product * trace.phi * rhs_den == rhs_num * pi
 
     return TheoremReport(
         trace=trace,
-        branch=branch,
         branch_inequality_holds=branch_ok,
         combined_holds=combined,
         identity_holds=identity,

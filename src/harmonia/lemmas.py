@@ -52,14 +52,13 @@ class BudgetExceeded(ValueError):
 
 @dataclass(frozen=True)
 class DiophantineInstance:
-    """One explicit instance: k classes, R factor slots, coefficients a, b.
+    """One explicit instance: R = len(m) factor slots m, k = len(a) classes
+    with coefficients a, b.
 
     partition[j] is the 0-based class that factor slot j+1 belongs to; empty
     classes are allowed.
     """
 
-    k: int
-    R: int
     m: tuple[int, ...]
     partition: tuple[int, ...]
     a: tuple[int, ...]
@@ -68,10 +67,10 @@ class DiophantineInstance:
     def __post_init__(self) -> None:
         if self.k < 1 or self.R < 1:
             raise ValueError("need k >= 1 and R >= 1")
-        if len(self.m) != self.R or len(self.partition) != self.R:
-            raise ValueError("m and partition must have length R")
-        if len(self.a) != self.k or len(self.b) != self.k:
-            raise ValueError("a and b must have length k")
+        if len(self.partition) != self.R:
+            raise ValueError("partition must have the length of m")
+        if len(self.b) != self.k:
+            raise ValueError("a and b must have equal length")
         if any(m < 2 for m in self.m):
             raise ValueError("need m_j >= 2")
         if any(x > y for x, y in zip(self.m, self.m[1:])):
@@ -81,8 +80,16 @@ class DiophantineInstance:
         if any(x < 1 for x in self.a) or any(x < 1 for x in self.b):
             raise ValueError("coefficients must be >= 1")
 
+    @property
+    def k(self) -> int:
+        return len(self.a)
 
-@dataclass
+    @property
+    def R(self) -> int:
+        return len(self.m)
+
+
+@dataclass(frozen=True)
 class LemmaVerdict:
     """hypotheses_hold and, when they do, whether the conclusion held too."""
 
@@ -335,7 +342,7 @@ def _hb_survivors(
                 yield tuple(cells[:R]), tuple(cells[R:]), coefs[ai], coefs[bi]
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridReport:
     """Outcome of an exhaustive scan over a parameter box."""
 
@@ -397,7 +404,7 @@ def scan_hb_grid(
                 if lhs == rhs:
                     equalities += 1
                 if lhs > rhs:
-                    bad.append(DiophantineInstance(k, R, m, partition, a, b))
+                    bad.append(DiophantineInstance(m, partition, a, b))
                 if witness_sink is not None:
                     witness_sink(
                         {

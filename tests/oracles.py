@@ -182,7 +182,7 @@ def enumerate_instances(
             f"{estimate} instances, over the budget of {budget}"
         )
     for partition, m, a, b in _raw_instances(k, R, m_max, coef_max):
-        yield DiophantineInstance(k=k, R=R, m=m, partition=partition, a=a, b=b)
+        yield DiophantineInstance(m=m, partition=partition, a=a, b=b)
 
 
 @dataclass(frozen=True)

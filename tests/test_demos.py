@@ -49,6 +49,15 @@ def test_bound_checks_bytes_are_frozen() -> None:
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
+def test_induction_walkthrough_bytes_are_frozen() -> None:
+    # each certificate's v, w and bound bits, the trace's sums and final
+    # inequality, then the radical, branch and product of the case split
+    proc = _run_demo("induction_walkthrough")
+    assert proc.returncode == 0, proc.stderr[-2000:].decode()
+    digest = "347189d6b40710b27df58ae2087175a48c5b2ad5ae7961bf57c54f674c94580e"
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
 def test_anarchy_hunt_shows_the_pair(capsys) -> None:
     show = runpy.run_path(str(ROOT / "demos" / "anarchy_hunt.py"))["show"]
     show([classify((64, 173369889))])

@@ -2,6 +2,7 @@
 phase branch, defensive error paths, and the aggregate case split."""
 
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -12,13 +13,15 @@ from harmonia.bounds import tower
 from harmonia.induction import (
     DecompositionState,
     DivisibilityViolation,
+    InductionTrace,
     InvariantViolation,
+    StepCertificate,
+    TheoremReport,
     induction_step,
-    initial_state,
     run_induction,
     theorem_trace,
 )
-from harmonia.lemmas import check_hb
+from harmonia.lemmas import DiophantineInstance, check_hb
 
 PAIR = (64, 173369889)
 PAIR_PRIMES = (2, 3, 7, 11, 19)
@@ -27,7 +30,7 @@ SIGMA_LARGE = 349491681
 
 
 def test_initial_state():
-    state = initial_state(PAIR)
+    state = DecompositionState(PAIR, PAIR)
     assert state.pending == PAIR
     assert state.settled == (1, 1)
     assert state.carry == frozenset()
@@ -35,18 +38,55 @@ def test_initial_state():
 
 
 def test_state_validation():
-    with pytest.raises(ValueError):
-        DecompositionState(PAIR, (64, 1), (1, 1), frozenset(), 0)
-    with pytest.raises(ValueError):
-        DecompositionState((4,), (2,), (2,), frozenset(), 0)
-    with pytest.raises(ValueError):
-        DecompositionState((6, 10), (6, 10), (1, 1), frozenset(), 0)
-    with pytest.raises(ValueError):
-        DecompositionState(PAIR, PAIR, (1, 1), frozenset({5}), 0)
+    # one refusal per rule
+    with pytest.raises(ValueError, match="equal nonzero length"):
+        DecompositionState(PAIR, (64,))
+    with pytest.raises(ValueError, match="does not divide"):
+        DecompositionState(PAIR, (3, 1))
+    with pytest.raises(ValueError, match="share a factor"):
+        DecompositionState((4,), (2,))
+    with pytest.raises(ValueError, match="pairwise coprime"):
+        DecompositionState((6, 10), (6, 10))
+    with pytest.raises(ValueError, match="carry primes"):
+        DecompositionState(PAIR, PAIR, frozenset({5}))
+
+
+def test_results_store_inputs_and_verdicts_only():
+    # everything else is read off these fields: the values of the derived
+    # names are checked against the worked pair in the tests below
+    stored = {
+        StepCertificate: [
+            "step", "damping", "absorbed", "carry_after", "entry_sum", "phase1_sums",
+            "phase2_sums", "lhs", "entry_scale", "structure_ok", "bound_holds",
+            "improved_holds",
+        ],
+        InductionTrace: ["members", "steps", "factorization", "final_holds", "chain_holds"],
+        TheoremReport: [
+            "trace", "branch_inequality_holds", "combined_holds", "identity_holds",
+            "product_below_main_bound", "rhs",
+        ],
+        DecompositionState: ["members", "pending", "carry", "step"],
+        DiophantineInstance: ["m", "partition", "a", "b"],
+    }
+    derived = {
+        StepCertificate: ["v", "w", "bound", "improved_bound"],
+        InductionTrace: [
+            "radical", "phi", "sigma_product", "sum_v", "sum_w", "final_lhs",
+            "final_rhs_bits",
+        ],
+        TheoremReport: ["branch"],
+        DecompositionState: ["settled"],
+        DiophantineInstance: ["k", "R"],
+    }
+    for cls, names in stored.items():
+        assert [f.name for f in fields(cls)] == names, cls.__name__
+        for name in derived[cls]:
+            assert isinstance(getattr(cls, name), property), (cls.__name__, name)
+    assert sum(len(names) for names in stored.values()) == 31
 
 
 def test_worked_pair_first_step():
-    state, cert = induction_step(initial_state(PAIR))
+    state, cert = induction_step(DecompositionState(PAIR, PAIR))
     assert cert.damping == PAIR_PRIMES
     assert cert.w == 5
     assert cert.entry_sum == 2
@@ -95,7 +135,7 @@ def test_trace_determinism():
 
 
 def test_w0_branch_with_full_carry():
-    state = DecompositionState(PAIR, PAIR, (1, 1), frozenset(PAIR_PRIMES), 0)
+    state = DecompositionState(PAIR, PAIR, frozenset(PAIR_PRIMES))
     new_state, cert = induction_step(state)
     assert cert.w == 0 and cert.damping == ()
     assert cert.v == 5
@@ -107,7 +147,7 @@ def test_w0_branch_with_full_carry():
 
 
 def test_partial_carry_consistency_identity():
-    state = DecompositionState(PAIR, PAIR, (1, 1), frozenset({2, 3}), 0)
+    state = DecompositionState(PAIR, PAIR, frozenset({2, 3}))
     _, cert = induction_step(state)
     assert cert.damping == (7, 11, 19)
     assert cert.w == 3 and cert.v == 5
@@ -127,15 +167,15 @@ def test_steps_cross_check_their_phases_through_check_hb(monkeypatch):
 
     monkeypatch.setattr(harmonia.induction, "check_hb", recording)
     absorbing = ("hb2", (128, 243, 343, 1331, 6859), (0, 1, 1, 1, 1), (2, 4389), (1, 2160), True)
-    induction_step(DecompositionState(PAIR, PAIR, (1, 1), frozenset({2, 3}), 0))
+    induction_step(DecompositionState(PAIR, PAIR, frozenset({2, 3})))
     assert seen == [("hb1", (7, 11, 19), (1, 1, 1), (2, 3), (1, 2), True), absorbing]
     seen.clear()
-    induction_step(DecompositionState(PAIR, PAIR, (1, 1), frozenset(PAIR_PRIMES), 0))
+    induction_step(DecompositionState(PAIR, PAIR, frozenset(PAIR_PRIMES)))
     assert seen == [absorbing]
 
 
 def test_half_settled_state():
-    state = DecompositionState(PAIR, (1, 173369889), (64, 1), frozenset(), 0)
+    state = DecompositionState(PAIR, (1, 173369889))
     new_state, cert = induction_step(state)
     assert cert.damping == (3, 7, 11, 19)
     assert cert.w == 4 and cert.v == 4
@@ -144,14 +184,14 @@ def test_half_settled_state():
 
 
 def test_step_on_finished_state():
-    state = DecompositionState(PAIR, (1, 1), PAIR, frozenset(), 1)
+    state = DecompositionState(PAIR, (1, 1), step=1)
     with pytest.raises(ValueError):
         induction_step(state)
 
 
 def test_divisibility_violation_at_entry():
     # valid decomposition of a non-anarchy pair whose damped sum is exactly 1
-    state = DecompositionState((4, 30), (4, 5), (1, 6), frozenset({2}), 0)
+    state = DecompositionState((4, 30), (4, 5), frozenset({2}))
     with pytest.raises(DivisibilityViolation):
         induction_step(state)
 
@@ -161,14 +201,14 @@ def test_divisibility_violation_with_pending_left():
     # of the original pair while 23^2 is still pending
     members = (64, 173369889 * 529)
     with pytest.raises(DivisibilityViolation):
-        induction_step(initial_state(members))
+        induction_step(DecompositionState(members, members))
 
 
 def test_damping_exhausted():
     with pytest.raises(InvariantViolation):
-        induction_step(initial_state((2, 3)))
+        induction_step(DecompositionState((2, 3), (2, 3)))
     # carry covers all pending primes, sum still above 1
-    state = DecompositionState((4, 9), (4, 9), (1, 1), frozenset({2, 3}), 0)
+    state = DecompositionState((4, 9), (4, 9), frozenset({2, 3}))
     with pytest.raises(InvariantViolation):
         induction_step(state)
 
@@ -176,7 +216,7 @@ def test_damping_exhausted():
 def test_absorption_exhausted():
     # deficient coprime pair: ratio sum 64/127 + 63/128 < 1
     with pytest.raises(InvariantViolation):
-        induction_step(initial_state((64, 945)))
+        induction_step(DecompositionState((64, 945), (64, 945)))
 
 
 def test_run_induction_rejections():
@@ -203,7 +243,7 @@ def test_chen_tang_worked_pair():
     report = theorem_trace(PAIR)
     trace = report.trace
     assert trace.distinct_primes == 5
-    assert trace.radical == report.radical == 8778
+    assert trace.radical == 8778
     assert trace.phi == 2160
     assert report.rhs == 8778**32 - 8778**16
 
@@ -227,15 +267,31 @@ def test_chen_tang_worked_pair():
 def test_theorem_trace_worked_pair():
     report = theorem_trace(PAIR)
     assert report.branch == "chen_tang"
-    assert report.radical == 8778
+    assert report.trace.radical == 8778
     assert report.rhs is not None and report.trace == run_induction(PAIR)
     assert report.to_json_dict()["trace"] is None
     assert report.branch_inequality_holds
     assert report.combined_holds
     assert report.identity_holds
-    assert report.product == 64 * 173369889
+    assert report.trace.product == 64 * 173369889
     assert report.product_below_main_bound
     assert report.all_hold
+
+
+def test_theorem_trace_induction_branch(monkeypatch):
+    # no known tuple has a radical above 2^(2^K); with the threshold at 0
+    # the worked pair (radical 8778) takes the induction branch
+    monkeypatch.setattr(harmonia.induction, "_radical_threshold", lambda K: 0)
+    report = theorem_trace(PAIR)
+    trace = report.trace
+    assert report.branch == "induction"
+    assert report.rhs is None
+    assert report.branch_inequality_holds == trace.final_holds
+    assert report.all_hold
+    payload = report.to_json_dict()
+    assert payload["branch"] == "induction"
+    assert payload["kernel"] is None
+    assert payload["trace"] == trace.to_json_dict()
 
 
 def test_theorem_trace_decides_the_main_bound_by_bit_length(monkeypatch):
@@ -248,7 +304,7 @@ def test_theorem_trace_decides_the_main_bound_by_bit_length(monkeypatch):
         if (name == "harmonia" or name.startswith("harmonia.")) and hasattr(module, "main_bound"):
             monkeypatch.setattr(module, "main_bound", refuse)
     report = theorem_trace(PAIR)
-    assert report.product.bit_length() == 34
+    assert report.trace.product.bit_length() == 34
     assert report.product_below_main_bound and report.all_hold
 
 

@@ -1,6 +1,7 @@
 """Lemma oracle tests: frozen worked examples, enumeration counts, and
 small exhaustive grids cross-checked against the per-instance verdicts."""
 
+import re
 import types
 from fractions import Fraction
 from itertools import combinations, product
@@ -31,7 +32,7 @@ ANARCHY_PAIR = (64, 173369889)
 
 
 def test_hb1_worked_example():
-    inst = DiophantineInstance(k=2, R=1, m=(4,), partition=(1,), a=(2, 3), b=(1, 2))
+    inst = DiophantineInstance(m=(4,), partition=(1,), a=(2, 3), b=(1, 2))
     verdict = check_hb("hb1", inst)
     assert verdict.hypotheses_hold
     assert verdict.conclusion_holds
@@ -42,7 +43,7 @@ def test_hb1_worked_example():
 
 
 def test_hb1_rejects_small_a():
-    inst = DiophantineInstance(k=2, R=1, m=(4,), partition=(0,), a=(1, 3), b=(2, 2))
+    inst = DiophantineInstance(m=(4,), partition=(0,), a=(1, 3), b=(2, 2))
     verdict = check_hb("hb1", inst)
     assert not verdict.hypotheses_hold
     assert verdict.conclusion_holds is None
@@ -51,16 +52,16 @@ def test_hb1_rejects_small_a():
 
 def test_hb1_hypotheses_can_fail():
     # partial sum is exactly 1, not > 1
-    inst = DiophantineInstance(k=1, R=1, m=(2,), partition=(0,), a=(2,), b=(2,))
+    inst = DiophantineInstance(m=(2,), partition=(0,), a=(2,), b=(2,))
     verdict = check_hb("hb1", inst)
     assert not verdict.hypotheses_hold
     # full sum above 1
-    inst = DiophantineInstance(k=1, R=1, m=(5,), partition=(0,), a=(2,), b=(4,))
+    inst = DiophantineInstance(m=(5,), partition=(0,), a=(2,), b=(4,))
     assert not check_hb("hb1", inst).hypotheses_hold
 
 
 def test_hb2_worked_example():
-    inst = DiophantineInstance(k=1, R=1, m=(2,), partition=(0,), a=(2,), b=(1,))
+    inst = DiophantineInstance(m=(2,), partition=(0,), a=(2,), b=(1,))
     verdict = check_hb("hb2", inst)
     assert verdict.hypotheses_hold
     assert verdict.conclusion_holds
@@ -81,15 +82,15 @@ def test_hb_checks_build_tower_only_when_hypotheses_hold(monkeypatch):
     monkeypatch.setattr(harmonia.lemmas, "tower", counting_tower)
     # hb2: the partial sum 3/2 * 2^21 is not below 1; tower(22, 2) alone
     # would take about a second to build
-    fails_hb2 = DiophantineInstance(k=1, R=22, m=(2,) * 22, partition=(0,) * 22, a=(2,), b=(3,))
-    fails_hb1 = DiophantineInstance(k=1, R=1, m=(2,), partition=(0,), a=(2,), b=(2,))
+    fails_hb2 = DiophantineInstance(m=(2,) * 22, partition=(0,) * 22, a=(2,), b=(3,))
+    fails_hb1 = DiophantineInstance(m=(2,), partition=(0,), a=(2,), b=(2,))
     for lemma, inst in (("hb2", fails_hb2), ("hb1", fails_hb1)):
         verdict = check_hb(lemma, inst)
         assert not verdict.hypotheses_hold and verdict.conclusion_holds is None
         assert "lhs" not in verdict.witnesses and "rhs" not in verdict.witnesses
     assert calls == []
-    hb1_worked = DiophantineInstance(k=2, R=1, m=(4,), partition=(1,), a=(2, 3), b=(1, 2))
-    hb2_worked = DiophantineInstance(k=1, R=1, m=(2,), partition=(0,), a=(2,), b=(1,))
+    hb1_worked = DiophantineInstance(m=(4,), partition=(1,), a=(2, 3), b=(1, 2))
+    hb2_worked = DiophantineInstance(m=(2,), partition=(0,), a=(2,), b=(1,))
     assert check_hb("hb1", hb1_worked).conclusion_holds
     assert check_hb("hb2", hb2_worked).conclusion_holds
     assert calls == [(1, 7), (1, 2)]
@@ -141,7 +142,7 @@ def test_cook_budget_refusal_enumerates_nothing(monkeypatch):
 
 
 def test_check_hb_refuses_an_unknown_lemma():
-    inst = DiophantineInstance(k=1, R=1, m=(2,), partition=(0,), a=(2,), b=(1,))
+    inst = DiophantineInstance(m=(2,), partition=(0,), a=(2,), b=(1,))
     with pytest.raises(ValueError) as by_check:
         check_hb("hb3", inst)
     with pytest.raises(ValueError) as by_scan:
@@ -150,14 +151,21 @@ def test_check_hb_refuses_an_unknown_lemma():
 
 
 def test_instance_validation():
-    with pytest.raises(ValueError):
-        DiophantineInstance(k=1, R=2, m=(3, 2), partition=(0, 0), a=(1,), b=(1,))
-    with pytest.raises(ValueError):
-        DiophantineInstance(k=1, R=1, m=(1,), partition=(0,), a=(1,), b=(1,))
-    with pytest.raises(ValueError):
-        DiophantineInstance(k=1, R=1, m=(2,), partition=(1,), a=(1,), b=(1,))
-    with pytest.raises(ValueError):
-        DiophantineInstance(k=2, R=1, m=(2,), partition=(0,), a=(1,), b=(1,))
+    # one refusal per rule; k = len(a) and R = len(m)
+    refused = {
+        "k >= 1 and R >= 1": dict(m=(), partition=(), a=(1,), b=(1,)),
+        "partition must have the length of m": dict(m=(2,), partition=(0, 0), a=(1,), b=(1,)),
+        "a and b must have equal length": dict(m=(2,), partition=(0,), a=(1, 1), b=(1,)),
+        "m_j >= 2": dict(m=(1,), partition=(0,), a=(1,), b=(1,)),
+        "nondecreasing": dict(m=(3, 2), partition=(0, 0), a=(1,), b=(1,)),
+        "class indices below k": dict(m=(2,), partition=(1,), a=(1,), b=(1,)),
+        "coefficients must be >= 1": dict(m=(2,), partition=(0,), a=(1,), b=(0,)),
+    }
+    for message, kwargs in refused.items():
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DiophantineInstance(**kwargs)
+    inst = DiophantineInstance(m=(2, 3, 3), partition=(0, 1, 1), a=(1, 2), b=(1, 1))
+    assert (inst.k, inst.R) == (2, 3)
 
 
 def _oracle_scan(lemma, k_max, r_max, m_max, coef_max):

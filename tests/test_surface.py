@@ -6,7 +6,8 @@ would hide it.  No module in src/ imports another's private (_name) names:
 what two modules share is public.  So every private top-level name is read
 in its own module, and a helper goes when its last caller does.  Every name
 a module in src/ imports is read in that module or re-exported by the
-package, so code that is deleted takes its imports with it."""
+package, so code that is deleted takes its imports with it.  Every dataclass
+in src/ is frozen: results are built once and only read."""
 
 import ast
 from pathlib import Path
@@ -122,3 +123,25 @@ def _idle_imports(path: Path) -> list[str]:
 def test_no_idle_imports():
     found = {path.name: _idle_imports(path) for path in sorted(SRC.glob("*.py"))}
     assert {name: idle for name, idle in found.items() if idle} == {}
+
+
+def _unfrozen_dataclasses(path: Path) -> list[str]:
+    """Classes in the module at path decorated with @dataclass without
+    frozen=True."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for deco in node.decorator_list:
+            call = isinstance(deco, ast.Call)
+            if ast.unparse(deco.func if call else deco).split(".")[-1] != "dataclass":
+                continue
+            keywords = deco.keywords if call else []
+            if not any(kw.arg == "frozen" and ast.unparse(kw.value) == "True" for kw in keywords):
+                found.append(node.name)
+    return found
+
+
+def test_every_dataclass_is_frozen():
+    found = {path.name: _unfrozen_dataclasses(path) for path in sorted(SRC.glob("*.py"))}
+    assert {name: classes for name, classes in found.items() if classes} == {}
