@@ -14,9 +14,11 @@ same way on sigma*.
 
 One segment pipeline serves every pair kind.  For the ratio kinds, pass 1
 sieves each segment once and emits a code-sorted key run and a code-sorted
-query run.  Reduced fractions are packed into int64 codes: the numerator
-is shifted past the denominator width, and every segment checks that its
-sigma fits that width, then that its keys stay below the abundancy cap.
+query run.  Every code, the anarchy sweep's and the triples' too, comes
+from _codes at the width _code_shift(bound): a reduced fraction in one
+int64, its numerator shifted past the denominator.  Every segment checks
+that its sigma fits that width, then that its keys stay below the
+abundancy cap.
 The join goes code-range bucket by bucket: it merges every segment's keys
 of the bucket into one index, and each segment's already sorted query
 slice probes that index in place.  Every run is a .npy file: beside the
@@ -261,13 +263,14 @@ def _sigma_cap(bound: int) -> int:
     return bound * a // b + 16
 
 
-def _code_shift(bound: int, sigma_max: int) -> int:
-    """Bit offset separating numerator from denominator in packed key codes."""
-    shift = int(sigma_max).bit_length()
+def _code_shift(bound: int) -> int:
+    """Bit offset separating numerator from denominator in packed codes:
+    the width of _sigma_cap(bound), which _check_packing holds sigma to."""
+    cap = _sigma_cap(bound)
+    shift = cap.bit_length()
     if int(bound).bit_length() + shift > 63:
         raise ValueError(
-            f"ratio keys for bound {bound} (sigma up to {sigma_max}) "
-            "do not fit in int64 codes"
+            f"ratio keys for bound {bound} (sigma up to {cap}) do not fit in int64 codes"
         )
     return shift
 
@@ -341,24 +344,18 @@ def _sigma_full(bound: int, star: bool, threads: int) -> np.ndarray:
     )
 
 
-def _ratio_keys(n: np.ndarray, s: np.ndarray, shift: int) -> np.ndarray:
-    """Packed code of the reduced ratio n/s for each entry."""
-    g = np.gcd(n, s)
-    return ((n // g) << shift) | (s // g)
-
-
-def _complement_keys(
-    n: np.ndarray, s: np.ndarray, shift: int, partner_cap: int
+def _codes(
+    num: np.ndarray, den: np.ndarray, shift: int, num_max
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(codes, owners) of reduced (s-n)/s; entries whose reduced numerator
-    cannot be any partner's reduced numerator (0, or above partner_cap) are
-    dropped since no key can ever match them."""
-    num = s - n
-    g = np.gcd(num, s)
-    qn = num // g
-    qd = s // g
-    keep = (qn >= 1) & (qn <= partner_cap)
-    return (qn[keep] << shift) | qd[keep], n[keep]
+    """(codes, keep): (num << shift) | den of each num/den in lowest terms
+    with 1 <= num <= num_max (a scalar or one cap per row) and den < 2^shift,
+    and the mask of those rows.  Every code matched stands for a reduced
+    n/sigma(n) within those limits, so a dropped row can match nothing; for
+    keys that passed _check_packing, keep is all true."""
+    g = np.gcd(num, den)
+    num, den = num // g, den // g
+    keep = (num >= 1) & (num <= num_max) & (den < 1 << shift)
+    return (num[keep] << shift) | den[keep], keep
 
 
 def _sorted_run(*rows: np.ndarray) -> np.ndarray:
@@ -458,10 +455,12 @@ def _ratio_segment_runs(
     a, b = _abundancy_cap(bound)
     _check_abundancy(n[key], sigma[key], a, b)
     query = (sigma <= 2 * n) & ((sigma - n) * a > sigma * b)
-    return {
-        "keys": _sorted_run(_ratio_keys(n[key], sigma[key], shift), n[key]),
-        "comps": _sorted_run(*_complement_keys(n[query], sigma[query], shift, bound)),
-    }
+    m, s = n[key], sigma[key]
+    codes, kept = _codes(m, s, shift, bound)
+    keys = _sorted_run(codes, m[kept])
+    m, s = n[query], sigma[query]
+    codes, asked = _codes(s - m, s, shift, bound)
+    return {"keys": keys, "comps": _sorted_run(codes, m[asked])}
 
 
 def _amicable_segment_runs(
@@ -541,7 +540,7 @@ def _pass1(
 
 def _bucket_edges(bound: int, shift: int, total_keys: int) -> list[int]:
     """Code-range boundaries splitting the join into flat-memory buckets,
-    from 0 to (bound + 1) << shift: above every code, whose numerator is <= bound."""
+    from 0 to (bound + 1) << shift, above every code: _codes caps numerators at bound."""
     want = max(1, (total_keys * 16) // _BUCKET_TARGET_BYTES)
     buckets = 1 << min(12, max(0, want - 1).bit_length())
     return [((i * (bound + 1)) // buckets) << shift for i in range(buckets + 1)]
@@ -683,7 +682,7 @@ def search_pairs(
     """
     if config.k != 2:
         raise ValueError(f"search_pairs needs k=2, got k={config.k}")
-    shift = 0 if config.kind == "amicable" else _code_shift(config.bound, _sigma_cap(config.bound))
+    shift = 0 if config.kind == "amicable" else _code_shift(config.bound)
     segs = _segments(config.bound)
     with _run_store(config) as store:
         _pass1(config, segs, shift, store, progress)
@@ -711,12 +710,8 @@ def _anarchy_targets(small_sigma: np.ndarray, n_bound: int, shift: int) -> np.nd
     m = np.concatenate((np.arange(1, size + 1, dtype=np.int64), np.tile(odd_squares, scales.size)))
     a = np.concatenate((np.zeros(size, dtype=np.int64), np.repeat(scales, odd_squares.size)))
     s = small_sigma[m - 1]
-    num = (s - m) * ((2 << a) - 1)
-    den = s << a
-    g = np.gcd(num, den)
-    num, den = num // g, den // g
-    keep = (num >= 1) & (num <= n_bound >> a) & (den < 1 << shift)
-    return _sorted_run((num[keep] << shift) | den[keep], m[keep], 1 << a[keep])
+    codes, keep = _codes((s - m) * ((2 << a) - 1), s << a, shift, n_bound >> a)
+    return _sorted_run(codes, m[keep], 1 << a[keep])
 
 
 def search_anarchy_pairs(
@@ -744,7 +739,7 @@ def search_anarchy_pairs(
 
     Before any exact key is built, each swept o's ratio o/sigma(o) is looked
     up as a float64 in a table over the low mantissa bits of the targets'
-    doubles, and only the o it marks go on to _ratio_keys and _probe, which
+    doubles, and only the o it marks go on to _codes and _probe, which
     alone decide.  The table drops no match: integers below 2^53 convert to
     float64 exactly and their quotient is correctly rounded, so equal
     rationals give the same double.  bound < 2^30 (enforced by _code_shift)
@@ -756,7 +751,7 @@ def search_anarchy_pairs(
     if not 2 <= m_bound <= n_bound:
         raise ValueError(f"need 2 <= m_bound <= n_bound, got ({m_bound}, {n_bound})")
     threads = _integer("threads", threads, 0)
-    shift = _code_shift(n_bound, _sigma_cap(n_bound))
+    shift = _code_shift(n_bound)
     small_sigma = _sigma_full(m_bound, False, threads)
     _check_packing(small_sigma, shift)
     targets = _anarchy_targets(small_sigma, n_bound, shift)
@@ -776,7 +771,8 @@ def search_anarchy_pairs(
         slots = (o / sigma).view(np.int64)
         slots &= _MARK_SLOTS - 1  # in place: no second segment-sized temporary
         hit = np.flatnonzero(marks[slots])
-        o_col, row = _probe(index, rows, _ratio_keys(o[hit], sigma[hit], shift), o[hit])
+        codes, fit = _codes(o[hit], sigma[hit], shift, n_bound)
+        o_col, row = _probe(index, rows, codes, o[hit][fit])
         m_col = targets[1, row]
         n_col = o_col * targets[2, row]
         keep = (n_col >= m_col) & (n_col <= n_bound)
@@ -807,8 +803,10 @@ def _ratio_triples(config: SearchConfig) -> np.ndarray:
     sigma_max = int(sigma.max())
     if sigma_max * sigma_max >= 1 << 62:
         raise ValueError(f"sigma values up to {sigma_max} overflow the triple search")
-    shift = _code_shift(bound, sigma_max)
-    keys = _sorted_run(_ratio_keys(n, sigma, shift), n)
+    shift = _code_shift(bound)
+    _check_packing(sigma, shift)
+    codes, keep = _codes(n, sigma, shift, bound)
+    keys = _sorted_run(codes, n[keep])
     index = _key_index(keys[0])
     mid = np.flatnonzero(sigma >= 2 * n)
     mid = mid[np.argsort(n[mid] / sigma[mid])]
@@ -823,13 +821,10 @@ def _ratio_triples(config: SearchConfig) -> np.ndarray:
         lo = np.searchsorted(mid_ratio, r * (1 - slack))
         hi = np.searchsorted(mid_ratio, (1 - r) / 2 * (1 + slack), side="right")
         b = mid[lo:hi]
-        # 1 - r_a - r_b over sigma_a * sigma_b, then reduced
+        # 1 - r_a - r_b over sigma_a * sigma_b
         tn = (sigma[a] - n[a]) * sigma[b] - n[b] * sigma[a]
-        td = sigma[a] * sigma[b]
-        g = np.gcd(tn, td)
-        tn, td = tn // g, td // g
-        fit = (tn >= 1) & (tn <= bound) & (td <= sigma_max)
-        b_col, c_col = _probe(index, keys[1], (tn[fit] << shift) | td[fit], n[b[fit]])
+        codes, fit = _codes(tn, sigma[a] * sigma[b], shift, bound)
+        b_col, c_col = _probe(index, keys[1], codes, n[b[fit]])
         parts.append(np.stack((np.full_like(b_col, a + 1), b_col, c_col)))
     found = np.sort(np.concatenate(parts, axis=1), axis=0)
     if not config.equal_allowed:

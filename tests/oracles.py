@@ -27,9 +27,9 @@ library runs:
                         and the members' omega, against the counts that a
                         TupleRecord reads off its factorizations;
   scaled_targets_reference
-                        the anarchy sweep's a >= 1 targets, one Fraction
-                        per (odd square, a), against the one int64 pass of
-                        search._anarchy_targets.
+                        every anarchy sweep target, one Fraction per m at
+                        a = 0 and per (odd square, a) at a >= 1, against
+                        the one int64 pass of search._anarchy_targets.
 """
 
 from __future__ import annotations
@@ -283,19 +283,17 @@ def counts_reference(members: Iterable[int]) -> tuple[int, int, int]:
 
 
 def scaled_targets_reference(small_sigma, n_bound: int, shift: int) -> list[tuple[int, int, int]]:
-    """(code, m, 2^a) for each odd square m > 1 (small_sigma[m - 1] its
-    sigma) and each a >= 1 with 2^a <= n_bound: the packed code of the
-    reduced t * (2^(a+1) - 1) / 2^a, t = (sigma(m) - m)/sigma(m).  Rows whose
-    reduced numerator exceeds n_bound / 2^a or whose reduced denominator
-    needs more than the shift's bits are dropped."""
+    """(code, m, 2^a) for every m (small_sigma[m - 1] its sigma) at a = 0
+    and for each odd square m > 1 at each a >= 1 with 2^a <= n_bound: the
+    packed code of the reduced t * (2^(a+1) - 1) / 2^a,
+    t = (sigma(m) - m)/sigma(m).  Rows whose reduced numerator is 0 or
+    exceeds n_bound / 2^a, or whose reduced denominator needs more than the
+    shift's bits, are dropped."""
     rows = []
-    for j in range(3, isqrt(len(small_sigma)) + 1, 2):
-        m = j * j
-        s = int(small_sigma[m - 1])
-        a = 1
-        while 1 << a <= n_bound:
+    for m, s in enumerate(map(int, small_sigma), 1):
+        odd_square = m > 1 and m % 2 == 1 and isqrt(m) ** 2 == m
+        for a in range(n_bound.bit_length() if odd_square else 1):
             t = Fraction((s - m) * ((2 << a) - 1), s << a)
-            if t.numerator <= n_bound >> a and t.denominator < 1 << shift:
+            if 1 <= t.numerator <= n_bound >> a and t.denominator < 1 << shift:
                 rows.append(((t.numerator << shift) | t.denominator, m, 1 << a))
-            a += 1
     return rows

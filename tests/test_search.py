@@ -35,12 +35,11 @@ from harmonia.search import (
     _bucket_slice,
     _check_packing,
     _code_shift,
-    _complement_keys,
+    _codes,
     _each_segment,
     _emit_records,
     _key_index,
     _probe,
-    _ratio_keys,
     _ratio_segment_runs,
     _segment_length,
     _segments,
@@ -350,7 +349,7 @@ def test_query_prune_size_1e6(kind, keys, queries):
     # of the 752,454 (harmonious) and 929,969 (unitary) complement queries
     # with a nonzero numerator, those at or below b/a = 1024/5143 are dropped
     bound = 10**6
-    shift = _code_shift(bound, _sigma_cap(bound))
+    shift = _code_shift(bound)
     star = kind == "unitary_harmonious"
     assert _abundancy_cap(bound) == (5143, 1024)
     runs = [_ratio_segment_runs(lo, hi, bound, shift, star) for lo, hi in _segments(bound)]
@@ -364,7 +363,7 @@ def test_bucket_edges_cover_every_code_1e5(kind, monkeypatch):
     # the last edge, so consecutive slices add up to each run exactly
     monkeypatch.setattr(harmonia.search, "_BUCKET_TARGET_BYTES", 1 << 12)
     bound = 10**5
-    shift = _code_shift(bound, _sigma_cap(bound))
+    shift = _code_shift(bound)
     star = kind == "unitary_harmonious"
     runs = [_ratio_segment_runs(lo, hi, bound, shift, star) for lo, hi in _segments(bound)]
     edges = _bucket_edges(bound, shift, sum(r["keys"].shape[1] for r in runs))
@@ -379,7 +378,7 @@ def test_bucket_slice_reaches_a_last_edge_of_2_63():
     # at bound 2^30 - 1 the last edge, (bound + 1) << shift, is 2^63, one
     # past the largest int64; the slice still takes the codes just below it
     bound = 2**30 - 1
-    shift = _code_shift(bound, _sigma_cap(bound))
+    shift = _code_shift(bound)
     assert _bucket_edges(bound, shift, 0)[-1] == 1 << 63
     run = np.array([[5 << shift, (1 << 63) - 2, (1 << 63) - 1], [1, 2, 3]], dtype=np.int64)
     assert _bucket_slice(run, 0, 1 << 63).tolist() == run.tolist()
@@ -656,31 +655,67 @@ def test_anarchy_validation():
 
 def test_anarchy_key_match_for_known_pair():
     # the sweep's matching arithmetic, probed directly at the real pair
-    shift = _code_shift(2 * 10**8, _sigma_cap(2 * 10**8))
-    ccode, owners = _complement_keys(
-        np.array([64], dtype=np.int64), np.array([127], dtype=np.int64), shift, 2 * 10**8
+    n_bound = 2 * 10**8
+    shift = _code_shift(n_bound)
+    ccode, owner = _codes(
+        np.array([127 - 64], dtype=np.int64), np.array([127], dtype=np.int64), shift, n_bound
     )
-    code = _ratio_keys(
+    code, swept = _codes(
         np.array([173369889], dtype=np.int64),
         np.array([349491681], dtype=np.int64),
         shift,
+        n_bound,
     )
-    assert owners.tolist() == [64]
+    assert owner.tolist() == swept.tolist() == [True]
     assert ccode.tolist() == code.tolist()
 
 
+def test_codes_drop_rules_at_the_int64_edge():
+    # at n_bound = 2^30 - 1 the shift is 33, so a numerator at the cap over
+    # a denominator near 2^33 packs to just below 2^63
+    num_max = 2**30 - 1
+    shift = _code_shift(num_max)
+    assert shift == 33
+    top = (1 << shift) - 1
+    rows = [
+        (0, 7),  # numerator 0
+        (num_max, 1),  # numerator at the cap
+        (num_max + 1, 3),  # one past it, already in lowest terms
+        (1, top),  # the widest denominator
+        (1, top + 1),  # one bit too wide
+        (4 * num_max, 20),  # reduces from 4 * num_max to num_max / 5
+        (num_max, top - 2),  # in lowest terms, unlike num_max / top
+    ]
+    num = np.array([r[0] for r in rows], dtype=np.int64)
+    den = np.array([r[1] for r in rows], dtype=np.int64)
+    reduced = [Fraction(*r) for r in rows]
+    # a scalar cap, then one cap per row, num_max >> a as the anarchy
+    # targets pass it
+    per_row = num_max >> np.array([5, 0, 0, 29, 0, 0, 1], dtype=np.int64)
+    for cap, kept in (
+        (num_max, [False, True, False, True, False, True, True]),
+        (per_row, [False, True, False, True, False, True, False]),
+    ):
+        codes, keep = _codes(num, den, shift, cap)
+        caps = np.broadcast_to(cap, num.shape).tolist()
+        want = [1 <= t.numerator <= c and t.denominator <= top for t, c in zip(reduced, caps)]
+        assert keep.tolist() == want == kept
+        fits = [t for t, k in zip(reduced, want) if k]
+        assert codes.tolist() == [(t.numerator << shift) | t.denominator for t in fits]
+        for code, t in zip(codes.tolist(), fits):
+            assert (code >> shift, code & top) == (t.numerator, t.denominator)
+    assert _codes(num, den, shift, num_max)[0][-1] == (1 << 63) - 3
+
+
 def anarchy_target_rows(small_sigma, n_bound):
-    """The rows of _anarchy_targets and those of the slow reference: the
-    a = 0 rows of _complement_keys plus scaled_targets_reference."""
-    shift = _code_shift(n_bound, _sigma_cap(n_bound))
+    """The rows of _anarchy_targets and those of scaled_targets_reference,
+    each sorted."""
+    shift = _code_shift(n_bound)
     _check_packing(small_sigma, shift)
     targets = _anarchy_targets(small_sigma, n_bound, shift)
     assert (np.diff(targets[0]) >= 0).all()
-    n = np.arange(1, small_sigma.size + 1, dtype=np.int64)
-    codes, owners = _complement_keys(n, small_sigma, shift, n_bound)
-    want = set(zip(codes.tolist(), owners.tolist(), [1] * owners.size))
-    want |= set(scaled_targets_reference(small_sigma, n_bound, shift))
-    return list(zip(*targets.tolist())), want
+    want = scaled_targets_reference(small_sigma, n_bound, shift)
+    return sorted(zip(*targets.tolist())), sorted(want)
 
 
 @pytest.mark.parametrize(
@@ -689,7 +724,7 @@ def anarchy_target_rows(small_sigma, n_bound):
 )
 def test_anarchy_targets_match_reference(m_bound, n_bound):
     got, want = anarchy_target_rows(sieve_tables(1, m_bound), n_bound)
-    assert len(got) == len(want) and set(got) == want
+    assert got == want
 
 
 def test_anarchy_targets_near_the_int64_limit():
@@ -697,12 +732,12 @@ def test_anarchy_targets_near_the_int64_limit():
     # the products (sigma - m) * (2^(a+1) - 1) come just below 2^63; each
     # sigma is a multiple of m, so that many rows reduce far enough to survive
     n_bound = 2**30 - 1
-    shift = _code_shift(n_bound, _sigma_cap(n_bound))
+    shift = _code_shift(n_bound)
     m = np.arange(1, 2001, dtype=np.int64)
     small_sigma = ((1 << shift) - 1) // m * m
     assert (small_sigma > (1 << shift) - 1 - m).all()
     got, want = anarchy_target_rows(small_sigma, n_bound)
-    assert len(got) == len(want) and set(got) == want
+    assert got == want
     assert len(got) > 1000 and any(scale > 1 for _, _, scale in got)
 
 
@@ -775,11 +810,14 @@ def test_anarchy_prefilter_drops_no_candidate(monkeypatch):
     # the unfiltered exact path: every n's ratio key probed into the small
     # side's complement keys
     m_bound, n_bound = 1000, 2 * 10**6
-    shift = _code_shift(n_bound, _sigma_cap(n_bound))
+    shift = _code_shift(n_bound)
     sigma = sieve_tables(1, n_bound)
     n = np.arange(1, n_bound + 1, dtype=np.int64)
-    comps = _sorted_run(*_complement_keys(n[:m_bound], sigma[:m_bound], shift, n_bound))
-    n_col, m_col = _probe(_key_index(comps[0]), comps[1], _ratio_keys(n, sigma, shift), n)
+    m, s = n[:m_bound], sigma[:m_bound]
+    codes, owner = _codes(s - m, s, shift, n_bound)
+    comps = _sorted_run(codes, m[owner])
+    codes, swept = _codes(n, sigma, shift, n_bound)
+    n_col, m_col = _probe(_key_index(comps[0]), comps[1], codes, n[swept])
     keep = n_col >= m_col
     exact = sorted(set(zip(m_col[keep].tolist(), n_col[keep].tolist())))
     assert len(exact) > 100
@@ -835,12 +873,15 @@ def test_unitary_triples_match_oracle_at_90():
 
 # (count, sha256 of the JSON list of member lists) of the harmonious triples,
 # frozen from the earlier per-first-member scan, which probed every
-# (M1, M2) prefix and shares no window or anchor logic with the current search
+# (M1, M2) prefix and shares no window or anchor logic with the current search;
+# the row at the cap, from the anchored search while it still sized its codes
+# by the observed sigma maximum
 HARMONIOUS_TRIPLES = {
     (10**4, True): (2074, "288c3abd1e4d0b4aabded51395e1b4fdd164d8f6ff856091b243343bad8dee73"),
     (10**4, False): (1914, "08155411162e7f74304e841f97e7fb9580839a59801b7d127a09de45b97b3d2e"),
     (3 * 10**4, True): (11605, "005bdf0ebf7092a6e33200cdc8b5bb46c524c3aa8a01f04ea1923f32ddc42302"),
     (3 * 10**4, False): (11203, "f7e421851b4be6b04e48b729d5cb6710c84fac83455a4c12e264150ae4913f82"),
+    (10**5, True): (72010, "e2a2f7af268fe3e72fb22f0392b80f2cad498f7d247ccc408a43e4833fb5a078"),
 }
 
 # every unitary harmonious triple up to 10^5, frozen from the same scan; none
@@ -946,7 +987,7 @@ def test_abundancy_cap_tripwire(monkeypatch, capsys):
 
 def test_code_shift_overflow_refusal():
     with pytest.raises(ValueError, match="int64"):
-        _code_shift(1 << 40, _sigma_cap(1 << 40))
+        _code_shift(1 << 40)
 
 
 def test_key_packing_guard_refuses_low_sigma_cap(monkeypatch):
@@ -956,6 +997,8 @@ def test_key_packing_guard_refuses_low_sigma_cap(monkeypatch):
         search_pairs(SearchConfig(bound=3000))
     with pytest.raises(ArithmeticError, match="key packing"):
         search_anarchy_pairs(10, 3000)
+    with pytest.raises(ArithmeticError, match="key packing"):
+        search_triples(SearchConfig(bound=3000, k=3))
     # one segment holding the bound instead of the derived three
     monkeypatch.setattr(harmonia.search, "_segment_length", lambda bound: 4096)
     with pytest.raises(ArithmeticError, match="key packing"):

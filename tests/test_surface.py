@@ -7,7 +7,8 @@ what two modules share is public.  So every private top-level name is read
 in its own module, and a helper goes when its last caller does.  Every name
 a module in src/ imports is read in that module or re-exported by the
 package, so code that is deleted takes its imports with it.  Every dataclass
-in src/ is frozen: results are built once and only read."""
+in src/ is frozen: results are built once and only read.  The search reduces
+fractions in one place: every np.gcd in search.py lies inside _codes."""
 
 import ast
 from pathlib import Path
@@ -145,3 +146,18 @@ def _unfrozen_dataclasses(path: Path) -> list[str]:
 def test_every_dataclass_is_frozen():
     found = {path.name: _unfrozen_dataclasses(path) for path in sorted(SRC.glob("*.py"))}
     assert {name: classes for name, classes in found.items() if classes} == {}
+
+
+def _gcd_readers(path: Path) -> list[str]:
+    """The top-level definitions of the module at path that read np.gcd,
+    once per read."""
+    return [
+        getattr(node, "name", "<module>")
+        for node in ast.parse(path.read_text()).body
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute) and ast.unparse(sub) == "np.gcd"
+    ]
+
+
+def test_search_reduces_fractions_in_one_place():
+    assert _gcd_readers(SRC / "search.py") == ["_codes"]
