@@ -389,7 +389,9 @@ def _add_search_parser(sub, run: argparse.ArgumentParser) -> None:
         "anarchy", parents=[shared], help="sweep M <= --m-bound, N <= --n-bound for anarchy pairs"
     )
     a.add_argument("--m-bound", type=int, required=True, help="bound for the smaller member")
-    a.add_argument("--n-bound", type=int, required=True, help="bound for the larger member")
+    a.add_argument(
+        "--n-bound", type=int, required=True, help="bound for the larger member, up to 2^40"
+    )
     a.set_defaults(handler=cmd_search_anarchy)
 
 

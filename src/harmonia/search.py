@@ -14,11 +14,10 @@ same way on sigma*.
 
 One segment pipeline serves every pair kind.  For the ratio kinds, pass 1
 sieves each segment once and emits a code-sorted key run and a code-sorted
-query run.  Every code, the anarchy sweep's and the triples' too, comes
-from _codes at the width _code_shift(bound): a reduced fraction in one
-int64, its numerator shifted past the denominator.  Every segment checks
-that its sigma fits that width, then that its keys stay below the
-abundancy cap.
+query run.  Every code, the triples' too, comes from _codes at the width
+_code_shift(bound): a reduced fraction in one int64, its numerator shifted
+past the denominator.  Every segment checks that its sigma fits that width,
+then that its keys stay below the abundancy cap.
 The join goes code-range bucket by bucket: it merges every segment's keys
 of the bucket into one index, and each segment's already sorted query
 slice probes that index in place.  Every run is a .npy file: beside the
@@ -35,11 +34,10 @@ integers only.  Anarchy forces N odd or M an odd square (the parity rule),
 and N = 2^a * o with o odd has N/sigma(N) = t exactly when
 o/sigma(o) = t * (2^(a+1) - 1)/2^a.  So one sweep of the odd column of the
 sieve probes every M's complement t, and the scaled targets of the
-odd-square M for each a >= 1 (_anarchy_targets).  Before it builds exact
-codes it looks up each o/sigma(o) as a float64 in a table of the targets'
-doubles, hashed on their low mantissa bits.  Equal rationals whose parts
-are below 2^53 round to the same double, and bound < 2^30 guarantees
-that, so the table drops no match; only the exact codes decide.
+odd-square M for each a >= 1 (_anarchy_targets).  It packs no code: each
+o/sigma(o) is matched as a float64 against the targets' doubles, which
+loses no match since o, sigma(o) < 2^53, and one exact cross-multiplication
+in Python ints decides.  So the sweep runs up to MAX_SIEVE_BOUND, 2^40.
 
 Amicable pairs use the aliquot shortcut instead: the only possible partner
 of M is s(M) = sigma(M) - M, so a pair exists exactly when
@@ -69,7 +67,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .arith import sieve_tables
+from .arith import MAX_SIEVE_BOUND, sieve_tables
 from .classify import TupleRecord, classify_all
 
 KINDS = ("harmonious", "unitary_harmonious", "amicable")
@@ -345,16 +343,16 @@ def _sigma_full(bound: int, star: bool, threads: int) -> np.ndarray:
 
 
 def _codes(
-    num: np.ndarray, den: np.ndarray, shift: int, num_max
+    num: np.ndarray, den: np.ndarray, shift: int, bound: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(codes, keep): (num << shift) | den of each num/den in lowest terms
-    with 1 <= num <= num_max (a scalar or one cap per row) and den < 2^shift,
-    and the mask of those rows.  Every code matched stands for a reduced
-    n/sigma(n) within those limits, so a dropped row can match nothing; for
-    keys that passed _check_packing, keep is all true."""
+    with 1 <= num <= bound and den < 2^shift, and the mask of those rows.
+    Every code matched stands for a reduced n/sigma(n) with n <= bound, so a
+    dropped row can match nothing; for keys that passed _check_packing, keep
+    is all true."""
     g = np.gcd(num, den)
     num, den = num // g, den // g
-    keep = (num >= 1) & (num <= num_max) & (den < 1 << shift)
+    keep = (num >= 1) & (num <= bound) & (den < 1 << shift)
     return (num[keep] << shift) | den[keep], keep
 
 
@@ -364,14 +362,14 @@ def _sorted_run(*rows: np.ndarray) -> np.ndarray:
     return np.stack([row[order] for row in rows])
 
 
-def _key_index(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(distinct codes, first row, end row) of each run of equal sorted codes."""
-    if not codes.size:
-        return codes, codes, codes
-    cut = np.flatnonzero(codes[1:] != codes[:-1]) + 1
+def _key_index(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(distinct keys, first row, end row) of each run of equal sorted keys."""
+    if not keys.size:
+        return keys, keys, keys
+    cut = np.flatnonzero(keys[1:] != keys[:-1]) + 1
     starts = np.concatenate(([0], cut))
-    stops = np.concatenate((cut, [codes.size]))
-    return codes[starts], starts, stops
+    stops = np.concatenate((cut, [keys.size]))
+    return keys[starts], starts, stops
 
 
 def _probe(
@@ -380,7 +378,7 @@ def _probe(
     queries: np.ndarray,
     owners: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One (owner, value) row per query code equal to an indexed key code.
+    """One (owner, value) row per query equal to an indexed key: codes or doubles.
 
     One binary search per query over the distinct keys; sorted queries walk
     the keys in order, which keeps the search in cache."""
@@ -695,23 +693,22 @@ def search_pairs(
     return _emit_records(_candidate_tuples(m_col, n_col), config.kind, config.filters)
 
 
-def _anarchy_targets(small_sigma: np.ndarray, n_bound: int, shift: int) -> np.ndarray:
-    """Code-sorted (code, m, 2^a) rows: the code of the reduced
-    t * (2^(a+1) - 1) / 2^a, t = (sigma(m) - m)/sigma(m), for every m at
-    a = 0 and every odd square m > 1 at each a >= 1 with 2^a <= n_bound.
-    An odd o matches exactly when N = 2^a * o has N/sigma(N) = t.  Rows with
-    a reduced numerator of 0 or above n_bound / 2^a (every such o lies above
-    it), or a denominator of 2^shift or more, are dropped.  No product
-    overflows: _check_packing gives sigma(m) < 2^shift, and _code_shift keeps
-    bit_length(n_bound) + shift <= 63, with 2^(a+1) <= 2^bit_length(n_bound)."""
-    size = small_sigma.size
-    odd_squares = np.arange(3, math.isqrt(size) + 1, 2, dtype=np.int64) ** 2
-    scales = np.arange(1, n_bound.bit_length(), dtype=np.int64)
-    m = np.concatenate((np.arange(1, size + 1, dtype=np.int64), np.tile(odd_squares, scales.size)))
-    a = np.concatenate((np.zeros(size, dtype=np.int64), np.repeat(scales, odd_squares.size)))
-    s = small_sigma[m - 1]
-    codes, keep = _codes((s - m) * ((2 << a) - 1), s << a, shift, n_bound >> a)
-    return _sorted_run(codes, m[keep], 1 << a[keep])
+def _anarchy_targets(small_sigma: np.ndarray, n_bound: int) -> tuple[list, np.ndarray]:
+    """(rows, doubles): the (num, den, m, a) rows, in Python ints, with
+    num/den = t * (2^(a+1) - 1) / 2^a, t = (sigma(m) - m)/sigma(m), for every
+    m at a = 0 and every odd square m > 1 at each a >= 1 with 2^a <= n_bound,
+    sorted by their doubles num / den, and those doubles.  An odd o matches
+    a row exactly when N = 2^a * o has N/sigma(N) = t.  Python's int
+    division is correctly rounded at any size, so no row is reduced, and
+    none is dropped: a row that no o can match costs one slot of the index."""
+    odd_squares = {k * k for k in range(3, math.isqrt(small_sigma.size) + 1, 2)}
+    rows = [
+        ((s - m) * ((2 << a) - 1), s << a, m, a)
+        for m, s in enumerate(small_sigma.tolist(), 1)
+        for a in range(n_bound.bit_length() if m in odd_squares else 1)
+    ]
+    rows.sort(key=lambda row: row[0] / row[1])
+    return rows, np.array([num / den for num, den, _, _ in rows])
 
 
 def search_anarchy_pairs(
@@ -722,7 +719,7 @@ def search_anarchy_pairs(
     progress: Progress | None = None,
 ) -> list[TupleRecord]:
     """Harmonious pairs with M <= m_bound, M <= N <= n_bound passing the
-    anarchy test.
+    anarchy test; n_bound is at most MAX_SIEVE_BOUND.
 
     The sweep reads sigma of the odd integers only.  Anarchy asks for
     gcd(N, M*sigma(M)) = gcd(M, N*sigma(N)) = 1, so an even N forces M and
@@ -731,33 +728,29 @@ def search_anarchy_pairs(
     odd; sigma(N) = (2^(a+1) - 1) * sigma(o), so N/sigma(N) = t exactly when
     o/sigma(o) = t * (2^(a+1) - 1) / 2^a.  The small side's targets are
     therefore every M's complement t with a = 0, plus the scaled
-    complements of the odd-square M for each a >= 1, as the (code, M, 2^a)
+    complements of the odd-square M for each a >= 1, as the (num, den, M, a)
     rows of _anarchy_targets.  One streaming sweep over the odd o in
     [1, n_bound] probes them, and a match gives N = 2^a * o, kept when
     M <= N <= n_bound.  The candidates are the harmonious pairs with N odd
     or M an odd square; _emit_records drops those that fail anarchy.
 
-    Before any exact key is built, each swept o's ratio o/sigma(o) is looked
-    up as a float64 in a table over the low mantissa bits of the targets'
-    doubles, and only the o it marks go on to _codes and _probe, which
-    alone decide.  The table drops no match: integers below 2^53 convert to
-    float64 exactly and their quotient is correctly rounded, so equal
-    rationals give the same double.  bound < 2^30 (enforced by _code_shift)
-    keeps o and sigma(o) far below 2^53, and every target's reduced
-    numerator (at most n_bound) and denominator (below 2^shift) too; every
+    Each swept o/sigma(o) is matched as a float64, first in a table over
+    the low mantissa bits of the targets' doubles, then by _probe.  o and
+    sigma(o) < 6o lie below 2^53, so o/sigma(o) is correctly rounded, as is
+    each target's num / den: equal rationals give equal doubles and no match
+    is lost.  Only o * den == num * sigma(o), in Python ints, decides; every
     record is re-validated by classify_all.
     """
     m_bound, n_bound = _integer("m_bound", m_bound), _integer("n_bound", n_bound)
     if not 2 <= m_bound <= n_bound:
         raise ValueError(f"need 2 <= m_bound <= n_bound, got ({m_bound}, {n_bound})")
+    if n_bound > MAX_SIEVE_BOUND:
+        raise ValueError(f"n_bound {n_bound} exceeds the sieve limit {MAX_SIEVE_BOUND}")
     threads = _integer("threads", threads, 0)
-    shift = _code_shift(n_bound)
     small_sigma = _sigma_full(m_bound, False, threads)
-    _check_packing(small_sigma, shift)
-    targets = _anarchy_targets(small_sigma, n_bound, shift)
-    index = _key_index(targets[0])
-    rows = np.arange(targets.shape[1])
-    doubles = (targets[0] >> shift) / (targets[0] & ((1 << shift) - 1))
+    rows, doubles = _anarchy_targets(small_sigma, n_bound)
+    index = _key_index(doubles)
+    row_ids = np.arange(len(rows))
     # equal doubles have equal bits, so a table over the low mantissa bits
     # passes every o whose double is among them (and about 0.1% of the rest)
     marks = np.zeros(_MARK_SLOTS, dtype=bool)
@@ -766,17 +759,18 @@ def search_anarchy_pairs(
     def work(seg: tuple[int, int]) -> np.ndarray:
         lo_n, hi_n = seg
         sigma = sieve_tables(lo_n, hi_n, odd=True)
-        _check_packing(sigma, shift)
         o = np.arange(lo_n | 1, hi_n + 1, 2, dtype=np.int64)
         slots = (o / sigma).view(np.int64)
         slots &= _MARK_SLOTS - 1  # in place: no second segment-sized temporary
         hit = np.flatnonzero(marks[slots])
-        codes, fit = _codes(o[hit], sigma[hit], shift, n_bound)
-        o_col, row = _probe(index, rows, codes, o[hit][fit])
-        m_col = targets[1, row]
-        n_col = o_col * targets[2, row]
-        keep = (n_col >= m_col) & (n_col <= n_bound)
-        return np.stack((m_col[keep], n_col[keep]))
+        at, row = _probe(index, row_ids, o[hit] / sigma[hit], hit)
+        pairs = []
+        for odd, s, r in zip(o[at].tolist(), sigma[at].tolist(), row.tolist()):
+            num, den, m, a = rows[r]
+            # equal doubles; the rationals are equal only when this holds
+            if odd * den == num * s and m <= odd << a <= n_bound:
+                pairs.append((m, odd << a))
+        return np.array(pairs, dtype=np.int64).reshape(-1, 2).T
 
     parts = list(_each_segment(work, _segments(n_bound), threads, progress, "swept"))
     pairs = _candidate_tuples(*np.concatenate(parts, axis=1))

@@ -29,7 +29,7 @@ library runs:
   scaled_targets_reference
                         every anarchy sweep target, one Fraction per m at
                         a = 0 and per (odd square, a) at a >= 1, against
-                        the one int64 pass of search._anarchy_targets.
+                        the Python-int rows of search._anarchy_targets.
 """
 
 from __future__ import annotations
@@ -282,18 +282,14 @@ def counts_reference(members: Iterable[int]) -> tuple[int, int, int]:
     return len(merged), sum(e for _, e in merged), sum(p.omega for p in profiles)
 
 
-def scaled_targets_reference(small_sigma, n_bound: int, shift: int) -> list[tuple[int, int, int]]:
-    """(code, m, 2^a) for every m (small_sigma[m - 1] its sigma) at a = 0
-    and for each odd square m > 1 at each a >= 1 with 2^a <= n_bound: the
-    packed code of the reduced t * (2^(a+1) - 1) / 2^a,
-    t = (sigma(m) - m)/sigma(m).  Rows whose reduced numerator is 0 or
-    exceeds n_bound / 2^a, or whose reduced denominator needs more than the
-    shift's bits, are dropped."""
+def scaled_targets_reference(small_sigma, n_bound: int) -> list[tuple[Fraction, int, int]]:
+    """(t * (2^(a+1) - 1) / 2^a, m, 2^a), the first as a Fraction, with
+    t = (sigma(m) - m)/sigma(m), for every m (small_sigma[m - 1] its sigma)
+    at a = 0 and for each odd square m > 1 at each a >= 1 with
+    2^a <= n_bound.  No row is dropped."""
     rows = []
     for m, s in enumerate(map(int, small_sigma), 1):
         odd_square = m > 1 and m % 2 == 1 and isqrt(m) ** 2 == m
         for a in range(n_bound.bit_length() if odd_square else 1):
-            t = Fraction((s - m) * ((2 << a) - 1), s << a)
-            if 1 <= t.numerator <= n_bound >> a and t.denominator < 1 << shift:
-                rows.append(((t.numerator << shift) | t.denominator, m, 1 << a))
+            rows.append((Fraction(s - m, s) * Fraction((2 << a) - 1, 1 << a), m, 1 << a))
     return rows

@@ -21,7 +21,7 @@ import pytest
 from oracles import profile_of, scaled_targets_reference
 
 import harmonia.search
-from harmonia.arith import sieve_tables
+from harmonia.arith import MAX_SIEVE_BOUND, sieve_tables
 from harmonia.classify import classify_all
 from harmonia.cli import main as cli_main
 from harmonia.search import (
@@ -33,7 +33,6 @@ from harmonia.search import (
     _anarchy_targets,
     _bucket_edges,
     _bucket_slice,
-    _check_packing,
     _code_shift,
     _codes,
     _each_segment,
@@ -654,20 +653,14 @@ def test_anarchy_validation():
 
 
 def test_anarchy_key_match_for_known_pair():
-    # the sweep's matching arithmetic, probed directly at the real pair
-    n_bound = 2 * 10**8
-    shift = _code_shift(n_bound)
-    ccode, owner = _codes(
-        np.array([127 - 64], dtype=np.int64), np.array([127], dtype=np.int64), shift, n_bound
-    )
-    code, swept = _codes(
-        np.array([173369889], dtype=np.int64),
-        np.array([349491681], dtype=np.int64),
-        shift,
-        n_bound,
-    )
-    assert owner.tolist() == swept.tolist() == [True]
-    assert ccode.tolist() == code.tolist()
+    # the sweep's matching arithmetic, probed directly at the real pair: the
+    # double of 173369889/349491681 finds the row of 64's complement 63/127,
+    # and the cross-multiplication confirms it
+    rows, doubles = _anarchy_targets(sieve_tables(1, 64), 2 * 10**8)
+    o, s = np.array([173369889]), np.array([349491681])
+    at, row = _probe(_key_index(doubles), np.arange(len(rows)), o / s, np.array([0]))
+    assert at.tolist() == [0] and [rows[r] for r in row.tolist()] == [(63, 127, 64, 0)]
+    assert 173369889 * 127 == 63 * 349491681
 
 
 def test_codes_drop_rules_at_the_int64_edge():
@@ -689,56 +682,51 @@ def test_codes_drop_rules_at_the_int64_edge():
     num = np.array([r[0] for r in rows], dtype=np.int64)
     den = np.array([r[1] for r in rows], dtype=np.int64)
     reduced = [Fraction(*r) for r in rows]
-    # a scalar cap, then one cap per row, num_max >> a as the anarchy
-    # targets pass it
-    per_row = num_max >> np.array([5, 0, 0, 29, 0, 0, 1], dtype=np.int64)
-    for cap, kept in (
-        (num_max, [False, True, False, True, False, True, True]),
-        (per_row, [False, True, False, True, False, True, False]),
-    ):
-        codes, keep = _codes(num, den, shift, cap)
-        caps = np.broadcast_to(cap, num.shape).tolist()
-        want = [1 <= t.numerator <= c and t.denominator <= top for t, c in zip(reduced, caps)]
-        assert keep.tolist() == want == kept
-        fits = [t for t, k in zip(reduced, want) if k]
-        assert codes.tolist() == [(t.numerator << shift) | t.denominator for t in fits]
-        for code, t in zip(codes.tolist(), fits):
-            assert (code >> shift, code & top) == (t.numerator, t.denominator)
-    assert _codes(num, den, shift, num_max)[0][-1] == (1 << 63) - 3
+    codes, keep = _codes(num, den, shift, num_max)
+    want = [1 <= t.numerator <= num_max and t.denominator <= top for t in reduced]
+    assert keep.tolist() == want == [False, True, False, True, False, True, True]
+    fits = [t for t, k in zip(reduced, want) if k]
+    assert codes.tolist() == [(t.numerator << shift) | t.denominator for t in fits]
+    for code, t in zip(codes.tolist(), fits):
+        assert (code >> shift, code & top) == (t.numerator, t.denominator)
+    assert codes[-1] == (1 << 63) - 3
 
 
 def anarchy_target_rows(small_sigma, n_bound):
-    """The rows of _anarchy_targets and those of scaled_targets_reference,
-    each sorted."""
-    shift = _code_shift(n_bound)
-    _check_packing(small_sigma, shift)
-    targets = _anarchy_targets(small_sigma, n_bound, shift)
-    assert (np.diff(targets[0]) >= 0).all()
-    want = scaled_targets_reference(small_sigma, n_bound, shift)
-    return sorted(zip(*targets.tolist())), sorted(want)
+    """The rows of _anarchy_targets as (Fraction, m, 2^a) and those of
+    scaled_targets_reference, each sorted, after checking that the rows are
+    Python ints and that each row's double is float(Fraction(num, den)), in
+    ascending order."""
+    rows, doubles = _anarchy_targets(small_sigma, n_bound)
+    assert all(type(v) is int for row in rows for v in row)
+    assert doubles.tolist() == [float(Fraction(num, den)) for num, den, _, _ in rows]
+    assert (np.diff(doubles) >= 0).all()
+    got = [(Fraction(num, den), m, 1 << a) for num, den, m, a in rows]
+    return sorted(got), sorted(scaled_targets_reference(small_sigma, n_bound))
 
 
 @pytest.mark.parametrize(
     "m_bound, n_bound",
-    [(2, 2), (9, 2015), (9, 2016), (1000, 176160768), (5000, 2**30 - 1)],
+    [(2, 2), (9, 2015), (9, 2016), (1000, 176160768), (5000, 2**30 - 1), (1000, 2**40)],
 )
 def test_anarchy_targets_match_reference(m_bound, n_bound):
     got, want = anarchy_target_rows(sieve_tables(1, m_bound), n_bound)
     assert got == want
+    assert len(got) == m_bound + (math.isqrt(m_bound) - 1) // 2 * (n_bound.bit_length() - 1)
 
 
-def test_anarchy_targets_near_the_int64_limit():
-    # sigma just below 2^shift at n_bound = 2^30 - 1 (shift 33): at a = 29
-    # the products (sigma - m) * (2^(a+1) - 1) come just below 2^63; each
-    # sigma is a multiple of m, so that many rows reduce far enough to survive
-    n_bound = 2**30 - 1
-    shift = _code_shift(n_bound)
+def test_anarchy_targets_at_the_sieve_limit():
+    # sigma just below 2^43, above every sigma(n) with n <= 2^40, at
+    # n_bound = 2^40: at a = 40 a row's num and den pass 2^82, where an
+    # int64 product would wrap
+    n_bound = MAX_SIEVE_BOUND
     m = np.arange(1, 2001, dtype=np.int64)
-    small_sigma = ((1 << shift) - 1) // m * m
-    assert (small_sigma > (1 << shift) - 1 - m).all()
+    small_sigma = ((1 << 43) - 1) // m * m
     got, want = anarchy_target_rows(small_sigma, n_bound)
     assert got == want
-    assert len(got) > 1000 and any(scale > 1 for _, _, scale in got)
+    assert max(scale for _, _, scale in got) == 1 << 40
+    rows, _ = _anarchy_targets(small_sigma, n_bound)
+    assert max(den for _, den, _, _ in rows).bit_length() == 83
 
 
 def odd_square(m):
@@ -828,6 +816,73 @@ def test_anarchy_prefilter_drops_no_candidate(monkeypatch):
     assert len(kept) == 44 and len(removed) == 420
     assert not any(r.flags["anarchy"] for r in classify_all(removed))
     assert swept_candidates(monkeypatch, m_bound, n_bound, (1024, 1 << 17)) == kept
+
+
+def test_anarchy_sweep_drops_an_equal_double_of_another_fraction(monkeypatch):
+    # a planted target (3 * 2^60 + 1) / (4 * 2^60) for m = 2 rounds to the
+    # double of 3/sigma(3) = 3/4 but is not 3/4, so only the exact check
+    # keeps (2, 3) out of the candidates
+    planted = ((3 << 60) + 1, 4 << 60, 2, 0)
+    assert planted[0] / planted[1] == 3 / 4 and Fraction(*planted[:2]) != Fraction(3, 4)
+    targets = harmonia.search._anarchy_targets
+
+    def with_planted(small_sigma, n_bound):
+        rows = sorted(targets(small_sigma, n_bound)[0] + [planted], key=lambda r: r[0] / r[1])
+        return rows, np.array([num / den for num, den, _, _ in rows])
+
+    want = swept_candidates(monkeypatch, 10, 3000)
+    monkeypatch.setattr(harmonia.search, "_anarchy_targets", with_planted)
+    got = swept_candidates(monkeypatch, 10, 3000)
+    assert got == want and (2, 3) not in got
+
+
+def test_anarchy_sweep_above_2_to_the_30(monkeypatch):
+    # two segments of the 2^31 sweep, against the plain sigma column of the
+    # same segments: each odd N whose reduced N/sigma(N) is a small m's
+    # reduced complement.  Every o there exceeds 2^30, so N = 2^a * o <= 2^31
+    # needs a = 0, and the odd N are all the candidates
+    m_bound, n_bound = 10**4, 2**31
+    length = _segment_length(n_bound)
+    starts = [(n - 1) // length * length + 1 for n in (1169405775, 1221700095)]
+    segs = [(lo, lo + length - 1) for lo in starts]
+    segments = harmonia.search._segments
+    monkeypatch.setattr(
+        harmonia.search, "_segments", lambda bound: segs if bound == n_bound else segments(bound)
+    )
+    got = swept_candidates(monkeypatch, m_bound, n_bound)
+
+    comps = defaultdict(list)
+    for m, s in enumerate(sieve_tables(1, m_bound).tolist(), 1):
+        t = Fraction(s - m, s)
+        comps[t.numerator, t.denominator].append(m)
+    widest = max(den for _, den in comps)
+    want = []
+    for lo, hi in segs:
+        n = np.arange(lo, hi + 1, dtype=np.int64)
+        sigma = sieve_tables(lo, hi)
+        g = np.gcd(n, sigma)
+        odd = np.flatnonzero((n % 2 == 1) & (sigma // g <= widest))
+        reduced = zip(n[odd].tolist(), (n // g)[odd].tolist(), (sigma // g)[odd].tolist())
+        for big, num, den in reduced:
+            want += [(m, big) for m in comps.get((num, den), ())]
+    assert got == sorted(want)
+    assert {(6825, 1169405775), (6795, 1221700095)} <= set(got)
+    records = classify_all(got)
+    assert all(r.flags["harmonious"] and not r.flags["anarchy"] for r in records)
+    assert _emit_records(got, "harmonious", frozenset({"anarchy"})) == []
+
+
+def test_anarchy_sweep_refuses_past_the_sieve_limit(monkeypatch, capsys):
+    # refused before any sieve runs, not in the last segment of the sweep
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("the sweep sieved before refusing its bound")
+
+    monkeypatch.setattr(harmonia.search, "sieve_tables", no_sieve)
+    with pytest.raises(ValueError, match=f"^n_bound {MAX_SIEVE_BOUND + 1} exceeds the sieve"):
+        search_anarchy_pairs(100, MAX_SIEVE_BOUND + 1)
+    argv = ["search", "anarchy", "--m-bound", "100", "--n-bound", str(MAX_SIEVE_BOUND + 1)]
+    assert cli_main(argv) == 2
+    assert "exceeds the sieve limit" in capsys.readouterr().err
 
 
 # --- triples ---------------------------------------------------------------------
@@ -995,8 +1050,8 @@ def test_key_packing_guard_refuses_low_sigma_cap(monkeypatch):
     monkeypatch.setattr(harmonia.search, "_sigma_cap", lambda bound: bound)
     with pytest.raises(ArithmeticError, match="key packing"):
         search_pairs(SearchConfig(bound=3000))
-    with pytest.raises(ArithmeticError, match="key packing"):
-        search_anarchy_pairs(10, 3000)
+    # the anarchy sweep packs no code, so the cap does not reach it
+    assert search_anarchy_pairs(10, 3000) == []
     with pytest.raises(ArithmeticError, match="key packing"):
         search_triples(SearchConfig(bound=3000, k=3))
     # one segment holding the bound instead of the derived three
