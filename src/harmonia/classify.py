@@ -68,20 +68,31 @@ class TupleRecord:
     factorizations: tuple[Factorization, ...]
     flags: dict[str, bool]
 
+    def _prime_counts(self) -> tuple[int, int, int]:
+        """(K, L_omega, L_star) in one pass over the factorizations."""
+        primes = set()
+        exponents = count = 0
+        for f in self.factorizations:
+            count += len(f)
+            for p, e in f:
+                primes.add(p)
+                exponents += e
+        return len(primes), exponents, count
+
     @property
     def K(self) -> int:
         """omega(prod M_i): the distinct primes across the members."""
-        return len({p for f in self.factorizations for p, _ in f})
+        return self._prime_counts()[0]
 
     @property
     def L_omega(self) -> int:
         """Omega(prod M_i): the sum of all exponents."""
-        return sum(e for f in self.factorizations for _, e in f)
+        return self._prime_counts()[1]
 
     @property
     def L_star(self) -> int:
         """sum of omega(M_i): each member's primes, summed over the members."""
-        return sum(map(len, self.factorizations))
+        return self._prime_counts()[2]
 
     @property
     def g1(self) -> int | None:
@@ -101,6 +112,7 @@ class TupleRecord:
         return out
 
     def to_json_dict(self) -> dict:
+        k, l_omega, l_star = self._prime_counts()
         # fixed field order so that output files diff cleanly
         return {
             "members": list(self.members),
@@ -108,9 +120,9 @@ class TupleRecord:
             "flags": {name: self.flags[name] for name in FLAG_NAMES},
             "g1": self.g1,
             "g2": self.g2,
-            "K": self.K,
-            "L": self.L_omega,
-            "L_star": self.L_star,
+            "K": k,
+            "L": l_omega,
+            "L_star": l_star,
         }
 
     def to_json(self) -> str:

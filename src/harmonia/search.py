@@ -13,20 +13,26 @@ before it becomes a query: about 40% of them.  The unitary kind splits the
 same way on sigma*.
 
 One segment pipeline serves every pair kind.  For the ratio kinds, pass 1
-sieves each segment once and emits a code-sorted key run and a code-sorted
-query run.  Every code, the triples' too, comes from _codes at the width
-_code_shift(bound): a reduced fraction in one int64, its numerator shifted
-past the denominator.  Every segment checks that its sigma fits that width,
-then that its keys stay below the abundancy cap.
-The join goes code-range bucket by bucket: it merges every segment's keys
-of the bucket into one index, and each segment's already sorted query
-slice probes that index in place.  Every run is a .npy file: beside the
-checkpoint when one is configured, in a temporary directory otherwise.
-Segment lengths follow from the bound alone (_segment_length), so no
-search has a tuning knob and a checkpoint resumes under any thread count.
-Pair search needs bound < 2^30: from there on, a numerator and a
-denominator no longer fit in 63 bits together.  Every segment loop, the
-anarchy sweep's too, runs on one thread-pool driver, _each_segment.
+sieves each segment once and emits a key run and a query run, each sorted
+by its ratio's float64, read as int64 bits: for positive doubles the bits
+sort as the values do.  Nothing is reduced.  With n < 2^30 and
+sigma < 2^33, each double is the correctly rounded value of its exact
+ratio, so equal rationals have equal bits and no match is lost.  Every
+segment checks that its sigma fits the width _code_shift(bound), then that
+its keys stay below the abundancy cap.  The join goes bucket by bucket over
+ranges of those bits: it merges every segment's keys of the bucket into
+one index, and each segment's already sorted query slice probes that index
+in place.  A match of doubles is confirmed on its rows alone: each sigma
+comes back from the shared double, and one int64 cross-multiplication
+decides (_exact_matches).  Every run is a .npy file: beside the checkpoint
+when one is configured, in a temporary directory otherwise.  Segment
+lengths follow from the bound alone (_segment_length), so no search has a
+tuning knob and a checkpoint resumes under any thread count.  Pair search
+needs bound < 2^30: from there on, the confirm's products n * sigma no
+longer fit in 63 bits.  Every segment loop, the anarchy sweep's too, runs
+on one thread-pool driver, _each_segment.  The triple search keys by the
+packed codes of _codes instead: a reduced fraction in one int64, its
+numerator shifted past the denominator.
 
 The anarchy sweep pairs a small side M <= m_bound with every N up to a much
 larger n_bound, streaming N through the same complement match over the odd
@@ -80,7 +86,7 @@ TRIPLE_BOUND_CAP = 10**5
 _BUCKET_TARGET_BYTES = 64 << 20
 # layout of the run files; it enters the config digest, so a checkpoint
 # written under an older layout is refused instead of resumed
-_RUN_LAYOUT = 3
+_RUN_LAYOUT = 4
 # slots of the anarchy sweep's float64 prefilter table (1 MB of bool)
 _MARK_SLOTS = 1 << 20
 
@@ -263,7 +269,8 @@ def _sigma_cap(bound: int) -> int:
 
 def _code_shift(bound: int) -> int:
     """Bit offset separating numerator from denominator in packed codes:
-    the width of _sigma_cap(bound), which _check_packing holds sigma to."""
+    the width of _sigma_cap(bound), which _check_packing holds sigma to.
+    bound * 2^shift < 2^63 also keeps the pair confirm's products in int64."""
     cap = _sigma_cap(bound)
     shift = cap.bit_length()
     if int(bound).bit_length() + shift > 63:
@@ -274,8 +281,9 @@ def _code_shift(bound: int) -> int:
 
 
 def _check_packing(sigma: np.ndarray, shift: int) -> None:
-    """Refuse a segment whose sigma overflows the denominator width: its
-    codes would collide with other fractions' and pairs would go missing."""
+    """Refuse a segment whose sigma overflows the width shift: a triple
+    code would collide with other fractions', and a pair confirm's products
+    could overflow int64, so tuples would go missing."""
     top = int(sigma.max(initial=0))
     if top >= 1 << shift:
         raise ArithmeticError(
@@ -346,10 +354,10 @@ def _codes(
     num: np.ndarray, den: np.ndarray, shift: int, bound: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(codes, keep): (num << shift) | den of each num/den in lowest terms
-    with 1 <= num <= bound and den < 2^shift, and the mask of those rows.
-    Every code matched stands for a reduced n/sigma(n) with n <= bound, so a
-    dropped row can match nothing; for keys that passed _check_packing, keep
-    is all true."""
+    with 1 <= num <= bound and den < 2^shift, and the mask of those rows:
+    the triple search's keys and residuals.  Every code matched stands for a
+    reduced n/sigma(n) with n <= bound, so a dropped row can match nothing;
+    for keys that passed _check_packing, keep is all true."""
     g = np.gcd(num, den)
     num, den = num // g, den // g
     keep = (num >= 1) & (num <= bound) & (den < 1 << shift)
@@ -378,7 +386,8 @@ def _probe(
     queries: np.ndarray,
     owners: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One (owner, value) row per query equal to an indexed key: codes or doubles.
+    """One (owner, value) row per query equal to an indexed key: codes,
+    doubles or their bits.
 
     One binary search per query over the distinct keys; sorted queries walk
     the keys in order, which keeps the search in cache."""
@@ -398,7 +407,7 @@ def _probe(
 # --- run store ----------------------------------------------------------------
 #
 # Pass 1 writes each segment's runs into the store under (segment, name):
-# the ratio kinds write a "keys" and a "comps" run of (code, n) rows,
+# the ratio kinds write a "keys" and a "comps" run of (ratio bits, n) rows,
 # amicable writes a "queries" run of (partner, sigma_m, m) rows.  Every run
 # is one int64 array sorted by its first row.
 
@@ -439,11 +448,13 @@ def _run_store(config: SearchConfig) -> Iterator[_FileRuns]:
 def _ratio_segment_runs(
     lo: int, hi: int, bound: int, shift: int, star: bool
 ) -> dict[str, np.ndarray]:
-    """Ratio codes of the segment's n with sigma >= 2n as keys, complement
-    codes of its n with sigma <= 2n as queries.
+    """Runs of (ratio bits, n) rows: the double n/sigma(n) of the segment's
+    n with sigma >= 2n as keys, the double (sigma - n)/sigma of its n with
+    sigma <= 2n as queries, each read as int64 bits.  No fraction is
+    reduced: _exact_matches confirms the join's matches.
 
     Every key n/sigma(n) lies above b/a, the inverse abundancy cap, which
-    the segment checks after the key packing.  So only the queries whose
+    the segment checks after the sigma width.  So only the queries whose
     complement (sigma - n)/sigma lies above b/a can match a key; the rest
     (about 40%) never enter the run."""
     sigma = sieve_tables(lo, hi, star=star)
@@ -454,11 +465,9 @@ def _ratio_segment_runs(
     _check_abundancy(n[key], sigma[key], a, b)
     query = (sigma <= 2 * n) & ((sigma - n) * a > sigma * b)
     m, s = n[key], sigma[key]
-    codes, kept = _codes(m, s, shift, bound)
-    keys = _sorted_run(codes, m[kept])
+    keys = _sorted_run((m / s).view(np.int64), m)
     m, s = n[query], sigma[query]
-    codes, asked = _codes(s - m, s, shift, bound)
-    return {"keys": keys, "comps": _sorted_run(codes, m[asked])}
+    return {"keys": keys, "comps": _sorted_run(((s - m) / s).view(np.int64), m)}
 
 
 def _amicable_segment_runs(
@@ -537,28 +546,33 @@ def _pass1(
 
 
 def _bucket_edges(bound: int, shift: int, total_keys: int) -> list[int]:
-    """Code-range boundaries splitting the join into flat-memory buckets,
-    from 0 to (bound + 1) << shift, above every code: _codes caps numerators at bound."""
+    """Boundaries of the join's flat-memory buckets, as int64 bit patterns
+    of doubles: 0, then cuts spaced evenly in value over (b/a, 1/2], where
+    every key and query ratio lies (_abundancy_cap), then one past the bits
+    of 1/2, where the perfect numbers sit.  The ratios are doubles at every
+    key width, so shift does not move the edges."""
     want = max(1, (total_keys * 16) // _BUCKET_TARGET_BYTES)
     buckets = 1 << min(12, max(0, want - 1).bit_length())
-    return [((i * (bound + 1)) // buckets) << shift for i in range(buckets + 1)]
+    a, b = _abundancy_cap(bound)
+    bits = np.linspace(b / a, 0.5, buckets + 1).view(np.int64).tolist()
+    return [0, *bits[1:-1], bits[-1] + 1]
 
 
 def _bucket_slice(run: np.ndarray, lo_edge: int, hi_edge: int) -> np.ndarray:
-    """The columns of a code-sorted run with codes in [lo_edge, hi_edge),
-    read as <= hi_edge - 1, which fits int64 even where the last edge is 2^63."""
+    """The columns of a run sorted by its first row with that row in
+    [lo_edge, hi_edge)."""
     col = run[0]
-    return run[:, np.searchsorted(col, lo_edge) : np.searchsorted(col, hi_edge - 1, side="right")]
+    return run[:, np.searchsorted(col, lo_edge) : np.searchsorted(col, hi_edge)]
 
 
 def _bucket_rows(store, nsegs: int, lo_edge: int, hi_edge: int) -> np.ndarray:
-    """Every segment's key rows with codes in [lo_edge, hi_edge), merged
-    into one code-sorted array."""
+    """Every segment's key rows with ratio bits in [lo_edge, hi_edge),
+    merged into one array sorted by those bits."""
     rows = np.concatenate(
         [_bucket_slice(store.load(i, "keys"), lo_edge, hi_edge) for i in range(nsegs)], axis=1
     )
     # the parts are sorted runs, which a stable (merging) sort exploits
-    return rows[:, np.argsort(rows[0], kind="stable")]
+    return np.take(rows, np.argsort(rows[0], kind="stable"), axis=1)
 
 
 def _check_conserved(phase: str, taken: int, written: int) -> None:
@@ -569,6 +583,24 @@ def _check_conserved(phase: str, taken: int, written: int) -> None:
             f"{phase}: the slices hold {taken} rows, pass 1 wrote {written}; "
             "a bucket or segment slice lost rows"
         )
+
+
+def _exact_matches(q: np.ndarray, m: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """Mask of the matches, query q and key m on the shared double d whose
+    int64 bits are given, with (sigma(q) - q)/sigma(q) == m/sigma(m) exactly.
+
+    Each sigma comes back from d as rint(m / d) and rint(q / (1 - d)), and
+    must give back d bit for bit, else the run is corrupt and this raises.
+    That round trip is a proof: for a fixed n, n/s and n/(s + 1) differ by
+    a relative 1/(s + 1) >= 2^-33, far above one ulp, so only the true sigma
+    reproduces d.  Then one cross-multiplication decides; its products stay
+    below bound * 2^shift < 2^63 (_code_shift, _check_packing)."""
+    d = bits.view(np.float64)
+    sigma_m = np.rint(m / d).astype(np.int64)
+    sigma_q = np.rint(q / (1 - d)).astype(np.int64)
+    if not (np.array_equal(m / sigma_m, d) and np.array_equal((sigma_q - q) / sigma_q, d)):
+        raise ArithmeticError("a run's ratio is not n/sigma(n) of its row; the run is corrupt")
+    return m * sigma_q == (sigma_q - q) * sigma_m
 
 
 def _join(
@@ -583,9 +615,10 @@ def _join(
     rows of one array.
 
     Each bucket merges the keys of every segment into one index.  The
-    queries are never merged: each segment's run is already code-sorted,
-    so its slice of the bucket probes the index in place.  The buckets'
-    key rows and query rows must add up to the pass-1 runs'
+    queries are never merged: each segment's run is already sorted, so its
+    slice of the bucket probes the index in place.  A probe matches equal
+    doubles, and _exact_matches keeps the matches of equal rationals.  The
+    buckets' key rows and query rows must add up to the pass-1 runs'
     (_check_conserved)."""
     total = sum(store.load(i, "keys").shape[1] for i in range(nsegs))
     queries = sum(store.load(i, "comps").shape[1] for i in range(nsegs))
@@ -599,14 +632,16 @@ def _join(
         for i in range(nsegs):
             comps = _bucket_slice(store.load(i, "comps"), edges[b], edges[b + 1])
             joined_queries += comps.shape[1]
+            at, m = _probe(index, keys[1], comps[0], np.arange(comps.shape[1]))
             # two distinct perfect numbers match from both sides; the
             # caller's candidate set folds that duplicate
-            parts.append(np.stack(_probe(index, keys[1], comps[0], comps[1])))
+            parts.append(np.stack((comps[1, at], m, comps[0, at])))
         if progress:
             progress(f"joined bucket {b + 1}/{len(edges) - 1}")
     _check_conserved("join keys", joined_keys, total)
     _check_conserved("join queries", joined_queries, queries)
-    pairs = np.sort(np.concatenate(parts, axis=1), axis=0)
+    q, m, bits = np.concatenate(parts, axis=1)
+    pairs = np.sort(np.stack((q, m))[:, _exact_matches(q, m, bits)], axis=0)
     return pairs if equal_allowed else pairs[:, pairs[0] < pairs[1]]
 
 

@@ -13,6 +13,7 @@ import math
 import os
 import tempfile
 import time
+import types
 from collections import defaultdict
 from fractions import Fraction
 
@@ -37,6 +38,7 @@ from harmonia.search import (
     _codes,
     _each_segment,
     _emit_records,
+    _join,
     _key_index,
     _probe,
     _ratio_segment_runs,
@@ -317,6 +319,60 @@ def test_multi_bucket_join_matches_full_join_1e6(kind, monkeypatch):
         assert sum(line.startswith("joined bucket") for line in lines) >= 8
 
 
+def planted_join(keys, queries):
+    """The pairs that _join emits from one segment whose key and query runs
+    hold the given (double, n) rows, at bound 2^30 - 1."""
+    runs = {
+        name: _sorted_run(
+            np.array([d for d, _ in rows], dtype=np.float64).view(np.int64),
+            np.array([n for _, n in rows], dtype=np.int64),
+        )
+        for name, rows in (("keys", keys), ("comps", queries))
+    }
+    store = types.SimpleNamespace(load=lambda index, name: runs[name])
+    bound = 2**30 - 1
+    return _join(store, 1, bound, _code_shift(bound), True, None).T.tolist()
+
+
+def test_join_drops_an_equal_double_of_another_fraction():
+    # the query q = 2^29 + 11 with sigma 2^30 - 3 has a complement x whose
+    # double d also rounds y, a fraction with a denominator near 2^31 that
+    # limit_denominator finds inside d's ulp: the key m/sigma(m) = y matches
+    # q's query bit for bit, but only the rationals decide
+    q, sigma_q = (1 << 29) + 11, (1 << 30) - 3
+    x = Fraction(sigma_q - q, sigma_q)
+    d = float(x)
+    ulp = Fraction(math.ulp(d))
+    y = (Fraction(d) + (ulp / 4 if x <= Fraction(d) else -ulp / 4)).limit_denominator(1 << 31)
+    assert float(y) == d and y != x
+    assert y.numerator < 2**30 and y.denominator < 2**33
+    # beside it, the true pair (135, 3472): 105/240 = 3472/7936 = 7/16
+    keys = [(y.numerator / y.denominator, y.numerator), (3472 / 7936, 3472)]
+    queries = [((sigma_q - q) / sigma_q, q), (105 / 240, 135)]
+    assert planted_join(keys, queries) == [[135, 3472]]
+
+
+def flipped(d):
+    """d with the lowest bit of its mantissa flipped."""
+    return float((np.array([d]).view(np.int64) ^ 1).view(np.float64)[0])
+
+
+@pytest.mark.parametrize(
+    "keys, queries",
+    [
+        # both stored doubles of (135, 3472) one bit off 7/16
+        ([(flipped(7 / 16), 3472)], [(flipped(7 / 16), 135)]),
+        # a key whose double is no 3473/s: 3473 * 16/7 = 7938.3
+        ([(7 / 16, 3473)], [(7 / 16, 135)]),
+        # a query whose double is no (s - 136)/s: 136 * 16/9 = 241.8
+        ([(7 / 16, 3472)], [(7 / 16, 136)]),
+    ],
+)
+def test_join_refuses_a_double_that_no_sigma_gives_back(keys, queries):
+    with pytest.raises(ArithmeticError, match="run is corrupt"):
+        planted_join(keys, queries)
+
+
 @pytest.mark.parametrize(
     "kind, skip",
     # harmonious at 3000 runs 3 segments and one bucket: its first three
@@ -373,15 +429,23 @@ def test_bucket_edges_cover_every_code_1e5(kind, monkeypatch):
         assert np.array_equal(np.concatenate(parts, axis=1), run)
 
 
-def test_bucket_slice_reaches_a_last_edge_of_2_63():
-    # at bound 2^30 - 1 the last edge, (bound + 1) << shift, is 2^63, one
-    # past the largest int64; the slice still takes the codes just below it
-    bound = 2**30 - 1
+def test_bucket_slice_reaches_the_last_edge_above_one_half(monkeypatch):
+    # the perfect numbers sit at exactly 1/2, the top of every ratio, so the
+    # last edge lies one past the bits of 1/2 and the last bucket takes them
+    monkeypatch.setattr(harmonia.search, "_BUCKET_TARGET_BYTES", 1 << 8)
+    half = int(np.float64(6 / 12).view(np.int64))
+    assert _bucket_edges(2**30 - 1, _code_shift(2**30 - 1), 0)[-1] == half + 1
+    bound = 1000
     shift = _code_shift(bound)
-    assert _bucket_edges(bound, shift, 0)[-1] == 1 << 63
-    run = np.array([[5 << shift, (1 << 63) - 2, (1 << 63) - 1], [1, 2, 3]], dtype=np.int64)
-    assert _bucket_slice(run, 0, 1 << 63).tolist() == run.tolist()
-    assert _bucket_slice(run, (1 << 63) - 1, 1 << 63).tolist() == [[(1 << 63) - 1], [3]]
+    runs = _ratio_segment_runs(1, bound, bound, shift, False)
+    edges = _bucket_edges(bound, shift, runs["keys"].shape[1])
+    assert len(edges) - 1 >= 8 and edges[-2] <= half < edges[-1]
+    for name, run in runs.items():
+        parts = [_bucket_slice(run, lo, hi) for lo, hi in zip(edges, edges[1:])]
+        assert np.array_equal(np.concatenate(parts, axis=1), run)
+        last = parts[-1]
+        assert sorted(last[1, last[0] == half].tolist()) == [6, 28, 496]
+        assert np.count_nonzero(run[0] == half) == 3
 
 
 def test_complement_key_invariant():

@@ -8,7 +8,8 @@ in its own module, and a helper goes when its last caller does.  Every name
 a module in src/ imports is read in that module or re-exported by the
 package, so code that is deleted takes its imports with it.  Every dataclass
 in src/ is frozen: results are built once and only read.  The search reduces
-fractions in one place: every np.gcd in search.py lies inside _codes."""
+fractions in one place: every np.gcd in search.py lies inside _codes.  The
+pair search's pass 1 and join key by doubles and reduce nothing."""
 
 import ast
 from pathlib import Path
@@ -161,3 +162,20 @@ def _gcd_readers(path: Path) -> list[str]:
 
 def test_search_reduces_fractions_in_one_place():
     assert _gcd_readers(SRC / "search.py") == ["_codes"]
+
+
+def test_pair_pipeline_reduces_no_fraction():
+    tree = ast.parse((SRC / "search.py").read_text())
+    found = {
+        node.name: sorted(
+            {
+                ast.unparse(sub)
+                for sub in ast.walk(node)
+                if isinstance(sub, (ast.Name, ast.Attribute))
+                and ast.unparse(sub) in ("_codes", "np.gcd")
+            }
+        )
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in ("_ratio_segment_runs", "_join")
+    }
+    assert found == {"_ratio_segment_runs": [], "_join": []}
