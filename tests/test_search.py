@@ -367,6 +367,7 @@ def flipped(d):
         # a query whose double is no (s - 136)/s: 136 * 16/9 = 241.8
         ([(7 / 16, 3472)], [(7 / 16, 136)]),
     ],
+    ids=["flipped-bits", "key-without-sigma", "query-without-sigma"],
 )
 def test_join_refuses_a_double_that_no_sigma_gives_back(keys, queries):
     with pytest.raises(ArithmeticError, match="run is corrupt"):
