@@ -19,20 +19,21 @@ sort as the values do.  Nothing is reduced.  With n < 2^30 and
 sigma < 2^33, each double is the correctly rounded value of its exact
 ratio, so equal rationals have equal bits and no match is lost.  Every
 segment checks that its sigma fits the width _code_shift(bound), then that
-its keys stay below the abundancy cap.  The join goes bucket by bucket over
-ranges of those bits: it merges every segment's keys of the bucket into
-one index, and each segment's already sorted query slice probes that index
-in place.  A match of doubles is confirmed on its rows alone: each sigma
-comes back from the shared double, and one int64 cross-multiplication
-decides (_exact_matches).  Every run is a .npy file: beside the checkpoint
+its keys stay below the abundancy cap.  The join splits ranges of those
+bits into at least 8 buckets and runs them on _each_segment, one task per
+bucket: it merges every segment's keys of the bucket into one index, and
+each segment's already sorted query slice probes that index in place.  A
+match of doubles is confirmed on its rows alone: each sigma comes back
+from the shared double, and one int64 cross-multiplication decides
+(_exact_matches).  Every run is a .npy file: beside the checkpoint
 when one is configured, in a temporary directory otherwise.  Segment
 lengths follow from the bound alone (_segment_length), so no search has a
 tuning knob and a checkpoint resumes under any thread count.  Pair search
 needs bound < 2^30: from there on, the confirm's products n * sigma no
-longer fit in 63 bits.  Every segment loop, the anarchy sweep's too, runs
-on one thread-pool driver, _each_segment.  The triple search keys by the
-packed codes of _codes instead: a reduced fraction in one int64, its
-numerator shifted past the denominator.
+longer fit in 63 bits.  Every segment loop, the anarchy sweep's too, and
+the join's buckets run on one thread-pool driver, _each_segment.  The
+triple search keys by the packed codes of _codes instead: a reduced
+fraction in one int64, its numerator shifted past the denominator.
 
 The anarchy sweep pairs a small side M <= m_bound with every N up to a much
 larger n_bound, streaming N through the same complement match over the odd
@@ -82,7 +83,7 @@ _FILTER_FLAG = {"coprime": "pairwise_coprime", "anarchy": "anarchy"}
 
 TRIPLE_BOUND_CAP = 10**5
 # key bytes per bucket of the merge join; a bucket's queries take about
-# three times as much
+# three times as much, and up to `threads` buckets are resident at once
 _BUCKET_TARGET_BYTES = 64 << 20
 # layout of the run files; it enters the config digest, so a checkpoint
 # written under an older layout is refused instead of resumed
@@ -461,10 +462,10 @@ def _ratio_segment_runs(
     _check_packing(sigma, shift)
     n = np.arange(lo, hi + 1, dtype=np.int64)
     key = sigma >= 2 * n
-    a, b = _abundancy_cap(bound)
-    _check_abundancy(n[key], sigma[key], a, b)
-    query = (sigma <= 2 * n) & ((sigma - n) * a > sigma * b)
     m, s = n[key], sigma[key]
+    a, b = _abundancy_cap(bound)
+    _check_abundancy(m, s, a, b)
+    query = (sigma <= 2 * n) & ((sigma - n) * a > sigma * b)
     keys = _sorted_run((m / s).view(np.int64), m)
     m, s = n[query], sigma[query]
     return {"keys": keys, "comps": _sorted_run(((s - m) / s).view(np.int64), m)}
@@ -545,14 +546,15 @@ def _pass1(
 # --- pass 2: join -------------------------------------------------------------
 
 
-def _bucket_edges(bound: int, shift: int, total_keys: int) -> list[int]:
-    """Boundaries of the join's flat-memory buckets, as int64 bit patterns
-    of doubles: 0, then cuts spaced evenly in value over (b/a, 1/2], where
-    every key and query ratio lies (_abundancy_cap), then one past the bits
-    of 1/2, where the perfect numbers sit.  The ratios are doubles at every
-    key width, so shift does not move the edges."""
+def _bucket_edges(bound: int, total_keys: int) -> list[int]:
+    """Boundaries of the join's buckets, as int64 bit patterns of doubles:
+    0, then cuts spaced evenly in value over (b/a, 1/2], where every key
+    and query ratio lies (_abundancy_cap), then one past the bits of 1/2,
+    where the perfect numbers sit.  At least 8 buckets, the floor that
+    _segment_length gives segments, so two or more threads stay busy; more
+    once the keys outgrow _BUCKET_TARGET_BYTES a bucket."""
     want = max(1, (total_keys * 16) // _BUCKET_TARGET_BYTES)
-    buckets = 1 << min(12, max(0, want - 1).bit_length())
+    buckets = 1 << min(12, max(3, (want - 1).bit_length()))
     a, b = _abundancy_cap(bound)
     bits = np.linspace(b / a, 0.5, buckets + 1).view(np.int64).tolist()
     return [0, *bits[1:-1], bits[-1] + 1]
@@ -607,12 +609,12 @@ def _join(
     store,
     nsegs: int,
     bound: int,
-    shift: int,
     equal_allowed: bool,
+    threads: int,
     progress: Progress | None,
 ) -> np.ndarray:
-    """Candidate pairs (M <= N) of the ratio runs, bucket by bucket, as the
-    rows of one array.
+    """Candidate pairs (M <= N) of the ratio runs, one bucket per task on
+    _each_segment, as the rows of one array.
 
     Each bucket merges the keys of every segment into one index.  The
     queries are never merged: each segment's run is already sorted, so its
@@ -622,22 +624,31 @@ def _join(
     (_check_conserved)."""
     total = sum(store.load(i, "keys").shape[1] for i in range(nsegs))
     queries = sum(store.load(i, "comps").shape[1] for i in range(nsegs))
-    edges = _bucket_edges(bound, shift, total)
-    parts = []
-    joined_keys = joined_queries = 0
-    for b in range(len(edges) - 1):
+    edges = _bucket_edges(bound, total)
+
+    def work(b: int) -> tuple[int, int, np.ndarray]:
         keys = _bucket_rows(store, nsegs, edges[b], edges[b + 1])
-        joined_keys += keys.shape[1]
         index = _key_index(keys[0])
+        parts, taken = [], 0
         for i in range(nsegs):
             comps = _bucket_slice(store.load(i, "comps"), edges[b], edges[b + 1])
-            joined_queries += comps.shape[1]
+            taken += comps.shape[1]
             at, m = _probe(index, keys[1], comps[0], np.arange(comps.shape[1]))
             # two distinct perfect numbers match from both sides; the
             # caller's candidate set folds that duplicate
             parts.append(np.stack((comps[1, at], m, comps[0, at])))
+        return keys.shape[1], taken, np.concatenate(parts, axis=1)
+
+    nbuckets = len(edges) - 1
+    joined_keys = joined_queries = 0
+    parts = []
+    done = _each_segment(work, range(nbuckets), threads)
+    for b, (taken_keys, taken_queries, part) in enumerate(done, 1):
+        joined_keys += taken_keys
+        joined_queries += taken_queries
+        parts.append(part)
         if progress:
-            progress(f"joined bucket {b + 1}/{len(edges) - 1}")
+            progress(f"joined bucket {b}/{nbuckets}")
     _check_conserved("join keys", joined_keys, total)
     _check_conserved("join queries", joined_queries, queries)
     q, m, bits = np.concatenate(parts, axis=1)
@@ -723,7 +734,7 @@ def search_pairs(
             m_col, n_col = _resolve_amicable_queries(store, segs, config.threads, progress)
         else:
             m_col, n_col = _join(
-                store, len(segs), config.bound, shift, config.equal_allowed, progress
+                store, len(segs), config.bound, config.equal_allowed, config.threads, progress
             )
     return _emit_records(_candidate_tuples(m_col, n_col), config.kind, config.filters)
 

@@ -12,6 +12,7 @@ import json
 import math
 import os
 import tempfile
+import threading
 import time
 import types
 from collections import defaultdict
@@ -319,6 +320,28 @@ def test_multi_bucket_join_matches_full_join_1e6(kind, monkeypatch):
         assert sum(line.startswith("joined bucket") for line in lines) >= 8
 
 
+@pytest.mark.parametrize("kind", ["harmonious", "unitary_harmonious"])
+def test_join_buckets_are_thread_independent_1e6(kind, monkeypatch):
+    # every bucket is one task on the segment pool: the records do not
+    # depend on the thread count, at the 8-bucket floor and at many more
+    # buckets, and the buckets are reported in order
+    assert len(_bucket_edges(10**6, 0)) - 1 >= 8
+    reference = None
+    for target in (None, 1 << 16):
+        if target:
+            monkeypatch.setattr(harmonia.search, "_BUCKET_TARGET_BYTES", target)
+        for threads in (1, 2, 3):
+            lines = []
+            config = SearchConfig(bound=10**6, kind=kind, threads=threads)
+            got = jsonl_of(search_pairs(config, progress=lines.append))
+            reference = reference if reference is not None else got
+            assert got == reference
+            joined = [line for line in lines if line.startswith("joined bucket")]
+            n = len(joined)
+            assert n > 8 if target else n >= 8
+            assert joined == [f"joined bucket {b}/{n}" for b in range(1, n + 1)]
+
+
 def planted_join(keys, queries):
     """The pairs that _join emits from one segment whose key and query runs
     hold the given (double, n) rows, at bound 2^30 - 1."""
@@ -330,8 +353,7 @@ def planted_join(keys, queries):
         for name, rows in (("keys", keys), ("comps", queries))
     }
     store = types.SimpleNamespace(load=lambda index, name: runs[name])
-    bound = 2**30 - 1
-    return _join(store, 1, bound, _code_shift(bound), True, None).T.tolist()
+    return _join(store, 1, 2**30 - 1, True, 1, None).T.tolist()
 
 
 def test_join_drops_an_equal_double_of_another_fraction():
@@ -375,26 +397,34 @@ def test_join_refuses_a_double_that_no_sigma_gives_back(keys, queries):
 
 
 @pytest.mark.parametrize(
-    "kind, skip",
-    # harmonious at 3000 runs 3 segments and one bucket: its first three
-    # slices are key slices, the next three query slices
-    [("harmonious", 0), ("harmonious", 3), ("amicable", 0)],
+    "kind, name",
+    [("harmonious", "keys"), ("harmonious", "comps"), ("amicable", "queries")],
 )
-def test_run_conservation_refuses_a_lost_row(kind, skip, monkeypatch):
+def test_run_conservation_refuses_a_lost_row(kind, name, monkeypatch):
     # a bucket or segment slice that loses one column must make the search
-    # raise instead of dropping the pairs of that row
+    # raise instead of dropping the pairs of that row; the first nonempty
+    # slice of a `name` run file loses one, whichever bucket, segment or
+    # thread takes it
     real = harmonia.search._bucket_slice
-    calls = []
+    lock = threading.Lock()
+    dropped = []
 
     def lossy(run, lo_edge, hi_edge):
         part = real(run, lo_edge, hi_edge)
-        calls.append(part.shape[1])
-        return part[:, 1:] if len(calls) == skip + 1 else part
+        with lock:
+            lose = (
+                not dropped
+                and part.shape[1] > 0
+                and os.path.basename(run.filename).startswith(f"{name}-")
+            )
+            if lose:
+                dropped.append(part.shape[1])
+        return part[:, 1:] if lose else part
 
     monkeypatch.setattr(harmonia.search, "_bucket_slice", lossy)
     with pytest.raises(ArithmeticError, match="lost rows"):
-        search_pairs(SearchConfig(bound=3000, kind=kind))
-    assert calls[skip] > 0
+        search_pairs(SearchConfig(bound=3000, kind=kind, threads=2))
+    assert len(dropped) == 1
 
 
 @pytest.mark.parametrize(
@@ -422,7 +452,7 @@ def test_bucket_edges_cover_every_code_1e5(kind, monkeypatch):
     shift = _code_shift(bound)
     star = kind == "unitary_harmonious"
     runs = [_ratio_segment_runs(lo, hi, bound, shift, star) for lo, hi in _segments(bound)]
-    edges = _bucket_edges(bound, shift, sum(r["keys"].shape[1] for r in runs))
+    edges = _bucket_edges(bound, sum(r["keys"].shape[1] for r in runs))
     assert len(edges) - 1 >= 8 and edges[0] == 0
     for run in (r[name] for r in runs for name in ("keys", "comps")):
         assert run.shape[1] and 0 <= run[0, 0] and run[0, -1] < edges[-1]
@@ -435,11 +465,11 @@ def test_bucket_slice_reaches_the_last_edge_above_one_half(monkeypatch):
     # last edge lies one past the bits of 1/2 and the last bucket takes them
     monkeypatch.setattr(harmonia.search, "_BUCKET_TARGET_BYTES", 1 << 8)
     half = int(np.float64(6 / 12).view(np.int64))
-    assert _bucket_edges(2**30 - 1, _code_shift(2**30 - 1), 0)[-1] == half + 1
+    assert _bucket_edges(2**30 - 1, 0)[-1] == half + 1
     bound = 1000
     shift = _code_shift(bound)
     runs = _ratio_segment_runs(1, bound, bound, shift, False)
-    edges = _bucket_edges(bound, shift, runs["keys"].shape[1])
+    edges = _bucket_edges(bound, runs["keys"].shape[1])
     assert len(edges) - 1 >= 8 and edges[-2] <= half < edges[-1]
     for name, run in runs.items():
         parts = [_bucket_slice(run, lo, hi) for lo, hi in zip(edges, edges[1:])]
