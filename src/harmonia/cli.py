@@ -366,7 +366,10 @@ def _add_search_parser(sub, run: argparse.ArgumentParser) -> None:
     for command, kind in _KIND_BY_COMMAND.items():
         k = ssub.add_parser(command, parents=[shared], help=f"{kind} pairs or triples")
         k.add_argument(
-            "--bound", type=int, required=True, help="largest member; pairs need bound < 2^30"
+            "--bound",
+            type=int,
+            required=True,
+            help="largest member; harmonious and unitary pairs need bound < 2^30",
         )
         k.add_argument("--k", type=int, choices=[2, 3], default=2, help="tuple size")
         for name, tuples in (("coprime", "pairwise coprime"), ("anarchy", "anarchy")):

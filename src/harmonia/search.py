@@ -18,22 +18,22 @@ by its ratio's float64, read as int64 bits: for positive doubles the bits
 sort as the values do.  Nothing is reduced.  With n < 2^30 and
 sigma < 2^33, each double is the correctly rounded value of its exact
 ratio, so equal rationals have equal bits and no match is lost.  Every
-segment checks that its sigma fits the width _code_shift(bound), then that
-its keys stay below the abundancy cap.  The join splits ranges of those
-bits into at least 8 buckets and runs them on _each_segment, one task per
-bucket: it merges every segment's keys of the bucket into one index, and
-each segment's already sorted query slice probes that index in place.  A
-match of doubles is confirmed on its rows alone: each sigma comes back
-from the shared double, and one int64 cross-multiplication decides
-(_exact_matches).  Every run is a .npy file: beside the checkpoint
-when one is configured, in a temporary directory otherwise.  Segment
+segment checks that its keys stay below the abundancy cap.  The join splits
+ranges of those bits into at least 8 buckets and runs them on
+_each_segment, one task per bucket: it merges every segment's keys of the
+bucket into one index, and each segment's already sorted query slice
+probes that index in place.  A match of doubles is confirmed on its rows
+alone: each sigma comes back from the shared double, and one int64
+cross-multiplication decides (_exact_matches).  Every run is a .npy file:
+beside the checkpoint when one is configured, in a temporary directory
+otherwise.  Segment
 lengths follow from the bound alone (_segment_length), so no search has a
 tuning knob and a checkpoint resumes under any thread count.  Pair search
 needs bound < 2^30: from there on, the confirm's products n * sigma no
 longer fit in 63 bits.  Every segment loop, the anarchy sweep's too, and
 the join's buckets run on one thread-pool driver, _each_segment.  The
-triple search keys by the packed codes of _codes instead: a reduced
-fraction in one int64, its numerator shifted past the denominator.
+triple search matches its residuals by double in the same way and confirms
+each match by one int64 cross-multiplication (_ratio_triples).
 
 The anarchy sweep pairs a small side M <= m_bound with every N up to a much
 larger n_bound, streaming N through the same complement match over the odd
@@ -41,10 +41,10 @@ integers only.  Anarchy forces N odd or M an odd square (the parity rule),
 and N = 2^a * o with o odd has N/sigma(N) = t exactly when
 o/sigma(o) = t * (2^(a+1) - 1)/2^a.  So one sweep of the odd column of the
 sieve probes every M's complement t, and the scaled targets of the
-odd-square M for each a >= 1 (_anarchy_targets).  It packs no code: each
-o/sigma(o) is matched as a float64 against the targets' doubles, which
-loses no match since o, sigma(o) < 2^53, and one exact cross-multiplication
-in Python ints decides.  So the sweep runs up to MAX_SIEVE_BOUND, 2^40.
+odd-square M for each a >= 1 (_anarchy_targets).  Each o/sigma(o) is
+matched as a float64 against the targets' doubles, which loses no match
+since o, sigma(o) < 2^53, and one exact cross-multiplication in Python ints
+decides.  So the sweep runs up to MAX_SIEVE_BOUND, 2^40.
 
 Amicable pairs use the aliquot shortcut instead: the only possible partner
 of M is s(M) = sigma(M) - M, so a pair exists exactly when
@@ -262,40 +262,11 @@ def _abundancy_cap(bound: int) -> tuple[int, int]:
     return math.ceil(ratio * 1.02 * b), b
 
 
-def _sigma_cap(bound: int) -> int:
-    """Strict upper bound for sigma(n) (hence also sigma*(n)) over n <= bound."""
-    a, b = _abundancy_cap(bound)
-    return bound * a // b + 16
-
-
-def _code_shift(bound: int) -> int:
-    """Bit offset separating numerator from denominator in packed codes:
-    the width of _sigma_cap(bound), which _check_packing holds sigma to.
-    bound * 2^shift < 2^63 also keeps the pair confirm's products in int64."""
-    cap = _sigma_cap(bound)
-    shift = cap.bit_length()
-    if int(bound).bit_length() + shift > 63:
-        raise ValueError(
-            f"ratio keys for bound {bound} (sigma up to {cap}) do not fit in int64 codes"
-        )
-    return shift
-
-
-def _check_packing(sigma: np.ndarray, shift: int) -> None:
-    """Refuse a segment whose sigma overflows the width shift: a triple
-    code would collide with other fractions', and a pair confirm's products
-    could overflow int64, so tuples would go missing."""
-    top = int(sigma.max(initial=0))
-    if top >= 1 << shift:
-        raise ArithmeticError(
-            f"sigma value {top} does not fit the {shift}-bit key packing; "
-            "the sigma cap estimate is too low"
-        )
-
-
 def _check_abundancy(n: np.ndarray, sigma: np.ndarray, a: int, b: int) -> None:
     """Refuse keys whose sigma(n)/n reaches the abundancy cap a/b: the query
-    prune, which trusts the cap, could drop their pairs."""
+    prune, which trusts the cap, could drop their pairs.  Below bound 2^30
+    a/b < 8, so every key that passes has sigma < 2^33, as _exact_matches
+    needs."""
     over = np.flatnonzero(sigma * b >= a * n)
     if over.size:
         i = over[0]
@@ -351,20 +322,6 @@ def _sigma_full(bound: int, star: bool, threads: int) -> np.ndarray:
     )
 
 
-def _codes(
-    num: np.ndarray, den: np.ndarray, shift: int, bound: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(codes, keep): (num << shift) | den of each num/den in lowest terms
-    with 1 <= num <= bound and den < 2^shift, and the mask of those rows:
-    the triple search's keys and residuals.  Every code matched stands for a
-    reduced n/sigma(n) with n <= bound, so a dropped row can match nothing;
-    for keys that passed _check_packing, keep is all true."""
-    g = np.gcd(num, den)
-    num, den = num // g, den // g
-    keep = (num >= 1) & (num <= bound) & (den < 1 << shift)
-    return (num[keep] << shift) | den[keep], keep
-
-
 def _sorted_run(*rows: np.ndarray) -> np.ndarray:
     """The rows stacked into one array, columns sorted by the first row."""
     order = np.argsort(rows[0])
@@ -387,8 +344,8 @@ def _probe(
     queries: np.ndarray,
     owners: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One (owner, value) row per query equal to an indexed key: codes,
-    doubles or their bits.
+    """One (owner, value) row per query equal to an indexed key: doubles or
+    their bits.
 
     One binary search per query over the distinct keys; sorted queries walk
     the keys in order, which keeps the search in cache."""
@@ -446,20 +403,17 @@ def _run_store(config: SearchConfig) -> Iterator[_FileRuns]:
 # --- pass 1: segment runs -----------------------------------------------------
 
 
-def _ratio_segment_runs(
-    lo: int, hi: int, bound: int, shift: int, star: bool
-) -> dict[str, np.ndarray]:
+def _ratio_segment_runs(lo: int, hi: int, bound: int, star: bool) -> dict[str, np.ndarray]:
     """Runs of (ratio bits, n) rows: the double n/sigma(n) of the segment's
     n with sigma >= 2n as keys, the double (sigma - n)/sigma of its n with
     sigma <= 2n as queries, each read as int64 bits.  No fraction is
     reduced: _exact_matches confirms the join's matches.
 
     Every key n/sigma(n) lies above b/a, the inverse abundancy cap, which
-    the segment checks after the sigma width.  So only the queries whose
+    the segment checks.  So only the queries whose
     complement (sigma - n)/sigma lies above b/a can match a key; the rest
     (about 40%) never enter the run."""
     sigma = sieve_tables(lo, hi, star=star)
-    _check_packing(sigma, shift)
     n = np.arange(lo, hi + 1, dtype=np.int64)
     key = sigma >= 2 * n
     m, s = n[key], sigma[key]
@@ -508,7 +462,6 @@ def _resume(path: str, digest: str, nsegs: int, store: _FileRuns, names) -> list
 def _pass1(
     config: SearchConfig,
     segs: list[tuple[int, int]],
-    shift: int,
     store,
     progress: Progress | None,
 ) -> None:
@@ -528,7 +481,7 @@ def _pass1(
         if config.kind == "amicable":
             runs = _amicable_segment_runs(lo, hi, config.bound, config.equal_allowed)
         else:
-            runs = _ratio_segment_runs(lo, hi, config.bound, shift, star)
+            runs = _ratio_segment_runs(lo, hi, config.bound, star)
         for name, run in runs.items():
             store.put(i, name, run)
         # only a checkpoint records the run files' digests
@@ -596,7 +549,8 @@ def _exact_matches(q: np.ndarray, m: np.ndarray, bits: np.ndarray) -> np.ndarray
     That round trip is a proof: for a fixed n, n/s and n/(s + 1) differ by
     a relative 1/(s + 1) >= 2^-33, far above one ulp, so only the true sigma
     reproduces d.  Then one cross-multiplication decides; its products stay
-    below bound * 2^shift < 2^63 (_code_shift, _check_packing)."""
+    below 2^63, since n < 2^30, a query's sigma is at most 2n and a key's is
+    below 2^33 (_check_abundancy)."""
     d = bits.view(np.float64)
     sigma_m = np.rint(m / d).astype(np.int64)
     sigma_q = np.rint(q / (1 - d)).astype(np.int64)
@@ -722,14 +676,15 @@ def search_pairs(
     and in a temporary directory otherwise, up to about 11 bytes per
     integer of the bound.  The segment length follows from the bound
     (_segment_length).  Results are identical across segment lengths and
-    thread counts.
+    thread counts.  The ratio kinds need bound < 2^30 (_exact_matches).
     """
     if config.k != 2:
         raise ValueError(f"search_pairs needs k=2, got k={config.k}")
-    shift = 0 if config.kind == "amicable" else _code_shift(config.bound)
+    if config.kind != "amicable" and config.bound >= 1 << 30:
+        raise ValueError(f"{config.kind} pair search needs bound < 2^30, got {config.bound}")
     segs = _segments(config.bound)
     with _run_store(config) as store:
-        _pass1(config, segs, shift, store, progress)
+        _pass1(config, segs, store, progress)
         if config.kind == "amicable":
             m_col, n_col = _resolve_amicable_queries(store, segs, config.threads, progress)
         else:
@@ -833,38 +788,42 @@ def _ratio_triples(config: SearchConfig) -> np.ndarray:
     With a triple's ratios r = n/sigma(n) sorted as r_a <= r_b <= r_c and
     summing to 1, r_a <= 1/3, so sigma(a) >= 3a, and r_a <= r_b <=
     (1 - r_a)/2, so sigma(b) >= 2b.  Each such anchor a takes the b of that
-    window from the ratio-sorted n with sigma >= 2n and probes the exact
-    residual 1 - r_a - r_b into the codes of every n.  The float64 window
-    is widened by a relative slack; the probe alone decides."""
+    window from the ratio-sorted n with sigma >= 2n, and probes the double
+    of each residual 1 - r_a - r_b = tn / (sigma_a * sigma_b) into the bits
+    of every n's ratio.  The float64 window is widened by a relative slack;
+    only the confirm c * sigma_a * sigma_b == tn * sigma(c) decides.
+
+    n < sigma(n), so with sigma_max^3 < 2^63 every tn and sigma_a * sigma_b
+    stays below 2^42: its double is correctly rounded, as is every c/sigma(c),
+    so equal rationals have equal bits and no match is lost.  The confirm's
+    products stay below sigma_max^3."""
     bound = config.bound
     sigma = _sigma_full(bound, config.kind == "unitary_harmonious", config.threads)
-    n = np.arange(1, bound + 1, dtype=np.int64)
-    # every product below, such as (sigma_a - n_a) * sigma_b, is under sigma_max^2
     sigma_max = int(sigma.max())
-    if sigma_max * sigma_max >= 1 << 62:
+    if sigma_max**3 >= 1 << 63:
         raise ValueError(f"sigma values up to {sigma_max} overflow the triple search")
-    shift = _code_shift(bound)
-    _check_packing(sigma, shift)
-    codes, keep = _codes(n, sigma, shift, bound)
-    keys = _sorted_run(codes, n[keep])
+    n = np.arange(1, bound + 1, dtype=np.int64)
+    ratio = n / sigma
+    keys = _sorted_run(ratio.view(np.int64), n)
     index = _key_index(keys[0])
     mid = np.flatnonzero(sigma >= 2 * n)
-    mid = mid[np.argsort(n[mid] / sigma[mid])]
-    mid_ratio = n[mid] / sigma[mid]
+    mid = mid[np.argsort(ratio[mid])]
+    mid_ratio = ratio[mid]
     # far wider than the few ulps by which the computed (1 - r)/2 can fall
     # below the double of an exactly equal ratio
     slack = 1e-9
 
     parts = [np.empty((3, 0), dtype=np.int64)]
     for a in np.flatnonzero(sigma >= 3 * n).tolist():
-        r = (a + 1) / int(sigma[a])
+        r = ratio[a]
         lo = np.searchsorted(mid_ratio, r * (1 - slack))
         hi = np.searchsorted(mid_ratio, (1 - r) / 2 * (1 + slack), side="right")
         b = mid[lo:hi]
-        # 1 - r_a - r_b over sigma_a * sigma_b
+        den = sigma[a] * sigma[b]
         tn = (sigma[a] - n[a]) * sigma[b] - n[b] * sigma[a]
-        codes, fit = _codes(tn, sigma[a] * sigma[b], shift, bound)
-        b_col, c_col = _probe(index, keys[1], codes, n[b[fit]])
+        at, c = _probe(index, keys[1], (tn / den).view(np.int64), np.arange(b.size))
+        ok = c * den[at] == tn[at] * sigma[c - 1]
+        b_col, c_col = n[b[at[ok]]], c[ok]
         parts.append(np.stack((np.full_like(b_col, a + 1), b_col, c_col)))
     found = np.sort(np.concatenate(parts, axis=1), axis=0)
     if not config.equal_allowed:
@@ -901,10 +860,11 @@ def search_triples(config: SearchConfig) -> list[TupleRecord]:
 
     Ratio kinds anchor the member of smallest ratio, which has sigma >= 3n,
     take the middle member from a ratio window of the n with sigma >= 2n,
-    and probe the exact residual 1 - r1 - r2 into the codes of every n
-    (_ratio_triples).  Amicable triples instead group members by sigma and
-    close each pair inside its class with a membership probe.  The bound is
-    capped at TRIPLE_BOUND_CAP.
+    probe the double of the residual 1 - r1 - r2 into the doubles of every
+    n/sigma(n) and confirm each match exactly (_ratio_triples).  Amicable
+    triples instead group members by sigma and close each pair inside its
+    class with a membership probe.  The bound is capped at
+    TRIPLE_BOUND_CAP.
     """
     if config.k != 3:
         raise ValueError(f"search_triples needs k=3, got k={config.k}")

@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import tempfile
 import threading
 import time
@@ -35,8 +36,6 @@ from harmonia.search import (
     _anarchy_targets,
     _bucket_edges,
     _bucket_slice,
-    _code_shift,
-    _codes,
     _each_segment,
     _emit_records,
     _join,
@@ -45,7 +44,6 @@ from harmonia.search import (
     _ratio_segment_runs,
     _segment_length,
     _segments,
-    _sigma_cap,
     _sorted_run,
     count_table,
     json_digest,
@@ -435,23 +433,21 @@ def test_query_prune_size_1e6(kind, keys, queries):
     # of the 752,454 (harmonious) and 929,969 (unitary) complement queries
     # with a nonzero numerator, those at or below b/a = 1024/5143 are dropped
     bound = 10**6
-    shift = _code_shift(bound)
     star = kind == "unitary_harmonious"
     assert _abundancy_cap(bound) == (5143, 1024)
-    runs = [_ratio_segment_runs(lo, hi, bound, shift, star) for lo, hi in _segments(bound)]
+    runs = [_ratio_segment_runs(lo, hi, bound, star) for lo, hi in _segments(bound)]
     assert sum(r["keys"].shape[1] for r in runs) == keys
     assert sum(r["comps"].shape[1] for r in runs) == queries
 
 
 @pytest.mark.parametrize("kind", ["harmonious", "unitary_harmonious"])
 def test_bucket_edges_cover_every_code_1e5(kind, monkeypatch):
-    # the join slices on plain edges: every key and query code lies below
-    # the last edge, so consecutive slices add up to each run exactly
+    # the join slices on plain edges: the ratio bits of every key and query
+    # lie below the last edge, so consecutive slices add up to each run
     monkeypatch.setattr(harmonia.search, "_BUCKET_TARGET_BYTES", 1 << 12)
     bound = 10**5
-    shift = _code_shift(bound)
     star = kind == "unitary_harmonious"
-    runs = [_ratio_segment_runs(lo, hi, bound, shift, star) for lo, hi in _segments(bound)]
+    runs = [_ratio_segment_runs(lo, hi, bound, star) for lo, hi in _segments(bound)]
     edges = _bucket_edges(bound, sum(r["keys"].shape[1] for r in runs))
     assert len(edges) - 1 >= 8 and edges[0] == 0
     for run in (r[name] for r in runs for name in ("keys", "comps")):
@@ -467,8 +463,7 @@ def test_bucket_slice_reaches_the_last_edge_above_one_half(monkeypatch):
     half = int(np.float64(6 / 12).view(np.int64))
     assert _bucket_edges(2**30 - 1, 0)[-1] == half + 1
     bound = 1000
-    shift = _code_shift(bound)
-    runs = _ratio_segment_runs(1, bound, bound, shift, False)
+    runs = _ratio_segment_runs(1, bound, bound, False)
     edges = _bucket_edges(bound, runs["keys"].shape[1])
     assert len(edges) - 1 >= 8 and edges[-2] <= half < edges[-1]
     for name, run in runs.items():
@@ -629,9 +624,9 @@ def test_runs_live_in_a_temporary_directory(tmp_path, monkeypatch):
     assert rundir.startswith("harmonia-runs-")
     assert files == {f"{name}-{i:06d}.npy" for name in ("keys", "comps") for i in range(3)}
     assert os.listdir(tmp_path) == []
-    # a search that the key-packing guard refuses leaves nothing behind
-    monkeypatch.setattr(harmonia.search, "_sigma_cap", lambda bound: bound)
-    with pytest.raises(ArithmeticError, match="key packing"):
+    # a search that the abundancy tripwire refuses leaves nothing behind
+    monkeypatch.setattr(harmonia.search, "_abundancy_cap", lambda bound: (7, 2))
+    with pytest.raises(ArithmeticError, match="abundancy cap 7/2"):
         search_pairs(SearchConfig(bound=3000))
     assert os.listdir(tmp_path) == []
 
@@ -758,35 +753,6 @@ def test_anarchy_key_match_for_known_pair():
     assert 173369889 * 127 == 63 * 349491681
 
 
-def test_codes_drop_rules_at_the_int64_edge():
-    # at n_bound = 2^30 - 1 the shift is 33, so a numerator at the cap over
-    # a denominator near 2^33 packs to just below 2^63
-    num_max = 2**30 - 1
-    shift = _code_shift(num_max)
-    assert shift == 33
-    top = (1 << shift) - 1
-    rows = [
-        (0, 7),  # numerator 0
-        (num_max, 1),  # numerator at the cap
-        (num_max + 1, 3),  # one past it, already in lowest terms
-        (1, top),  # the widest denominator
-        (1, top + 1),  # one bit too wide
-        (4 * num_max, 20),  # reduces from 4 * num_max to num_max / 5
-        (num_max, top - 2),  # in lowest terms, unlike num_max / top
-    ]
-    num = np.array([r[0] for r in rows], dtype=np.int64)
-    den = np.array([r[1] for r in rows], dtype=np.int64)
-    reduced = [Fraction(*r) for r in rows]
-    codes, keep = _codes(num, den, shift, num_max)
-    want = [1 <= t.numerator <= num_max and t.denominator <= top for t in reduced]
-    assert keep.tolist() == want == [False, True, False, True, False, True, True]
-    fits = [t for t, k in zip(reduced, want) if k]
-    assert codes.tolist() == [(t.numerator << shift) | t.denominator for t in fits]
-    for code, t in zip(codes.tolist(), fits):
-        assert (code >> shift, code & top) == (t.numerator, t.denominator)
-    assert codes[-1] == (1 << 63) - 3
-
-
 def anarchy_target_rows(small_sigma, n_bound):
     """The rows of _anarchy_targets as (Fraction, m, 2^a) and those of
     scaled_targets_reference, each sorted, after checking that the rows are
@@ -890,19 +856,23 @@ def test_anarchy_sweep_keeps_an_even_partner_at_the_bound(monkeypatch):
 
 
 def test_anarchy_prefilter_drops_no_candidate(monkeypatch):
-    # the unfiltered exact path: every n's ratio key probed into the small
-    # side's complement keys
+    # the unfiltered exact path: every n >= m whose reduced n/sigma(n) is a
+    # small m's reduced complement
     m_bound, n_bound = 1000, 2 * 10**6
-    shift = _code_shift(n_bound)
     sigma = sieve_tables(1, n_bound)
+    comps = defaultdict(list)
+    for m, s in enumerate(sigma[:m_bound].tolist(), 1):
+        t = Fraction(s - m, s)
+        comps[t.numerator, t.denominator].append(m)
     n = np.arange(1, n_bound + 1, dtype=np.int64)
-    m, s = n[:m_bound], sigma[:m_bound]
-    codes, owner = _codes(s - m, s, shift, n_bound)
-    comps = _sorted_run(codes, m[owner])
-    codes, swept = _codes(n, sigma, shift, n_bound)
-    n_col, m_col = _probe(_key_index(comps[0]), comps[1], codes, n[swept])
-    keep = n_col >= m_col
-    exact = sorted(set(zip(m_col[keep].tolist(), n_col[keep].tolist())))
+    g = np.gcd(n, sigma)
+    num, den = n // g, sigma // g
+    # only a denominator of some complement can match
+    near = np.flatnonzero(np.isin(den, [d for _, d in comps]))
+    reduced = zip(n[near].tolist(), num[near].tolist(), den[near].tolist())
+    exact = sorted(
+        (m, big) for big, t, d in reduced for m in comps.get((t, d), ()) if m <= big
+    )
     assert len(exact) > 100
     # the sweep sends the exact pairs that the parity rule keeps, and every
     # pair the rule removes fails anarchy
@@ -1088,6 +1058,24 @@ def test_amicable_triples_match_class_oracle_1e4():
     assert got == oracle == [(1980, 2016, 2556)]
 
 
+def test_triple_confirm_drops_an_equal_double_of_another_n(monkeypatch):
+    # the key run gains a column with the double of c/sigma(c), c the
+    # largest-ratio member of the first triple at 3000, owned by c + 1:
+    # the probe matches it, and only the exact confirm keeps it out
+    config = SearchConfig(bound=3000, k=3)
+    want = search_triples(config)
+    first = want[0]
+    c, s = max(zip(first.members, first.sigma), key=lambda p: Fraction(*p))
+    assert harmonic_ratio(c + 1) != Fraction(c, s)
+    real = harmonia.search._sorted_run
+
+    def planted(bits, owners):
+        return real(np.append(bits, np.float64(c / s).view(np.int64)), np.append(owners, c + 1))
+
+    monkeypatch.setattr(harmonia.search, "_sorted_run", planted)
+    assert jsonl_of(search_triples(config)) == jsonl_of(want)
+
+
 def test_triples_cap_refusal():
     with pytest.raises(ValueError, match="capped at bound"):
         search_triples(SearchConfig(bound=TRIPLE_BOUND_CAP + 1, k=3))
@@ -1103,11 +1091,6 @@ def test_tuple_size_routing():
 # --- guards ----------------------------------------------------------------------
 
 
-def test_sigma_cap_dominates_true_maximum():
-    for bound in (10, 100, 10**4, 10**5):
-        assert _sigma_cap(bound) > int(sieve_tables(1, bound).max())
-
-
 def test_abundancy_cap_dominates_true_maximum():
     for bound in (10, 100, 10**4, 10**5):
         a, b = _abundancy_cap(bound)
@@ -1117,42 +1100,57 @@ def test_abundancy_cap_dominates_true_maximum():
 
 
 def test_abundancy_cap_tripwire(monkeypatch, capsys):
-    # at 10^4 the largest sigma is 34,560 and the largest sigma(n)/n 3.838:
-    # a cap of 7/2 still packs every sigma but lies below that ratio, so
-    # pass 1 refuses instead of letting the query prune drop pairs
+    # at 10^4 the largest sigma(n)/n is 3.838: a cap of 7/2 lies below
+    # it, so pass 1 refuses instead of letting the query prune drop pairs
     monkeypatch.setattr(harmonia.search, "_abundancy_cap", lambda bound: (7, 2))
     with pytest.raises(ArithmeticError, match="abundancy cap 7/2"):
         search_pairs(SearchConfig(bound=10**4))
     assert cli_main(["search", "harmonious", "--bound", "10000"]) == 1
-    err = capsys.readouterr().err
-    assert "abundancy cap 7/2" in err and "key packing" not in err
-    # the packing check runs first: a segment whose sigma is too wide for
-    # its codes is refused as such even when its keys reach the cap as well
-    # (sigma(120)/120 = 3)
-    monkeypatch.setattr(harmonia.search, "_abundancy_cap", lambda bound: (3, 1))
-    monkeypatch.setattr(harmonia.search, "_sigma_cap", lambda bound: 16)
-    with pytest.raises(ArithmeticError, match="key packing"):
-        search_pairs(SearchConfig(bound=10**4))
+    assert "abundancy cap 7/2" in capsys.readouterr().err
 
 
-def test_code_shift_overflow_refusal():
-    with pytest.raises(ValueError, match="int64"):
-        _code_shift(1 << 40)
+@pytest.mark.parametrize(
+    "kind, name",
+    [("harmonious", "harmonious"), ("unitary_harmonious", "unitary")],
+    ids=["harmonious", "unitary_harmonious"],
+)
+def test_pair_search_refuses_bound_2_to_the_30(kind, name, tmp_path, monkeypatch, capsys):
+    # from 2^30 on, the ratio kinds' confirm products n * sigma overflow
+    # int64: refused before any sieve runs or any run directory is made
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("the search sieved")
+
+    monkeypatch.setattr(harmonia.search, "sieve_tables", no_sieve)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    want = f"{kind} pair search needs bound < 2^30, got {2**30}"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        search_pairs(SearchConfig(bound=2**30, kind=kind))
+    assert cli_main(["search", name, "--bound", str(2**30)]) == 2
+    assert want in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+    # one below it goes on to sieve, and so does an amicable search at it
+    for searched, bound in ((kind, 2**30 - 1), ("amicable", 2**30)):
+        with pytest.raises(AssertionError, match="the search sieved"):
+            search_pairs(SearchConfig(bound=bound, kind=searched, threads=1))
+    assert os.listdir(tmp_path) == []
 
 
-def test_key_packing_guard_refuses_low_sigma_cap(monkeypatch):
-    # a cap below the true sigma maximum would let packed codes collide
-    monkeypatch.setattr(harmonia.search, "_sigma_cap", lambda bound: bound)
-    with pytest.raises(ArithmeticError, match="key packing"):
-        search_pairs(SearchConfig(bound=3000))
-    # the anarchy sweep packs no code, so the cap does not reach it
-    assert search_anarchy_pairs(10, 3000) == []
-    with pytest.raises(ArithmeticError, match="key packing"):
-        search_triples(SearchConfig(bound=3000, k=3))
-    # one segment holding the bound instead of the derived three
-    monkeypatch.setattr(harmonia.search, "_segment_length", lambda bound: 4096)
-    with pytest.raises(ArithmeticError, match="key packing"):
-        search_pairs(SearchConfig(bound=3000))
+@pytest.mark.parametrize("kind", ["harmonious", "unitary_harmonious"])
+def test_triple_search_refuses_sigma_past_2_to_the_21(kind, monkeypatch):
+    # sigma_max^3 < 2^63 keeps each residual's double exact and the
+    # confirm's products in int64; the true sigma at the cap is far below
+    star = kind == "unitary_harmonious"
+    assert int(sieve_tables(1, TRIPLE_BOUND_CAP, star=star).max()) < 1 << 20
+    real = harmonia.search._sigma_full
+
+    def wide(bound, star, threads):
+        sigma = real(bound, star, threads)
+        sigma[-1] = 1 << 21
+        return sigma
+
+    monkeypatch.setattr(harmonia.search, "_sigma_full", wide)
+    with pytest.raises(ValueError, match="^sigma values up to 2097152 overflow"):
+        search_triples(SearchConfig(bound=3000, k=3, kind=kind))
 
 
 def test_emit_revalidation_raises_on_bogus_candidate():

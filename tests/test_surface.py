@@ -8,8 +8,8 @@ in its own module, and a helper goes when its last caller does.  Every name
 a module in src/ imports is read in that module or re-exported by the
 package, so code that is deleted takes its imports with it.  Every dataclass
 in src/ is frozen: results are built once and only read.  The search reduces
-fractions in one place: every np.gcd in search.py lies inside _codes.  The
-pair search's pass 1 and join key by doubles and reduce nothing."""
+no fraction: every search in search.py matches ratios by their doubles and
+confirms exactly, so the module reads no gcd and names no _codes."""
 
 import ast
 from pathlib import Path
@@ -149,33 +149,12 @@ def test_every_dataclass_is_frozen():
     assert {name: classes for name, classes in found.items() if classes} == {}
 
 
-def _gcd_readers(path: Path) -> list[str]:
-    """The top-level definitions of the module at path that read np.gcd,
-    once per read."""
-    return [
-        getattr(node, "name", "<module>")
-        for node in ast.parse(path.read_text()).body
-        for sub in ast.walk(node)
-        if isinstance(sub, ast.Attribute) and ast.unparse(sub) == "np.gcd"
-    ]
-
-
-def test_search_reduces_fractions_in_one_place():
-    assert _gcd_readers(SRC / "search.py") == ["_codes"]
-
-
-def test_pair_pipeline_reduces_no_fraction():
+def test_search_reduces_no_fraction():
     tree = ast.parse((SRC / "search.py").read_text())
     found = {
-        node.name: sorted(
-            {
-                ast.unparse(sub)
-                for sub in ast.walk(node)
-                if isinstance(sub, (ast.Name, ast.Attribute))
-                and ast.unparse(sub) in ("_codes", "np.gcd")
-            }
-        )
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name in ("_ratio_segment_runs", "_join")
+        ast.unparse(sub)
+        for sub in ast.walk(tree)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+        and ast.unparse(sub).rsplit(".", 1)[-1] in ("gcd", "_codes")
     }
-    assert found == {"_ratio_segment_runs": [], "_join": []}
+    assert found == set()
