@@ -9,7 +9,8 @@ a module in src/ imports is read in that module or re-exported by the
 package, so code that is deleted takes its imports with it.  Every dataclass
 in src/ is frozen: results are built once and only read.  The search reduces
 no fraction: every search in search.py matches ratios by their doubles and
-confirms exactly, so the module reads no gcd and names no _codes."""
+confirms exactly, so the module reads no gcd and names no _codes; in
+particular the pair search's pass 1 and join reduce nothing."""
 
 import ast
 from pathlib import Path
@@ -149,7 +150,9 @@ def test_every_dataclass_is_frozen():
     assert {name: classes for name, classes in found.items() if classes} == {}
 
 
-def test_search_reduces_no_fraction():
+def test_search_reduces_fractions_in_one_place():
+    """The one place is now none: search.py reads no gcd and names no
+    _codes."""
     tree = ast.parse((SRC / "search.py").read_text())
     found = {
         ast.unparse(sub)
@@ -158,3 +161,20 @@ def test_search_reduces_no_fraction():
         and ast.unparse(sub).rsplit(".", 1)[-1] in ("gcd", "_codes")
     }
     assert found == set()
+
+
+def test_pair_pipeline_reduces_no_fraction():
+    tree = ast.parse((SRC / "search.py").read_text())
+    found = {
+        node.name: sorted(
+            {
+                ast.unparse(sub)
+                for sub in ast.walk(node)
+                if isinstance(sub, (ast.Name, ast.Attribute))
+                and ast.unparse(sub).rsplit(".", 1)[-1] in ("gcd", "_codes")
+            }
+        )
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in ("_ratio_segment_runs", "_join")
+    }
+    assert found == {"_ratio_segment_runs": [], "_join": []}
