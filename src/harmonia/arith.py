@@ -11,8 +11,10 @@ column from each tile's odd residues), and strips every other prime power
 through in-place strided views of its remainder and output arrays, one
 view each per prime power; it builds no index arrays and tests no
 remainders.  The odd column gives the prime 2 no pass and halves the
-integers.  Every int64 it holds is at most max(hi, sigma(n)), which
-MAX_SIEVE_BOUND keeps far below 2^63.
+integers.  Every integer it holds is at most max(hi + 1, sigma(n)) < 6 * hi,
+so it works in int32 lanes while 6 * hi < 2^31 (hi <= 357,913,941) and in
+int64 lanes above, which MAX_SIEVE_BOUND keeps far below 2^63; the column
+it returns is int64 either way.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 # ((prime, exponent), ...) sorted by prime; empty tuple represents n = 1
 Factorization = tuple[tuple[int, int], ...]
 
-# keeps every int64 intermediate in the sieve far below 2^63 (see sieve_tables)
+# keeps every intermediate in the sieve's int64 lanes far below 2^63 (see sieve_tables)
 MAX_SIEVE_BOUND = 1 << 40
 
 # prime powers p^K that the sieve lays from periodic tiles, one tile per
@@ -197,23 +199,31 @@ def sieve_tables(lo: int, hi: int, *, star: bool = False, odd: bool = False) -> 
     (p^k + 1) / 2 inverts 2 modulo p^k, and the next ones follow every p^k
     entries.
 
-    int64 stays safe: every laid product divides n or is a partial product
-    of the output's factors, and so is every later intermediate: a
-    remainder <= hi, or a product of factors each at most the one that
-    replaces it, so at most sigma(n) < 6n (sigma*(n) <= sigma(n)) for
-    hi <= MAX_SIEVE_BOUND.  The p-part is laid into the output buffer
-    before the factors overwrite it, so the tiles cost no segment-sized
-    array; the tiles themselves are built once per process on first use,
-    and only the requested column's.
+    The lanes follow from hi alone: rem and out are int32 while
+    6 * hi < 2^31 and int64 above.  Every laid product divides n or is a
+    partial product of the output's factors, and so is every later
+    intermediate: a remainder <= hi + 1, or a product of factors each at
+    most the one that replaces it, so at most sigma(n) (sigma*(n) <=
+    sigma(n)).  sigma(n) < 6n for every n below 130,429,015,516,800, the
+    least n with sigma(n) >= 6n (OEIS A023199), far above
+    MAX_SIEVE_BOUND; each factor applied is sigma(p^k) < 2 * p^k <= 2 * hi.
+    So every intermediate is below 6 * hi, which fits the lane.  The last
+    step multiplies the two lanes into a fresh int64 column, so callers
+    may multiply sigma by Python ints without an int32 overflow.  The
+    p-part is laid into the output buffer before the factors overwrite
+    it, so the tiles cost no segment-sized array; the tiles themselves
+    are int32, are built once per process on first use, and only the
+    requested column's.
     """
     if not 1 <= lo <= hi:
         raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
     if hi > MAX_SIEVE_BOUND:
         raise ValueError(f"sieve bound {hi} exceeds {MAX_SIEVE_BOUND}")
     first, step = (lo | 1, 2) if odd else (lo, 1)
-    rem = np.arange(first, hi + 1, step, dtype=np.int64)
+    lane = np.int32 if 6 * hi < 1 << 31 else np.int64
+    rem = np.arange(first, hi + 1, step, dtype=lane)
     length = rem.size
-    out = np.empty(length, dtype=np.int64)
+    out = np.empty(length, dtype=lane)
     origin = first // step
     _lay_tiles(out, "part", origin, odd)
     rem //= out
@@ -240,5 +250,5 @@ def sieve_tables(lo: int, hi: int, *, star: bool = False, odd: bool = False) -> 
             q *= p
             s = -first * ((q + 1) // 2 if odd else 1) % q
     # a leftover prime r > 1 contributes 1 + r, a leftover 1 contributes 1
-    out *= rem + (rem > 1)
-    return out
+    np.add(rem, rem > 1, out=rem)
+    return np.multiply(out, rem, dtype=np.int64)

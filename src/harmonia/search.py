@@ -41,10 +41,12 @@ integers only.  Anarchy forces N odd or M an odd square (the parity rule),
 and N = 2^a * o with o odd has N/sigma(N) = t exactly when
 o/sigma(o) = t * (2^(a+1) - 1)/2^a.  So one sweep of the odd column of the
 sieve probes every M's complement t, and the scaled targets of the
-odd-square M for each a >= 1 (_anarchy_targets).  Each o/sigma(o) is
-matched as a float64 against the targets' doubles, which loses no match
-since o, sigma(o) < 2^53, and one exact cross-multiplication in Python ints
-decides.  So the sweep runs up to MAX_SIEVE_BOUND, 2^40.
+odd-square M for each a >= 1 (_anarchy_targets).  Each segment divides
+one float64 column of its odd o by their sigma in place, and each
+o/sigma(o) is matched against the targets' doubles, which loses no match
+since o, sigma(o) < 2^53; a matched o follows from its index, and one exact
+cross-multiplication in Python ints decides.  So the sweep runs up to
+MAX_SIEVE_BOUND, 2^40.
 
 Amicable pairs use the aliquot shortcut instead: the only possible partner
 of M is s(M) = sigma(M) - M, so a pair exists exactly when
@@ -736,11 +738,14 @@ def search_anarchy_pairs(
     or M an odd square; _emit_records drops those that fail anarchy.
 
     Each swept o/sigma(o) is matched as a float64, first in a table over
-    the low mantissa bits of the targets' doubles, then by _probe.  o and
-    sigma(o) < 6o lie below 2^53, so o/sigma(o) is correctly rounded, as is
-    each target's num / den: equal rationals give equal doubles and no match
-    is lost.  Only o * den == num * sigma(o), in Python ints, decides; every
-    record is re-validated by classify_all.
+    the low mantissa bits of the targets' doubles, then by _probe.  A
+    segment holds its o only as one float64 column, exact since o < 2^53,
+    which it divides by sigma and then masks in place; the o of entry i is
+    lo' + 2i, with lo' the segment's first odd integer.  o and sigma(o) < 6o
+    lie below 2^53, so o/sigma(o) is correctly rounded, as is each target's
+    num / den: equal rationals give equal doubles and no match is lost.
+    Only o * den == num * sigma(o), in Python ints, decides; every record is
+    re-validated by classify_all.
     """
     m_bound, n_bound = _integer("m_bound", m_bound), _integer("n_bound", n_bound)
     if not 2 <= m_bound <= n_bound:
@@ -760,13 +765,16 @@ def search_anarchy_pairs(
     def work(seg: tuple[int, int]) -> np.ndarray:
         lo_n, hi_n = seg
         sigma = sieve_tables(lo_n, hi_n, odd=True)
-        o = np.arange(lo_n | 1, hi_n + 1, 2, dtype=np.int64)
-        slots = (o / sigma).view(np.int64)
+        # entry i is o = first + 2i
+        first = lo_n | 1
+        ratio = np.arange(first, hi_n + 1, 2, dtype=np.float64)
+        ratio /= sigma
+        slots = ratio.view(np.int64)
         slots &= _MARK_SLOTS - 1  # in place: no second segment-sized temporary
         hit = np.flatnonzero(marks[slots])
-        at, row = _probe(index, row_ids, o[hit] / sigma[hit], hit)
+        at, row = _probe(index, row_ids, (first + 2 * hit) / sigma[hit], hit)
         pairs = []
-        for odd, s, r in zip(o[at].tolist(), sigma[at].tolist(), row.tolist()):
+        for odd, s, r in zip((first + 2 * at).tolist(), sigma[at].tolist(), row.tolist()):
             num, den, m, a = rows[r]
             # equal doubles; the rationals are equal only when this holds
             if odd * den == num * s and m <= odd << a <= n_bound:

@@ -204,6 +204,43 @@ def test_odd_column_is_the_full_columns_odd_entries() -> None:
             assert np.array_equal(odd, _odd_entries(full, lo)), (lo, hi, star)
 
 
+# the largest hi that the sieve holds in int32 lanes: 6 * hi < 2^31
+_INT32_TOP = 357_913_941
+
+
+def test_sieve_lanes_switch_without_changing_a_value() -> None:
+    # a 2^16 window across the switch sieves whole in int64 lanes; cut at
+    # the switch, its left piece sieves in int32 lanes, and every column
+    # comes back as int64
+    assert 6 * _INT32_TOP < 1 << 31 <= 6 * (_INT32_TOP + 1)
+    lo, hi = _INT32_TOP - (1 << 15) + 1, _INT32_TOP + (1 << 15)
+    for star in (False, True):
+        for odd in (False, True):
+            whole = sieve_tables(lo, hi, star=star, odd=odd)
+            left = sieve_tables(lo, _INT32_TOP, star=star, odd=odd)
+            right = sieve_tables(_INT32_TOP + 1, hi, star=star, odd=odd)
+            assert whole.dtype == left.dtype == right.dtype == np.int64
+            assert np.array_equal(np.concatenate((left, right)), whole), (star, odd)
+
+
+def test_sieve_at_the_int32_extremes() -> None:
+    # 122,522,400 is the least n with sigma(n) >= 5n (OEIS A023199), the
+    # nearest any n comes to the sigma(n) < 6n that sizes the int32 lanes;
+    # the next window ends on the last hi sieved in int32 lanes, and the
+    # last one, below 2^31, holds sigma values that int32 lanes would wrap
+    assert sigma_of(factorize(122_522_400)) == 614_210_688
+    windows = (
+        (122_522_400 - 256, 122_522_400 + 256),
+        (_INT32_TOP - 512, _INT32_TOP),
+        ((1 << 31) - 512, (1 << 31) - 1),
+    )
+    for lo, hi in windows:
+        plain, star = sieve_tables(lo, hi), sieve_tables(lo, hi, star=True)
+        for n in range(lo, hi + 1):
+            f = factorize(n)
+            assert (int(plain[n - lo]), int(star[n - lo])) == (sigma_of(f), sigma_star_of(f)), n
+
+
 def test_tiles_are_built_on_first_use() -> None:
     # importing the CLI builds no tile, and a sieve builds only the part
     # tile and its own column's: a plain sieve no sigma* tile, a star sieve
