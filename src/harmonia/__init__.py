@@ -12,7 +12,6 @@ from harmonia.bounds import BoundReport, tower, verify_bounds
 from harmonia.classify import TupleRecord, classify, classify_all
 from harmonia.induction import run_induction, theorem_trace
 from harmonia.search import (
-    CheckpointMismatch,
     SearchConfig,
     count_table,
     search_anarchy_pairs,
@@ -24,7 +23,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport",
-    "CheckpointMismatch",
     "Factorization",
     "SearchConfig",
     "TupleRecord",

@@ -3,8 +3,8 @@
 Wires the searches, the classifier, the bound checks, the lemma grids, and
 the induction traces to reproducible file outputs.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 checkpoint
-mismatch, 4 I/O error (such as an unwritable --out or a full disk).  Result
+Exit codes: 0 success, 1 verification failure, 2 usage error, 4 I/O error
+(such as an unwritable --out or a full disk); 3 is retired.  Result
 data goes to --out when given (stdout otherwise); the fixed one-line summary
 is always the last line on stdout; progress goes to stderr only.  Alongside
 every --out file a <out>.manifest.json records the command line, config
@@ -39,7 +39,6 @@ from .lemmas import (
     scan_pre_cook_grid,
 )
 from .search import (
-    CheckpointMismatch,
     SearchConfig,
     count_table,
     json_digest,
@@ -51,7 +50,6 @@ from .search import (
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
-EXIT_CHECKPOINT = 3
 EXIT_IO = 4
 
 CSV_HEADER = "M,N,factor_M,factor_N,gcd_M_sigmaN,gcd_sigmaM_N"
@@ -127,13 +125,14 @@ def cmd_search_tuples(args, parser: argparse.ArgumentParser, argv: list) -> int:
     started = time.perf_counter()
     if args.fmt == "csv" and args.k == 3:
         parser.error("--format csv is defined for pairs only; use jsonl for k=3")
+    if args.checkpoint is not None:
+        print("note: --checkpoint is ignored; searches no longer resume", file=sys.stderr)
     config = SearchConfig(
         bound=args.bound,
         kind=_KIND_BY_COMMAND[args.kind],
         k=args.k,
         filters=args.filters,
         allow_equal_members=None if args.allow_equal is None else args.allow_equal == "true",
-        checkpoint_path=args.checkpoint,
         threads=args.threads,
     )
     if args.k == 2:
@@ -386,7 +385,8 @@ def _add_search_parser(sub, run: argparse.ArgumentParser) -> None:
             default=None,
             help="override the kind's equal-members convention",
         )
-        k.add_argument("--checkpoint", help="pairs only: checkpoint file; run files go beside it")
+        # accepted and ignored: benchmark command lines still pass it
+        k.add_argument("--checkpoint", help=argparse.SUPPRESS)
         k.set_defaults(handler=cmd_search_tuples, filters=[])
     a = ssub.add_parser(
         "anarchy", parents=[shared], help="sweep M <= --m-bound, N <= --n-bound for anarchy pairs"
@@ -470,9 +470,6 @@ def main(argv: list | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args, parser, argv)
-    except CheckpointMismatch as exc:
-        print(f"checkpoint mismatch: {exc}", file=sys.stderr)
-        return EXIT_CHECKPOINT
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

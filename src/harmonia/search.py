@@ -24,16 +24,15 @@ _each_segment, one task per bucket: it merges every segment's keys of the
 bucket into one index, and each segment's already sorted query slice
 probes that index in place.  A match of doubles is confirmed on its rows
 alone: each sigma comes back from the shared double, and one int64
-cross-multiplication decides (_exact_matches).  Every run is a .npy file:
-beside the checkpoint when one is configured, in a temporary directory
-otherwise.  Segment
-lengths follow from the bound alone (_segment_length), so no search has a
-tuning knob and a checkpoint resumes under any thread count.  Pair search
-needs bound < 2^30: from there on, the confirm's products n * sigma no
-longer fit in 63 bits.  Every segment loop, the anarchy sweep's too, and
-the join's buckets run on one thread-pool driver, _each_segment.  The
-triple search matches its residuals by double in the same way and confirms
-each match by one int64 cross-multiplication (_ratio_triples).
+cross-multiplication decides (_exact_matches).  Every run is a .npy file
+in one temporary directory, removed when the search ends.  Segment lengths
+follow from the bound alone (_segment_length), so no search has a tuning
+knob.  Pair search needs bound < 2^30: from there on, the confirm's
+products n * sigma no longer fit in 63 bits.  Every segment loop, the
+anarchy sweep's too, and the join's buckets run on one thread-pool driver,
+_each_segment.  The triple search matches its residuals by double in the
+same way and confirms each match by one int64 cross-multiplication
+(_ratio_triples).
 
 The anarchy sweep pairs a small side M <= m_bound with every N up to a much
 larger n_bound, streaming N through the same complement match over the odd
@@ -63,7 +62,6 @@ raises instead of being dropped.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import math
@@ -87,22 +85,15 @@ TRIPLE_BOUND_CAP = 10**5
 # key bytes per bucket of the merge join; a bucket's queries take about
 # three times as much, and up to `threads` buckets are resident at once
 _BUCKET_TARGET_BYTES = 64 << 20
-# layout of the run files; it enters the config digest, so a checkpoint
-# written under an older layout is refused instead of resumed
-_RUN_LAYOUT = 4
 # slots of the anarchy sweep's float64 prefilter table (1 MB of bool)
 _MARK_SLOTS = 1 << 20
 
 Progress = Callable[[str], None]
 
 
-class CheckpointMismatch(RuntimeError):
-    """Checkpoint on disk does not belong to the requested configuration."""
-
-
 def json_digest(payload) -> str:
-    """sha256 hex of payload's sorted-key JSON: config digests, checkpoint
-    partial digests and the CLI's manifest digests."""
+    """sha256 hex of payload's sorted-key JSON: config digests and the CLI's
+    manifest digests."""
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
@@ -133,7 +124,6 @@ class SearchConfig:
     k: int = 2
     filters: frozenset = frozenset()
     allow_equal_members: bool | None = None
-    checkpoint_path: str | None = None
     threads: int = 0
 
     def __post_init__(self):
@@ -143,8 +133,6 @@ class SearchConfig:
         object.__setattr__(self, "k", _integer("k", self.k))
         if self.k not in (2, 3):
             raise ValueError(f"k must be 2 or 3, got {self.k}")
-        if self.k == 3 and self.checkpoint_path is not None:
-            raise ValueError("a checkpoint (--checkpoint) applies to pair search only, not k=3")
         if isinstance(self.filters, str):
             raise ValueError(
                 f"filters must be a collection of names, got the str {self.filters!r}; "
@@ -163,85 +151,17 @@ class SearchConfig:
         return self.kind != "amicable"
 
     def digest(self) -> str:
-        """Hex digest over every field that influences the result set or the
-        layout of persisted run files, the derived segment length included,
-        so a checkpoint cut under another segmentation is refused.  Thread
-        count and paths are excluded: they must never change results."""
+        """Hex digest over every field that influences the result set.
+        Thread count and segment length are excluded: they must never change
+        results."""
         payload = {
             "bound": self.bound,
             "kind": self.kind,
             "k": self.k,
             "filters": sorted(self.filters),
             "allow_equal": self.equal_allowed,
-            "segment_length": _segment_length(self.bound),
-            "run_layout": _RUN_LAYOUT,
         }
         return json_digest(payload)
-
-
-@dataclass(frozen=True)
-class Checkpoint:
-    config_digest: str
-    last_segment: int
-    partial_digest: str
-
-
-# --- checkpoint plumbing ----------------------------------------------------
-#
-# A checkpoint is only useful when partial work survives the process, so a
-# configured checkpoint_path keeps the run files beside the checkpoint in
-# <checkpoint_path>.runs/ instead of a temporary directory.  The file
-# records the sha256 of every completed segment's run files; resuming
-# re-hashes them, and any disagreement (foreign config, missing file,
-# altered bytes) refuses rather than risking a silently different result.
-
-
-def _sha256_file(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def load_checkpoint(path: str) -> tuple[Checkpoint, list] | None:
-    """(checkpoint, per-segment file-digest rows), or None when absent."""
-    if not os.path.exists(path):
-        return None
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-        ck = Checkpoint(
-            config_digest=raw["config_digest"],
-            last_segment=int(raw["last_segment"]),
-            partial_digest=raw["partial_digest"],
-        )
-        rows = raw["runs"]
-        if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
-            raise ValueError("runs must be a list of objects")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointMismatch(f"unreadable checkpoint {path}: {exc}") from exc
-    if json_digest(rows) != ck.partial_digest or len(rows) != ck.last_segment + 1:
-        raise CheckpointMismatch(f"checkpoint {path} is internally inconsistent")
-    return ck, rows
-
-
-def _save_checkpoint(path: str, config_digest: str, rows: list) -> None:
-    payload = {
-        "config_digest": config_digest,
-        "last_segment": len(rows) - 1,
-        "partial_digest": json_digest(rows),
-        "runs": rows,
-    }
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 # --- shared numeric helpers -------------------------------------------------
@@ -282,7 +202,7 @@ def _segment_length(bound: int) -> int:
     """Sieve segment length for [1, bound]: at least 8 segments, so two or
     more threads stay busy, but no longer than 2^22 and no shorter than
     1024.  It follows from the bound alone, never from the thread count,
-    so a checkpoint resumes under any thread count."""
+    so a search writes the same runs under any thread count."""
     return min(1 << 22, max(1 << 10, -(-bound // 8)))
 
 
@@ -298,17 +218,16 @@ def _each_segment(
     threads: int,
     progress: Progress | None = None,
     phase: str = "",
-    start: int = 0,
 ) -> Iterator:
-    """fn(item) for items[start:] on a thread pool, yielded in item order.
+    """fn(item) for every item on a thread pool, yielded in item order.
 
-    Each result is reported as "<phase> segment <i>/<len(items)>", counted
-    from `start`.  When fn raises, the items not yet started are cancelled
-    instead of run, and the error propagates."""
+    Each result is reported as "<phase> segment <i>/<len(items)>".  When fn
+    raises, the items not yet started are cancelled instead of run, and the
+    error propagates."""
     pool = ThreadPoolExecutor(max_workers=threads if threads > 0 else (os.cpu_count() or 1))
     try:
-        futures = [pool.submit(fn, item) for item in items[start:]]
-        for i, fut in enumerate(futures, start + 1):
+        futures = [pool.submit(fn, item) for item in items]
+        for i, fut in enumerate(futures, 1):
             result = fut.result()
             if progress:
                 progress(f"{phase} segment {i}/{len(items)}")
@@ -389,19 +308,6 @@ class _FileRuns:
         return np.load(self.path(index, name), mmap_mode="r")
 
 
-@contextlib.contextmanager
-def _run_store(config: SearchConfig) -> Iterator[_FileRuns]:
-    """The run store in <checkpoint_path>.runs/, or in a temporary
-    harmonia-runs-* directory (under TMPDIR) that is removed on exit."""
-    if config.checkpoint_path:
-        rundir = config.checkpoint_path + ".runs"
-        os.makedirs(rundir, exist_ok=True)
-        yield _FileRuns(rundir)
-    else:
-        with tempfile.TemporaryDirectory(prefix="harmonia-runs-") as tmp:
-            yield _FileRuns(tmp)
-
-
 # --- pass 1: segment runs -----------------------------------------------------
 
 
@@ -438,47 +344,16 @@ def _amicable_segment_runs(
     return {"queries": _sorted_run(partner[ok], sigma[ok], n[ok])}
 
 
-def _resume(path: str, digest: str, nsegs: int, store: _FileRuns, names) -> list:
-    """Digest rows of the segments a checkpoint completed, after re-hashing
-    their run files."""
-    loaded = load_checkpoint(path)
-    if loaded is None:
-        return []
-    ck, rows = loaded
-    if ck.config_digest != digest:
-        raise CheckpointMismatch(
-            f"checkpoint {path} belongs to config {ck.config_digest[:12]}, not {digest[:12]}"
-        )
-    if len(rows) > nsegs:
-        raise CheckpointMismatch(f"checkpoint {path} records more segments than the run has")
-    for i, row in enumerate(rows):
-        for name in names:
-            run = store.path(i, name)
-            if name not in row or not os.path.exists(run):
-                raise CheckpointMismatch(f"run file {run} from checkpoint is missing")
-            if _sha256_file(run) != row[name]:
-                raise CheckpointMismatch(f"run file {run} does not match its checkpoint digest")
-    return rows
-
-
 def _pass1(
     config: SearchConfig,
     segs: list[tuple[int, int]],
-    store,
+    store: _FileRuns,
     progress: Progress | None,
 ) -> None:
-    """Put every segment's runs into the store.  With a checkpoint, resume
-    from it and record each segment's run-file digests in it."""
-    digest = config.digest()
-    names = ("queries",) if config.kind == "amicable" else ("keys", "comps")
+    """Put every segment's runs into the store."""
     star = config.kind == "unitary_harmonious"
-    rows: list[dict] = []
-    if config.checkpoint_path:
-        rows = _resume(config.checkpoint_path, digest, len(segs), store, names)
-        if progress and rows:
-            progress(f"resumed after segment {len(rows)}/{len(segs)}")
 
-    def work(i: int) -> dict:
+    def work(i: int) -> None:
         lo, hi = segs[i]
         if config.kind == "amicable":
             runs = _amicable_segment_runs(lo, hi, config.bound, config.equal_allowed)
@@ -486,16 +361,9 @@ def _pass1(
             runs = _ratio_segment_runs(lo, hi, config.bound, star)
         for name, run in runs.items():
             store.put(i, name, run)
-        # only a checkpoint records the run files' digests
-        if not config.checkpoint_path:
-            return {}
-        return {name: _sha256_file(store.path(i, name)) for name in runs}
 
-    segments = range(len(segs))
-    for row in _each_segment(work, segments, config.threads, progress, "wrote", len(rows)):
-        rows.append(row)
-        if config.checkpoint_path:
-            _save_checkpoint(config.checkpoint_path, digest, rows)
+    for _ in _each_segment(work, range(len(segs)), config.threads, progress, "wrote"):
+        pass
 
 
 # --- pass 2: join -------------------------------------------------------------
@@ -674,18 +542,20 @@ def search_pairs(
 
     Every kind runs the same path: pass 1 writes each segment's runs as
     .npy files, then the ratio kinds join the runs and amicable resolves its
-    partner queries.  The files live beside checkpoint_path when it is set
-    and in a temporary directory otherwise, up to about 11 bytes per
-    integer of the bound.  The segment length follows from the bound
-    (_segment_length).  Results are identical across segment lengths and
-    thread counts.  The ratio kinds need bound < 2^30 (_exact_matches).
+    partner queries.  The files live in one temporary harmonia-runs-*
+    directory (under TMPDIR), removed when the search ends, and take up to
+    about 11 bytes per integer of the bound.  The segment length follows
+    from the bound (_segment_length).  Results are identical across segment
+    lengths and thread counts.  The ratio kinds need bound < 2^30
+    (_exact_matches).
     """
     if config.k != 2:
         raise ValueError(f"search_pairs needs k=2, got k={config.k}")
     if config.kind != "amicable" and config.bound >= 1 << 30:
         raise ValueError(f"{config.kind} pair search needs bound < 2^30, got {config.bound}")
     segs = _segments(config.bound)
-    with _run_store(config) as store:
+    with tempfile.TemporaryDirectory(prefix="harmonia-runs-") as rundir:
+        store = _FileRuns(rundir)
         _pass1(config, segs, store, progress)
         if config.kind == "amicable":
             m_col, n_col = _resolve_amicable_queries(store, segs, config.threads, progress)

@@ -13,7 +13,7 @@ import harmonia.cli
 import harmonia.induction
 from harmonia.cli import _LEMMA_FLAGS, CSV_HEADER, main
 from harmonia.classify import classify
-from harmonia.search import SearchConfig, json_digest, search_pairs
+from harmonia.search import SearchConfig, search_pairs
 
 
 def run_cli(*argv):
@@ -179,14 +179,6 @@ def test_search_anarchy_rejects_pair_search_flags(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_search_triples_refuse_checkpoint(tmp_path, capsys):
-    ck = tmp_path / "run.ck"
-    argv = ("search", "harmonious", "--bound", "1000", "--k", "3")
-    assert run_cli(*argv, "--checkpoint", str(ck)) == 2
-    assert "--checkpoint" in capsys.readouterr().err
-    assert not ck.exists()
-
-
 def test_no_segment_length_or_memory_limit_flags(capsys):
     for flag in ("--segment-length", "--in-memory-limit"):
         assert run_cli("search", "harmonious", "--bound", "100", flag, "1024") == 2
@@ -208,52 +200,35 @@ def test_search_help_lists_only_its_kinds_flags(capsys):
 
     anarchy = flags_of("search", "anarchy")
     assert {"--m-bound", "--n-bound"} <= anarchy
-    pair_only = {"--bound", "--checkpoint", "--k", "--allow-equal", "--coprime", "--anarchy"}
+    pair_only = {"--bound", "--k", "--allow-equal", "--coprime", "--anarchy"}
     assert not anarchy & pair_only
     for kind in ("harmonious", "unitary", "amicable"):
         pair = flags_of("search", kind)
         assert pair_only <= pair and "--m-bound" not in pair, kind
+        # accepted but ignored, so not advertised
+        assert "--checkpoint" not in pair, kind
+
+
+def test_search_checkpoint_flag_is_ignored(tmp_path, capsys):
+    # the benchmark's pairs-file command line: the flag changes no byte of
+    # the output and leaves no file behind
+    ck, out, plain = tmp_path / "ck.json", tmp_path / "ck.jsonl", tmp_path / "plain.jsonl"
+    argv = ("search", "harmonious", "--bound", "4096", "--threads", "2")
+    assert run_cli(*argv, "--checkpoint", str(ck), "--out", str(out)) == 0
+    flagged = capsys.readouterr()
+    assert run_cli(*argv, "--out", str(plain)) == 0
+    unflagged = capsys.readouterr()
+    assert out.read_bytes() == plain.read_bytes()
+    assert flagged.out == unflagged.out
+    assert not ck.exists() and not (tmp_path / "ck.json.runs").exists()
+    assert "--checkpoint is ignored" in flagged.err
+    assert "--checkpoint" not in unflagged.err
 
 
 def test_search_anarchy_filter_flag(capsys):
     # --anarchy as a filter on the plain pair search
     assert run_cli("search", "harmonious", "--bound", "10000", "--anarchy") == 0
     assert capsys.readouterr().out.strip() == "kind=harmonious bound=10000 found=0"
-
-
-def test_search_checkpoint_mismatch_exit_3(tmp_path, capsys):
-    ck = str(tmp_path / "run.ck")
-    assert (
-        run_cli(
-            "search", "harmonious", "--bound", "4096",
-            "--checkpoint", ck, "--out", str(tmp_path / "a"),
-        )
-        == 0
-    )
-    assert (
-        run_cli(
-            "search", "harmonious", "--bound", "8192",
-            "--checkpoint", ck, "--out", str(tmp_path / "b"),
-        )
-        == 3
-    )
-    capsys.readouterr()
-
-
-def test_search_malformed_checkpoint_exit_3(tmp_path, capsys):
-    ck = tmp_path / "run.ck"
-    argv = ("search", "harmonious", "--bound", "4096")
-    # consistent in itself, but its one run row is not an object
-    bad_row = {
-        "config_digest": SearchConfig(bound=4096).digest(),
-        "last_segment": 0,
-        "partial_digest": json_digest([1]),
-        "runs": [1],
-    }
-    for payload in ([], "x", bad_row):
-        ck.write_text(json.dumps(payload))
-        assert run_cli(*argv, "--checkpoint", str(ck)) == 3
-        assert capsys.readouterr().err.startswith("checkpoint mismatch: ")
 
 
 def test_search_io_error_exit_4(tmp_path, capsys):

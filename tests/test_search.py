@@ -28,7 +28,6 @@ from harmonia.arith import MAX_SIEVE_BOUND, sieve_tables
 from harmonia.classify import classify_all
 from harmonia.cli import main as cli_main
 from harmonia.search import (
-    CheckpointMismatch,
     CountRow,
     SearchConfig,
     TRIPLE_BOUND_CAP,
@@ -46,8 +45,6 @@ from harmonia.search import (
     _segments,
     _sorted_run,
     count_table,
-    json_digest,
-    load_checkpoint,
     search_anarchy_pairs,
     search_pairs,
     search_triples,
@@ -114,7 +111,7 @@ def test_config_refuses_non_integral_bound_and_threads():
     config = SearchConfig(bound=np.int64(1000), threads=np.int32(2))
     assert (type(config.bound), type(config.threads)) == (int, int)
     assert config == SearchConfig(bound=1000, threads=2)
-    # so their digest is the int's, and a checkpoint resumes under either
+    # so their digest is the int's, and a manifest records the same one
     triple = SearchConfig(bound=1000, k=np.int64(3))
     assert triple.digest() == SearchConfig(bound=1000, k=3).digest()
 
@@ -124,15 +121,6 @@ def test_config_refuses_a_bare_string_as_filters():
     with pytest.raises(ValueError, match="^filters must be a collection of names.*'coprime'"):
         SearchConfig(bound=10, filters="coprime")
     assert SearchConfig(bound=10, filters=["coprime"]).filters == {"coprime"}
-
-
-def test_triple_config_refuses_checkpoint(tmp_path):
-    # a triple search keeps no run files, so a checkpoint would silently
-    # record nothing
-    ck = tmp_path / "run.ck"
-    with pytest.raises(ValueError, match="--checkpoint"):
-        SearchConfig(bound=1000, k=3, checkpoint_path=str(ck))
-    assert list(tmp_path.iterdir()) == []
 
 
 def test_equal_member_conventions():
@@ -146,12 +134,12 @@ def test_equal_member_conventions():
 def test_config_digest_tracks_results_only(monkeypatch):
     base = SearchConfig(bound=100)
     assert base.digest() == SearchConfig(bound=100, threads=8).digest()
-    assert base.digest() == SearchConfig(bound=100, checkpoint_path="x").digest()
     assert base.digest() != SearchConfig(bound=101).digest()
     assert base.digest() != SearchConfig(bound=100, filters={"coprime"}).digest()
+    # the segment length never changes a result, so it is not in the digest
     before = base.digest()
     monkeypatch.setattr(harmonia.search, "_segment_length", lambda bound: 2048)
-    assert before != base.digest()
+    assert before == base.digest()
 
 
 # --- pair oracles ------------------------------------------------------------
@@ -583,140 +571,46 @@ def test_segment_length_invariance_every_kind(monkeypatch):
         assert jsonl_of(whole) == jsonl_of(split)
 
 
-def test_run_files_are_hashed_only_for_a_checkpoint(tmp_path, monkeypatch):
-    hashed, written = [], []
-    sha256_file = harmonia.search._sha256_file
-    put = harmonia.search._FileRuns.put
-
-    def hash_spy(path):
-        hashed.append(os.path.basename(path))
-        return sha256_file(path)
-
-    def put_spy(store, index, name, run):
-        written.append((index, name))
-        put(store, index, name, run)
-
-    monkeypatch.setattr(harmonia.search, "_sha256_file", hash_spy)
-    monkeypatch.setattr(harmonia.search._FileRuns, "put", put_spy)
-    # without a checkpoint: 4 segments, a keys and a comps run each, and no
-    # digest anywhere
-    search_pairs(SearchConfig(bound=4096))
-    assert len(written) == 8 and hashed == []
-
-    ck = tmp_path / "run.ck"
-    search_pairs(SearchConfig(bound=4096, checkpoint_path=str(ck)))
-    assert len(written) == 16
-    assert sorted(hashed) == sorted(os.listdir(str(ck) + ".runs"))
-    assert len(hashed) == 8
-
-
 def test_runs_live_in_a_temporary_directory(tmp_path, monkeypatch):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    seen = []
+    bucket_slice = harmonia.search._bucket_slice
+    runs_of = {
+        "harmonious": ("keys", "comps"),
+        "unitary_harmonious": ("keys", "comps"),
+        "amicable": ("queries",),
+    }
+    for kind, names in runs_of.items():
+        seen = []
 
-    def look(line):
-        seen.append({d: set(os.listdir(tmp_path / d)) for d in os.listdir(tmp_path)})
+        def look(line):
+            seen.append({d: set(os.listdir(tmp_path / d)) for d in os.listdir(tmp_path)})
 
-    # 3 segments of 1024, a keys and a comps run each
-    search_pairs(SearchConfig(bound=3000), progress=look)
-    assert len({d for dirs in seen for d in dirs}) == 1
-    [(rundir, files)] = seen[-1].items()
-    assert rundir.startswith("harmonia-runs-")
-    assert files == {f"{name}-{i:06d}.npy" for name in ("keys", "comps") for i in range(3)}
-    assert os.listdir(tmp_path) == []
-    # a search that the abundancy tripwire refuses leaves nothing behind
-    monkeypatch.setattr(harmonia.search, "_abundancy_cap", lambda bound: (7, 2))
-    with pytest.raises(ArithmeticError, match="abundancy cap 7/2"):
-        search_pairs(SearchConfig(bound=3000))
-    assert os.listdir(tmp_path) == []
+        # 3 segments of 1024, each kind's runs for each
+        search_pairs(SearchConfig(bound=3000, kind=kind), progress=look)
+        assert len({d for dirs in seen for d in dirs}) == 1, kind
+        [(rundir, files)] = seen[-1].items()
+        assert rundir.startswith("harmonia-runs-")
+        assert files == {f"{name}-{i:06d}.npy" for name in names for i in range(3)}, kind
+        assert os.listdir(tmp_path) == []
+        # a search that loses a row after pass 1 raises and leaves nothing
+        with monkeypatch.context() as m:
+            m.setattr(harmonia.search, "_bucket_slice", lambda *a: bucket_slice(*a)[:, 1:])
+            with pytest.raises(ArithmeticError, match="lost rows"):
+                search_pairs(SearchConfig(bound=3000, kind=kind))
+        assert os.listdir(tmp_path) == [], kind
+    # so does one that the abundancy tripwire refuses in pass 1
+    # (sigma*(210)/210 = 576/210 reaches 5/2)
+    monkeypatch.setattr(harmonia.search, "_abundancy_cap", lambda bound: (5, 2))
+    for kind in ("harmonious", "unitary_harmonious"):
+        with pytest.raises(ArithmeticError, match="abundancy cap 5/2"):
+            search_pairs(SearchConfig(bound=3000, kind=kind))
+        assert os.listdir(tmp_path) == [], kind
 
 
 def test_missing_temporary_directory_exits_4(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
     assert cli_main(["search", "harmonious", "--bound", "3000"]) == 4
     assert capsys.readouterr().err.startswith("error: ")
-
-
-def test_checkpoint_resume_and_refusal(tmp_path):
-    ck = str(tmp_path / "run.ck")
-    config = SearchConfig(bound=4096, checkpoint_path=ck)
-    first = jsonl_of(search_pairs(config))
-
-    # completed checkpoint: rerun resumes past every segment, same result
-    assert jsonl_of(search_pairs(config)) == first
-    loaded, rows = load_checkpoint(ck)
-    assert loaded.config_digest == config.digest()
-    assert loaded.last_segment == len(rows) - 1 == 3
-
-    # truncate to two completed segments: resume redoes the rest identically
-    with open(ck) as fh:
-        raw = json.load(fh)
-    raw["runs"] = raw["runs"][:2]
-    raw["last_segment"] = 1
-    raw["partial_digest"] = json_digest(raw["runs"])
-    with open(ck, "w") as fh:
-        json.dump(raw, fh)
-    assert jsonl_of(search_pairs(config)) == first
-
-    # foreign config refuses
-    with pytest.raises(CheckpointMismatch, match="belongs to config"):
-        search_pairs(SearchConfig(bound=5000, checkpoint_path=ck))
-
-    # tampered run file refuses
-    victim = str(tmp_path / "run.ck.runs" / "keys-000000.npy")
-    with open(victim, "r+b") as fh:
-        fh.seek(-8, os.SEEK_END)
-        fh.write(b"\x01\x02\x03\x04\x05\x06\x07\x08")
-    with pytest.raises(CheckpointMismatch, match="does not match"):
-        search_pairs(config)
-
-    # corrupt checkpoint json refuses
-    with open(ck, "w") as fh:
-        fh.write("{not json")
-    with pytest.raises(CheckpointMismatch, match="unreadable"):
-        search_pairs(config)
-
-
-def test_checkpoint_of_older_run_layout_is_refused(tmp_path):
-    ck = str(tmp_path / "run.ck")
-    config = SearchConfig(bound=4096, checkpoint_path=ck)
-    search_pairs(config)
-    # the digest payload from before the run layout entered it
-    old_payload = {
-        "bound": 4096,
-        "kind": "harmonious",
-        "k": 2,
-        "filters": [],
-        "allow_equal": True,
-        "segment_length": 1024,
-        "in_memory_limit": 10**7,
-    }
-    with open(ck) as fh:
-        raw = json.load(fh)
-    raw["config_digest"] = hashlib.sha256(
-        json.dumps(old_payload, sort_keys=True).encode()
-    ).hexdigest()
-    with open(ck, "w") as fh:
-        json.dump(raw, fh)
-    with pytest.raises(CheckpointMismatch, match="belongs to config"):
-        search_pairs(config)
-
-
-def test_checkpoint_of_run_layout_2_is_refused(tmp_path, monkeypatch, capsys):
-    # layout 2 kept every deficient-or-perfect query; its run files must not
-    # be mixed into a run of the pruned layout
-    ck = str(tmp_path / "run.ck")
-    argv = ["search", "harmonious", "--bound", "4096", "--checkpoint", ck]
-    with monkeypatch.context() as m:
-        m.setattr(harmonia.search, "_RUN_LAYOUT", 2)
-        assert cli_main(argv) == 0
-    capsys.readouterr()
-    assert cli_main(argv) == 3
-    assert "belongs to config" in capsys.readouterr().err
-
-
-def test_load_checkpoint_absent(tmp_path):
-    assert load_checkpoint(str(tmp_path / "nope.ck")) is None
 
 
 # --- anarchy sweep --------------------------------------------------------------
@@ -1186,7 +1080,7 @@ def test_false_positive_raises_through_every_search(monkeypatch, capsys):
     assert "re-validation" in capsys.readouterr().err
 
 
-def test_each_search_validates_once(monkeypatch, tmp_path):
+def test_each_search_validates_once(monkeypatch):
     calls = []
     classify_all = harmonia.search.classify_all
 
@@ -1199,7 +1093,6 @@ def test_each_search_validates_once(monkeypatch, tmp_path):
         lambda: search_pairs(SearchConfig(bound=3000)),
         lambda: search_pairs(SearchConfig(bound=3000, kind="unitary_harmonious")),
         lambda: search_pairs(SearchConfig(bound=3000, kind="amicable")),
-        lambda: search_pairs(SearchConfig(bound=3000, checkpoint_path=str(tmp_path / "c"))),
         lambda: search_triples(SearchConfig(bound=2000, k=3)),
         lambda: search_triples(SearchConfig(bound=2000, k=3, kind="amicable")),
         lambda: search_anarchy_pairs(64, 10**6),
