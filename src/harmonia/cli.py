@@ -247,9 +247,11 @@ def cmd_induction_trace(args, parser: argparse.ArgumentParser, argv: list) -> in
     theorem = theorem_trace(args.members)
     trace = theorem.trace
     if args.json:
+        # the induction branch embeds the trace in the theorem; print it once
+        report = theorem.to_json_dict()
         payload = {
-            "trace": trace.to_json_dict(),
-            "theorem": theorem.to_json_dict(),
+            "trace": None if report["trace"] else trace.to_json_dict(),
+            "theorem": report,
         }
         print(json.dumps(payload, separators=(",", ":")))
     else:

@@ -24,8 +24,10 @@ _each_segment, one task per bucket: it merges every segment's keys of the
 bucket into one index, and each segment's already sorted query slice
 probes that index in place.  A match of doubles is confirmed on its rows
 alone: each sigma comes back from the shared double, and one int64
-cross-multiplication decides (_exact_matches).  Every run is a .npy file
-in one temporary directory, removed when the search ends.  Segment lengths
+cross-multiplication decides (_exact_matches).  Every run is a plain .npy
+file in one temporary directory, removed when the search ends, and pass 2's
+slices of the runs must add up to the row counts that pass 1 reported as it
+wrote them (_check_conserved).  Segment lengths
 follow from the bound alone (_segment_length), so no search has a tuning
 knob.  Pair search needs bound < 2^30: from there on, the confirm's
 products n * sigma no longer fit in 63 bits.  Every segment loop, the
@@ -49,9 +51,9 @@ MAX_SIEVE_BOUND, 2^40.
 
 Amicable pairs use the aliquot shortcut instead: the only possible partner
 of M is s(M) = sigma(M) - M, so a pair exists exactly when
-sigma(s(M)) == sigma(M).  Pass 1 puts each M's (s(M), sigma(M)) query into
-the same run store, and a resolve pass re-sieves each segment to check the
-queries whose partner lies in it.
+sigma(s(M)) == sigma(M).  Pass 1 writes each M's (s(M), sigma(M)) query to
+a run file like the ratio kinds' runs, and a resolve pass re-sieves each
+segment to check the queries whose partner lies in it.
 
 Every search re-validates all its candidates in one classify_all call,
 which factors each distinct member afresh by trial division, independent of
@@ -221,7 +223,8 @@ def _each_segment(
 ) -> Iterator:
     """fn(item) for every item on a thread pool, yielded in item order.
 
-    Each result is reported as "<phase> segment <i>/<len(items)>".  When fn
+    Each result is reported as "<phase> <i>/<len(items)>", where the phase
+    names its unit ("wrote segment", "joined bucket").  When fn
     raises, the items not yet started are cancelled instead of run, and the
     error propagates."""
     pool = ThreadPoolExecutor(max_workers=threads if threads > 0 else (os.cpu_count() or 1))
@@ -230,7 +233,7 @@ def _each_segment(
         for i, fut in enumerate(futures, 1):
             result = fut.result()
             if progress:
-                progress(f"{phase} segment {i}/{len(items)}")
+                progress(f"{phase} {i}/{len(items)}")
             yield result
     finally:
         pool.shutdown(cancel_futures=True)
@@ -283,32 +286,15 @@ def _probe(
     return np.repeat(owners[hit], lens), values[rows]
 
 
-# --- run store ----------------------------------------------------------------
-#
-# Pass 1 writes each segment's runs into the store under (segment, name):
-# the ratio kinds write a "keys" and a "comps" run of (ratio bits, n) rows,
-# amicable writes a "queries" run of (partner, sigma_m, m) rows.  Every run
-# is one int64 array sorted by its first row.
-
-
-class _FileRuns:
-    """The run store of every pair search: <name>-<segment>.npy files in
-    one directory, loaded memory-mapped."""
-
-    def __init__(self, rundir: str) -> None:
-        self.rundir = rundir
-
-    def path(self, index: int, name: str) -> str:
-        return os.path.join(self.rundir, f"{name}-{index:06d}.npy")
-
-    def put(self, index: int, name: str, run: np.ndarray) -> None:
-        np.save(self.path(index, name), run)
-
-    def load(self, index: int, name: str) -> np.ndarray:
-        return np.load(self.path(index, name), mmap_mode="r")
-
-
 # --- pass 1: segment runs -----------------------------------------------------
+#
+# search_pairs writes each segment's runs as plain <name>-<segment>.npy
+# files: the ratio kinds a "keys" and a "comps" run of (ratio bits, n) rows,
+# amicable a "queries" run of (partner, sigma_m, m) rows.  Every run is one
+# int64 array sorted by its first row.  Pass 2 loads them memory-mapped
+# through a load(segment, name) function, and its slices must add up to the
+# row counts that pass 1 reported as it wrote them (_check_conserved), so a
+# row lost between np.save and np.load raises.
 
 
 def _ratio_segment_runs(lo: int, hi: int, bound: int, star: bool) -> dict[str, np.ndarray]:
@@ -344,28 +330,6 @@ def _amicable_segment_runs(
     return {"queries": _sorted_run(partner[ok], sigma[ok], n[ok])}
 
 
-def _pass1(
-    config: SearchConfig,
-    segs: list[tuple[int, int]],
-    store: _FileRuns,
-    progress: Progress | None,
-) -> None:
-    """Put every segment's runs into the store."""
-    star = config.kind == "unitary_harmonious"
-
-    def work(i: int) -> None:
-        lo, hi = segs[i]
-        if config.kind == "amicable":
-            runs = _amicable_segment_runs(lo, hi, config.bound, config.equal_allowed)
-        else:
-            runs = _ratio_segment_runs(lo, hi, config.bound, star)
-        for name, run in runs.items():
-            store.put(i, name, run)
-
-    for _ in _each_segment(work, range(len(segs)), config.threads, progress, "wrote"):
-        pass
-
-
 # --- pass 2: join -------------------------------------------------------------
 
 
@@ -388,16 +352,6 @@ def _bucket_slice(run: np.ndarray, lo_edge: int, hi_edge: int) -> np.ndarray:
     [lo_edge, hi_edge)."""
     col = run[0]
     return run[:, np.searchsorted(col, lo_edge) : np.searchsorted(col, hi_edge)]
-
-
-def _bucket_rows(store, nsegs: int, lo_edge: int, hi_edge: int) -> np.ndarray:
-    """Every segment's key rows with ratio bits in [lo_edge, hi_edge),
-    merged into one array sorted by those bits."""
-    rows = np.concatenate(
-        [_bucket_slice(store.load(i, "keys"), lo_edge, hi_edge) for i in range(nsegs)], axis=1
-    )
-    # the parts are sorted runs, which a stable (merging) sort exploits
-    return np.take(rows, np.argsort(rows[0], kind="stable"), axis=1)
 
 
 def _check_conserved(phase: str, taken: int, written: int) -> None:
@@ -430,8 +384,8 @@ def _exact_matches(q: np.ndarray, m: np.ndarray, bits: np.ndarray) -> np.ndarray
 
 
 def _join(
-    store,
-    nsegs: int,
+    load: Callable[[int, str], np.ndarray],
+    counts: list[dict[str, int]],
     bound: int,
     equal_allowed: bool,
     threads: int,
@@ -444,18 +398,23 @@ def _join(
     queries are never merged: each segment's run is already sorted, so its
     slice of the bucket probes the index in place.  A probe matches equal
     doubles, and _exact_matches keeps the matches of equal rationals.  The
-    buckets' key rows and query rows must add up to the pass-1 runs'
-    (_check_conserved)."""
-    total = sum(store.load(i, "keys").shape[1] for i in range(nsegs))
-    queries = sum(store.load(i, "comps").shape[1] for i in range(nsegs))
-    edges = _bucket_edges(bound, total)
+    buckets' key rows and query rows must add up to the counts that pass 1
+    reported for each segment (_check_conserved)."""
+    nsegs = len(counts)
+    written_keys = sum(c["keys"] for c in counts)
+    edges = _bucket_edges(bound, written_keys)
 
     def work(b: int) -> tuple[int, int, np.ndarray]:
-        keys = _bucket_rows(store, nsegs, edges[b], edges[b + 1])
+        lo_edge, hi_edge = edges[b], edges[b + 1]
+        keys = np.concatenate(
+            [_bucket_slice(load(i, "keys"), lo_edge, hi_edge) for i in range(nsegs)], axis=1
+        )
+        # the parts are sorted runs, which a stable (merging) sort exploits
+        keys = np.take(keys, np.argsort(keys[0], kind="stable"), axis=1)
         index = _key_index(keys[0])
         parts, taken = [], 0
         for i in range(nsegs):
-            comps = _bucket_slice(store.load(i, "comps"), edges[b], edges[b + 1])
+            comps = _bucket_slice(load(i, "comps"), lo_edge, hi_edge)
             taken += comps.shape[1]
             at, m = _probe(index, keys[1], comps[0], np.arange(comps.shape[1]))
             # two distinct perfect numbers match from both sides; the
@@ -463,47 +422,39 @@ def _join(
             parts.append(np.stack((comps[1, at], m, comps[0, at])))
         return keys.shape[1], taken, np.concatenate(parts, axis=1)
 
-    nbuckets = len(edges) - 1
-    joined_keys = joined_queries = 0
-    parts = []
-    done = _each_segment(work, range(nbuckets), threads)
-    for b, (taken_keys, taken_queries, part) in enumerate(done, 1):
-        joined_keys += taken_keys
-        joined_queries += taken_queries
-        parts.append(part)
-        if progress:
-            progress(f"joined bucket {b}/{nbuckets}")
-    _check_conserved("join keys", joined_keys, total)
-    _check_conserved("join queries", joined_queries, queries)
+    done = _each_segment(work, range(len(edges) - 1), threads, progress, "joined bucket")
+    taken_keys, taken_queries, parts = zip(*done)
+    _check_conserved("join keys", sum(taken_keys), written_keys)
+    _check_conserved("join queries", sum(taken_queries), sum(c["comps"] for c in counts))
     q, m, bits = np.concatenate(parts, axis=1)
     pairs = np.sort(np.stack((q, m))[:, _exact_matches(q, m, bits)], axis=0)
     return pairs if equal_allowed else pairs[:, pairs[0] < pairs[1]]
 
 
 def _resolve_amicable_queries(
-    store,
+    load: Callable[[int, str], np.ndarray],
+    counts: list[dict[str, int]],
     segs: list[tuple[int, int]],
     threads: int,
     progress: Progress | None,
 ) -> np.ndarray:
     """Re-sieve each segment and keep the queries whose partner lies in it
     and has the same sigma; (M, partner) pairs as the rows of one array.
-    The segments' query slices must add up to the pass-1 runs
-    (_check_conserved)."""
+    The segments' query slices must add up to the counts that pass 1
+    reported (_check_conserved)."""
 
     def work(seg: tuple[int, int]) -> tuple[np.ndarray, int]:
         lo, hi = seg
         sigma = sieve_tables(lo, hi)
         hits, taken = [], 0
         for i in range(len(segs)):
-            sl = np.asarray(_bucket_slice(store.load(i, "queries"), lo, hi + 1))
+            sl = np.asarray(_bucket_slice(load(i, "queries"), lo, hi + 1))
             taken += sl.shape[1]
             hits.append(sl[[2, 0]][:, sigma[sl[0] - lo] == sl[1]])
         return np.concatenate(hits, axis=1), taken
 
-    hits, taken = zip(*_each_segment(work, segs, threads, progress, "resolved"))
-    total = sum(store.load(i, "queries").shape[1] for i in range(len(segs)))
-    _check_conserved("resolve queries", sum(taken), total)
+    hits, taken = zip(*_each_segment(work, segs, threads, progress, "resolved segment"))
+    _check_conserved("resolve queries", sum(taken), sum(c["queries"] for c in counts))
     return np.concatenate(hits, axis=1)
 
 
@@ -541,8 +492,9 @@ def search_pairs(
     """All pairs (M <= N <= bound) of the configured kind, sorted ascending.
 
     Every kind runs the same path: pass 1 writes each segment's runs as
-    .npy files, then the ratio kinds join the runs and amicable resolves its
-    partner queries.  The files live in one temporary harmonia-runs-*
+    .npy files and reports their row counts, then the ratio kinds join the
+    runs and amicable resolves its partner queries, each checked against
+    those counts.  The files live in one temporary harmonia-runs-*
     directory (under TMPDIR), removed when the search ends, and take up to
     about 11 bytes per integer of the bound.  The segment length follows
     from the bound (_segment_length).  Results are identical across segment
@@ -554,14 +506,33 @@ def search_pairs(
     if config.kind != "amicable" and config.bound >= 1 << 30:
         raise ValueError(f"{config.kind} pair search needs bound < 2^30, got {config.bound}")
     segs = _segments(config.bound)
+    star = config.kind == "unitary_harmonious"
     with tempfile.TemporaryDirectory(prefix="harmonia-runs-") as rundir:
-        store = _FileRuns(rundir)
-        _pass1(config, segs, store, progress)
+
+        def path(i: int, name: str) -> str:
+            return os.path.join(rundir, f"{name}-{i:06d}.npy")
+
+        def write(i: int) -> dict[str, int]:
+            lo, hi = segs[i]
+            if config.kind == "amicable":
+                runs = _amicable_segment_runs(lo, hi, config.bound, config.equal_allowed)
+            else:
+                runs = _ratio_segment_runs(lo, hi, config.bound, star)
+            for name, run in runs.items():
+                np.save(path(i, name), run)
+            return {name: run.shape[1] for name, run in runs.items()}
+
+        def load(i: int, name: str) -> np.ndarray:
+            return np.load(path(i, name), mmap_mode="r")
+
+        counts = list(
+            _each_segment(write, range(len(segs)), config.threads, progress, "wrote segment")
+        )
         if config.kind == "amicable":
-            m_col, n_col = _resolve_amicable_queries(store, segs, config.threads, progress)
+            m_col, n_col = _resolve_amicable_queries(load, counts, segs, config.threads, progress)
         else:
             m_col, n_col = _join(
-                store, len(segs), config.bound, config.equal_allowed, config.threads, progress
+                load, counts, config.bound, config.equal_allowed, config.threads, progress
             )
     return _emit_records(_candidate_tuples(m_col, n_col), config.kind, config.filters)
 
@@ -651,7 +622,7 @@ def search_anarchy_pairs(
                 pairs.append((m, odd << a))
         return np.array(pairs, dtype=np.int64).reshape(-1, 2).T
 
-    parts = list(_each_segment(work, _segments(n_bound), threads, progress, "swept"))
+    parts = list(_each_segment(work, _segments(n_bound), threads, progress, "swept segment"))
     pairs = _candidate_tuples(*np.concatenate(parts, axis=1))
     return _emit_records(pairs, "harmonious", frozenset({"anarchy"}))
 

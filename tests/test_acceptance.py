@@ -6,11 +6,8 @@ plain divisor double loop) or checked against the published tables before
 being frozen.  Time budgets are part of the criteria and are asserted.
 """
 
-import json
 import os
 import time
-
-import pytest
 
 from harmonia.arith import factorize
 from harmonia.bounds import tower, verify_bounds

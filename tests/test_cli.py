@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import os
 import re
 import sys
 import types
@@ -396,6 +395,28 @@ def test_induction_trace_bytes_are_frozen(members, capsys):
         assert run_cli("induction", "trace", *members, *extra) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, extra
+
+
+def test_induction_trace_json_prints_the_trace_once(monkeypatch, capsys):
+    # with the threshold at 0 the worked pair takes the induction branch,
+    # whose theorem embeds the trace: the top-level trace is then null
+    monkeypatch.setattr(harmonia.induction, "_radical_threshold", lambda K: 0)
+    steps = []
+    to_json_dict = harmonia.induction.StepCertificate.to_json_dict
+    monkeypatch.setattr(
+        harmonia.induction.StepCertificate,
+        "to_json_dict",
+        lambda cert: steps.append(cert.step) or to_json_dict(cert),
+    )
+    assert run_cli("induction", "trace", "64", "173369889", "--json") == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0].count('"steps":') == 1
+    payload = json.loads(lines[0])
+    assert payload["trace"] is None
+    assert payload["theorem"]["branch"] == "induction"
+    assert payload["theorem"]["trace"]["sum_v"] == 5
+    assert steps == [1]
+    assert lines[-1] == "kind=induction steps=1 verified=true"
 
 
 def test_induction_trace_validates_once(monkeypatch, capsys):

@@ -15,7 +15,6 @@ import re
 import tempfile
 import threading
 import time
-import types
 from collections import defaultdict
 from fractions import Fraction
 
@@ -338,8 +337,8 @@ def planted_join(keys, queries):
         )
         for name, rows in (("keys", keys), ("comps", queries))
     }
-    store = types.SimpleNamespace(load=lambda index, name: runs[name])
-    return _join(store, 1, 2**30 - 1, True, 1, None).T.tolist()
+    counts = [{name: run.shape[1] for name, run in runs.items()}]
+    return _join(lambda i, name: runs[name], counts, 2**30 - 1, True, 1, None).T.tolist()
 
 
 def test_join_drops_an_equal_double_of_another_fraction():
@@ -411,6 +410,33 @@ def test_run_conservation_refuses_a_lost_row(kind, name, monkeypatch):
     with pytest.raises(ArithmeticError, match="lost rows"):
         search_pairs(SearchConfig(bound=3000, kind=kind, threads=2))
     assert len(dropped) == 1
+
+
+@pytest.mark.parametrize(
+    "kind, name",
+    [("harmonious", "keys"), ("harmonious", "comps"), ("amicable", "queries")],
+)
+def test_run_conservation_refuses_a_row_lost_at_save(kind, name, tmp_path, monkeypatch):
+    # pass 2 checks its slices against the row counts that pass 1 reported
+    # as it wrote the runs, not against the run files: the first nonempty
+    # `name` run loses one column on its way to disk, and the search must
+    # raise instead of dropping that row's pairs (a lost key row would
+    # silently leave 121 of the 122 pairs at 3000)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    real = np.save
+    dropped = []
+
+    def lossy(file, arr, *args, **kwargs):
+        lose = not dropped and arr.shape[1] > 0 and os.path.basename(file).startswith(f"{name}-")
+        if lose:
+            dropped.append(file)
+        return real(file, arr[:, 1:] if lose else arr, *args, **kwargs)
+
+    monkeypatch.setattr(np, "save", lossy)
+    with pytest.raises(ArithmeticError, match="lost rows"):
+        search_pairs(SearchConfig(bound=3000, kind=kind, threads=1))
+    assert len(dropped) == 1
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize(
@@ -559,6 +585,25 @@ def test_failing_segment_cancels_the_rest():
     with pytest.raises(OSError, match="disk full"):
         list(_each_segment(work, range(100), threads=1))
     assert len(ran) <= 5
+
+
+@pytest.mark.parametrize("kind", ["harmonious", "unitary_harmonious", "amicable"])
+def test_pair_search_progress_lines(kind):
+    # 3 segments of 1024, then 8 buckets (the floor) or 3 resolved segments,
+    # each phase reported in order whatever the thread count
+    lines = []
+    search_pairs(SearchConfig(bound=3000, kind=kind, threads=2), progress=lines.append)
+    if kind == "amicable":
+        second = [f"resolved segment {i}/3" for i in range(1, 4)]
+    else:
+        second = [f"joined bucket {b}/8" for b in range(1, 9)]
+    assert lines == [f"wrote segment {i}/3" for i in range(1, 4)] + second
+
+
+def test_sweep_progress_lines():
+    lines = []
+    search_anarchy_pairs(10, 3000, threads=2, progress=lines.append)
+    assert lines == [f"swept segment {i}/3" for i in range(1, 4)]
 
 
 def test_segment_length_invariance_every_kind(monkeypatch):

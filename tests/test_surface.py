@@ -5,8 +5,9 @@ A bare name does not count for a method: a local variable of the same name
 would hide it.  No module in src/ imports another's private (_name) names:
 what two modules share is public.  So every private top-level name is read
 in its own module, and a helper goes when its last caller does.  Every name
-a module in src/ imports is read in that module or re-exported by the
-package, so code that is deleted takes its imports with it.  Every dataclass
+a module in src/, tests/ or demos/ imports is read in that module or
+re-exported by the package, so code that is deleted takes its imports with
+it.  Every dataclass
 in src/ is frozen: results are built once and only read.  The search reduces
 no fraction: every search in search.py matches ratios by their doubles and
 confirms exactly, so the module reads no gcd and names no _codes; in
@@ -124,7 +125,9 @@ def _idle_imports(path: Path) -> list[str]:
 
 
 def test_no_idle_imports():
-    found = {path.name: _idle_imports(path) for path in sorted(SRC.glob("*.py"))}
+    root = SRC.parents[1]
+    paths = [*SRC.glob("*.py"), *(root / "tests").glob("*.py"), *(root / "demos").glob("*.py")]
+    found = {str(path.relative_to(root)): _idle_imports(path) for path in sorted(paths)}
     assert {name: idle for name, idle in found.items() if idle} == {}
 
 
