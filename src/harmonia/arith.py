@@ -13,8 +13,15 @@ view each per prime power; it builds no index arrays and tests no
 remainders.  The odd column gives the prime 2 no pass and halves the
 integers.  Every integer it holds is at most max(hi + 1, sigma(n)) < 6 * hi,
 so it works in int32 lanes while 6 * hi < 2^31 (hi <= 357,913,941) and in
-int64 lanes above, which MAX_SIEVE_BOUND keeps far below 2^63; the column
-it returns is int64 either way.
+int64 lanes above, which MAX_SIEVE_BOUND keeps far below 2^63.
+
+By default a sieve call allocates its two lanes and returns a fresh int64
+column.  A caller that sieves many segments may own the lanes instead, as
+one SieveLanes passed as lanes=..., reused by every call.  Such a call
+allocates no segment-sized array.  It fills rem block by block from a
+process-wide, read-only step block (step * i for i < 2^16, built once
+under the tile lock), and returns sigma as a view of the out lane in the
+lane's dtype, valid until the next call through the same lanes.
 """
 
 from __future__ import annotations
@@ -46,6 +53,8 @@ _TILE_FACTORS = {
     "sigma_star": lambda p, v: p**v + 1,
 }
 _TILE_LOCK = Lock()
+# entries per pass of a sieve into owned lanes (see sieve_tables)
+_BLOCK = 1 << 16
 
 
 def factorize(n: int) -> Factorization:
@@ -168,7 +177,45 @@ def _lay_tiles(out: np.ndarray, column: str, origin: int, odd: bool) -> None:
             start = 0
 
 
-def sieve_tables(lo: int, hi: int, *, star: bool = False, odd: bool = False) -> np.ndarray:
+class SieveLanes:
+    """The rem and out lanes of one caller of sieve_tables (lanes=...), for
+    one thread: two arrays of `entries` entries in the lane dtype that the
+    calls' hi asks for, allocated on the first call and again only when a
+    call needs the other dtype.  Each call sieves into their first entries
+    and overwrites the sigma that the previous call returned.  They are
+    exactly as long as the caller asked, so the memory they hold is the
+    memory they touch."""
+
+    def __init__(self, entries: int) -> None:
+        self.entries = entries
+        self.rem: np.ndarray | None = None
+        self.out: np.ndarray | None = None
+
+    def take(self, length: int, lane: type) -> tuple[np.ndarray, np.ndarray]:
+        """The first `length` entries of rem and out, in dtype lane."""
+        if length > self.entries:
+            raise ValueError(f"lanes of {self.entries} entries hold no {length}")
+        if self.rem is None or self.rem.dtype != lane:
+            self.rem, self.out = np.empty(self.entries, lane), np.empty(self.entries, lane)
+        return self.rem[:length], self.out[:length]
+
+
+@lru_cache(maxsize=None)
+def _build_steps(step: int, lane: type) -> np.ndarray:
+    """The read-only column step * i, i < _BLOCK, in the lane's dtype."""
+    steps = np.arange(0, step * _BLOCK, step, dtype=lane)
+    steps.flags.writeable = False
+    return steps
+
+
+def sieve_tables(
+    lo: int,
+    hi: int,
+    *,
+    star: bool = False,
+    odd: bool = False,
+    lanes: SieveLanes | None = None,
+) -> np.ndarray:
     """sigma(n), or sigma*(n) when star, for n in [lo, hi] at index n - lo;
     under odd, for the odd n in [lo, hi] only, at index (n - lo') / 2 with
     lo' = lo | 1.
@@ -207,23 +254,40 @@ def sieve_tables(lo: int, hi: int, *, star: bool = False, odd: bool = False) -> 
     sigma(n)).  sigma(n) < 6n for every n below 130,429,015,516,800, the
     least n with sigma(n) >= 6n (OEIS A023199), far above
     MAX_SIEVE_BOUND; each factor applied is sigma(p^k) < 2 * p^k <= 2 * hi.
-    So every intermediate is below 6 * hi, which fits the lane.  The last
-    step multiplies the two lanes into a fresh int64 column, so callers
-    may multiply sigma by Python ints without an int32 overflow.  The
+    So every intermediate is below 6 * hi, which fits the lane.  The
     p-part is laid into the output buffer before the factors overwrite
     it, so the tiles cost no segment-sized array; the tiles themselves
     are int32, are built once per process on first use, and only the
     requested column's.
+
+    Without lanes, the call allocates rem and out, and its last step
+    multiplies them into a fresh int64 column, so callers may multiply
+    sigma by Python ints without an int32 overflow.  With lanes, a
+    SieveLanes of at least as many entries as the column that the caller
+    owns, the call allocates no segment-sized array: it takes the lanes'
+    first entries in the lane dtype, fills rem a block at a time as the
+    block's first n plus the shared step block (_build_steps), folds the
+    leftover primes into out a block at a time, and returns that view of
+    out, sigma in the lane's dtype.  The next call through the same
+    lanes overwrites it.
     """
     if not 1 <= lo <= hi:
         raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
     if hi > MAX_SIEVE_BOUND:
         raise ValueError(f"sieve bound {hi} exceeds {MAX_SIEVE_BOUND}")
     first, step = (lo | 1, 2) if odd else (lo, 1)
+    length = (hi - first) // step + 1
     lane = np.int32 if 6 * hi < 1 << 31 else np.int64
-    rem = np.arange(first, hi + 1, step, dtype=lane)
-    length = rem.size
-    out = np.empty(length, dtype=lane)
+    if lanes is None:
+        rem = np.arange(first, hi + 1, step, dtype=lane)
+        out = np.empty(length, dtype=lane)
+    else:
+        rem, out = lanes.take(length, lane)
+        with _TILE_LOCK:
+            steps = _build_steps(step, lane)
+        for at in range(0, length, _BLOCK):
+            block = rem[at : at + _BLOCK]
+            np.add(steps[: block.size], first + step * at, out=block)
     origin = first // step
     _lay_tiles(out, "part", origin, odd)
     rem //= out
@@ -250,5 +314,11 @@ def sieve_tables(lo: int, hi: int, *, star: bool = False, odd: bool = False) -> 
             q *= p
             s = -first * ((q + 1) // 2 if odd else 1) % q
     # a leftover prime r > 1 contributes 1 + r, a leftover 1 contributes 1
-    np.add(rem, rem > 1, out=rem)
-    return np.multiply(out, rem, dtype=np.int64)
+    if lanes is None:
+        np.add(rem, rem > 1, out=rem)
+        return np.multiply(out, rem, dtype=np.int64)
+    for at in range(0, length, _BLOCK):
+        block = rem[at : at + _BLOCK]
+        block += block > 1
+        out[at : at + _BLOCK] *= block
+    return out

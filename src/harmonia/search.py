@@ -42,12 +42,13 @@ integers only.  Anarchy forces N odd or M an odd square (the parity rule),
 and N = 2^a * o with o odd has N/sigma(N) = t exactly when
 o/sigma(o) = t * (2^(a+1) - 1)/2^a.  So one sweep of the odd column of the
 sieve probes every M's complement t, and the scaled targets of the
-odd-square M for each a >= 1 (_anarchy_targets).  Each segment divides
-one float64 column of its odd o by their sigma in place, and each
-o/sigma(o) is matched against the targets' doubles, which loses no match
-since o, sigma(o) < 2^53; a matched o follows from its index, and one exact
-cross-multiplication in Python ints decides.  So the sweep runs up to
-MAX_SIEVE_BOUND, 2^40.
+odd-square M for each a >= 1 (_anarchy_targets).  Each worker thread
+sieves its segments into lanes it owns for the whole sweep and computes
+o/sigma(o) in a reused float64 chunk, so no segment allocates a
+segment-sized array.  Each o/sigma(o) is matched against the targets'
+doubles, which loses no match since o, sigma(o) < 2^53; a matched o
+follows from its index, and one exact cross-multiplication in Python ints
+decides.  So the sweep runs up to MAX_SIEVE_BOUND, 2^40.
 
 Amicable pairs use the aliquot shortcut instead: the only possible partner
 of M is s(M) = sigma(M) - M, so a pair exists exactly when
@@ -70,13 +71,14 @@ import math
 import operator
 import os
 import tempfile
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .arith import MAX_SIEVE_BOUND, sieve_tables
+from .arith import MAX_SIEVE_BOUND, SieveLanes, sieve_tables
 from .classify import TupleRecord, classify_all
 
 KINDS = ("harmonious", "unitary_harmonious", "amicable")
@@ -87,8 +89,8 @@ TRIPLE_BOUND_CAP = 10**5
 # key bytes per bucket of the merge join; a bucket's queries take about
 # three times as much, and up to `threads` buckets are resident at once
 _BUCKET_TARGET_BYTES = 64 << 20
-# slots of the anarchy sweep's float64 prefilter table (1 MB of bool)
-_MARK_SLOTS = 1 << 20
+# entries of the anarchy sweep's reused float64 ratio chunk (1 MB)
+_RATIO_CHUNK = 1 << 17
 
 Progress = Callable[[str], None]
 
@@ -555,6 +557,14 @@ def _anarchy_targets(small_sigma: np.ndarray, n_bound: int) -> tuple[list, np.nd
     return rows, np.array([num / den for num, den, _, _ in rows])
 
 
+def _mark_slots(targets: int) -> int:
+    """Slots of the anarchy sweep's prefilter table over that many target
+    doubles, one bool each: the least power of two with 32 slots a
+    target, so that at most ~3% of the swept o pass to the probe, but
+    never fewer than 2^20 (1 MB) nor more than 2^26 (64 MB)."""
+    return min(1 << 26, max(1 << 20, 1 << (32 * targets - 1).bit_length()))
+
+
 def search_anarchy_pairs(
     m_bound: int,
     n_bound: int,
@@ -579,14 +589,21 @@ def search_anarchy_pairs(
     or M an odd square; _emit_records drops those that fail anarchy.
 
     Each swept o/sigma(o) is matched as a float64, first in a table over
-    the low mantissa bits of the targets' doubles, then by _probe.  A
-    segment holds its o only as one float64 column, exact since o < 2^53,
-    which it divides by sigma and then masks in place; the o of entry i is
-    lo' + 2i, with lo' the segment's first odd integer.  o and sigma(o) < 6o
-    lie below 2^53, so o/sigma(o) is correctly rounded, as is each target's
-    num / den: equal rationals give equal doubles and no match is lost.
-    Only o * den == num * sigma(o), in Python ints, decides; every record is
-    re-validated by classify_all.
+    the low mantissa bits of the targets' doubles (_mark_slots), then by
+    _probe.  Each worker thread of the sweep owns its buffers for the whole
+    sweep: the sieve's two lanes, sized for the longest segment's odd
+    column, and a float64 chunk of _RATIO_CHUNK entries with a bool chunk
+    of the same length.  The sieve leaves sigma in the out lane.  The
+    ratio pass then walks it a chunk at a time: it writes the chunk's o,
+    exact since o < 2^53, divides them by sigma and masks them in place,
+    and looks the slots up in the table; the o of entry i is lo' + 2i,
+    with lo' the segment's first odd integer.  Only the hits leave the
+    chunk, and their ratios are recomputed from sigma in the lane.  The
+    buffers are thread-local on the sweep's pool, so they die with it.
+    o and sigma(o) < 6o lie below 2^53, so o/sigma(o) is correctly
+    rounded, as is each target's num / den: equal rationals give equal
+    doubles and no match is lost.  Only o * den == num * sigma(o), in
+    Python ints, decides; every record is re-validated by classify_all.
     """
     m_bound, n_bound = _integer("m_bound", m_bound), _integer("n_bound", n_bound)
     if not 2 <= m_bound <= n_bound:
@@ -599,20 +616,38 @@ def search_anarchy_pairs(
     index = _key_index(doubles)
     row_ids = np.arange(len(rows))
     # equal doubles have equal bits, so a table over the low mantissa bits
-    # passes every o whose double is among them (and about 0.1% of the rest)
-    marks = np.zeros(_MARK_SLOTS, dtype=bool)
-    marks[doubles.view(np.int64) & (_MARK_SLOTS - 1)] = True
+    # passes every o whose double is among them (and a few of the rest)
+    mask = _mark_slots(len(rows)) - 1
+    marks = np.zeros(mask + 1, dtype=bool)
+    marks[doubles.view(np.int64) & mask] = True
+    segs = _segments(n_bound)
+    # the odd o of a segment, at most; every worker's lanes hold that many
+    entries = max((hi - lo) // 2 + 1 for lo, hi in segs)
+    chunk = _RATIO_CHUNK
+    # 2i as doubles: the chunk from entry at holds o = first + 2 * at + 2i
+    odd_steps = np.arange(0, 2 * chunk, 2, dtype=np.float64)
+    owned = threading.local()
 
     def work(seg: tuple[int, int]) -> np.ndarray:
+        if not hasattr(owned, "lanes"):
+            owned.lanes = SieveLanes(entries)
+            owned.ratio, owned.marked = np.empty(chunk), np.empty(chunk, dtype=bool)
         lo_n, hi_n = seg
-        sigma = sieve_tables(lo_n, hi_n, odd=True)
+        sigma = sieve_tables(lo_n, hi_n, odd=True, lanes=owned.lanes)
         # entry i is o = first + 2i
         first = lo_n | 1
-        ratio = np.arange(first, hi_n + 1, 2, dtype=np.float64)
-        ratio /= sigma
-        slots = ratio.view(np.int64)
-        slots &= _MARK_SLOTS - 1  # in place: no second segment-sized temporary
-        hit = np.flatnonzero(marks[slots])
+        hits = []
+        for at in range(0, sigma.size, chunk):
+            part = sigma[at : at + chunk]
+            ratio, marked = owned.ratio[: part.size], owned.marked[: part.size]
+            np.add(odd_steps[: part.size], first + 2 * at, out=ratio)
+            ratio /= part
+            slots = ratio.view(np.int64)
+            slots &= mask
+            # every slot is in range; "wrap" spares take its buffered copy
+            np.take(marks, slots, out=marked, mode="wrap")
+            hits.append(np.flatnonzero(marked) + at)
+        hit = np.concatenate(hits)
         at, row = _probe(index, row_ids, (first + 2 * hit) / sigma[hit], hit)
         pairs = []
         for odd, s, r in zip((first + 2 * at).tolist(), sigma[at].tolist(), row.tolist()):
@@ -622,7 +657,7 @@ def search_anarchy_pairs(
                 pairs.append((m, odd << a))
         return np.array(pairs, dtype=np.int64).reshape(-1, 2).T
 
-    parts = list(_each_segment(work, _segments(n_bound), threads, progress, "swept segment"))
+    parts = list(_each_segment(work, segs, threads, progress, "swept segment"))
     pairs = _candidate_tuples(*np.concatenate(parts, axis=1))
     return _emit_records(pairs, "harmonious", frozenset({"anarchy"}))
 

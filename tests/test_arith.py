@@ -18,6 +18,7 @@ from oracles import Profile, profile_of
 from harmonia.arith import (
     _TILE_GROUPS,
     MAX_SIEVE_BOUND,
+    SieveLanes,
     factorize,
     merge_factorizations,
     primes_upto,
@@ -221,6 +222,38 @@ def test_sieve_lanes_switch_without_changing_a_value() -> None:
             right = sieve_tables(_INT32_TOP + 1, hi, star=star, odd=odd)
             assert whole.dtype == left.dtype == right.dtype == np.int64
             assert np.array_equal(np.concatenate((left, right)), whole), (star, odd)
+
+
+def test_sieve_into_owned_lanes_leaves_nothing_stale() -> None:
+    # a 4096-long window and then a 1000-long one through the same lanes,
+    # then one that crosses the fill and fold blocks' edges (2^16 entries)
+    # and a short one again, in int32 lanes near 10^6, in int64 lanes near
+    # 2^35 and in int32 lanes again: each equals a fresh sieve, and comes
+    # back as a view of the out lane in its dtype
+    size = (1 << 17) + 4097
+    windows = ((10**6 - 1234, np.int32), ((1 << 35) - 1234, np.int64), (10**6 + 777, np.int32))
+    for star in (False, True):
+        for odd in (False, True):
+            lanes = SieveLanes(size)
+            for lo, lane in windows:
+                for width in (4096, 1000, size, 1000):
+                    got = sieve_tables(lo, lo + width - 1, star=star, odd=odd, lanes=lanes)
+                    want = sieve_tables(lo, lo + width - 1, star=star, odd=odd)
+                    assert got.dtype == lane and np.shares_memory(got, lanes.out)
+                    assert np.array_equal(got, want), (lo, star, odd, width)
+    with pytest.raises(ValueError, match=f"hold no {size + 1}"):
+        sieve_tables(10**6, 10**6 + size, lanes=lanes)
+
+
+def test_sieve_without_lanes_returns_a_fresh_column() -> None:
+    # _sigma_full concatenates several columns sieved on one thread, so
+    # none may alias a buffer that the next call reuses
+    a, b = sieve_tables(10**6, 10**6 + 4095), sieve_tables(10**6 + 4096, 10**6 + 8191)
+    c = sieve_tables(10**6, 10**6 + 4095, odd=True)
+    for column in (a, b, c):
+        assert column.dtype == np.int64 and column.flags.owndata
+    assert not np.shares_memory(a, b) and not np.shares_memory(a, c)
+    assert not np.shares_memory(b, c)
 
 
 def test_sieve_at_the_int32_extremes() -> None:

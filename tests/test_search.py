@@ -12,9 +12,11 @@ import json
 import math
 import os
 import re
+import sys
 import tempfile
 import threading
 import time
+import weakref
 from collections import defaultdict
 from fractions import Fraction
 
@@ -738,7 +740,7 @@ def parity_rule(m, n):
     return n % 2 == 1 or odd_square(m)
 
 
-def swept_candidates(monkeypatch, m_bound, n_bound, segment_lengths=(None,)):
+def swept_candidates(monkeypatch, m_bound, n_bound, segment_lengths=(None,), threads=2):
     """The candidate list that the anarchy sweep hands to _emit_records, the
     same under each segment length (None: the derived one)."""
     sent = []
@@ -753,7 +755,7 @@ def swept_candidates(monkeypatch, m_bound, n_bound, segment_lengths=(None,)):
         for length in segment_lengths:
             if length:
                 m.setattr(harmonia.search, "_segment_length", lambda bound: length)
-            search_anarchy_pairs(m_bound, n_bound, threads=2)
+            search_anarchy_pairs(m_bound, n_bound, threads=threads)
     assert len(sent) == len(segment_lengths) and all(got == sent[0] for got in sent)
     return sent[0]
 
@@ -819,7 +821,65 @@ def test_anarchy_prefilter_drops_no_candidate(monkeypatch):
     removed = [pair for pair in exact if not parity_rule(*pair)]
     assert len(kept) == 44 and len(removed) == 420
     assert not any(r.flags["anarchy"] for r in classify_all(removed))
-    assert swept_candidates(monkeypatch, m_bound, n_bound, (1024, 1 << 17)) == kept
+    # the derived mark table, a ratio chunk of 4099 entries, which divides
+    # no segment's odd column, a mark table too small to filter anything
+    # and one far larger than the target count derives; both segment
+    # lengths leave a last segment shorter than the buffers each worker
+    # holds
+    assert n_bound % 1024 and n_bound % (1 << 17)
+    for name, value, lengths in (
+        (None, None, (1024, 1 << 17)),
+        ("_RATIO_CHUNK", 4099, (1024, 1 << 17)),
+        ("_mark_slots", lambda targets: 1 << 6, (1 << 17,)),
+        ("_mark_slots", lambda targets: 1 << 24, (1 << 17,)),
+    ):
+        with monkeypatch.context() as m:
+            if name:
+                m.setattr(harmonia.search, name, value)
+            assert swept_candidates(m, m_bound, n_bound, lengths) == kept, name
+
+
+def test_anarchy_mark_table_follows_the_target_count():
+    # m_bound 1000 keeps the 2^20 slots; 10^6 gets ~32 slots a target
+    mark_slots = harmonia.search._mark_slots
+    assert len(harmonia.search._anarchy_targets(sieve_tables(1, 1000), 176160768)[0]) == 1405
+    assert mark_slots(1405) == mark_slots(1) == 1 << 20
+    assert mark_slots(32768) == 1 << 20 and mark_slots(32769) == 1 << 21
+    assert mark_slots(1_013_473) == 1 << 25 and mark_slots(10**9) == 1 << 26
+
+
+def test_anarchy_sweep_releases_its_worker_buffers(monkeypatch):
+    # every worker sieves into its own lanes for the whole sweep, no lanes
+    # serve two threads, and none of them outlives the sweep; six workers
+    # on a short switch interval interleave their segments
+    refs, users, calls = [], defaultdict(set), 0
+    sieve = harmonia.search.sieve_tables
+
+    def spy(lo, hi, **kwargs):
+        nonlocal calls
+        lanes = kwargs.get("lanes")
+        # the small side's sigma (_sigma_full) comes from fresh columns
+        if lanes is not None:
+            calls += 1
+            users[id(lanes)].add(threading.get_ident())
+        sigma = sieve(lo, hi, **kwargs)
+        if lanes is not None and not any(r() is lanes for r, _, _ in refs):
+            refs.append(tuple(map(weakref.ref, (lanes, lanes.rem, lanes.out))))
+        return sigma
+
+    want = swept_candidates(monkeypatch, 1000, 10**6, threads=1)
+    monkeypatch.setattr(harmonia.search, "sieve_tables", spy)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got = swept_candidates(monkeypatch, 1000, 10**6, threads=6)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want and len(want) > 10
+    assert calls == len(harmonia.search._segments(10**6)) > 6
+    assert 1 <= len(refs) == len(users) <= 6
+    assert all(len(threads) == 1 for threads in users.values())
+    assert all(r() is None for held in refs for r in held)
 
 
 def test_anarchy_sweep_drops_an_equal_double_of_another_fraction(monkeypatch):
