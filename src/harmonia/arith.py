@@ -15,13 +15,14 @@ integers.  Every integer it holds is at most max(hi + 1, sigma(n)) < 6 * hi,
 so it works in int32 lanes while 6 * hi < 2^31 (hi <= 357,913,941) and in
 int64 lanes above, which MAX_SIEVE_BOUND keeps far below 2^63.
 
-By default a sieve call allocates its two lanes and returns a fresh int64
-column.  A caller that sieves many segments may own the lanes instead, as
-one SieveLanes passed as lanes=..., reused by every call.  Such a call
-allocates no segment-sized array.  It fills rem block by block from a
-process-wide, read-only step block (step * i for i < 2^16, built once
-under the tile lock), and returns sigma as a view of the out lane in the
-lane's dtype, valid until the next call through the same lanes.
+Every sieve call runs in a SieveLanes, the rem and out lanes.  It fills
+rem block by block from a process-wide, read-only step block (step * i for
+i < 2^16, built once under the tile lock) and leaves sigma in out.  A
+caller that sieves many segments owns one SieveLanes, passed as
+lanes=... and reused by every call; such a call allocates no
+segment-sized array and returns sigma as a view of the out lane in the
+lane's dtype, valid until the next call through the same lanes.  Without
+lanes, the call sieves into throwaway lanes and returns a fresh int64 copy.
 """
 
 from __future__ import annotations
@@ -260,16 +261,16 @@ def sieve_tables(
     are int32, are built once per process on first use, and only the
     requested column's.
 
-    Without lanes, the call allocates rem and out, and its last step
-    multiplies them into a fresh int64 column, so callers may multiply
-    sigma by Python ints without an int32 overflow.  With lanes, a
-    SieveLanes of at least as many entries as the column that the caller
-    owns, the call allocates no segment-sized array: it takes the lanes'
-    first entries in the lane dtype, fills rem a block at a time as the
-    block's first n plus the shared step block (_build_steps), folds the
-    leftover primes into out a block at a time, and returns that view of
-    out, sigma in the lane's dtype.  The next call through the same
-    lanes overwrites it.
+    The call takes the first entries of its lanes in the lane dtype, fills
+    rem a block at a time as the block's first n plus the shared step
+    block (_build_steps), and folds the leftover primes into out a block
+    at a time.  With lanes, a SieveLanes of at least as many entries as
+    the column that the caller owns, it allocates no segment-sized array
+    and returns that view of out, sigma in the lane's dtype; the next call
+    through the same lanes overwrites it.  Without lanes, it sieves into a
+    throwaway SieveLanes of the column's length and returns an int64 copy
+    of out, so callers may multiply sigma by Python ints without an int32
+    overflow.
     """
     if not 1 <= lo <= hi:
         raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
@@ -278,16 +279,13 @@ def sieve_tables(
     first, step = (lo | 1, 2) if odd else (lo, 1)
     length = (hi - first) // step + 1
     lane = np.int32 if 6 * hi < 1 << 31 else np.int64
-    if lanes is None:
-        rem = np.arange(first, hi + 1, step, dtype=lane)
-        out = np.empty(length, dtype=lane)
-    else:
-        rem, out = lanes.take(length, lane)
-        with _TILE_LOCK:
-            steps = _build_steps(step, lane)
-        for at in range(0, length, _BLOCK):
-            block = rem[at : at + _BLOCK]
-            np.add(steps[: block.size], first + step * at, out=block)
+    fresh = lanes is None
+    rem, out = (SieveLanes(length) if fresh else lanes).take(length, lane)
+    with _TILE_LOCK:
+        steps = _build_steps(step, lane)
+    for at in range(0, length, _BLOCK):
+        block = rem[at : at + _BLOCK]
+        np.add(steps[: block.size], first + step * at, out=block)
     origin = first // step
     _lay_tiles(out, "part", origin, odd)
     rem //= out
@@ -314,11 +312,8 @@ def sieve_tables(
             q *= p
             s = -first * ((q + 1) // 2 if odd else 1) % q
     # a leftover prime r > 1 contributes 1 + r, a leftover 1 contributes 1
-    if lanes is None:
-        np.add(rem, rem > 1, out=rem)
-        return np.multiply(out, rem, dtype=np.int64)
     for at in range(0, length, _BLOCK):
         block = rem[at : at + _BLOCK]
         block += block > 1
         out[at : at + _BLOCK] *= block
-    return out
+    return out.astype(np.int64) if fresh else out

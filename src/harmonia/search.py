@@ -15,7 +15,10 @@ same way on sigma*.
 One segment pipeline serves every pair kind.  For the ratio kinds, pass 1
 sieves each segment once and emits a key run and a query run, each sorted
 by its ratio's float64, read as int64 bits: for positive doubles the bits
-sort as the values do.  Nothing is reduced.  With n < 2^30 and
+sort as the values do.  Each worker sieves into lanes it owns for the
+whole pass (_per_thread), and pass 1 reads sigma from the lane a block at
+a time into the runs' exact-size columns, so no segment-sized n or int64
+sigma is built; the runs are saved one at a time.  Nothing is reduced.  With n < 2^30 and
 sigma < 2^33, each double is the correctly rounded value of its exact
 ratio, so equal rationals have equal bits and no match is lost.  Every
 segment checks that its keys stay below the abundancy cap.  The join splits
@@ -54,7 +57,8 @@ Amicable pairs use the aliquot shortcut instead: the only possible partner
 of M is s(M) = sigma(M) - M, so a pair exists exactly when
 sigma(s(M)) == sigma(M).  Pass 1 writes each M's (s(M), sigma(M)) query to
 a run file like the ratio kinds' runs, and a resolve pass re-sieves each
-segment to check the queries whose partner lies in it.
+segment, into its worker's lanes, to check the queries whose partner lies
+in it.
 
 Every search re-validates all its candidates in one classify_all call,
 which factors each distinct member afresh by trial division, independent of
@@ -89,8 +93,13 @@ TRIPLE_BOUND_CAP = 10**5
 # key bytes per bucket of the merge join; a bucket's queries take about
 # three times as much, and up to `threads` buckets are resident at once
 _BUCKET_TARGET_BYTES = 64 << 20
-# entries of the anarchy sweep's reused float64 ratio chunk (1 MB)
-_RATIO_CHUNK = 1 << 17
+# np.load parses each .npy header with ast.literal_eval, which CPython 3.11
+# can fail with "AST constructor recursion depth mismatch" when a garbage
+# collection in one thread switches to another that is also parsing
+_LOAD_LOCK = threading.Lock()
+# entries per block of a segment's ratio pass: the anarchy sweep's reused
+# float64 chunk (512 KB), and pass 1's blocks of n and sigma
+_RATIO_CHUNK = 1 << 16
 
 Progress = Callable[[str], None]
 
@@ -241,11 +250,32 @@ def _each_segment(
         pool.shutdown(cancel_futures=True)
 
 
+def _per_thread(make: Callable) -> Callable:
+    """A function that returns its calling thread's own make(), made on the
+    thread's first call.  Each value lives until its thread ends or the
+    function is dropped, so the buffers of a pool's workers die with the
+    pool."""
+    owned = threading.local()
+
+    def mine():
+        if not hasattr(owned, "value"):
+            owned.value = make()
+        return owned.value
+
+    return mine
+
+
 def _sigma_full(bound: int, star: bool, threads: int) -> np.ndarray:
-    """sigma (or sigma*) of every n in [1, bound] as one array."""
-    return np.concatenate(
-        list(_each_segment(lambda seg: sieve_tables(*seg, star=star), _segments(bound), threads))
-    )
+    """sigma (or sigma*) of every n in [1, bound] as one int64 array, each
+    segment's column written into its slice."""
+    sigma = np.empty(bound, dtype=np.int64)
+
+    def work(seg: tuple[int, int]) -> None:
+        lo, hi = seg
+        sigma[lo - 1 : hi] = sieve_tables(lo, hi, star=star)
+
+    list(_each_segment(work, _segments(bound), threads))
+    return sigma
 
 
 def _sorted_run(*rows: np.ndarray) -> np.ndarray:
@@ -297,39 +327,74 @@ def _probe(
 # through a load(segment, name) function, and its slices must add up to the
 # row counts that pass 1 reported as it wrote them (_check_conserved), so a
 # row lost between np.save and np.load raises.
+#
+# A segment's sigma stays in its worker's sieve lane, and its rows are
+# picked from it one block of _RATIO_CHUNK entries at a time (_blocks).
+# The picked rows are joined into their run (_joined_run), which is sorted
+# in place, and the runs are yielded one at a time, so a run is saved and
+# released before the next one is built.  No segment-sized n, 2n or int64
+# sigma is built.
 
 
-def _ratio_segment_runs(lo: int, hi: int, bound: int, star: bool) -> dict[str, np.ndarray]:
-    """Runs of (ratio bits, n) rows: the double n/sigma(n) of the segment's
+def _blocks(sigma: np.ndarray, lo: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(n, sigma(n)) of a segment's column from n = lo, as int64 blocks."""
+    for at in range(0, sigma.size, _RATIO_CHUNK):
+        s = sigma[at : at + _RATIO_CHUNK].astype(np.int64)
+        yield np.arange(lo + at, lo + at + s.size, dtype=np.int64), s
+
+
+def _joined_run(parts: list[tuple[np.ndarray, ...]]) -> np.ndarray:
+    """The blocks' picked rows as one int64 run, columns sorted by the
+    first row: the same values, in the same order, that _sorted_run sorts,
+    so the same run.  The parts are released once they are joined."""
+    run = np.empty((len(parts[0]), sum(part[0].size for part in parts)), dtype=np.int64)
+    for i, row in enumerate(run):
+        np.concatenate([part[i] for part in parts], out=row)
+    parts.clear()
+    order = np.argsort(run[0])
+    for row in run:
+        row[...] = row[order]
+    return run
+
+
+def _ratio_segment_runs(
+    lo: int, hi: int, bound: int, star: bool, lanes: SieveLanes | None = None
+) -> Iterator[tuple[str, np.ndarray]]:
+    """(name, run) for the key and the query run of the segment, each of
+    (ratio bits, n) rows: the double n/sigma(n) of the segment's
     n with sigma >= 2n as keys, the double (sigma - n)/sigma of its n with
     sigma <= 2n as queries, each read as int64 bits.  No fraction is
     reduced: _exact_matches confirms the join's matches.
 
     Every key n/sigma(n) lies above b/a, the inverse abundancy cap, which
-    the segment checks.  So only the queries whose
-    complement (sigma - n)/sigma lies above b/a can match a key; the rest
-    (about 40%) never enter the run."""
-    sigma = sieve_tables(lo, hi, star=star)
-    n = np.arange(lo, hi + 1, dtype=np.int64)
-    key = sigma >= 2 * n
-    m, s = n[key], sigma[key]
+    each block checks.  So only the queries whose complement
+    (sigma - n)/sigma lies above b/a can match a key; the rest (about 40%)
+    never enter the run."""
+    sigma = sieve_tables(lo, hi, star=star, lanes=lanes)
     a, b = _abundancy_cap(bound)
-    _check_abundancy(m, s, a, b)
-    query = (sigma <= 2 * n) & ((sigma - n) * a > sigma * b)
-    keys = _sorted_run((m / s).view(np.int64), m)
-    m, s = n[query], sigma[query]
-    return {"keys": keys, "comps": _sorted_run(((s - m) / s).view(np.int64), m)}
+    keys, comps = [], []
+    for n, s in _blocks(sigma, lo):
+        key = s >= 2 * n
+        m, sk = n[key], s[key]
+        _check_abundancy(m, sk, a, b)
+        keys.append(((m / sk).view(np.int64), m))
+        query = (s <= 2 * n) & ((s - n) * a > s * b)
+        m, sq = n[query], s[query]
+        comps.append((((sq - m) / sq).view(np.int64), m))
+    yield "keys", _joined_run(keys)
+    yield "comps", _joined_run(comps)
 
 
 def _amicable_segment_runs(
-    lo: int, hi: int, bound: int, equal_allowed: bool
-) -> dict[str, np.ndarray]:
-    sigma = sieve_tables(lo, hi)
-    n = np.arange(lo, hi + 1, dtype=np.int64)
-    partner = sigma - n
-    floor = n if equal_allowed else n + 1
-    ok = (partner >= floor) & (partner <= bound)
-    return {"queries": _sorted_run(partner[ok], sigma[ok], n[ok])}
+    lo: int, hi: int, bound: int, equal_allowed: bool, lanes: SieveLanes | None = None
+) -> Iterator[tuple[str, np.ndarray]]:
+    sigma = sieve_tables(lo, hi, lanes=lanes)
+    parts = []
+    for n, s in _blocks(sigma, lo):
+        partner = s - n
+        ok = (partner >= (n if equal_allowed else n + 1)) & (partner <= bound)
+        parts.append((partner[ok], s[ok], n[ok]))
+    yield "queries", _joined_run(parts)
 
 
 # --- pass 2: join -------------------------------------------------------------
@@ -437,17 +502,19 @@ def _resolve_amicable_queries(
     load: Callable[[int, str], np.ndarray],
     counts: list[dict[str, int]],
     segs: list[tuple[int, int]],
+    thread_lanes: Callable[[], SieveLanes],
     threads: int,
     progress: Progress | None,
 ) -> np.ndarray:
-    """Re-sieve each segment and keep the queries whose partner lies in it
-    and has the same sigma; (M, partner) pairs as the rows of one array.
-    The segments' query slices must add up to the counts that pass 1
-    reported (_check_conserved)."""
+    """Re-sieve each segment into the calling worker's thread_lanes() and
+    keep the queries whose partner lies in it and has the same sigma;
+    (M, partner) pairs as the rows of one array.  The segments' query
+    slices must add up to the counts that pass 1 reported
+    (_check_conserved)."""
 
     def work(seg: tuple[int, int]) -> tuple[np.ndarray, int]:
         lo, hi = seg
-        sigma = sieve_tables(lo, hi)
+        sigma = sieve_tables(lo, hi, lanes=thread_lanes())
         hits, taken = [], 0
         for i in range(len(segs)):
             sl = np.asarray(_bucket_slice(load(i, "queries"), lo, hi + 1))
@@ -509,6 +576,8 @@ def search_pairs(
         raise ValueError(f"{config.kind} pair search needs bound < 2^30, got {config.bound}")
     segs = _segments(config.bound)
     star = config.kind == "unitary_harmonious"
+    # pass 1 and the resolve pass sieve into their worker's own lanes
+    thread_lanes = _per_thread(lambda: SieveLanes(max(hi - lo + 1 for lo, hi in segs)))
     with tempfile.TemporaryDirectory(prefix="harmonia-runs-") as rundir:
 
         def path(i: int, name: str) -> str:
@@ -517,21 +586,30 @@ def search_pairs(
         def write(i: int) -> dict[str, int]:
             lo, hi = segs[i]
             if config.kind == "amicable":
-                runs = _amicable_segment_runs(lo, hi, config.bound, config.equal_allowed)
+                runs = _amicable_segment_runs(
+                    lo, hi, config.bound, config.equal_allowed, thread_lanes()
+                )
             else:
-                runs = _ratio_segment_runs(lo, hi, config.bound, star)
-            for name, run in runs.items():
+                runs = _ratio_segment_runs(lo, hi, config.bound, star, thread_lanes())
+            counts = {}
+            for name, run in runs:
                 np.save(path(i, name), run)
-            return {name: run.shape[1] for name, run in runs.items()}
+                counts[name] = run.shape[1]
+                # released before the segment's next run is built
+                del run
+            return counts
 
         def load(i: int, name: str) -> np.ndarray:
-            return np.load(path(i, name), mmap_mode="r")
+            with _LOAD_LOCK:
+                return np.load(path(i, name), mmap_mode="r")
 
         counts = list(
             _each_segment(write, range(len(segs)), config.threads, progress, "wrote segment")
         )
         if config.kind == "amicable":
-            m_col, n_col = _resolve_amicable_queries(load, counts, segs, config.threads, progress)
+            m_col, n_col = _resolve_amicable_queries(
+                load, counts, segs, thread_lanes, config.threads, progress
+            )
         else:
             m_col, n_col = _join(
                 load, counts, config.bound, config.equal_allowed, config.threads, progress
@@ -626,20 +704,20 @@ def search_anarchy_pairs(
     chunk = _RATIO_CHUNK
     # 2i as doubles: the chunk from entry at holds o = first + 2 * at + 2i
     odd_steps = np.arange(0, 2 * chunk, 2, dtype=np.float64)
-    owned = threading.local()
+    buffers = _per_thread(
+        lambda: (SieveLanes(entries), np.empty(chunk), np.empty(chunk, dtype=bool))
+    )
 
     def work(seg: tuple[int, int]) -> np.ndarray:
-        if not hasattr(owned, "lanes"):
-            owned.lanes = SieveLanes(entries)
-            owned.ratio, owned.marked = np.empty(chunk), np.empty(chunk, dtype=bool)
+        lanes, ratio_chunk, marked_chunk = buffers()
         lo_n, hi_n = seg
-        sigma = sieve_tables(lo_n, hi_n, odd=True, lanes=owned.lanes)
+        sigma = sieve_tables(lo_n, hi_n, odd=True, lanes=lanes)
         # entry i is o = first + 2i
         first = lo_n | 1
         hits = []
         for at in range(0, sigma.size, chunk):
             part = sigma[at : at + chunk]
-            ratio, marked = owned.ratio[: part.size], owned.marked[: part.size]
+            ratio, marked = ratio_chunk[: part.size], marked_chunk[: part.size]
             np.add(odd_steps[: part.size], first + 2 * at, out=ratio)
             ratio /= part
             slots = ratio.view(np.int64)

@@ -16,6 +16,7 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 import weakref
 from collections import defaultdict
 from fractions import Fraction
@@ -25,10 +26,11 @@ import pytest
 from oracles import profile_of, scaled_targets_reference
 
 import harmonia.search
-from harmonia.arith import MAX_SIEVE_BOUND, sieve_tables
+from harmonia.arith import MAX_SIEVE_BOUND, SieveLanes, sieve_tables
 from harmonia.classify import classify_all
 from harmonia.cli import main as cli_main
 from harmonia.search import (
+    KINDS,
     CountRow,
     SearchConfig,
     TRIPLE_BOUND_CAP,
@@ -451,7 +453,7 @@ def test_query_prune_size_1e6(kind, keys, queries):
     bound = 10**6
     star = kind == "unitary_harmonious"
     assert _abundancy_cap(bound) == (5143, 1024)
-    runs = [_ratio_segment_runs(lo, hi, bound, star) for lo, hi in _segments(bound)]
+    runs = [dict(_ratio_segment_runs(lo, hi, bound, star)) for lo, hi in _segments(bound)]
     assert sum(r["keys"].shape[1] for r in runs) == keys
     assert sum(r["comps"].shape[1] for r in runs) == queries
 
@@ -463,7 +465,7 @@ def test_bucket_edges_cover_every_code_1e5(kind, monkeypatch):
     monkeypatch.setattr(harmonia.search, "_BUCKET_TARGET_BYTES", 1 << 12)
     bound = 10**5
     star = kind == "unitary_harmonious"
-    runs = [_ratio_segment_runs(lo, hi, bound, star) for lo, hi in _segments(bound)]
+    runs = [dict(_ratio_segment_runs(lo, hi, bound, star)) for lo, hi in _segments(bound)]
     edges = _bucket_edges(bound, sum(r["keys"].shape[1] for r in runs))
     assert len(edges) - 1 >= 8 and edges[0] == 0
     for run in (r[name] for r in runs for name in ("keys", "comps")):
@@ -479,7 +481,7 @@ def test_bucket_slice_reaches_the_last_edge_above_one_half(monkeypatch):
     half = int(np.float64(6 / 12).view(np.int64))
     assert _bucket_edges(2**30 - 1, 0)[-1] == half + 1
     bound = 1000
-    runs = _ratio_segment_runs(1, bound, bound, False)
+    runs = dict(_ratio_segment_runs(1, bound, bound, False))
     edges = _bucket_edges(bound, runs["keys"].shape[1])
     assert len(edges) - 1 >= 8 and edges[-2] <= half < edges[-1]
     for name, run in runs.items():
@@ -488,6 +490,88 @@ def test_bucket_slice_reaches_the_last_edge_above_one_half(monkeypatch):
         last = parts[-1]
         assert sorted(last[1, last[0] == half].tolist()) == [6, 28, 496]
         assert np.count_nonzero(run[0] == half) == 3
+
+
+def pass1_runs(kind, bound):
+    """Every segment's pass-1 runs of the kind at the bound, by name."""
+    if kind == "amicable":
+        segment_runs = functools.partial(harmonia.search._amicable_segment_runs, equal_allowed=False)
+    else:
+        segment_runs = functools.partial(_ratio_segment_runs, star=kind == "unitary_harmonious")
+    return [dict(segment_runs(lo, hi, bound)) for lo, hi in _segments(bound)]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_pass1_runs_do_not_depend_on_the_block_length(kind, monkeypatch):
+    # blocks of 1000 entries divide no segment at 10^5 (12,500 long): every
+    # run holds the same rows in the same order as under the default
+    # blocks, and the listing is the same
+    bound = 10**5
+    assert all((hi - lo + 1) % 1000 for lo, hi in _segments(bound))
+    config = SearchConfig(bound=bound, kind=kind)
+    want_runs, want = pass1_runs(kind, bound), jsonl_of(search_pairs(config))
+    monkeypatch.setattr(harmonia.search, "_RATIO_CHUNK", 1000)
+    got_runs = pass1_runs(kind, bound)
+    assert [list(r) for r in got_runs] == [list(r) for r in want_runs]
+    for got, runs in zip(got_runs, want_runs):
+        for name, run in runs.items():
+            assert got[name].dtype == run.dtype == np.int64
+            assert got[name].tobytes() == run.tobytes(), name
+    assert jsonl_of(search_pairs(config)) == want
+
+
+def test_ratio_pass1_segment_traced_peak():
+    # one segment of 2^20 integers at bound 2^23, its lanes sieved into
+    # before tracing starts: the blocks, one run at a time and its sort
+    # order stay within 36 bytes an integer (a segment-sized n, 2n, int64
+    # sigma and gathered columns took 51.6)
+    bound, length = 1 << 23, 1 << 20
+    lo = bound - length + 1
+    lanes = SieveLanes(length)
+    sieve_tables(lo, bound, lanes=lanes)
+    tracemalloc.start()
+    try:
+        rows = [run.shape[1] for _, run in _ratio_segment_runs(lo, bound, bound, False, lanes)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(rows) > length // 2
+    assert peak <= 36 * length
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_pair_search_releases_its_worker_lanes(kind, monkeypatch):
+    # every sieve of pass 1, and of amicable's resolve pass, goes into lanes
+    # that its worker owns: no lanes serve two threads, and none outlive
+    # the search; six workers on a short switch interval interleave their
+    # segments
+    refs, users = [], []
+    sieve = harmonia.search.sieve_tables
+
+    def spy(lo, hi, **kwargs):
+        lanes = kwargs["lanes"]
+        sigma = sieve(lo, hi, **kwargs)
+        held = next((i for i, (r, _, _) in enumerate(refs) if r() is lanes), None)
+        if held is None:
+            held = len(refs)
+            refs.append(tuple(map(weakref.ref, (lanes, lanes.rem, lanes.out))))
+            users.append(set())
+        users[held].add(threading.get_ident())
+        return sigma
+
+    bound = 20000
+    want = jsonl_of(search_pairs(SearchConfig(bound=bound, kind=kind, threads=1)))
+    monkeypatch.setattr(harmonia.search, "sieve_tables", spy)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got = jsonl_of(search_pairs(SearchConfig(bound=bound, kind=kind, threads=6)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want and len(want) > 1
+    assert 1 <= len(refs) <= (12 if kind == "amicable" else 6)
+    assert all(len(threads) == 1 for threads in users)
+    assert all(r() is None for held in refs for r in held)
 
 
 def test_complement_key_invariant():
