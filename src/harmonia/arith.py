@@ -16,8 +16,7 @@ so it works in int32 lanes while 6 * hi < 2^31 (hi <= 357,913,941) and in
 int64 lanes above, which MAX_SIEVE_BOUND keeps far below 2^63.
 
 Every sieve call runs in a SieveLanes, the rem and out lanes.  It fills
-rem block by block from a process-wide, read-only step block (step * i for
-i < 2^16, built once under the tile lock) and leaves sigma in out.  A
+rem block by block with the block's n and leaves sigma in out.  A
 caller that sieves many segments owns one SieveLanes, passed as
 lanes=... and reused by every call; such a call allocates no
 segment-sized array and returns sigma as a view of the out lane in the
@@ -201,14 +200,6 @@ class SieveLanes:
         return self.rem[:length], self.out[:length]
 
 
-@lru_cache(maxsize=None)
-def _build_steps(step: int, lane: type) -> np.ndarray:
-    """The read-only column step * i, i < _BLOCK, in the lane's dtype."""
-    steps = np.arange(0, step * _BLOCK, step, dtype=lane)
-    steps.flags.writeable = False
-    return steps
-
-
 def sieve_tables(
     lo: int,
     hi: int,
@@ -262,15 +253,15 @@ def sieve_tables(
     requested column's.
 
     The call takes the first entries of its lanes in the lane dtype, fills
-    rem a block at a time as the block's first n plus the shared step
-    block (_build_steps), and folds the leftover primes into out a block
-    at a time.  With lanes, a SieveLanes of at least as many entries as
-    the column that the caller owns, it allocates no segment-sized array
-    and returns that view of out, sigma in the lane's dtype; the next call
-    through the same lanes overwrites it.  Without lanes, it sieves into a
-    throwaway SieveLanes of the column's length and returns an int64 copy
-    of out, so callers may multiply sigma by Python ints without an int32
-    overflow.
+    rem a block at a time with the block's n, and folds the leftover
+    primes into out a block at a time, so neither step makes a
+    segment-sized temporary.  With lanes, a SieveLanes of at least as many
+    entries as the column that the caller owns, it allocates no
+    segment-sized array and returns that view of out, sigma in the lane's
+    dtype; the next call through the same lanes overwrites it.  Without
+    lanes, it sieves into a throwaway SieveLanes of the column's length
+    and returns an int64 copy of out, so callers may multiply sigma by
+    Python ints without an int32 overflow.
     """
     if not 1 <= lo <= hi:
         raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi}]")
@@ -281,11 +272,9 @@ def sieve_tables(
     lane = np.int32 if 6 * hi < 1 << 31 else np.int64
     fresh = lanes is None
     rem, out = (SieveLanes(length) if fresh else lanes).take(length, lane)
-    with _TILE_LOCK:
-        steps = _build_steps(step, lane)
     for at in range(0, length, _BLOCK):
         block = rem[at : at + _BLOCK]
-        np.add(steps[: block.size], first + step * at, out=block)
+        block[...] = np.arange(first + step * at, first + step * (at + block.size), step, lane)
     origin = first // step
     _lay_tiles(out, "part", origin, odd)
     rem //= out

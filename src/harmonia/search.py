@@ -35,9 +35,9 @@ follow from the bound alone (_segment_length), so no search has a tuning
 knob.  Pair search needs bound < 2^30: from there on, the confirm's
 products n * sigma no longer fit in 63 bits.  Every segment loop, the
 anarchy sweep's too, and the join's buckets run on one thread-pool driver,
-_each_segment.  The triple search matches its residuals by double in the
-same way and confirms each match by one int64 cross-multiplication
-(_ratio_triples).
+_each_segment.  The triple search sieves [1, bound] in one call, matches
+its residuals by double in the same way and confirms each match by one
+int64 cross-multiplication (_ratio_triples).
 
 The anarchy sweep pairs a small side M <= m_bound with every N up to a much
 larger n_bound, streaming N through the same complement match over the odd
@@ -47,7 +47,7 @@ o/sigma(o) = t * (2^(a+1) - 1)/2^a.  So one sweep of the odd column of the
 sieve probes every M's complement t, and the scaled targets of the
 odd-square M for each a >= 1 (_anarchy_targets).  Each worker thread
 sieves its segments into lanes it owns for the whole sweep and computes
-o/sigma(o) in a reused float64 chunk, so no segment allocates a
+o/sigma(o) a float64 chunk at a time, so no segment allocates a
 segment-sized array.  Each o/sigma(o) is matched against the targets'
 doubles, which loses no match since o, sigma(o) < 2^53; a matched o
 follows from its index, and one exact cross-multiplication in Python ints
@@ -55,10 +55,10 @@ decides.  So the sweep runs up to MAX_SIEVE_BOUND, 2^40.
 
 Amicable pairs use the aliquot shortcut instead: the only possible partner
 of M is s(M) = sigma(M) - M, so a pair exists exactly when
-sigma(s(M)) == sigma(M).  Pass 1 writes each M's (s(M), sigma(M)) query to
-a run file like the ratio kinds' runs, and a resolve pass re-sieves each
-segment, into its worker's lanes, to check the queries whose partner lies
-in it.
+sigma(s(M)) == sigma(M).  Pass 1 writes each M's (s(M), M) query to a run
+file like the ratio kinds' runs, and a resolve pass re-sieves each
+segment, into its worker's lanes, to check sigma(s(M)) == s(M) + M for
+the queries whose partner lies in it.
 
 Every search re-validates all its candidates in one classify_all call,
 which factors each distinct member afresh by trial division, independent of
@@ -97,8 +97,8 @@ _BUCKET_TARGET_BYTES = 64 << 20
 # can fail with "AST constructor recursion depth mismatch" when a garbage
 # collection in one thread switches to another that is also parsing
 _LOAD_LOCK = threading.Lock()
-# entries per block of a segment's ratio pass: the anarchy sweep's reused
-# float64 chunk (512 KB), and pass 1's blocks of n and sigma
+# entries per block of a segment's ratio pass: the anarchy sweep's float64
+# chunks of o/sigma(o) (512 KB), and pass 1's blocks of n and sigma
 _RATIO_CHUNK = 1 << 16
 
 Progress = Callable[[str], None]
@@ -265,25 +265,6 @@ def _per_thread(make: Callable) -> Callable:
     return mine
 
 
-def _sigma_full(bound: int, star: bool, threads: int) -> np.ndarray:
-    """sigma (or sigma*) of every n in [1, bound] as one int64 array, each
-    segment's column written into its slice."""
-    sigma = np.empty(bound, dtype=np.int64)
-
-    def work(seg: tuple[int, int]) -> None:
-        lo, hi = seg
-        sigma[lo - 1 : hi] = sieve_tables(lo, hi, star=star)
-
-    list(_each_segment(work, _segments(bound), threads))
-    return sigma
-
-
-def _sorted_run(*rows: np.ndarray) -> np.ndarray:
-    """The rows stacked into one array, columns sorted by the first row."""
-    order = np.argsort(rows[0])
-    return np.stack([row[order] for row in rows])
-
-
 def _key_index(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(distinct keys, first row, end row) of each run of equal sorted keys."""
     if not keys.size:
@@ -322,7 +303,7 @@ def _probe(
 #
 # search_pairs writes each segment's runs as plain <name>-<segment>.npy
 # files: the ratio kinds a "keys" and a "comps" run of (ratio bits, n) rows,
-# amicable a "queries" run of (partner, sigma_m, m) rows.  Every run is one
+# amicable a "queries" run of (partner, m) rows.  Every run is one
 # int64 array sorted by its first row.  Pass 2 loads them memory-mapped
 # through a load(segment, name) function, and its slices must add up to the
 # row counts that pass 1 reported as it wrote them (_check_conserved), so a
@@ -344,9 +325,8 @@ def _blocks(sigma: np.ndarray, lo: int) -> Iterator[tuple[np.ndarray, np.ndarray
 
 
 def _joined_run(parts: list[tuple[np.ndarray, ...]]) -> np.ndarray:
-    """The blocks' picked rows as one int64 run, columns sorted by the
-    first row: the same values, in the same order, that _sorted_run sorts,
-    so the same run.  The parts are released once they are joined."""
+    """The parts' rows as one int64 run, columns sorted by the first row.
+    The parts are released once they are joined."""
     run = np.empty((len(parts[0]), sum(part[0].size for part in parts)), dtype=np.int64)
     for i, row in enumerate(run):
         np.concatenate([part[i] for part in parts], out=row)
@@ -393,7 +373,7 @@ def _amicable_segment_runs(
     for n, s in _blocks(sigma, lo):
         partner = s - n
         ok = (partner >= (n if equal_allowed else n + 1)) & (partner <= bound)
-        parts.append((partner[ok], s[ok], n[ok]))
+        parts.append((partner[ok], n[ok]))
     yield "queries", _joined_run(parts)
 
 
@@ -519,7 +499,8 @@ def _resolve_amicable_queries(
         for i in range(len(segs)):
             sl = np.asarray(_bucket_slice(load(i, "queries"), lo, hi + 1))
             taken += sl.shape[1]
-            hits.append(sl[[2, 0]][:, sigma[sl[0] - lo] == sl[1]])
+            # a query's sigma(M) is partner + M
+            hits.append(sl[[1, 0]][:, sigma[sl[0] - lo] == sl[0] + sl[1]])
         return np.concatenate(hits, axis=1), taken
 
     hits, taken = zip(*_each_segment(work, segs, threads, progress, "resolved segment"))
@@ -668,16 +649,16 @@ def search_anarchy_pairs(
 
     Each swept o/sigma(o) is matched as a float64, first in a table over
     the low mantissa bits of the targets' doubles (_mark_slots), then by
-    _probe.  Each worker thread of the sweep owns its buffers for the whole
-    sweep: the sieve's two lanes, sized for the longest segment's odd
-    column, and a float64 chunk of _RATIO_CHUNK entries with a bool chunk
-    of the same length.  The sieve leaves sigma in the out lane.  The
-    ratio pass then walks it a chunk at a time: it writes the chunk's o,
-    exact since o < 2^53, divides them by sigma and masks them in place,
-    and looks the slots up in the table; the o of entry i is lo' + 2i,
-    with lo' the segment's first odd integer.  Only the hits leave the
-    chunk, and their ratios are recomputed from sigma in the lane.  The
-    buffers are thread-local on the sweep's pool, so they die with it.
+    _probe.  Each worker thread of the sweep owns the sieve's two lanes for
+    the whole sweep, sized for the longest segment's odd column; they are
+    thread-local on the sweep's pool, so they die with it.  The sieve
+    leaves sigma in the out lane.  The ratio pass then walks it
+    _RATIO_CHUNK entries at a time: it builds the chunk's o as a fresh
+    float64 column, exact since o < 2^53, divides them by sigma and masks
+    them in place, and looks the slots up in the table; the o of entry i
+    is lo' + 2i, with lo' the segment's first odd integer.  Only the hits
+    leave the chunk, and their ratios are recomputed from sigma in the
+    lane.
     o and sigma(o) < 6o lie below 2^53, so o/sigma(o) is correctly
     rounded, as is each target's num / den: equal rationals give equal
     doubles and no match is lost.  Only o * den == num * sigma(o), in
@@ -689,7 +670,7 @@ def search_anarchy_pairs(
     if n_bound > MAX_SIEVE_BOUND:
         raise ValueError(f"n_bound {n_bound} exceeds the sieve limit {MAX_SIEVE_BOUND}")
     threads = _integer("threads", threads, 0)
-    small_sigma = _sigma_full(m_bound, False, threads)
+    small_sigma = sieve_tables(1, m_bound)
     rows, doubles = _anarchy_targets(small_sigma, n_bound)
     index = _key_index(doubles)
     row_ids = np.arange(len(rows))
@@ -701,29 +682,23 @@ def search_anarchy_pairs(
     segs = _segments(n_bound)
     # the odd o of a segment, at most; every worker's lanes hold that many
     entries = max((hi - lo) // 2 + 1 for lo, hi in segs)
-    chunk = _RATIO_CHUNK
-    # 2i as doubles: the chunk from entry at holds o = first + 2 * at + 2i
-    odd_steps = np.arange(0, 2 * chunk, 2, dtype=np.float64)
-    buffers = _per_thread(
-        lambda: (SieveLanes(entries), np.empty(chunk), np.empty(chunk, dtype=bool))
-    )
+    thread_lanes = _per_thread(lambda: SieveLanes(entries))
 
     def work(seg: tuple[int, int]) -> np.ndarray:
-        lanes, ratio_chunk, marked_chunk = buffers()
         lo_n, hi_n = seg
-        sigma = sieve_tables(lo_n, hi_n, odd=True, lanes=lanes)
+        sigma = sieve_tables(lo_n, hi_n, odd=True, lanes=thread_lanes())
         # entry i is o = first + 2i
         first = lo_n | 1
         hits = []
-        for at in range(0, sigma.size, chunk):
-            part = sigma[at : at + chunk]
-            ratio, marked = ratio_chunk[: part.size], marked_chunk[: part.size]
-            np.add(odd_steps[: part.size], first + 2 * at, out=ratio)
+        for at in range(0, sigma.size, _RATIO_CHUNK):
+            part = sigma[at : at + _RATIO_CHUNK]
+            # the chunk's o as doubles, exact since o < 2^53
+            ratio = np.arange(first + 2 * at, first + 2 * (at + part.size), 2, np.float64)
             ratio /= part
             slots = ratio.view(np.int64)
             slots &= mask
-            # every slot is in range; "wrap" spares take its buffered copy
-            np.take(marks, slots, out=marked, mode="wrap")
+            # every slot is in range, so "wrap", take's fastest mode, never wraps
+            marked = np.take(marks, slots, mode="wrap")
             hits.append(np.flatnonzero(marked) + at)
         hit = np.concatenate(hits)
         at, row = _probe(index, row_ids, (first + 2 * hit) / sigma[hit], hit)
@@ -760,13 +735,13 @@ def _ratio_triples(config: SearchConfig) -> np.ndarray:
     so equal rationals have equal bits and no match is lost.  The confirm's
     products stay below sigma_max^3."""
     bound = config.bound
-    sigma = _sigma_full(bound, config.kind == "unitary_harmonious", config.threads)
+    sigma = sieve_tables(1, bound, star=config.kind == "unitary_harmonious")
     sigma_max = int(sigma.max())
     if sigma_max**3 >= 1 << 63:
         raise ValueError(f"sigma values up to {sigma_max} overflow the triple search")
     n = np.arange(1, bound + 1, dtype=np.int64)
     ratio = n / sigma
-    keys = _sorted_run(ratio.view(np.int64), n)
+    keys = _joined_run([(ratio.view(np.int64), n)])
     index = _key_index(keys[0])
     mid = np.flatnonzero(sigma >= 2 * n)
     mid = mid[np.argsort(ratio[mid])]
@@ -795,7 +770,7 @@ def _ratio_triples(config: SearchConfig) -> np.ndarray:
 
 def _amicable_triples(config: SearchConfig) -> np.ndarray:
     bound = config.bound
-    sigma = _sigma_full(bound, False, config.threads)
+    sigma = sieve_tables(1, bound)
     order = np.argsort(sigma, kind="stable")
     equal = config.equal_allowed
 
@@ -825,7 +800,9 @@ def search_triples(config: SearchConfig) -> list[TupleRecord]:
     probe the double of the residual 1 - r1 - r2 into the doubles of every
     n/sigma(n) and confirm each match exactly (_ratio_triples).  Amicable
     triples instead group members by sigma and close each pair inside its
-    class with a membership probe.  The bound is capped at
+    class with a membership probe.  Both take sigma (sigma* for the
+    unitary kind) of [1, bound] from one sieve_tables call, so the triples
+    run on one thread and ignore config.threads.  The bound is capped at
     TRIPLE_BOUND_CAP.
     """
     if config.k != 3:

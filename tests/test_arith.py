@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import Profile, profile_of
 
+import harmonia.arith
 from harmonia.arith import (
     _TILE_GROUPS,
     MAX_SIEVE_BOUND,
@@ -245,9 +246,31 @@ def test_sieve_into_owned_lanes_leaves_nothing_stale() -> None:
         sieve_tables(10**6, 10**6 + size, lanes=lanes)
 
 
+def test_sieve_refuses_a_bad_range_before_any_lane(monkeypatch) -> None:
+    # a range from 0, an empty range and one past MAX_SIEVE_BOUND are
+    # refused before a lane is taken from the caller's lanes or allocated
+    def no_lanes(entries):
+        raise AssertionError(f"allocated lanes of {entries} entries")
+
+    lanes = SieveLanes(4)
+    monkeypatch.setattr(harmonia.arith, "SieveLanes", no_lanes)
+    top = MAX_SIEVE_BOUND + 1
+    for lo, hi, want in (
+        (0, 5, r"^need 1 <= lo <= hi, got \[0, 5\]$"),
+        (6, 5, r"^need 1 <= lo <= hi, got \[6, 5\]$"),
+        (top, top, f"^sieve bound {top} exceeds {MAX_SIEVE_BOUND}$"),
+    ):
+        for odd in (False, True):
+            with pytest.raises(ValueError, match=want):
+                sieve_tables(lo, hi, odd=odd)
+            with pytest.raises(ValueError, match=want):
+                sieve_tables(lo, hi, odd=odd, lanes=lanes)
+    assert lanes.rem is None and lanes.out is None
+
+
 def test_sieve_without_lanes_returns_a_fresh_column() -> None:
-    # _sigma_full concatenates several columns sieved on one thread, so
-    # none may alias a buffer that the next call reuses
+    # a caller without lanes may hold several columns sieved on one
+    # thread, so none may alias a buffer that the next call reuses
     a, b = sieve_tables(10**6, 10**6 + 4095), sieve_tables(10**6 + 4096, 10**6 + 8191)
     c = sieve_tables(10**6, 10**6 + 4095, odd=True)
     for column in (a, b, c):

@@ -51,6 +51,14 @@ def test_tower_factored_identity() -> None:
             assert tower(r, x) == half * (half - 1)
 
 
+def test_tower_holds_at_x_1() -> None:
+    # tower(r, 1) = 0 for every r, so only the value 0 stays under it
+    for r in range(5):
+        assert tower(r, 1) == 0
+        for value in (0, 1, 2, 10**6):
+            assert tower_holds(value, r, 1) == (value == 0), (value, r)
+
+
 def test_tower_monotone_in_x() -> None:
     xs = [1, Fraction(21, 20), 2, Fraction(5, 2), 3, 10, 97, 500, 1000]
     for r in range(0, 9):

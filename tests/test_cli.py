@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: flags, exit codes, output formats, manifests."""
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -66,6 +67,40 @@ def test_search_stdout_jsonl_and_summary(capsys):
     assert len(records) == 55
     expected = [r.members for r in search_pairs(SearchConfig(bound=1000))]
     assert [tuple(r["members"]) for r in records] == expected
+
+
+@pytest.mark.parametrize(
+    "argv, progress",
+    [
+        (
+            ("search", "harmonious", "--bound", "3000"),
+            [f"wrote segment {i}/3" for i in (1, 2, 3)]
+            + [f"joined bucket {b}/8" for b in range(1, 9)],
+        ),
+        (
+            ("search", "anarchy", "--m-bound", "10", "--n-bound", "3000"),
+            [f"swept segment {i}/3" for i in (1, 2, 3)],
+        ),
+    ],
+    ids=["harmonious", "anarchy"],
+)
+def test_search_progress_goes_to_stderr_only(argv, progress, tmp_path, capsys):
+    # --progress adds its lines to stderr and changes no byte of stdout or
+    # of the --out listing
+    runs = {}
+    for flag in ((), ("--progress",)):
+        out = tmp_path / f"listing{len(flag)}.jsonl"
+        assert run_cli(*argv, *flag) == 0
+        piped = capsys.readouterr()
+        assert run_cli(*argv, *flag, "--out", str(out)) == 0
+        written = capsys.readouterr()
+        assert written.err == piped.err
+        runs[flag] = (piped.out, written.out, out.read_bytes(), piped.err)
+    plain, with_progress = runs[()], runs[("--progress",)]
+    assert with_progress[:3] == plain[:3]
+    assert plain[3] == "" and with_progress[3] == "".join(line + "\n" for line in progress)
+    # the listing on stdout is the --out file's, before the summary line
+    assert plain[1].startswith("kind=") and plain[0] == plain[2].decode() + plain[1]
 
 
 def test_search_amicable_summary(capsys):
@@ -437,6 +472,27 @@ def test_induction_trace_rejects_non_anarchy(capsys):
     assert run_cli("induction", "trace", "220", "284") == 2
     assert run_cli("induction", "trace", "2", "3") == 2
     capsys.readouterr()
+
+
+def test_bounds_verify_counts_a_failed_bound(tmp_path, monkeypatch, capsys):
+    # a report whose borho verdict fails for the anarchy pair: its line
+    # names the pair with borho=FAIL, and the summary counts one violation
+    real = harmonia.cli.verify_bounds
+
+    def failing(record):
+        report = real(record)
+        if record.members == (64, 173369889):
+            return dataclasses.replace(report, borho_holds=False)
+        return report
+
+    monkeypatch.setattr(harmonia.cli, "verify_bounds", failing)
+    path = tmp_path / "records.jsonl"
+    path.write_text('{"members": [135, 3472]}\n{"members": [64, 173369889]}\n')
+    assert run_cli("bounds", "verify", "--input", str(path)) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("members=[135, 3472] ") and " borho=pass " in lines[0]
+    assert lines[1].startswith("members=[64, 173369889] ") and " borho=FAIL " in lines[1]
+    assert lines[2] == "kind=bounds checked=2 violations=1"
 
 
 # --- lemmas check ------------------------------------------------------------------

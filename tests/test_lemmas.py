@@ -13,10 +13,12 @@ import harmonia.lemmas
 from harmonia.arith import factorize
 from harmonia.bounds import tower
 from harmonia.classify import classify
+from harmonia.cli import main as cli_main
 from harmonia.lemmas import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     DiophantineInstance,
+    LemmaVerdict,
     check_hb,
     check_pre_cook,
     instance_count,
@@ -440,3 +442,108 @@ def test_divisibility_grid_matches_the_oracle_split_by_split():
     report = scan_divisibility_grid(ANARCHY_PAIR)
     assert seen == report.instances == 242
     assert ones == report.counterexamples == []
+
+
+# --- planted failures ------------------------------------------------------------
+#
+# Each test plants one failure through a patched helper of harmonia.lemmas:
+# the scan's report must not be clean and must name what was planted, and
+# `lemmas check` must print the count and exit 1.
+
+HB_BOX = {"k_max": 2, "r_max": 2, "m_max": 4, "coef_max": 2}
+
+
+def _check(lemma: str, **flags) -> list[str]:
+    argv = ["lemmas", "check", "--lemma", lemma]
+    for name, value in flags.items():
+        argv += ["--" + name.replace("_", "-"), str(value)]
+    return argv
+
+
+@pytest.mark.parametrize("lemma, held", [("hb1", 40), ("hb2", 3)])
+def test_hb_grid_reports_every_survivor_under_a_tower_of_0(lemma, held, monkeypatch, capsys):
+    # with tower -> 0 every lhs >= 1 exceeds its rhs, so every instance whose
+    # hypotheses hold is a counterexample, in the scan's order
+    box = tuple(HB_BOX.values())
+    witnesses = []
+    assert scan_hb_grid(lemma, *box, witness_sink=witnesses.append).clean
+    want = [
+        DiophantineInstance(tuple(w["m"]), tuple(w["partition"]), tuple(w["a"]), tuple(w["b"]))
+        for w in witnesses
+    ]
+    assert len(want) == held
+    monkeypatch.setattr(harmonia.lemmas, "tower", lambda r, x: 0)
+    report = scan_hb_grid(lemma, *box)
+    assert not report.clean and report.counterexamples == want
+    assert all(check_hb(lemma, inst).counterexample for inst in want)
+    assert cli_main(_check(lemma, **HB_BOX)) == 1
+    assert f" counterexamples={held} " in capsys.readouterr().out
+
+
+def test_hb2_grid_reports_a_planted_remark_violation(monkeypatch, capsys):
+    # the hb2 hypotheses force a_i > b_i; a planted survivor with a = b
+    # breaks that remark while its conclusion holds with equality:
+    # 2 * (2 - 1) = tower(1, 2)
+    real = harmonia.lemmas._hb_survivors
+
+    def planted(reciprocal, k, R, m_max, coef_max):
+        if (k, R) == (1, 1):
+            yield (0,), (2,), (2,), (2,)
+        yield from real(reciprocal, k, R, m_max, coef_max)
+
+    monkeypatch.setattr(harmonia.lemmas, "_hb_survivors", planted)
+    report = scan_hb_grid("hb2", *HB_BOX.values())
+    assert not report.clean and report.counterexamples == []
+    assert (report.hypotheses_held, report.conclusion_equalities) == (4, 3)
+    assert report.remark_violations == 1
+    assert cli_main(_check("hb2", **HB_BOX)) == 1
+    assert capsys.readouterr().out.endswith(" counterexamples=0 equalities=3 remark_violations=1\n")
+
+
+def test_cook_grid_reports_a_planted_duplicate_value(monkeypatch, capsys):
+    # a grid that lists 2 twice makes two distinct one-term sequences equal:
+    # each meets the other's hypothesis with an equal conclusion, which
+    # only identical sequences may have
+    two = Fraction(2)
+    monkeypatch.setattr(harmonia.lemmas, "rational_grid", lambda value_max, den_max: [two, two])
+    report = scan_cook_grid(1)
+    assert not report.clean
+    assert report.counterexamples == [((two,), (two,))] * 2
+    assert cli_main(_check("cook", k_max=1)) == 1
+    out = capsys.readouterr().out
+    assert " instances=4 " in out and " counterexamples=2 " in out
+
+
+def test_pre_cook_grid_reports_a_planted_counterexample(monkeypatch, capsys):
+    planted = (Fraction(1), Fraction(2), Fraction(1, 2))
+    real = harmonia.lemmas.check_pre_cook
+
+    def verdict(x1, x2, alpha):
+        if (x1, x2, alpha) == planted:
+            return LemmaVerdict(hypotheses_hold=True, conclusion_holds=False)
+        return real(x1, x2, alpha)
+
+    monkeypatch.setattr(harmonia.lemmas, "check_pre_cook", verdict)
+    report = scan_pre_cook_grid()
+    assert not report.clean and report.counterexamples == [planted]
+    assert cli_main(_check("precook")) == 1
+    out = capsys.readouterr().out
+    assert " instances=45 " in out and " counterexamples=1 " in out
+
+
+def test_divisibility_grid_reports_a_planted_sum_of_1(monkeypatch, capsys):
+    # the split U = (64, 1) with the prime set {2} gets terms that sum to 1
+    real = harmonia.lemmas.divisibility_terms
+
+    def terms(members, parts, subset):
+        if (tuple(parts), list(subset)) == ((64, 1), [2]):
+            return [Fraction(1, 3), Fraction(2, 3)]
+        return real(members, parts, subset)
+
+    monkeypatch.setattr(harmonia.lemmas, "divisibility_terms", terms)
+    report = scan_divisibility_grid(ANARCHY_PAIR)
+    assert report.instances == 242
+    assert not report.clean and report.counterexamples == [((64, 1), (2,))]
+    assert cli_main(_check("div")) == 1
+    out = capsys.readouterr().out
+    assert " instances=242 " in out and " counterexamples=1 " in out

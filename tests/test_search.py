@@ -41,12 +41,12 @@ from harmonia.search import (
     _each_segment,
     _emit_records,
     _join,
+    _joined_run,
     _key_index,
     _probe,
     _ratio_segment_runs,
     _segment_length,
     _segments,
-    _sorted_run,
     count_table,
     search_anarchy_pairs,
     search_pairs,
@@ -335,9 +335,13 @@ def planted_join(keys, queries):
     """The pairs that _join emits from one segment whose key and query runs
     hold the given (double, n) rows, at bound 2^30 - 1."""
     runs = {
-        name: _sorted_run(
-            np.array([d for d, _ in rows], dtype=np.float64).view(np.int64),
-            np.array([n for _, n in rows], dtype=np.int64),
+        name: _joined_run(
+            [
+                (
+                    np.array([d for d, _ in rows], dtype=np.float64).view(np.int64),
+                    np.array([n for _, n in rows], dtype=np.int64),
+                )
+            ]
         )
         for name, rows in (("keys", keys), ("comps", queries))
     }
@@ -908,7 +912,7 @@ def test_anarchy_prefilter_drops_no_candidate(monkeypatch):
     # the derived mark table, a ratio chunk of 4099 entries, which divides
     # no segment's odd column, a mark table too small to filter anything
     # and one far larger than the target count derives; both segment
-    # lengths leave a last segment shorter than the buffers each worker
+    # lengths leave a last segment shorter than the lanes each worker
     # holds
     assert n_bound % 1024 and n_bound % (1 << 17)
     for name, value, lengths in (
@@ -933,21 +937,23 @@ def test_anarchy_mark_table_follows_the_target_count():
 
 
 def test_anarchy_sweep_releases_its_worker_buffers(monkeypatch):
-    # every worker sieves into its own lanes for the whole sweep, no lanes
-    # serve two threads, and none of them outlives the sweep; six workers
-    # on a short switch interval interleave their segments
-    refs, users, calls = [], defaultdict(set), 0
+    # the small side is one plain sieve of [1, m_bound]; every segment of
+    # the sweep is an odd column that a worker sieves into its own lanes,
+    # no lanes serve two threads, and none of them outlives the sweep; six
+    # workers on a short switch interval interleave their segments
+    refs, users, calls, small = [], defaultdict(set), 0, []
     sieve = harmonia.search.sieve_tables
 
     def spy(lo, hi, **kwargs):
         nonlocal calls
         lanes = kwargs.get("lanes")
-        # the small side's sigma (_sigma_full) comes from fresh columns
-        if lanes is not None:
-            calls += 1
-            users[id(lanes)].add(threading.get_ident())
+        if not kwargs.get("odd"):
+            small.append((lo, hi, kwargs))
+            return sieve(lo, hi, **kwargs)
+        calls += 1
+        users[id(lanes)].add(threading.get_ident())
         sigma = sieve(lo, hi, **kwargs)
-        if lanes is not None and not any(r() is lanes for r, _, _ in refs):
+        if not any(r() is lanes for r, _, _ in refs):
             refs.append(tuple(map(weakref.ref, (lanes, lanes.rem, lanes.out))))
         return sigma
 
@@ -960,6 +966,7 @@ def test_anarchy_sweep_releases_its_worker_buffers(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert got == want and len(want) > 10
+    assert small == [(1, 1000, {})]
     assert calls == len(harmonia.search._segments(10**6)) > 6
     assert 1 <= len(refs) == len(users) <= 6
     assert all(len(threads) == 1 for threads in users.values())
@@ -1150,12 +1157,15 @@ def test_triple_confirm_drops_an_equal_double_of_another_n(monkeypatch):
     first = want[0]
     c, s = max(zip(first.members, first.sigma), key=lambda p: Fraction(*p))
     assert harmonic_ratio(c + 1) != Fraction(c, s)
-    real = harmonia.search._sorted_run
+    real = harmonia.search._joined_run
 
-    def planted(bits, owners):
-        return real(np.append(bits, np.float64(c / s).view(np.int64)), np.append(owners, c + 1))
+    def planted(parts):
+        ((bits, owners),) = parts
+        return real(
+            [(np.append(bits, np.float64(c / s).view(np.int64)), np.append(owners, c + 1))]
+        )
 
-    monkeypatch.setattr(harmonia.search, "_sorted_run", planted)
+    monkeypatch.setattr(harmonia.search, "_joined_run", planted)
     assert jsonl_of(search_triples(config)) == jsonl_of(want)
 
 
@@ -1224,14 +1234,14 @@ def test_triple_search_refuses_sigma_past_2_to_the_21(kind, monkeypatch):
     # confirm's products in int64; the true sigma at the cap is far below
     star = kind == "unitary_harmonious"
     assert int(sieve_tables(1, TRIPLE_BOUND_CAP, star=star).max()) < 1 << 20
-    real = harmonia.search._sigma_full
+    real = harmonia.search.sieve_tables
 
-    def wide(bound, star, threads):
-        sigma = real(bound, star, threads)
+    def wide(lo, hi, **kwargs):
+        sigma = real(lo, hi, **kwargs)
         sigma[-1] = 1 << 21
         return sigma
 
-    monkeypatch.setattr(harmonia.search, "_sigma_full", wide)
+    monkeypatch.setattr(harmonia.search, "sieve_tables", wide)
     with pytest.raises(ValueError, match="^sigma values up to 2097152 overflow"):
         search_triples(SearchConfig(bound=3000, k=3, kind=kind))
 

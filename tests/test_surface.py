@@ -8,7 +8,9 @@ in its own module, and a helper goes when its last caller does.  Every name
 a module in src/, tests/ or demos/ imports is read in that module or
 re-exported by the package, so code that is deleted takes its imports with
 it.  Every dataclass
-in src/ is frozen: results are built once and only read.  The search reduces
+in src/ is frozen: results are built once and only read.  The process-wide
+caches in src/ (lru_cache and functools.cache) are a fixed list, so a new
+one is named here along with what it was measured to save.  The search reduces
 no fraction: every search in search.py matches ratios by their doubles and
 confirms exactly, so the module reads no gcd and names no _codes; in
 particular the pair search's pass 1 and join reduce nothing."""
@@ -181,3 +183,29 @@ def test_pair_pipeline_reduces_no_fraction():
         if isinstance(node, ast.FunctionDef) and node.name in ("_ratio_segment_runs", "_join")
     }
     assert found == {"_ratio_segment_runs": [], "_join": []}
+
+
+# the functions that src/ caches for the life of the process
+CACHED = {
+    "arith.py": ["_build_odd_tile", "_build_tile", "_factorize_cached"],
+    "cli.py": ["build_parser"],
+}
+
+
+def _cached_functions(path: Path) -> list[str]:
+    """Functions in the module at path decorated with lru_cache or cache,
+    bare or through functools, called or not."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        for deco in node.decorator_list:
+            target = deco.func if isinstance(deco, ast.Call) else deco
+            if ast.unparse(target).split(".")[-1] in ("lru_cache", "cache"):
+                found.append(node.name)
+    return sorted(found)
+
+
+def test_process_wide_caches_are_pinned():
+    found = {path.name: _cached_functions(path) for path in sorted(SRC.glob("*.py"))}
+    assert {name: cached for name, cached in found.items() if cached} == CACHED
